@@ -25,6 +25,8 @@ from .interval import Interval, IntervalBox
 from .monitor import (
     INITIAL_SIGN_ERROR,
     INTEGRATION_ERROR,
+    NUMERIC_ERROR,
+    NUMERIC_FAILURES,
     PROPAGATION_ERROR,
     SEARCH_ZERO_ERROR,
     UNKNOWN,
@@ -46,6 +48,7 @@ _CAUSES = (
     PROPAGATION_ERROR,
     INTEGRATION_ERROR,
     INITIAL_SIGN_ERROR,
+    NUMERIC_ERROR,
 )
 
 
@@ -128,9 +131,9 @@ def cmd_verify(args) -> int:
         enc = SignalEnclosure(system, order=cfg.order, tol=cfg.tol, t_min=cfg.t_min)
         try:
             enc.extend(horizon_upper(phi))
-        except IntegrationError as exc:
+        except (IntegrationError,) + NUMERIC_FAILURES as exc:
             print(
-                f"trace: integration stopped at t={exc.horizon_reached}: {exc}",
+                f"trace: integration stopped at t={enc.horizon_reached}: {exc}",
                 file=sys.stderr,
             )
         _write_trace(enc, args.trace, system.var_names)
@@ -185,9 +188,9 @@ def cmd_trace(args) -> int:
     enc = SignalEnclosure(system, order=cfg.order, tol=cfg.tol, t_min=cfg.t_min)
     try:
         enc.extend(args.horizon)
-    except IntegrationError as exc:
+    except (IntegrationError,) + NUMERIC_FAILURES as exc:
         print(
-            f"trace: integration stopped at t={exc.horizon_reached}: {exc}",
+            f"trace: integration stopped at t={enc.horizon_reached}: {exc}",
             file=sys.stderr,
         )
     _write_trace(enc, args.output, system.var_names)

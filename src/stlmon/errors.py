@@ -29,6 +29,10 @@ class AmbiguityError(StlmonError):
     """Overlapping boundary enclosures made an approximated set non-canonical."""
 
 
+class NumericError(StlmonError, ValueError):
+    """Interval arithmetic produced a NaN bound."""
+
+
 class ModelError(StlmonError):
     """Model or formula text failed to parse or validate."""
 

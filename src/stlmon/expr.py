@@ -21,7 +21,7 @@ __all__ = [
     "Expr", "Const", "Param", "Var", "Add", "Sub", "Mul", "Div", "Pow",
     "Sin", "Cos", "Exp", "Neg",
     "FloatAlgebra", "IntervalAlgebra", "FLOAT_ALG", "INTERVAL_ALG",
-    "eval_expr", "eval_box", "eval_point", "diff_var", "gradient",
+    "eval_expr", "eval_box", "eval_point", "substitute_params", "diff_var", "gradient",
     "expr_to_str", "Tokenizer", "ExprParser",
 ]
 
@@ -179,6 +179,22 @@ def eval_box(e: Expr, u: IntervalBox, x: IntervalBox) -> Interval:
 
 def eval_point(e: Expr, u, x) -> float:
     return eval_expr(e, FLOAT_ALG, u, x)
+
+
+def substitute_params(e: Expr, params) -> Expr:
+    """e with every Param node replaced by params[index]."""
+    t = type(e)
+    if t is Param:
+        return params[e.index]
+    if t in (Const, Var):
+        return e
+    if t in (Add, Sub, Mul, Div):
+        return t(substitute_params(e.a, params), substitute_params(e.b, params))
+    if t is Pow:
+        return Pow(substitute_params(e.base, params), e.exponent)
+    if t in (Sin, Cos, Exp, Neg):
+        return t(substitute_params(e.arg, params))
+    raise TypeError(f"unknown expression node {e!r}")
 
 
 # --- symbolic differentiation --------------------------------------------

@@ -14,8 +14,12 @@ deviation z0 - zhat = B r is carried in a QR-orthogonalized frame
 (Lohner's method) so that long integrations do not fall to the
 wrapping effect.
 
-Parameters are adjoined as constant state components (u' = 0), so one
-machinery covers interval parameters and interval initial states.
+Parameters whose run box is a point are folded into the flow as
+constants (a point interval is one float, so this is exact).  The
+remaining interval parameters are adjoined as constant state components
+(u' = 0), so one machinery covers interval parameters and interval
+initial states; the extended state has n_vars + #interval-params
+components.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IntegrationError
-from .expr import eval_box
+from .expr import Const, Param, eval_box, substitute_params
 from .interval import EMPTY, Interval, IntervalBox, hull, inflate
 from .system import ContinuousSystem
 from .taylor import compile_flow, interval_const, jet_const_maker, jet_seed, state_series
@@ -76,7 +80,7 @@ def _lift(M):
 
 @dataclass
 class StepModel:
-    """Dense output over one accepted step [t0, t1].
+    """Dense output over one accepted step [t0, t1], state rows only.
 
     coeffs[i] is the order-i coefficient vector of the local expansion
     (point expansion plus Jacobian-propagated deviation already folded
@@ -87,9 +91,9 @@ class StepModel:
 
     t0: float
     t1: float
-    coeffs: list          # [order+1] lists of Interval, length d
-    remainder: list       # list of Interval, length d
-    apriori: list         # list of Interval, length d
+    coeffs: list          # [order+1] lists of Interval, length n_vars
+    remainder: list       # list of Interval, length n_vars
+    apriori: list         # list of Interval, length n_vars
 
     def eval_local(self, s: Interval) -> list:
         acc = self.remainder
@@ -98,9 +102,13 @@ class StepModel:
         out = []
         for v, ap in zip(acc, self.apriori):
             w = v.intersect(ap)
-            # both operands enclose the same solution set, so the
-            # intersection cannot be empty
-            assert w is not EMPTY
+            # both operands enclose the same solution set, so an empty
+            # intersection means an enclosure is unsound
+            if w is EMPTY:
+                raise IntegrationError(
+                    f"dense output and apriori box disagree on the step at t={self.t0:.6g}",
+                    horizon_reached=self.t0,
+                )
             out.append(w)
         return out
 
@@ -135,14 +143,24 @@ class SignalEnclosure:
         self.t_min = t_min
 
         self.n = system.n_vars
-        self.d = system.n_vars + system.n_params
-        self._prog = compile_flow(system.flow, system.n_vars, system.n_params)
+        # point parameters become constants of this run's flow; interval
+        # parameters are re-indexed and adjoined as constant state
+        bound = []
+        self._u_free: list[Interval] = []
+        for name, u in zip(system.param_names, self.u_box.ivs):
+            if u.is_point():
+                bound.append(Const(u.lo))
+            else:
+                bound.append(Param(len(self._u_free), name))
+                self._u_free.append(u)
+        self._flow = tuple(substitute_params(f, bound) for f in system.flow)
+        self.d = self.n + len(self._u_free)
+        self._prog = compile_flow(self._flow, self.n, len(self._u_free))
         self._jet_const = jet_const_maker(self.d)
 
-        z0 = list(self.init_box.ivs) + list(self.u_box.ivs)
+        z0 = list(self.init_box.ivs) + self._u_free
         self._zhat = [Interval(v.mid()) for v in z0]
         self._B = np.eye(self.d)
-        self._Binv = _lift(np.eye(self.d))
         self._r = [v - Interval(v.mid()) for v in z0]
 
         self.steps: list[StepModel] = []
@@ -172,7 +190,7 @@ class SignalEnclosure:
         box = [z + dv for z, dv in zip(self._zhat, _imat_vec(_lift(self._B), self._r))]
         # parameter components are constant in truth; the frame change
         # can only overapproximate them
-        for j, u in enumerate(self.u_box.ivs):
+        for j, u in enumerate(self._u_free):
             i = self.n + j
             w = box[i].intersect(u)
             box[i] = u if w is EMPTY else w
@@ -181,7 +199,7 @@ class SignalEnclosure:
     def _flow_at(self, box: list) -> list:
         u = IntervalBox(box[self.n:])
         x = IntervalBox(box[: self.n])
-        rates = [eval_box(f, u, x) for f in self.system.flow]
+        rates = [eval_box(f, u, x) for f in self._flow]
         return rates + [_ZERO] * (self.d - self.n)
 
     def _step(self, target_time: float) -> None:
@@ -222,19 +240,21 @@ class SignalEnclosure:
                 f"flow undefined over the apriori box at t={t0:.6g}",
                 horizon_reached=t0,
             ) from None
-        remainder = [tail[j][k + 1] for j in range(self.d)]
+        # parameter rows of the series are constant: dense output and
+        # the remainder keep the state rows only
+        remainder = [tail[j][k + 1] for j in range(self.n)]
 
         dev = _imat_vec(_lift(self._B), self._r)
         coeffs = []
         for i in range(k + 1):
-            s_dev = _imat_vec(
-                [[jets[rj][i].grad[cj] for cj in range(self.d)] for rj in range(self.d)],
-                dev,
-            )
-            coeffs.append([point[j][i] + s_dev[j] for j in range(self.d)])
+            s_dev = _imat_vec([jets[rj][i].grad for rj in range(self.n)], dev)
+            coeffs.append([point[j][i] + s_dev[j] for j in range(self.n)])
 
         self.steps.append(
-            StepModel(t0=t0, t1=t1, coeffs=coeffs, remainder=remainder, apriori=apriori)
+            StepModel(
+                t0=t0, t1=t1, coeffs=coeffs, remainder=remainder,
+                apriori=apriori[: self.n],
+            )
         )
         self._starts.append(t0)
         self._propagate_frame(point, jets, remainder, span)
@@ -284,7 +304,8 @@ class SignalEnclosure:
         p_end = [point[j][k] for j in range(d)]
         for i in range(k - 1, -1, -1):
             p_end = [p * span + point[j][i] for j, p in enumerate(p_end)]
-        p_end = [p + remainder[j] * sk1 for j, p in enumerate(p_end)]
+        # parameter rows have no remainder: their series is the constant
+        p_end = [p + r * sk1 for p, r in zip(p_end, remainder)] + p_end[self.n:]
 
         S = [[jets[rj][k].grad[cj] for cj in range(d)] for rj in range(d)]
         for i in range(k - 1, -1, -1):
@@ -311,7 +332,6 @@ class SignalEnclosure:
         ]
         self._zhat = zhat_new
         self._B = Q
-        self._Binv = Qinv
 
     @staticmethod
     def _rigorous_inverse(Q: np.ndarray):
@@ -349,7 +369,7 @@ class SignalEnclosure:
     # -- queries -----------------------------------------------------
 
     def _rebuild_hull_table(self) -> None:
-        base = [list(s.apriori[: self.n]) for s in self.steps]
+        base = [s.apriori for s in self.steps]
         levels = [base]
         k = 1
         while (1 << k) <= len(base):
@@ -398,7 +418,11 @@ class SignalEnclosure:
             s = (t - Interval(step.t0)).intersect(
                 Interval(0.0, (Interval(step.t1) - Interval(step.t0)).hi)
             )
-            assert s is not EMPTY
+            if s is EMPTY:
+                raise IntegrationError(
+                    f"query {t} misses the step [{step.t0}, {step.t1}]",
+                    horizon_reached=self.horizon_reached,
+                )
             return step.eval_local(s)
 
         i = max(bisect_right(self._starts, t.lo) - 1, 0)
@@ -407,25 +431,20 @@ class SignalEnclosure:
         lo_full = i
         first = self.steps[i]
         if not (t.lo <= first.t0 and first.t1 <= t.hi):
-            acc = partial(first)[: self.n]
+            acc = partial(first)
             lo_full = i + 1
         hi_full = j
         if j > i and self.steps[j].t1 > t.hi:
             vals = partial(self.steps[j])
-            acc = (
-                vals[: self.n]
-                if acc is None
-                else [a.hull(v) for a, v in zip(acc, vals)]
-            )
+            acc = vals if acc is None else [a.hull(v) for a, v in zip(acc, vals)]
             hi_full = j - 1
         if lo_full <= hi_full:
             vals = self._range_hull(lo_full, hi_full)
-            acc = (
-                vals
-                if acc is None
-                else [a.hull(v) for a, v in zip(acc, vals)]
+            acc = vals if acc is None else [a.hull(v) for a, v in zip(acc, vals)]
+        if acc is None:
+            raise IntegrationError(
+                f"query {t} covers no step", horizon_reached=self.horizon_reached
             )
-        assert acc is not None
         return IntervalBox(acc)
 
     def eval_point(self, t: float) -> IntervalBox:

@@ -12,6 +12,7 @@ import math
 from typing import Iterable, Union
 
 from ._kernels import kadd, kdiv, kmul, ksub, next_down, next_up
+from .errors import NumericError
 
 __all__ = [
     "Interval",
@@ -53,6 +54,8 @@ class Interval:
         if hi is None:
             hi = lo
         if not (lo <= hi):
+            if lo != lo or hi != hi:
+                raise NumericError(f"NaN interval bound [{lo}, {hi}]")
             raise ValueError(f"invalid interval bounds [{lo}, {hi}]")
         self.lo = float(lo)
         self.hi = float(hi)
@@ -245,7 +248,7 @@ def _widen_up(x: float, ulps: int) -> float:
 def _point_pow(x: float, n: int):
     """Rigorous bounds for x**n via binary exponentiation on a point interval."""
     lo, hi = 1.0, 1.0
-    bl, bh = (x, x) if x >= 0 else (x, x)
+    bl, bh = x, x
     e = n
     while e > 0:
         if e & 1:

@@ -19,6 +19,7 @@ from .errors import (
     AmbiguityError,
     InitialSignError,
     IntegrationError,
+    NumericError,
     TangencyError,
 )
 from .expr import Const, Expr, eval_box, gradient
@@ -59,6 +60,11 @@ SEARCH_ZERO_ERROR = "SearchZeroError"
 PROPAGATION_ERROR = "PropagationError"
 INTEGRATION_ERROR = "IntegrationError"
 INITIAL_SIGN_ERROR = "InitialSignError"
+NUMERIC_ERROR = "NumericError"
+
+# arithmetic failures a model can trigger (overflow, division by a
+# zero-containing interval, NaN bounds); each maps to NUMERIC_ERROR
+NUMERIC_FAILURES = (OverflowError, ZeroDivisionError, NumericError)
 
 _MAX_PHASE1 = 10_000
 _MAX_PHASE2 = 200
@@ -419,7 +425,8 @@ def monitor_stl(
 
     Valid and Unsat are certified over the whole parameter/initial boxes;
     any certification failure is caught and reported as Unknown with the
-    failing stage as its cause.
+    failing stage as its cause.  Arithmetic that overflows, divides by
+    zero or yields a NaN bound is reported as Unknown with NumericError.
     """
     cfg = cfg or MonitorConfig()
     stats = MonitorStats()
@@ -450,6 +457,8 @@ def monitor_stl(
         outcome, cause = UNKNOWN, INTEGRATION_ERROR
     except InitialSignError:
         outcome, cause = UNKNOWN, INITIAL_SIGN_ERROR
+    except NUMERIC_FAILURES:
+        outcome, cause = UNKNOWN, NUMERIC_ERROR
     if enc is not None:
         stats.integration_steps = len(enc.steps)
     return Verdict(outcome, cause, stats, sets)

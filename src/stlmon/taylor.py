@@ -8,7 +8,19 @@ coefficient recurrences
     z^[i+1] = (coefficient i of F(z-series)) / (i + 1)
 
 and, per elementary operation, the product convolution and the exp /
-sin-cos / division recurrences.  Element type is anything with ring
+sin-cos / division recurrences.
+
+Constants and parameters are time-constant: their coefficients of order
+>= 1 are exact zeros, and so are those of every operation whose inputs
+are all time-constant.  The compiler marks these slots and the runner
+fills their higher orders with zero instead of evaluating them.  A
+product with a time-constant factor c compiles to the scale op
+out[i] = c[0] * other[i], and a quotient by a time-constant c to
+out[i] = a[i] / c[0]; both drop only terms that multiply an exact zero,
+which the kernels return exactly, so they give the same coefficients as
+the full convolution in O(1) per order instead of O(i).
+
+Element type is anything with ring
 operations plus sin/cos/exp: Interval for point expansions and
 remainder bounds, Jet for the solution's Jacobian (first-order forward
 AD with interval coordinates).
@@ -96,8 +108,13 @@ def jet_seed(box_elems, dim: int) -> list:
 
 
 # tape op kinds; each op writes coefficient i of its output slot(s)
-# from children coefficients of orders <= i.
-_CONST, _STATE, _ADD, _SUB, _MUL, _DIV, _NEG, _EXP, _SINCOS = range(9)
+# from children coefficients of orders <= i.  _SCALE is a product whose
+# right factor is time-constant (out[i] = a[i] * b[0]), _CSCALE one whose
+# left factor is (out[i] = a[0] * b[i]), and _DIVC a quotient by a
+# time-constant (out[i] = a[i] / b[0]); operand order is kept so each
+# result is the one the convolution's surviving term gives.
+(_CONST, _STATE, _ADD, _SUB, _MUL, _DIV, _NEG, _EXP, _SINCOS,
+ _SCALE, _CSCALE, _DIVC) = range(12)
 
 
 @dataclass(frozen=True)
@@ -107,58 +124,90 @@ class TaylorProgram:
     n_state: int        # extended-state dimension (vars + params)
     n_vars: int         # leading components that actually flow
     out_slots: tuple    # tape slot of F_j for each flowing component
+    varying_ops: tuple  # ops that are not time-constant: all orders >= 1 run
+    const_slots: tuple  # time-constant slots: exact zeros at orders >= 1
 
 
 def compile_flow(flow: tuple, n_vars: int, n_params: int) -> TaylorProgram:
     """Flatten flow expressions into a shared-subexpression tape.
 
     The extended state is (x_1..x_n, u_1..u_m); parameters flow with
-    rate zero and are handled by the runner, not the tape.
+    rate zero and are handled by the runner, not the tape.  Constants,
+    parameters and every op over time-constant inputs only are marked
+    time-constant.
     """
     ops: list = []
     memo: dict = {}
+    tconst: set = set()
     n_slots = 0
 
-    def fresh() -> int:
+    def push(kind: int, args: tuple, constant: bool, n_out: int = 1) -> tuple:
         nonlocal n_slots
-        n_slots += 1
-        return n_slots - 1
+        outs = tuple(range(n_slots, n_slots + n_out))
+        n_slots += n_out
+        ops.append((kind,) + outs + args)
+        if constant:
+            tconst.update(outs)
+        return outs
+
+    def product(a: int, b: int) -> int:
+        ca, cb = a in tconst, b in tconst
+        kind = _SCALE if cb and not ca else _CSCALE if ca and not cb else _MUL
+        return push(kind, (a, b), ca and cb)[0]
+
+    def power(base: int, n: int) -> int:
+        # integer powers become balanced products so the generic
+        # convolution recurrence applies (no positivity assumption)
+        key = ("pow", base, n)
+        if key in memo:
+            return memo[key]
+        if n == 0:
+            out = push(_CONST, (1.0,), True)[0]
+        elif n == 1:
+            out = base
+        elif n % 2 == 0:
+            half = power(base, n // 2)
+            out = product(half, half)
+        else:
+            out = product(power(base, n - 1), base)
+        memo[key] = out
+        return out
 
     def emit(e: Expr) -> int:
         if e in memo:
             return memo[e]
         t = type(e)
         if t is Const:
-            slot = fresh()
-            ops.append((_CONST, slot, e.value))
+            (slot,) = push(_CONST, (e.value,), True)
         elif t is Var:
-            slot = fresh()
-            ops.append((_STATE, slot, e.index))
+            (slot,) = push(_STATE, (e.index,), False)
         elif t is Param:
-            slot = fresh()
-            ops.append((_STATE, slot, n_vars + e.index))
+            (slot,) = push(_STATE, (n_vars + e.index,), True)
         elif t is Neg:
             a = emit(e.arg)
-            slot = fresh()
-            ops.append((_NEG, slot, a))
-        elif t in (Add, Sub, Mul, Div):
+            (slot,) = push(_NEG, (a,), a in tconst)
+        elif t in (Add, Sub):
             a, b = emit(e.a), emit(e.b)
-            slot = fresh()
-            kind = {Add: _ADD, Sub: _SUB, Mul: _MUL, Div: _DIV}[t]
-            ops.append((kind, slot, a, b))
+            kind = _ADD if t is Add else _SUB
+            (slot,) = push(kind, (a, b), a in tconst and b in tconst)
+        elif t is Mul:
+            a, b = emit(e.a), emit(e.b)
+            slot = product(a, b)
+        elif t is Div:
+            a, b = emit(e.a), emit(e.b)
+            ca, cb = a in tconst, b in tconst
+            (slot,) = push(_DIVC if cb and not ca else _DIV, (a, b), ca and cb)
         elif t is Exp:
             a = emit(e.arg)
-            slot = fresh()
-            ops.append((_EXP, slot, a))
+            (slot,) = push(_EXP, (a,), a in tconst)
         elif t in (Sin, Cos):
             a = emit(e.arg)
-            s, c = fresh(), fresh()
-            ops.append((_SINCOS, s, c, a))
+            s, c = push(_SINCOS, (a,), a in tconst, n_out=2)
             memo[Sin(e.arg)] = s
             memo[Cos(e.arg)] = c
             return memo[e]
         elif t is Pow:
-            return _emit_pow(e, emit, ops, memo, fresh)
+            slot = power(emit(e.base), e.exponent)
         else:
             raise TypeError(f"unknown expression node {e!r}")
         memo[e] = slot
@@ -171,37 +220,9 @@ def compile_flow(flow: tuple, n_vars: int, n_params: int) -> TaylorProgram:
         n_state=n_vars + n_params,
         n_vars=n_vars,
         out_slots=out_slots,
+        varying_ops=tuple(op for op in ops if op[1] not in tconst),
+        const_slots=tuple(sorted(tconst)),
     )
-
-
-def _emit_pow(e: Pow, emit, ops, memo, fresh) -> int:
-    # integer powers become balanced products so the generic convolution
-    # recurrence applies (no positivity assumption on the base)
-    base = emit(e.base)
-
-    def power(slot: int, n: int) -> int:
-        key = ("pow", slot, n)
-        if key in memo:
-            return memo[key]
-        if n == 0:
-            out = fresh()
-            ops.append((_CONST, out, 1.0))
-        elif n == 1:
-            out = slot
-        elif n % 2 == 0:
-            half = power(slot, n // 2)
-            out = fresh()
-            ops.append((_MUL, out, half, half))
-        else:
-            rest = power(slot, n - 1)
-            out = fresh()
-            ops.append((_MUL, out, rest, slot))
-        memo[key] = out
-        return out
-
-    slot = power(base, e.exponent)
-    memo[e] = slot
-    return slot
 
 
 def state_series(program: TaylorProgram, z0: list, order: int, const) -> list:
@@ -213,14 +234,15 @@ def state_series(program: TaylorProgram, z0: list, order: int, const) -> list:
     """
     zero = const(0.0)
     state = [[v] for v in z0]
-    slots = [None] * program.n_slots
-    for op in program.ops:
-        slots[op[1]] = []
-        if op[0] == _SINCOS:
-            slots[op[2]] = []
+    slots = [[] for _ in range(program.n_slots)]
 
     for i in range(order):
-        _tape_order(program, state, slots, i, const)
+        if i == 0:
+            _tape_order(program.ops, state, slots, 0, const)
+        else:
+            for s in program.const_slots:
+                slots[s].append(zero)
+            _tape_order(program.varying_ops, state, slots, i, const)
         recip = const(1.0) / const(float(i + 1))
         for j in range(program.n_vars):
             state[j].append(slots[program.out_slots[j]][i] * recip)
@@ -229,12 +251,19 @@ def state_series(program: TaylorProgram, z0: list, order: int, const) -> list:
     return state
 
 
-def _tape_order(program, state, slots, i, const):
-    for op in program.ops:
+def _tape_order(ops, state, slots, i, const):
+    for op in ops:
         kind = op[0]
-        if kind == _CONST:
-            out = const(op[2]) if i == 0 else const(0.0)
-            slots[op[1]].append(out)
+        if kind == _MUL:
+            a, b = slots[op[2]], slots[op[3]]
+            acc = a[0] * b[i]
+            for j in range(1, i + 1):
+                acc = acc + a[j] * b[i - j]
+            slots[op[1]].append(acc)
+        elif kind == _SCALE:
+            slots[op[1]].append(slots[op[2]][i] * slots[op[3]][0])
+        elif kind == _CSCALE:
+            slots[op[1]].append(slots[op[2]][0] * slots[op[3]][i])
         elif kind == _STATE:
             slots[op[1]].append(state[op[2]][i])
         elif kind == _ADD:
@@ -243,12 +272,11 @@ def _tape_order(program, state, slots, i, const):
             slots[op[1]].append(slots[op[2]][i] - slots[op[3]][i])
         elif kind == _NEG:
             slots[op[1]].append(-slots[op[2]][i])
-        elif kind == _MUL:
-            a, b = slots[op[2]], slots[op[3]]
-            acc = a[0] * b[i]
-            for j in range(1, i + 1):
-                acc = acc + a[j] * b[i - j]
-            slots[op[1]].append(acc)
+        elif kind == _CONST:
+            # time-constant: only ever run at order 0
+            slots[op[1]].append(const(op[2]))
+        elif kind == _DIVC:
+            slots[op[1]].append(slots[op[2]][i] / slots[op[3]][0])
         elif kind == _DIV:
             a, b, w = slots[op[2]], slots[op[3]], slots[op[1]]
             acc = a[i]

@@ -2,8 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import stlmon
 
 from stlmon.cli import EXIT_USAGE, main
 
@@ -63,6 +69,61 @@ class TestExitCodes:
     def test_missing_subcommand_is_usage(self, capsys):
         code, _, _ = run_cli(capsys)
         assert code == EXIT_USAGE
+
+
+# exp(700) is near the top of the float range: the series overflows
+OVERFLOW_MODEL = (
+    "[vars] x in [-1000, 100000000]\n"
+    "[init] x = 700\n"
+    "[flow] x' = exp(x)\n"
+)
+OVERFLOW_FORMULA = "F[0,1] (x - 800 < 0)"
+
+
+class TestNumericFailures:
+    """Overflow, division by zero and NaN bounds are Unknown, exit 2."""
+
+    @pytest.fixture
+    def model(self, tmp_path):
+        path = tmp_path / "overflow.model"
+        path.write_text(OVERFLOW_MODEL)
+        return str(path)
+
+    def test_overflow_is_unknown(self, capsys, model):
+        code, out, _ = run_cli(
+            capsys, "verify", "--model", model, "--formula", OVERFLOW_FORMULA
+        )
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["outcome"] == "Unknown"
+        assert doc["unknown_cause"] == "NumericError"
+
+    def test_overflow_exits_two_without_traceback(self, model, tmp_path):
+        src = str(Path(stlmon.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stlmon", "verify", "--model", model,
+             "--formula", OVERFLOW_FORMULA, "--trace", str(tmp_path / "t.csv")],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert json.loads(proc.stdout)["unknown_cause"] == "NumericError"
+
+    def test_batch_counts_numeric_errors(self, capsys, model):
+        code, out, _ = run_cli(
+            capsys, "batch", "--model", model, "--formula", OVERFLOW_FORMULA,
+            "--runs", "2",
+        )
+        assert code == 0
+        assert json.loads(out)["n_unknown_by_cause"]["NumericError"] == 2
+
+    def test_division_by_zero_in_an_atom_is_unknown(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--model", "timer", "--formula", "F[0,2] (1/x - 2 < 0)"
+        )
+        assert code == 2
+        assert json.loads(out)["unknown_cause"] == "NumericError"
 
 
 BATCH_ARGS = (

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from stlmon.errors import NumericError
 from stlmon.interval import (
     EMPTY,
     Interval,
@@ -36,6 +37,16 @@ class TestArith:
     def test_division_by_zero_interval_rejected(self):
         with pytest.raises(ZeroDivisionError):
             Interval(1, 2) / Interval(-1, 1)
+
+    def test_nan_bound_is_a_numeric_error(self):
+        with pytest.raises(NumericError):
+            Interval(math.nan, 1.0)
+        with pytest.raises(NumericError):
+            Interval(math.inf) - Interval(math.inf)
+        # out-of-order bounds stay a plain ValueError
+        with pytest.raises(ValueError) as exc:
+            Interval(2.0, 1.0)
+        assert not isinstance(exc.value, NumericError)
 
     def test_containment_fuzz(self):
         # 1e4 random operand pairs, sampled points stay inside the result

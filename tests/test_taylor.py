@@ -192,3 +192,136 @@ class TestSharing:
         prog = compile_flow(sys.flow, 1, 0)
         # state, one sincos pair (2 slots), one mul, one add
         assert prog.n_slots == 5
+
+
+def reference_series(flow, n_vars, z0, order, const):
+    """Taylor coefficients by the plain recurrences: every product is a
+    full convolution and every quotient the full division recurrence,
+    with no knowledge of which coefficients are zero."""
+    from stlmon.expr import Add, Const, Div, Mul, Neg, Param, Sub, Var
+
+    zero = const(0.0)
+    state = [[v] for v in z0]
+    cache: dict = {}
+
+    def coeff(e, i):
+        s = cache.setdefault(e, [])
+        while len(s) <= i:
+            m = len(s)
+            t = type(e)
+            if t is Const:
+                s.append(const(e.value) if m == 0 else zero)
+            elif t is Var:
+                s.append(state[e.index][m])
+            elif t is Param:
+                s.append(state[n_vars + e.index][m])
+            elif t is Neg:
+                s.append(-coeff(e.arg, m))
+            elif t in (Add, Sub):
+                a, b = coeff(e.a, m), coeff(e.b, m)
+                s.append(a + b if t is Add else a - b)
+            elif t is Mul:
+                acc = coeff(e.a, 0) * coeff(e.b, m)
+                for j in range(1, m + 1):
+                    acc = acc + coeff(e.a, j) * coeff(e.b, m - j)
+                s.append(acc)
+            elif t is Div:
+                acc = coeff(e.a, m)
+                for j in range(m):
+                    acc = acc - s[j] * coeff(e.b, m - j)
+                s.append(acc / coeff(e.b, 0))
+            else:
+                raise TypeError(e)
+        return s[i]
+
+    for i in range(order):
+        recip = const(1.0) / const(float(i + 1))
+        rates = [coeff(f, i) for f in flow]
+        for j in range(n_vars):
+            state[j].append(rates[j] * recip)
+        for j in range(n_vars, len(z0)):
+            state[j].append(zero)
+    return state
+
+
+def same_bits(a: Interval, b: Interval) -> bool:
+    return (a.lo.hex(), a.hi.hex()) == (b.lo.hex(), b.hi.hex())
+
+
+class TestTimeConstantOps:
+    """Scale and divide-by-constant ops drop only products with exact
+    zeros, so their coefficients equal the full convolution's bit for bit."""
+
+    MODEL = (
+        "[params] u1 in [-2, 2]\n"
+        "[vars] x1 in [-100, 100]\n x2 in [-100, 100]\n"
+        "[init] x1 = 1\n x2 = 0.5\n"
+        "[flow] x1' = {f1}\n x2' = {f2}\n"
+    )
+    FLOWS = [
+        ("u1*x1", "x1*u1 - x2"),
+        ("x1/2", "-x2/3"),
+        ("2*u1*x1*x2", "x2/(u1 + 3) + x1*x2"),
+    ]
+
+    def _system(self, f1, f2):
+        return parse_model(self.MODEL.format(f1=f1, f2=f2))
+
+    def test_programs_use_time_constant_ops(self):
+        import stlmon.taylor as tay
+
+        kinds = set()
+        for f1, f2 in self.FLOWS:
+            sys = self._system(f1, f2)
+            prog = compile_flow(sys.flow, 2, 1)
+            kinds |= {op[0] for op in prog.ops}
+            # constants and the parameter are time-constant, states are not
+            assert not set(prog.const_slots) & {
+                op[1] for op in prog.ops if op[0] == tay._STATE and op[2] < 2
+            }
+        assert {tay._SCALE, tay._CSCALE, tay._DIVC} <= kinds
+
+    @pytest.mark.parametrize("f1,f2", FLOWS)
+    @pytest.mark.parametrize("u", [Interval(0.75), Interval(-0.5, 0.25)])
+    def test_interval_coefficients_bit_identical(self, f1, f2, u):
+        sys = self._system(f1, f2)
+        prog = compile_flow(sys.flow, 2, 1)
+        for x0 in ([Interval(1.0), Interval(0.5)],
+                   [Interval(0.9, 1.1), Interval(-0.2, 0.3)]):
+            z0 = x0 + [u]
+            got = state_series(prog, z0, 12, interval_const)
+            want = reference_series(sys.flow, 2, z0, 12, interval_const)
+            for g_row, w_row in zip(got, want):
+                assert len(g_row) == len(w_row) == 13
+                for g, w in zip(g_row, w_row):
+                    assert same_bits(g, w), (g, w)
+
+    @pytest.mark.parametrize("f1,f2", FLOWS)
+    def test_jet_coefficients_bit_identical(self, f1, f2):
+        sys = self._system(f1, f2)
+        prog = compile_flow(sys.flow, 2, 1)
+        box = [Interval(0.9, 1.1), Interval(0.4, 0.6), Interval(-0.5, 0.25)]
+        got = state_series(prog, jet_seed(box, 3), 8, jet_const_maker(3))
+        want = reference_series(sys.flow, 2, jet_seed(box, 3), 8, jet_const_maker(3))
+        for g_row, w_row in zip(got, want):
+            for g, w in zip(g_row, w_row):
+                assert same_bits(g.val, w.val)
+                assert all(same_bits(a, b) for a, b in zip(g.grad, w.grad))
+
+    def test_remainder_over_box_bit_identical(self):
+        # order k + 1 over a wide box, as the integrator's remainder runs
+        sys = parse_model(
+            "[params] u1 in [9, 11]\n u2 in [27, 29]\n u3 in [1.5, 3.5]\n"
+            "[vars] x1 in [-50, 50]\n x2 in [-50, 50]\n x3 in [-50, 50]\n"
+            "[init] x1 = 15\n x2 = 15\n x3 = 36\n"
+            "[flow] x1' = u1*(x2 - x1)\n x2' = u2*x1 - x2 - x1*x3\n"
+            " x3' = x1*x2 - u3*x3\n"
+        )
+        prog = compile_flow(sys.flow, 3, 3)
+        z0 = [Interval(14.0, 16.0), Interval(14.5, 15.5), Interval(35.0, 37.0),
+              Interval(10.0), Interval(27.5, 28.5), Interval(2.5)]
+        got = state_series(prog, z0, 21, interval_const)
+        want = reference_series(sys.flow, 3, z0, 21, interval_const)
+        for g_row, w_row in zip(got, want):
+            for g, w in zip(g_row, w_row):
+                assert same_bits(g, w), (g, w)
