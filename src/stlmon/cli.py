@@ -122,18 +122,14 @@ def cmd_verify(args) -> int:
     system = _load_model(args.model)
     phi = _load_formula(args, system)
     cfg = _config(args)
-    verdict = monitor_stl(system, phi, cfg, collect_sets=args.dump_sets)
+    # the trace is written from the enclosure the verification integrates
+    enc = SignalEnclosure(system, order=cfg.order, tol=cfg.tol, t_min=cfg.t_min)
+    verdict = monitor_stl(system, phi, cfg, enc=enc, collect_sets=args.dump_sets)
     print(json.dumps(verdict.to_json(), indent=2))
     if args.trace:
-        # re-run the integration alone to emit the enclosure trace
-        from .monitor import horizon_upper
-
-        enc = SignalEnclosure(system, order=cfg.order, tol=cfg.tol, t_min=cfg.t_min)
-        try:
-            enc.extend(horizon_upper(phi))
-        except (IntegrationError,) + NUMERIC_FAILURES as exc:
+        if enc.failure is not None:
             print(
-                f"trace: integration stopped at t={enc.horizon_reached}: {exc}",
+                f"trace: integration stopped at t={enc.horizon_reached}: {enc.failure}",
                 file=sys.stderr,
             )
         _write_trace(enc, args.trace, system.var_names)

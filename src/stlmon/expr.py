@@ -1,10 +1,11 @@
 """Expression trees over system parameters and variables.
 
 The operation set is closed: {+, -, *, /, integer power, sin, cos, exp}.
-Evaluation is generic over an algebra (floats, intervals, Taylor series),
-so the same tree serves point simulation, interval extension, and the
-validated integrator.  Interval evaluation is the natural interval
-extension and therefore contains all pointwise values.
+Evaluation is generic over an algebra (floats or intervals), so the same
+tree serves point simulation and interval extension.  Interval evaluation
+is the natural interval extension and therefore contains all pointwise
+values.  Taylor coefficients, and with them time derivatives along a
+flow, come from compiling trees to a tape (see taylor.py).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ __all__ = [
     "Expr", "Const", "Param", "Var", "Add", "Sub", "Mul", "Div", "Pow",
     "Sin", "Cos", "Exp", "Neg",
     "FloatAlgebra", "IntervalAlgebra", "FLOAT_ALG", "INTERVAL_ALG",
-    "eval_expr", "eval_box", "eval_point", "substitute_params", "diff_var", "gradient",
+    "eval_expr", "eval_box", "eval_point", "substitute_params",
     "expr_to_str", "Tokenizer", "ExprParser",
 ]
 
@@ -197,91 +198,6 @@ def substitute_params(e: Expr, params) -> Expr:
     raise TypeError(f"unknown expression node {e!r}")
 
 
-# --- symbolic differentiation --------------------------------------------
-
-_ZERO = Const(0.0)
-_ONE = Const(1.0)
-
-
-def _is_zero(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 0.0
-
-
-def _is_one(e: Expr) -> bool:
-    return isinstance(e, Const) and e.value == 1.0
-
-
-def _add(a: Expr, b: Expr) -> Expr:
-    if _is_zero(a):
-        return b
-    if _is_zero(b):
-        return a
-    return Add(a, b)
-
-
-def _sub(a: Expr, b: Expr) -> Expr:
-    if _is_zero(b):
-        return a
-    if _is_zero(a):
-        return Neg(b)
-    return Sub(a, b)
-
-
-def _mul(a: Expr, b: Expr) -> Expr:
-    if _is_zero(a) or _is_zero(b):
-        return _ZERO
-    if _is_one(a):
-        return b
-    if _is_one(b):
-        return a
-    return Mul(a, b)
-
-
-def _neg(a: Expr) -> Expr:
-    if _is_zero(a):
-        return _ZERO
-    return Neg(a)
-
-
-def diff_var(e: Expr, index: int) -> Expr:
-    """Exact symbolic partial derivative with respect to variable ``index``."""
-    t = type(e)
-    if t in (Const, Param):
-        return _ZERO
-    if t is Var:
-        return _ONE if e.index == index else _ZERO
-    if t is Add:
-        return _add(diff_var(e.a, index), diff_var(e.b, index))
-    if t is Sub:
-        return _sub(diff_var(e.a, index), diff_var(e.b, index))
-    if t is Mul:
-        return _add(_mul(diff_var(e.a, index), e.b), _mul(e.a, diff_var(e.b, index)))
-    if t is Div:
-        num = _sub(_mul(diff_var(e.a, index), e.b), _mul(e.a, diff_var(e.b, index)))
-        return Div(num, Pow(e.b, 2)) if not _is_zero(num) else _ZERO
-    if t is Pow:
-        if e.exponent == 0:
-            return _ZERO
-        inner = diff_var(e.base, index)
-        if e.exponent == 1:
-            return inner
-        return _mul(_mul(Const(float(e.exponent)), Pow(e.base, e.exponent - 1)), inner)
-    if t is Sin:
-        return _mul(Cos(e.arg), diff_var(e.arg, index))
-    if t is Cos:
-        return _neg(_mul(Sin(e.arg), diff_var(e.arg, index)))
-    if t is Exp:
-        return _mul(e, diff_var(e.arg, index))
-    if t is Neg:
-        return _neg(diff_var(e.arg, index))
-    raise TypeError(f"unknown expression node {e!r}")
-
-
-def gradient(e: Expr, n_vars: int) -> tuple[Expr, ...]:
-    """Symbolic gradient with respect to the state variables."""
-    return tuple(diff_var(e, i) for i in range(n_vars))
-
-
 def free_divisions(e: Expr):
     """Yield every denominator subexpression (for load-time sign checks)."""
     t = type(e)
@@ -334,7 +250,7 @@ def _fmt(e: Expr, prec: int) -> str:
 
 _TOKEN_RE = re.compile(
     r"""
-    (?P<num>\d+\.\d*|\.\d+|\d+) |
+    (?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?) |
     (?P<ident>[A-Za-z_][A-Za-z_0-9]*) |
     (?P<arrow>->) |
     (?P<op>[-+*/^()\[\],<>!&|'=]) |
@@ -446,14 +362,14 @@ class ExprParser:
 
     def parse_factor(self) -> Expr:
         if self.tz.accept("-"):
-            return _neg(self.parse_factor())
+            return Neg(self.parse_factor())
         return self.parse_power()
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()
         if self.tz.accept("^"):
             tok = self.tz.next()
-            if tok.kind != "num" or "." in tok.text:
+            if tok.kind != "num" or not tok.text.isdigit():
                 raise ModelError("exponent must be an integer literal", tok.line, tok.col)
             return Pow(base, int(tok.text))
         return base

@@ -30,11 +30,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import IntegrationError
-from .expr import Const, Param, eval_box, substitute_params
+from .errors import IntegrationError, NumericError
+from .expr import Const, Expr, Param, eval_box, substitute_params
 from .interval import EMPTY, Interval, IntervalBox, hull, inflate
 from .system import ContinuousSystem
-from .taylor import compile_flow, interval_const, jet_const_maker, jet_seed, state_series
+from .taylor import (
+    TaylorProgram, compile_flow, interval_const, jet_const_maker, jet_seed, lie_derivative,
+    state_series,
+)
 
 __all__ = ["StepModel", "SignalEnclosure"]
 
@@ -145,28 +148,36 @@ class SignalEnclosure:
         self.n = system.n_vars
         # point parameters become constants of this run's flow; interval
         # parameters are re-indexed and adjoined as constant state
-        bound = []
+        self._bound: list[Expr] = []
         self._u_free: list[Interval] = []
         for name, u in zip(system.param_names, self.u_box.ivs):
             if u.is_point():
-                bound.append(Const(u.lo))
+                self._bound.append(Const(u.lo))
             else:
-                bound.append(Param(len(self._u_free), name))
+                self._bound.append(Param(len(self._u_free), name))
                 self._u_free.append(u)
-        self._flow = tuple(substitute_params(f, bound) for f in system.flow)
+        self._flow = tuple(substitute_params(f, self._bound) for f in system.flow)
         self.d = self.n + len(self._u_free)
         self._prog = compile_flow(self._flow, self.n, len(self._u_free))
+        # per expression: this run's flow tape with it as an extra output
+        self._rate_progs: dict[Expr, TaylorProgram] = {}
         self._jet_const = jet_const_maker(self.d)
 
+        # the error that stopped integration; a failed step may leave
+        # the frame half updated, so extend() never resumes after one
+        self.failure: Exception | None = None
         z0 = list(self.init_box.ivs) + self._u_free
-        self._zhat = [Interval(v.mid()) for v in z0]
         self._B = np.eye(self.d)
-        self._r = [v - Interval(v.mid()) for v in z0]
+        try:
+            self._zhat = [Interval(v.mid()) for v in z0]
+            self._r = [v - Interval(v.mid()) for v in z0]
+        except (ArithmeticError, NumericError) as exc:
+            # an unbounded initial box has no frame; extend() reports it
+            self.failure = exc
 
         self.steps: list[StepModel] = []
         self._starts: list[float] = []
         self.horizon_reached = 0.0
-        self._fail: IntegrationError | None = None
         self._last_h: float | None = None
         # sparse table of range hulls over step apriori boxes; level k
         # entry i is the hull of steps [i, i + 2^k); rebuilt lazily so a
@@ -178,12 +189,12 @@ class SignalEnclosure:
 
     def extend(self, target_time: float) -> None:
         while self.horizon_reached < target_time:
-            if self._fail is not None:
-                raise self._fail
+            if self.failure is not None:
+                raise self.failure
             try:
                 self._step(target_time)
-            except IntegrationError as exc:
-                self._fail = exc
+            except Exception as exc:
+                self.failure = exc
                 raise
 
     def _current_box(self) -> list:
@@ -449,3 +460,13 @@ class SignalEnclosure:
 
     def eval_point(self, t: float) -> IntervalBox:
         return self.eval(Interval(t))
+
+    def rate(self, f: Expr, x: IntervalBox) -> Interval:
+        """Enclosure of d/dt f along the flow over the state box x, for
+        every parameter in this run's box."""
+        prog = self._rate_progs.get(f)
+        if prog is None:
+            bound_f = substitute_params(f, self._bound)
+            prog = compile_flow(self._flow + (bound_f,), self.n, len(self._u_free))
+            self._rate_progs[f] = prog
+        return lie_derivative(prog, list(x.ivs) + self._u_free)

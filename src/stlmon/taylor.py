@@ -37,7 +37,10 @@ from dataclasses import dataclass
 from .expr import Add, Const, Cos, Div, Exp, Expr, Mul, Neg, Param, Pow, Sin, Sub, Var
 from .interval import Interval
 
-__all__ = ["Jet", "TaylorProgram", "compile_flow", "state_series", "jet_seed", "interval_const", "jet_const_maker"]
+__all__ = [
+    "Jet", "TaylorProgram", "compile_flow", "state_series", "lie_derivative",
+    "jet_seed", "interval_const", "jet_const_maker",
+]
 
 
 class Jet:
@@ -123,7 +126,8 @@ class TaylorProgram:
     n_slots: int
     n_state: int        # extended-state dimension (vars + params)
     n_vars: int         # leading components that actually flow
-    out_slots: tuple    # tape slot of F_j for each flowing component
+    out_slots: tuple    # tape slot of F_j for each flowing component,
+                        # then of each extra output
     varying_ops: tuple  # ops that are not time-constant: all orders >= 1 run
     const_slots: tuple  # time-constant slots: exact zeros at orders >= 1
 
@@ -134,7 +138,8 @@ def compile_flow(flow: tuple, n_vars: int, n_params: int) -> TaylorProgram:
     The extended state is (x_1..x_n, u_1..u_m); parameters flow with
     rate zero and are handled by the runner, not the tape.  Constants,
     parameters and every op over time-constant inputs only are marked
-    time-constant.
+    time-constant.  Expressions past the first n_vars are extra outputs:
+    they are taped along but do not flow.
     """
     ops: list = []
     memo: dict = {}
@@ -249,6 +254,29 @@ def state_series(program: TaylorProgram, z0: list, order: int, const) -> list:
         for j in range(program.n_vars, program.n_state):
             state[j].append(zero)
     return state
+
+
+def lie_derivative(program: TaylorProgram, z: list) -> Interval:
+    """Enclosure of d/dt f along the flow over the box z, for f the last
+    output of the program.
+
+    That rate is the order-1 Taylor coefficient of f(z(t)) (its Lie
+    derivative grad f . F): the tape runs at order 0 over z, the state
+    takes its order-1 coefficients F(z), and the varying ops run once
+    more at order 1.
+    """
+    zero = Interval(0.0)
+    state = [[v] for v in z]
+    slots = [[] for _ in range(program.n_slots)]
+    _tape_order(program.ops, state, slots, 0, interval_const)
+    for j in range(program.n_vars):
+        state[j].append(slots[program.out_slots[j]][0])
+    for j in range(program.n_vars, program.n_state):
+        state[j].append(zero)
+    for s in program.const_slots:
+        slots[s].append(zero)
+    _tape_order(program.varying_ops, state, slots, 1, interval_const)
+    return slots[program.out_slots[-1]][1]
 
 
 def _tape_order(ops, state, slots, i, const):

@@ -11,7 +11,12 @@ import pytest
 
 import stlmon
 
+from stlmon import cli, monitor
 from stlmon.cli import EXIT_USAGE, main
+from stlmon.integrator import SignalEnclosure
+from stlmon.monitor import horizon_upper
+from stlmon.stl import parse_formula
+from stlmon.system import load_builtin
 
 
 def run_cli(capsys, *argv):
@@ -118,6 +123,20 @@ class TestNumericFailures:
         assert code == 0
         assert json.loads(out)["n_unknown_by_cause"]["NumericError"] == 2
 
+    def test_unbounded_initial_box_is_unknown_with_trace(self, capsys, tmp_path):
+        # the initial box [0, inf] has no finite midpoint for the frame
+        model = tmp_path / "unbounded.model"
+        model.write_text("[vars] x in [-1, 1e999]\n[init] x in [0, 1e999]\n[flow] x' = 1\n")
+        out_path = tmp_path / "t.csv"
+        code, out, err = run_cli(
+            capsys, "verify", "--model", str(model), "--formula", "F[0,1] (x - 0.5 < 0)",
+            "--trace", str(out_path),
+        )
+        assert code == 2
+        assert json.loads(out)["unknown_cause"] == "NumericError"
+        assert "integration stopped at t=0.0" in err
+        assert out_path.read_text().splitlines() == ["t,x_lo,x_hi"]
+
     def test_division_by_zero_in_an_atom_is_unknown(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--model", "timer", "--formula", "F[0,2] (1/x - 2 < 0)"
@@ -196,6 +215,40 @@ class TestTrace:
         assert times[0] == 0.0 and times[-1] == 10.0
         for t, lo, hi in body:
             assert lo <= t <= hi
+
+    def test_verify_trace_reuses_the_verification_enclosure(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        built = []
+
+        class Counted(SignalEnclosure):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "SignalEnclosure", Counted)
+        monkeypatch.setattr(monitor, "SignalEnclosure", Counted)
+        formula = "G[0,2] F[0,6.284] !(x2 - 1 < 0)"
+        out_path = tmp_path / "verify.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "verify", "--model", "rotation", "--formula", formula,
+            "--trace", str(out_path),
+        )
+        assert code == 2
+        assert len(built) == 1
+        # a separate integration over the formula's horizon gives the
+        # same rows
+        system = load_builtin("rotation")
+        horizon = horizon_upper(parse_formula(formula, system.resolver(allow_params=False)))
+        ref_path = tmp_path / "ref.csv"
+        code, _, _ = run_cli(
+            capsys,
+            "trace", "--model", "rotation", "--horizon", repr(horizon),
+            "--output", str(ref_path),
+        )
+        assert code == 0
+        assert out_path.read_text() == ref_path.read_text()
 
     def test_verify_with_trace_writes_csv(self, capsys, tmp_path):
         out_path = tmp_path / "run.csv"

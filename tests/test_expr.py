@@ -1,4 +1,5 @@
-"""Expression trees: evaluation, differentiation, parsing, printing."""
+"""Expression trees: evaluation, time derivatives along a flow, parsing,
+printing."""
 
 import math
 import random
@@ -20,14 +21,13 @@ from stlmon.expr import (
     Sub,
     Tokenizer,
     Var,
-    diff_var,
     eval_box,
     eval_point,
     expr_to_str,
     free_divisions,
-    gradient,
 )
 from stlmon.interval import Interval, IntervalBox
+from stlmon.taylor import compile_flow, lie_derivative
 
 
 def parse(text, params=(), variables=("x", "y", "z")):
@@ -82,6 +82,9 @@ class TestEval:
 
 
 class TestDiff:
+    """d/dt f(x(t)) along a flow F, as the Taylor tape's order-1
+    coefficient of f (its Lie derivative grad f . F)."""
+
     CASES = [
         "x^2 - 2*y + sin(z)",
         "sin(x*y)*cos(y) + exp(x - z^2)",
@@ -89,32 +92,31 @@ class TestDiff:
         "exp(sin(x))*x - cos(cos(y))",
         "-(x - y)*(y - z)/(x^2 + 4)",
     ]
+    FLOW = ("sin(y) - z", "exp(-x/2)*z", "x/(y^2 + 1) - 1")
 
     @pytest.mark.parametrize("text", CASES)
     def test_matches_central_difference(self, text):
         e = parse(text)
-        grads = gradient(e, 3)
+        flow = tuple(parse(g) for g in self.FLOW)
+        prog = compile_flow(flow + (e,), 3, 0)
         rng = random.Random(hash(text) & 0xFFFF)
         h = 1e-6
         for _ in range(200):
             pt = [rng.uniform(-1.5, 1.5) for _ in range(3)]
-            for i in range(3):
-                hi = list(pt)
-                lo = list(pt)
-                hi[i] += h
-                lo[i] -= h
-                fd = (eval_point(e, [], hi) - eval_point(e, [], lo)) / (2 * h)
-                exact = eval_point(grads[i], [], pt)
-                assert exact == pytest.approx(fd, rel=1e-6, abs=1e-6)
+            rate = lie_derivative(prog, [Interval(v) for v in pt])
+            step = [h * eval_point(g, [], pt) for g in flow]
+            ahead = [p + s for p, s in zip(pt, step)]
+            behind = [p - s for p, s in zip(pt, step)]
+            fd = (eval_point(e, [], ahead) - eval_point(e, [], behind)) / (2 * h)
+            slack = 1e-6 * max(1.0, abs(fd))
+            assert rate.lo - slack <= fd <= rate.hi + slack
 
     def test_param_derivative_is_zero(self):
+        # a is constant in time: d/dt (a*x + a^2) = a*x' with x' = 1
         e = parse("a*x + a^2", params=("a",), variables=("x",))
-        d = diff_var(e, 0)
-        assert eval_point(d, [7.0], [3.0]) == 7.0
-
-    def test_simplification_drops_zero_terms(self):
-        # d/dx (x + c) should be the literal 1, not 1 + 0
-        assert diff_var(parse("x + 5"), 0) == Const(1.0)
+        prog = compile_flow((Const(1.0), e), 1, 1)
+        rate = lie_derivative(prog, [Interval(3.0), Interval(7.0)])
+        assert rate.lo == rate.hi == 7.0
 
 
 class TestParsePrint:
@@ -149,6 +151,18 @@ class TestParsePrint:
     def test_fractional_exponent_rejected(self):
         with pytest.raises(ModelError):
             parse("x^1.5")
+
+    @pytest.mark.parametrize("text, value", [("1e-3", 1e-3), ("2.5E+2", 250.0), (".5e1", 5.0)])
+    def test_exponent_literals(self, text, value):
+        assert parse(f"{text}*x") == Mul(Const(value), Var(0, "x"))
+
+    def test_exponent_literal_power_rejected(self):
+        with pytest.raises(ModelError, match="integer literal"):
+            parse("x^2e0")
+
+    def test_small_constant_round_trips(self):
+        e = parse("x - 1e-20")
+        assert parse(expr_to_str(e)) == e
 
     def test_bad_character_rejected(self):
         with pytest.raises(ModelError):

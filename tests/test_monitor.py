@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from stlmon import monitor
 from stlmon.errors import TangencyError
 from stlmon.integrator import SignalEnclosure
 from stlmon.interval import Interval, IntervalBox
@@ -112,6 +113,14 @@ class TestSearchZero:
         enc.extend(4.0)
         with pytest.raises(TangencyError):
             search_zero(atom_of(sys, "x2 - 1 < 0"), enc, Interval(0.0, 4.0), CFG)
+
+    def test_exhausted_sweep_raises(self, monkeypatch):
+        # the unbudgeted sweep needs more moves than this to pin the root
+        monkeypatch.setattr(monitor, "_MAX_PHASE1", 3)
+        sys = load_builtin("timer")
+        enc = timer_enc()
+        with pytest.raises(TangencyError, match="budget"):
+            search_zero(atom_of(sys, "cos(x) < 0"), enc, Interval(0.0, 10.0), CFG)
 
 
 class TestAtomDepths:

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from stlmon.errors import ModelError
-from stlmon.expr import Cos, Sin, Sub, Var
+from stlmon.expr import Const, Cos, Sin, Sub, Var
 from stlmon.stl import (
     TRUE,
     Atom,
@@ -80,6 +80,11 @@ class TestBounds:
     def test_bounds_are_exact_rationals(self):
         phi = parse("F[0.1,0.3] x1 < 0")
         assert phi.lo == Fraction(1, 10) and phi.hi == Fraction(3, 10)
+
+    def test_exponent_bounds_are_exact_rationals(self):
+        phi = parse("F[1e-1,2.5E+0] x1 - 1e-3 < 0")
+        assert phi.lo == Fraction(1, 10) and phi.hi == Fraction(5, 2)
+        assert phi.b == Atom(Sub(Var(0, "x1"), Const(1e-3)))
 
     @pytest.mark.parametrize("bad", ["F[2,1] x1 < 0", "F[0,0] x1 < 0", "F[-1,2] x1 < 0"])
     def test_degenerate_bounds_rejected(self, bad):

@@ -48,6 +48,19 @@ class TestParse:
         sys = parse_model(ROTATION)
         assert parse_model(format_model(sys)) == sys
 
+    def test_exponent_literals(self):
+        text = (
+            "[params] a in [-1e-3, 2.5E+2]\n"
+            "[vars] x in [-1E1, 1e+1]\n"
+            "[init] x = 5e-1\n"
+            "[flow] x' = 1e-3*a - 2.5E+2*x\n"
+        )
+        sys = parse_model(text)
+        assert (sys.u_domain.ivs[0].lo, sys.u_domain.ivs[0].hi) == (-1e-3, 250.0)
+        assert (sys.x_domain.ivs[0].lo, sys.x_domain.ivs[0].hi) == (-10.0, 10.0)
+        assert sys.x_init.ivs[0].lo == 0.5
+        assert eval_point(sys.flow[0], [1000.0], [1.0]) == 1.0 - 250.0
+
 
 class TestValidation:
     def test_init_outside_domain(self):
