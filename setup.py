@@ -1,15 +1,7 @@
 from setuptools import Extension, setup
 
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        [Extension("stlmon._kernels._fast", ["src/stlmon/_kernels/_fast.pyx"],
-                   extra_compile_args=["-O3"])],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    # pure-Python fallback is selected at import time
-    ext_modules = []
-
-setup(ext_modules=ext_modules)
+# Plain C, no code generator.  optional=True: without a working compiler the
+# install still succeeds and stlmon._kernels selects the pure-Python lane.
+setup(ext_modules=[
+    Extension("stlmon._kernels._fast", ["src/stlmon/_kernels/_fast.c"], optional=True),
+])

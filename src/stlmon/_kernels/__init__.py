@@ -1,18 +1,13 @@
 """Kernel backend selection.
 
-The compiled extension is preferred when it built successfully; the
-pure-Python fallback is always available.  Set ``STLMON_PURE_KERNELS=1``
-to force the fallback (used by the benchmark and the test matrix).
+The compiled extension (``_fast.c``) is preferred when it built
+successfully; the pure-Python lane (``_pure``) has the same semantics, bit
+for bit, and is selected at import time when the extension is absent.
 """
 
-import os
-
-if os.environ.get("STLMON_PURE_KERNELS") == "1":
+try:
+    from ._fast import BACKEND, kadd, kdiv, kmul, ksub, next_down, next_up
+except ImportError:  # extension not built on this platform
     from ._pure import BACKEND, kadd, kdiv, kmul, ksub, next_down, next_up
-else:
-    try:
-        from ._fast import BACKEND, kadd, kdiv, kmul, ksub, next_down, next_up
-    except ImportError:  # extension not built on this platform
-        from ._pure import BACKEND, kadd, kdiv, kmul, ksub, next_down, next_up
 
 __all__ = ["BACKEND", "kadd", "ksub", "kmul", "kdiv", "next_down", "next_up"]

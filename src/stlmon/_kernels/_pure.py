@@ -3,10 +3,12 @@
 These functions are the only place in the package where rounding direction
 is handled.  add/sub use the two-sum exactness test; mul/div recover the
 rounding error with Dekker's two-product, so each bound is the tightest
-float in the outward direction (exact results stay exact).  Containment is
-axiomatic for all callers.
+float in the outward direction (exact results stay exact).  A bound whose
+split or error term may overflow or underflow (an operand above ~1.3e300, a
+result outside [1e-290, 1e290], a numerator below 1e-290) is widened by one
+ulp both ways instead.  Containment is axiomatic for all callers.
 
-The compiled lane in ``_fast.pyx`` mirrors this module function for
+The hand-written C lane in ``_fast.c`` mirrors this module function for
 function; keep the two in sync.
 """
 
@@ -52,8 +54,9 @@ def _prod_bounds(x: float, y: float):
     """(down, up) directed roundings of x*y."""
     p = x * y
     ap = abs(p)
-    if ap > _BIG or (ap < _TINY and p != 0.0):
-        # split/error term may overflow or denormalize: widen both ways
+    if ap > _BIG or (ap < _TINY and x != 0.0 and y != 0.0):
+        # split/error term may overflow or denormalize, or the product
+        # underflowed to zero: widen both ways
         return next_down(p), next_up(p)
     xh = x * _SPLIT
     xh = xh - (xh - x)
@@ -66,7 +69,10 @@ def _prod_bounds(x: float, y: float):
         return p, next_up(p)
     if e < 0.0:
         return next_down(p), p
-    return p, p
+    if e == 0.0:
+        return p, p
+    # NaN: the split of an operand above ~1.3e300 overflowed
+    return next_down(p), next_up(p)
 
 
 def kmul(al: float, ah: float, bl: float, bh: float):
@@ -87,7 +93,8 @@ def _quot_bounds(a: float, b: float):
     """(down, up) directed roundings of a/b (b nonzero)."""
     q = a / b
     aq = abs(q)
-    if aq > _BIG or (aq < _TINY and q != 0.0) or abs(a) > _BIG:
+    aa = abs(a)
+    if aq > _BIG or (aq < _TINY and q != 0.0) or aa > _BIG or 0.0 < aa < _TINY:
         return next_down(q), next_up(q)
     p = q * b
     qh = q * _SPLIT
@@ -101,6 +108,8 @@ def _quot_bounds(a: float, b: float):
     rem = (a - p) - e
     if rem == 0.0:
         return q, q
+    if rem != rem:  # NaN: the split of a divisor above ~1.3e300 overflowed
+        return next_down(q), next_up(q)
     if (rem > 0.0) == (b > 0.0):
         return q, next_up(q)
     return next_down(q), q

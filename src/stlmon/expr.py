@@ -221,7 +221,10 @@ def _fmt(e: Expr, prec: int) -> str:
     t = type(e)
     if t is Const:
         v = e.value
-        s = repr(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)
+        if math.isfinite(v) and v == int(v) and abs(v) < 1e15:
+            s = repr(int(v))
+        else:
+            s = repr(v).replace("inf", "1e999")  # an infinity parses back as itself
         return s if v >= 0 or prec < 3 else f"({s})"
     if t in (Param, Var):
         return e.name

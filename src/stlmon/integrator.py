@@ -217,14 +217,7 @@ class SignalEnclosure:
         k = self.order
         t0 = self.horizon_reached
         zbox = self._current_box()
-
-        for j in range(self.n):
-            dom = self.system.x_domain.ivs[j]
-            if zbox[j].lo < dom.lo or zbox[j].hi > dom.hi:
-                raise IntegrationError(
-                    f"enclosure left the state domain at t={t0:.6g}",
-                    horizon_reached=t0,
-                )
+        self._check_domain(zbox, t0)
 
         point = state_series(self._prog, list(self._zhat), k, interval_const)
         h = self._choose_h(point, t0, target_time)
@@ -240,6 +233,8 @@ class SignalEnclosure:
                 raise IntegrationError(
                     f"step size underflow at t={t0:.6g}", horizon_reached=t0
                 )
+        # the whole step, not only its start, must stay where the model holds
+        self._check_domain(apriori, t0, t1)
 
         jets = state_series(
             self._prog, jet_seed(zbox, self.d), k, self._jet_const
@@ -271,6 +266,14 @@ class SignalEnclosure:
         self._propagate_frame(point, jets, remainder, span)
         self.horizon_reached = t1
         self._last_h = h
+
+    def _check_domain(self, box: list, t0: float, t1: float | None = None) -> None:
+        for j, dom in enumerate(self.system.x_domain.ivs):
+            if box[j].lo < dom.lo or box[j].hi > dom.hi:
+                when = f"at t={t0:.6g}" if t1 is None else f"over [{t0:.6g}, {t1:.6g}]"
+                raise IntegrationError(
+                    f"enclosure left the state domain {when}", horizon_reached=t0
+                )
 
     def _choose_h(self, point, t0: float, target_time: float) -> float:
         k = self.order

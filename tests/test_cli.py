@@ -145,6 +145,30 @@ class TestNumericFailures:
         assert json.loads(out)["unknown_cause"] == "NumericError"
 
 
+class TestModelLimits:
+    def test_infinite_constant_prints_with_dump_sets(self, capsys):
+        # naming subformulas for --dump-sets prints the constant 1e999 = inf
+        formula = "F[0,1] (x - 1e999 < 0)"
+        plain = run_cli(capsys, "verify", "--model", "timer", "--formula", formula)
+        dumped = run_cli(
+            capsys, "verify", "--model", "timer", "--formula", formula, "--dump-sets"
+        )
+        assert plain[0] == dumped[0] == 0
+        assert json.loads(plain[1])["outcome"] == json.loads(dumped[1])["outcome"] == "Valid"
+        assert "x - 1e999 < 0" in json.loads(dumped[1])["sets"]
+
+    def test_step_leaving_the_state_domain_is_unknown(self, capsys):
+        # timer's domain is x in [-1, 25]; one step over [0, 30] has the
+        # apriori box [0, 30] although it starts inside the domain
+        code, out, _ = run_cli(
+            capsys, "verify", "--model", "timer", "--formula", "G[0,30] (x - 1 < 0)"
+        )
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["outcome"] == "Unknown"
+        assert doc["unknown_cause"] == "IntegrationError"
+
+
 BATCH_ARGS = (
     "batch",
     "--model", "rotation",

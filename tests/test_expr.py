@@ -128,6 +128,7 @@ class TestParsePrint:
         "x/(y*z)",
         "sin(x + cos(y))*exp(-z)",
         "x^3 - 2*x^2 + x - 7",
+        "x - 1e999",
     ]
 
     @pytest.mark.parametrize("text", ROUND_TRIP)

@@ -1,9 +1,17 @@
+import importlib.util
 import math
 import random
+import shutil
+import struct
+import subprocess
+import sysconfig
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stlmon._kernels import _pure
 from stlmon.errors import NumericError
 from stlmon.interval import (
     EMPTY,
@@ -235,3 +243,120 @@ def _cubic_eval(x: Interval, roots):
 def _cubic_deriv_eval(x: Interval, roots):
     r1, r2, r3 = (Interval(r) for r in roots)
     return (x - r2) * (x - r3) + (x - r1) * (x - r3) + (x - r1) * (x - r2)
+
+
+# --- kernel lanes against exact rationals ---------------------------------
+
+
+@pytest.fixture(scope="module")
+def c_lane(tmp_path_factory):
+    """_fast.c compiled into a temporary directory and loaded from there."""
+    gcc = shutil.which("gcc")
+    include = sysconfig.get_paths()["include"]
+    if gcc is None or not (Path(include) / "Python.h").is_file():
+        pytest.skip("gcc or the Python headers are missing")
+    lib = tmp_path_factory.mktemp("c_lane") / ("_fast" + sysconfig.get_config_var("EXT_SUFFIX"))
+    src = Path(_pure.__file__).with_name("_fast.c")
+    subprocess.run([gcc, "-O3", "-shared", "-fPIC", "-I", include, str(src), "-o", str(lib)],
+                   check=True, capture_output=True)
+    spec = importlib.util.spec_from_file_location("stlmon._kernels._fast", lib)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+@pytest.fixture(params=["pure", "c"])
+def lane(request):
+    return _pure if request.param == "pure" else request.getfixturevalue("c_lane")
+
+
+def _random_double(rng):
+    """A finite double from a uniformly random bit pattern, so every
+    exponent is equally likely; one draw in ten is forced subnormal."""
+    while True:
+        bits = rng.getrandbits(64)
+        if rng.random() < 0.1:
+            bits &= (1 << 63) | ((1 << 52) - 1)
+        x = struct.unpack("<d", struct.pack("<Q", bits))[0]
+        if math.isfinite(x):
+            return x
+
+
+def _directed(r: Fraction):
+    """The largest double <= r and the smallest double >= r."""
+    f = float(r)  # correctly rounded
+    if Fraction(f) > r:
+        return math.nextafter(f, -math.inf), f
+    if Fraction(f) < r:
+        return f, math.nextafter(f, math.inf)
+    return f, f
+
+
+_EXACT = {
+    "kadd": lambda x, y: x + y,
+    "ksub": lambda x, y: x - y,
+    "kmul": lambda x, y: x * y,
+    "kdiv": lambda x, y: x / y,
+}
+
+
+class TestKernelLanes:
+    def test_exact_rational_oracle(self, lane):
+        # every bound of a point operation encloses the exact rational
+        # result, across the whole binary64 range
+        rng = random.Random(20241018)
+        unsound = []
+        for _ in range(20_000):
+            x, y = _random_double(rng), _random_double(rng)
+            for name, exact in _EXACT.items():
+                if name == "kdiv" and y == 0.0:
+                    continue
+                lo, hi = getattr(lane, name)(x, x, y, y)
+                if not lo <= exact(Fraction(x), Fraction(y)) <= hi:
+                    unsound.append((name, x, y, lo, hi))
+        assert not unsound, f"{len(unsound)} unsound, e.g. {unsound[:3]}"
+
+    @pytest.mark.parametrize("name, x, y", [
+        ("kmul", 3e305, 1.1e-20),  # the split of 3e305 overflows
+        ("kmul", 1e-200, 1e-200),  # the product underflows to zero
+        ("kdiv", 1.1e-20, 3e305),  # the split of the divisor overflows
+        ("kdiv", 1.3186702273437003e-308, 1.5111793720406807e-295),  # subnormal numerator
+    ])
+    def test_split_and_underflow_cases(self, lane, name, x, y):
+        lo, hi = getattr(lane, name)(x, x, y, y)
+        exact = _EXACT[name](Fraction(x), Fraction(y))
+        assert lo <= exact <= hi
+        assert lo < hi
+
+    def test_bounds_are_tight_in_normal_range(self, lane):
+        # within [1e-290, 1e290] each product or quotient bound is the
+        # nearest double outward (add/sub only test exactness, so an
+        # inexact sum is widened by one ulp both ways)
+        rng = random.Random(5)
+        for _ in range(5_000):
+            x = rng.uniform(1.0, 2.0) * 2.0 ** rng.randint(-400, 400) * rng.choice((-1, 1))
+            y = rng.uniform(1.0, 2.0) * 2.0 ** rng.randint(-400, 400) * rng.choice((-1, 1))
+            for name in ("kmul", "kdiv"):
+                exact = _EXACT[name]
+                got = getattr(lane, name)(x, x, y, y)
+                assert got == _directed(exact(Fraction(x), Fraction(y))), (name, x, y)
+
+    def test_c_lane_matches_pure_bit_for_bit(self, c_lane):
+        assert c_lane.BACKEND == "c"
+        special = [0.0, -0.0, 1.0, -1.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf]
+        rng = random.Random(11)
+
+        def bits(pair):
+            return tuple("nan" if v != v else struct.pack("<d", v) for v in pair)
+
+        for _ in range(20_000):
+            quad = [rng.choice(special) if rng.random() < 0.2 else _random_double(rng)
+                    for _ in range(4)]
+            for name in _EXACT:
+                if name == "kdiv" and 0.0 in quad[2:]:
+                    continue  # pure Python raises; callers never divide by zero
+                assert bits(getattr(c_lane, name)(*quad)) == bits(getattr(_pure, name)(*quad)), \
+                    (name, quad)
+            x = quad[0]
+            assert bits((c_lane.next_down(x), c_lane.next_up(x))) == \
+                bits((_pure.next_down(x), _pure.next_up(x)))
