@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import random
 import sys
@@ -139,8 +140,8 @@ def cmd_verify(args) -> int:
 def cmd_batch(args) -> int:
     if args.runs < 1:
         return _fail("--runs must be at least 1")
-    if args.widen < 0.0:
-        return _fail("--widen must be non-negative")
+    if not 0.0 <= args.widen < math.inf:
+        return _fail("--widen must be finite and non-negative")
     system = _load_model(args.model)
     phi = _load_formula(args, system)
     cfg = _config(args)
@@ -179,6 +180,8 @@ def cmd_batch(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    if not 0.0 <= args.horizon < math.inf:
+        return _fail("--horizon must be finite and non-negative")
     system = _load_model(args.model)
     cfg = _config(args)
     enc = SignalEnclosure(system, order=cfg.order, tol=cfg.tol, t_min=cfg.t_min)

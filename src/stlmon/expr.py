@@ -1,11 +1,11 @@
 """Expression trees over system parameters and variables.
 
 The operation set is closed: {+, -, *, /, integer power, sin, cos, exp}.
-Evaluation is generic over an algebra (floats or intervals), so the same
-tree serves point simulation and interval extension.  Interval evaluation
-is the natural interval extension and therefore contains all pointwise
-values.  Taylor coefficients, and with them time derivatives along a
-flow, come from compiling trees to a tape (see taylor.py).
+This module builds, parses, prints and rewrites trees, and evaluates
+them at float points (eval_point).  Interval values, Taylor coefficients
+and time derivatives along a flow all come from compiling trees to a
+tape (see taylor.py), whose order 0 is the natural interval extension
+and therefore contains all pointwise values.
 """
 
 from __future__ import annotations
@@ -16,14 +16,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ModelError
-from .interval import Interval, IntervalBox
 
 __all__ = [
     "Expr", "Const", "Param", "Var", "Add", "Sub", "Mul", "Div", "Pow",
-    "Sin", "Cos", "Exp", "Neg",
-    "FloatAlgebra", "IntervalAlgebra", "FLOAT_ALG", "INTERVAL_ALG",
-    "eval_expr", "eval_box", "eval_point", "substitute_params",
-    "expr_to_str", "Tokenizer", "ExprParser",
+    "Sin", "Cos", "Exp", "Neg", "eval_point", "substitute_params",
+    "free_divisions", "expr_to_str", "Tokenizer", "ExprParser",
 ]
 
 
@@ -99,87 +96,38 @@ class Neg(Expr):
     arg: Expr
 
 
-# --- evaluation ----------------------------------------------------------
-
-
-class FloatAlgebra:
-    @staticmethod
-    def const(c):
-        return float(c)
-
-    sin = staticmethod(math.sin)
-    cos = staticmethod(math.cos)
-    exp = staticmethod(math.exp)
-
-    @staticmethod
-    def powi(v, n):
-        return v**n
-
-
-class IntervalAlgebra:
-    @staticmethod
-    def const(c):
-        return Interval(c)
-
-    @staticmethod
-    def sin(v):
-        return v.sin()
-
-    @staticmethod
-    def cos(v):
-        return v.cos()
-
-    @staticmethod
-    def exp(v):
-        return v.exp()
-
-    @staticmethod
-    def powi(v, n):
-        return v.powi(n)
-
-
-FLOAT_ALG = FloatAlgebra()
-INTERVAL_ALG = IntervalAlgebra()
-
-
-def eval_expr(e: Expr, alg, params, variables):
-    """Evaluate over any algebra; params/variables are indexable element
-    sequences."""
-    t = type(e)
-    if t is Const:
-        return alg.const(e.value)
-    if t is Param:
-        return params[e.index]
-    if t is Var:
-        return variables[e.index]
-    if t is Add:
-        return eval_expr(e.a, alg, params, variables) + eval_expr(e.b, alg, params, variables)
-    if t is Sub:
-        return eval_expr(e.a, alg, params, variables) - eval_expr(e.b, alg, params, variables)
-    if t is Mul:
-        return eval_expr(e.a, alg, params, variables) * eval_expr(e.b, alg, params, variables)
-    if t is Div:
-        return eval_expr(e.a, alg, params, variables) / eval_expr(e.b, alg, params, variables)
-    if t is Pow:
-        return alg.powi(eval_expr(e.base, alg, params, variables), e.exponent)
-    if t is Sin:
-        return alg.sin(eval_expr(e.arg, alg, params, variables))
-    if t is Cos:
-        return alg.cos(eval_expr(e.arg, alg, params, variables))
-    if t is Exp:
-        return alg.exp(eval_expr(e.arg, alg, params, variables))
-    if t is Neg:
-        return -eval_expr(e.arg, alg, params, variables)
-    raise TypeError(f"unknown expression node {e!r}")
-
-
-def eval_box(e: Expr, u: IntervalBox, x: IntervalBox) -> Interval:
-    """Natural interval extension over parameter and state boxes."""
-    return eval_expr(e, INTERVAL_ALG, u.ivs, x.ivs)
+# --- evaluation and rewriting -------------------------------------------
 
 
 def eval_point(e: Expr, u, x) -> float:
-    return eval_expr(e, FLOAT_ALG, u, x)
+    """Float value at parameter values u and state x: the plain float
+    evaluation that point simulations compare interval results against."""
+    t = type(e)
+    if t is Const:
+        return e.value
+    if t is Param:
+        return u[e.index]
+    if t is Var:
+        return x[e.index]
+    if t is Add:
+        return eval_point(e.a, u, x) + eval_point(e.b, u, x)
+    if t is Sub:
+        return eval_point(e.a, u, x) - eval_point(e.b, u, x)
+    if t is Mul:
+        return eval_point(e.a, u, x) * eval_point(e.b, u, x)
+    if t is Div:
+        return eval_point(e.a, u, x) / eval_point(e.b, u, x)
+    if t is Pow:
+        return eval_point(e.base, u, x) ** e.exponent
+    if t is Sin:
+        return math.sin(eval_point(e.arg, u, x))
+    if t is Cos:
+        return math.cos(eval_point(e.arg, u, x))
+    if t is Exp:
+        return math.exp(eval_point(e.arg, u, x))
+    if t is Neg:
+        return -eval_point(e.arg, u, x)
+    raise TypeError(f"unknown expression node {e!r}")
 
 
 def substitute_params(e: Expr, params) -> Expr:
@@ -199,14 +147,14 @@ def substitute_params(e: Expr, params) -> Expr:
 
 
 def free_divisions(e: Expr):
-    """Yield every denominator subexpression (for load-time sign checks)."""
-    t = type(e)
-    if t is Div:
-        yield e.b
+    """Yield every denominator subexpression, each after the denominators
+    nested inside it (for load-time sign checks)."""
     for attr in ("a", "b", "arg", "base"):
         child = getattr(e, attr, None)
         if isinstance(child, Expr):
             yield from free_divisions(child)
+    if type(e) is Div:
+        yield e.b
 
 
 # --- printing ------------------------------------------------------------

@@ -31,12 +31,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import IntegrationError, NumericError
-from .expr import Const, Expr, Param, eval_box, substitute_params
-from .interval import EMPTY, Interval, IntervalBox, hull, inflate
+from .expr import Const, Expr, Param, substitute_params
+from .interval import EMPTY, Interval, IntervalBox, inflate
 from .system import ContinuousSystem
 from .taylor import (
-    TaylorProgram, compile_flow, interval_const, jet_const_maker, jet_seed, lie_derivative,
-    state_series,
+    TaylorProgram, compile_flow, eval_box, interval_const, jet_const_maker, jet_seed,
+    lie_derivative, state_series,
 )
 
 __all__ = ["StepModel", "SignalEnclosure"]
@@ -45,23 +45,12 @@ _ZERO = Interval(0.0)
 _ONE = Interval(1.0)
 
 
-def _mid(iv: Interval) -> float:
-    return iv.mid()
-
-
 def _imat_vec(A, v):
     """Interval matrix times interval vector."""
-    out = []
-    for row in A:
-        acc = row[0] * v[0]
-        for a, b in zip(row[1:], v[1:]):
-            acc = acc + a * b
-        out.append(acc)
-    return out
+    return [_dot(row, v) for row in A]
 
 
 def _imat_mat(A, B):
-    d = len(B)
     cols = list(zip(*B))
     return [
         [_dot(row, col) for col in cols]
@@ -159,7 +148,9 @@ class SignalEnclosure:
         self._flow = tuple(substitute_params(f, self._bound) for f in system.flow)
         self.d = self.n + len(self._u_free)
         self._prog = compile_flow(self._flow, self.n, len(self._u_free))
-        # per expression: this run's flow tape with it as an extra output
+        # per expression: its own tape (values), and this run's flow tape
+        # with it as an extra output (rates)
+        self._value_progs: dict[Expr, TaylorProgram] = {}
         self._rate_progs: dict[Expr, TaylorProgram] = {}
         self._jet_const = jet_const_maker(self.d)
 
@@ -206,12 +197,6 @@ class SignalEnclosure:
             w = box[i].intersect(u)
             box[i] = u if w is EMPTY else w
         return box
-
-    def _flow_at(self, box: list) -> list:
-        u = IntervalBox(box[self.n:])
-        x = IntervalBox(box[: self.n])
-        rates = [eval_box(f, u, x) for f in self._flow]
-        return rates + [_ZERO] * (self.d - self.n)
 
     def _step(self, target_time: float) -> None:
         k = self.order
@@ -291,13 +276,13 @@ class SignalEnclosure:
         return max(min(h, remaining), self.t_min)
 
     def _picard(self, zbox: list, s: Interval) -> list | None:
-        rates = self._flow_at(zbox)
+        rates = eval_box(self._prog, zbox)
         trial = [
             inflate(zbox[j] + s * rates[j], 1.1) if j < self.n else zbox[j]
             for j in range(self.d)
         ]
         for _ in range(12):
-            rates = self._flow_at(trial)
+            rates = eval_box(self._prog, trial)
             new = [zbox[j] + s * rates[j] for j in range(self.n)] + list(zbox[self.n:])
             if all(
                 trial[j].lo <= new[j].lo and new[j].hi <= trial[j].hi
@@ -329,7 +314,7 @@ class SignalEnclosure:
             ]
 
         A = _imat_mat(S, _lift(self._B))
-        zhat_new = [Interval(_mid(p)) for p in p_end]
+        zhat_new = [Interval(p.mid()) for p in p_end]
         delta = [p - z for p, z in zip(p_end, zhat_new)]
 
         A_mid = np.array([[a.mid() for a in row] for row in A])
@@ -463,6 +448,16 @@ class SignalEnclosure:
 
     def eval_point(self, t: float) -> IntervalBox:
         return self.eval(Interval(t))
+
+    def value(self, f: Expr, x: IntervalBox) -> Interval:
+        """Enclosure of f over the state box x, for every parameter in
+        this run's box."""
+        prog = self._value_progs.get(f)
+        if prog is None:
+            bound_f = substitute_params(f, self._bound)
+            prog = compile_flow((bound_f,), self.n, len(self._u_free))
+            self._value_progs[f] = prog
+        return eval_box(prog, list(x.ivs) + self._u_free)[0]
 
     def rate(self, f: Expr, x: IntervalBox) -> Interval:
         """Enclosure of d/dt f along the flow over the state box x, for

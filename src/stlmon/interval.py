@@ -200,35 +200,11 @@ class IntervalBox:
     def __getitem__(self, i: int) -> Interval:
         return self.ivs[i]
 
-    def contains_point(self, xs) -> bool:
-        return all(x in iv for iv, x in zip(self.ivs, xs))
-
     def contains_box(self, other: "IntervalBox") -> bool:
         return all(a.contains_interval(b) for a, b in zip(self.ivs, other.ivs))
 
-    def interior_contains(self, other: "IntervalBox") -> bool:
-        return all(a.interior_contains(b) for a, b in zip(self.ivs, other.ivs))
-
-    def hull(self, other: "IntervalBox") -> "IntervalBox":
-        return IntervalBox(a.hull(b) for a, b in zip(self.ivs, other.ivs))
-
-    def intersect(self, other: "IntervalBox"):
-        out = []
-        for a, b in zip(self.ivs, other.ivs):
-            r = a.intersect(b)
-            if r.is_empty:
-                return EMPTY
-            out.append(r)
-        return IntervalBox(out)
-
-    def mid(self):
-        return [iv.mid() for iv in self.ivs]
-
     def max_width(self) -> float:
         return max(iv.width() for iv in self.ivs)
-
-    def __add__(self, other: "IntervalBox") -> "IntervalBox":
-        return IntervalBox(a + b for a, b in zip(self.ivs, other.ivs))
 
 _TWO_PI = 2.0 * math.pi
 

@@ -1,11 +1,13 @@
 """Verification pipeline from system + formula to a three-valued verdict.
 
-The stages are: an enclosure of d/dt f(x~(t)), the order-1 Taylor
-coefficient of f along the flow from the compiled tape (dt_enclosure), a
-two-phase certified zero search along the signal enclosure (search_zero),
-per-atom enumeration of sign-change boundaries (monitor_ap), structural
-propagation through the formula via the consistent-time-set algebra
-(propagate), and the decision at time zero (consistent_at_init).
+The stages are: enclosures of f(x~(t)), order 0 of f's own compiled
+tape over the signal enclosure (SignalEnclosure.value), and of
+d/dt f(x~(t)), the order-1 Taylor coefficient of f along the flow's tape
+(dt_enclosure); a two-phase certified zero search along the signal
+enclosure (search_zero), per-atom enumeration of sign-change boundaries
+(monitor_ap), structural propagation through the formula via the
+consistent-time-set algebra (propagate), and the decision at time zero
+(consistent_at_init).
 monitor_stl wires them together and converts every certification failure
 into an Unknown verdict tagged with its cause.
 """
@@ -23,7 +25,7 @@ from .errors import (
     NumericError,
     TangencyError,
 )
-from .expr import Expr, eval_box
+from .expr import Expr
 from .integrator import SignalEnclosure
 from .interval import EMPTY, Interval, IntervalBox, IntervalLike, hypermetric, inflate, newton_step
 from .stl import (
@@ -70,10 +72,12 @@ NUMERIC_FAILURES = (OverflowError, ZeroDivisionError, NumericError)
 _MAX_PHASE1 = 10_000
 _MAX_PHASE2 = 200
 
-# Not a live name: the benchmark's tracer (perfbench/tracing.py) rebinds
-# monitor.gradient for its expr.gradient_* metrics.  Drop this together
-# with those metrics.
+# Not live names: the benchmark's tracer (perfbench/tracing.py) rebinds
+# monitor.gradient and monitor.eval_box by name.  Atom values come from
+# SignalEnclosure.value, whose integrator.eval_box calls the tracer counts.
+# Drop both together with those rebindings and the expr.gradient_* metrics.
 gradient = None
+eval_box = None
 
 
 @dataclass(frozen=True)
@@ -99,6 +103,10 @@ class MonitorConfig:
             raise ValueError("theta must lie in (0, 1)")
         if not self.t_min > 0.0:
             raise ValueError("t_min must be positive")
+        if not self.order >= 1:
+            raise ValueError("order must be at least 1")
+        if not self.tol > 0.0:
+            raise ValueError("tol must be positive")
 
 
 @dataclass
@@ -152,7 +160,7 @@ def horizon_upper(phi: Formula) -> float:
 
 
 def _f_at(f: Expr, enc: SignalEnclosure, t: Interval) -> Interval:
-    return eval_box(f, enc.u_box, enc.eval(t))
+    return enc.value(f, enc.eval(t))
 
 
 def dt_enclosure(
@@ -201,7 +209,7 @@ def search_zero(
             return EMPTY
         sub = Interval(lo, min(lo + w, hi))
         x = enc.eval(sub)
-        if 0.0 not in eval_box(f, enc.u_box, x):
+        if 0.0 not in enc.value(f, x):
             lo = sub.hi
             w = min(2.0 * w, hi - lo if lo < hi else w)
             continue

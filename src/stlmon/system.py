@@ -18,11 +18,11 @@ from .expr import (
     Token,
     Tokenizer,
     Var,
-    eval_box,
     expr_to_str,
     free_divisions,
 )
 from .interval import Interval, IntervalBox
+from .taylor import compile_flow, eval_box
 
 __all__ = ["ContinuousSystem", "parse_model", "format_model", "load_builtin", "BUILTIN_MODELS"]
 
@@ -41,17 +41,20 @@ class ContinuousSystem:
             raise ModelError("flow dimension does not match variable count")
         if not self.x_domain.contains_box(self.x_init):
             raise ModelError("initial box is not contained in the state domain")
-        for f in self.flow:
-            self._check_divisions(f)
+        self._check_divisions()
 
-    def _check_divisions(self, e: Expr) -> None:
-        # load-time conservative check: denominators must exclude 0 over U x X
-        for den in free_divisions(e):
-            iv = eval_box(den, self.u_domain, self.x_domain)
-            if iv.lo <= 0.0 <= iv.hi:
-                raise ModelError(
-                    f"denominator {expr_to_str(den)} may vanish over the domain"
-                )
+    def _check_divisions(self) -> None:
+        # load-time conservative check: denominators must exclude 0 over
+        # X x U; inner ones come first, so each is evaluated only once the
+        # denominators inside it are known to exclude 0
+        box = list(self.x_domain.ivs) + list(self.u_domain.ivs)
+        for f in self.flow:
+            for den in free_divisions(f):
+                (iv,) = eval_box(compile_flow((den,), self.n_vars, self.n_params), box)
+                if iv.lo <= 0.0 <= iv.hi:
+                    raise ModelError(
+                        f"denominator {expr_to_str(den)} may vanish over the domain"
+                    )
 
     @property
     def n_params(self) -> int:
@@ -74,12 +77,6 @@ class ContinuousSystem:
             raise ModelError(f"undeclared identifier {name!r}", tok.line, tok.col)
 
         return resolve
-
-    def with_u_domain(self, u_domain: IntervalBox) -> "ContinuousSystem":
-        return ContinuousSystem(
-            self.param_names, self.var_names, u_domain,
-            self.x_domain, self.x_init, self.flow,
-        )
 
 
 def _parse_number(tz: Tokenizer) -> float:

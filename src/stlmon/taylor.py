@@ -1,14 +1,20 @@
 """Taylor coefficients of ODE solutions, with interval or jet elements.
 
 A flow F is compiled once into a flat tape (one slot per distinct
-subexpression).  Running the tape produces the Taylor coefficients
+subexpression).  Order 0 of a tape run is the value of every slot over
+the input box, the natural interval extension; eval_box exposes it, and
+it is the only interval evaluator of expressions in the package.
+Running the tape further produces the Taylor coefficients
 z^[0], ..., z^[K] of the solution through z0, using the classical
 coefficient recurrences
 
     z^[i+1] = (coefficient i of F(z-series)) / (i + 1)
 
 and, per elementary operation, the product convolution and the exp /
-sin-cos / division recurrences.
+sin-cos / division recurrences.  An integer power x^n is one op: its
+order 0 is x.powi(n), tight when x straddles 0, and its orders >= 1
+convolve the two factors of a balanced product (x^(n/2) squared, or
+x^(n-1) times x), which needs no positivity assumption.
 
 Constants and parameters are time-constant: their coefficients of order
 >= 1 are exact zeros, and so are those of every operation whose inputs
@@ -21,7 +27,7 @@ which the kernels return exactly, so they give the same coefficients as
 the full convolution in O(1) per order instead of O(i).
 
 Element type is anything with ring
-operations plus sin/cos/exp: Interval for point expansions and
+operations plus sin/cos/exp/powi: Interval for point expansions and
 remainder bounds, Jet for the solution's Jacobian (first-order forward
 AD with interval coordinates).
 
@@ -38,8 +44,8 @@ from .expr import Add, Const, Cos, Div, Exp, Expr, Mul, Neg, Param, Pow, Sin, Su
 from .interval import Interval
 
 __all__ = [
-    "Jet", "TaylorProgram", "compile_flow", "state_series", "lie_derivative",
-    "jet_seed", "interval_const", "jet_const_maker",
+    "Jet", "TaylorProgram", "compile_flow", "eval_box", "state_series",
+    "lie_derivative", "jet_seed", "interval_const", "jet_const_maker",
 ]
 
 
@@ -91,6 +97,16 @@ class Jet:
         e = self.val.exp()
         return Jet(e, tuple(e * g for g in self.grad))
 
+    def powi(self, n: int):
+        """self^n for n >= 1 as the tape's balanced product chain, so a
+        power's jet equals the products its higher orders convolve."""
+        if n == 1:
+            return self
+        if n % 2 == 0:
+            half = self.powi(n // 2)
+            return half * half
+        return self.powi(n - 1) * self
+
 
 def interval_const(c: float) -> Interval:
     return Interval(c)
@@ -115,9 +131,11 @@ def jet_seed(box_elems, dim: int) -> list:
 # right factor is time-constant (out[i] = a[i] * b[0]), _CSCALE one whose
 # left factor is (out[i] = a[0] * b[i]), and _DIVC a quotient by a
 # time-constant (out[i] = a[i] / b[0]); operand order is kept so each
-# result is the one the convolution's surviving term gives.
+# result is the one the convolution's surviving term gives.  _POW is
+# (kind, out, base, n, a, b): base^n at order 0, the convolution of its
+# factors a and b at orders >= 1.  _CONST runs at order 0 only.
 (_CONST, _STATE, _ADD, _SUB, _MUL, _DIV, _NEG, _EXP, _SINCOS,
- _SCALE, _CSCALE, _DIVC) = range(12)
+ _SCALE, _CSCALE, _DIVC, _POW) = range(13)
 
 
 @dataclass(frozen=True)
@@ -139,7 +157,8 @@ def compile_flow(flow: tuple, n_vars: int, n_params: int) -> TaylorProgram:
     rate zero and are handled by the runner, not the tape.  Constants,
     parameters and every op over time-constant inputs only are marked
     time-constant.  Expressions past the first n_vars are extra outputs:
-    they are taped along but do not flow.
+    they are taped along but do not flow.  A program that is only run
+    through eval_box may hold any number of expressions.
     """
     ops: list = []
     memo: dict = {}
@@ -155,14 +174,7 @@ def compile_flow(flow: tuple, n_vars: int, n_params: int) -> TaylorProgram:
             tconst.update(outs)
         return outs
 
-    def product(a: int, b: int) -> int:
-        ca, cb = a in tconst, b in tconst
-        kind = _SCALE if cb and not ca else _CSCALE if ca and not cb else _MUL
-        return push(kind, (a, b), ca and cb)[0]
-
     def power(base: int, n: int) -> int:
-        # integer powers become balanced products so the generic
-        # convolution recurrence applies (no positivity assumption)
         key = ("pow", base, n)
         if key in memo:
             return memo[key]
@@ -170,11 +182,10 @@ def compile_flow(flow: tuple, n_vars: int, n_params: int) -> TaylorProgram:
             out = push(_CONST, (1.0,), True)[0]
         elif n == 1:
             out = base
-        elif n % 2 == 0:
-            half = power(base, n // 2)
-            out = product(half, half)
         else:
-            out = product(power(base, n - 1), base)
+            a = power(base, n // 2 if n % 2 == 0 else n - 1)
+            b = a if n % 2 == 0 else base
+            out = push(_POW, (base, n, a, b), base in tconst)[0]
         memo[key] = out
         return out
 
@@ -197,7 +208,9 @@ def compile_flow(flow: tuple, n_vars: int, n_params: int) -> TaylorProgram:
             (slot,) = push(kind, (a, b), a in tconst and b in tconst)
         elif t is Mul:
             a, b = emit(e.a), emit(e.b)
-            slot = product(a, b)
+            ca, cb = a in tconst, b in tconst
+            kind = _SCALE if cb and not ca else _CSCALE if ca and not cb else _MUL
+            (slot,) = push(kind, (a, b), ca and cb)
         elif t is Div:
             a, b = emit(e.a), emit(e.b)
             ca, cb = a in tconst, b in tconst
@@ -230,6 +243,13 @@ def compile_flow(flow: tuple, n_vars: int, n_params: int) -> TaylorProgram:
     )
 
 
+def eval_box(program: TaylorProgram, z: list) -> list:
+    """The program's outputs over the box z (one Interval per extended
+    state component): the natural interval extension of its expressions."""
+    values = _tape_values(program, z, interval_const)
+    return [values[s] for s in program.out_slots]
+
+
 def state_series(program: TaylorProgram, z0: list, order: int, const) -> list:
     """Taylor coefficients [z^[0], ..., z^[order]] for each state component.
 
@@ -239,11 +259,11 @@ def state_series(program: TaylorProgram, z0: list, order: int, const) -> list:
     """
     zero = const(0.0)
     state = [[v] for v in z0]
-    slots = [[] for _ in range(program.n_slots)]
+    slots: list = []
 
     for i in range(order):
         if i == 0:
-            _tape_order(program.ops, state, slots, 0, const)
+            slots = [[v] for v in _tape_values(program, z0, const)]
         else:
             for s in program.const_slots:
                 slots[s].append(zero)
@@ -267,8 +287,7 @@ def lie_derivative(program: TaylorProgram, z: list) -> Interval:
     """
     zero = Interval(0.0)
     state = [[v] for v in z]
-    slots = [[] for _ in range(program.n_slots)]
-    _tape_order(program.ops, state, slots, 0, interval_const)
+    slots = [[v] for v in _tape_values(program, z, interval_const)]
     for j in range(program.n_vars):
         state[j].append(slots[program.out_slots[j]][0])
     for j in range(program.n_vars, program.n_state):
@@ -279,11 +298,46 @@ def lie_derivative(program: TaylorProgram, z: list) -> Interval:
     return slots[program.out_slots[-1]][1]
 
 
+def _tape_values(program: TaylorProgram, z: list, const) -> list:
+    """Order 0: the value of every slot over z."""
+    v: list = [None] * program.n_slots
+    for op in program.ops:
+        kind = op[0]
+        if kind == _STATE:
+            v[op[1]] = z[op[2]]
+        elif kind in (_MUL, _SCALE, _CSCALE):
+            v[op[1]] = v[op[2]] * v[op[3]]
+        elif kind == _ADD:
+            v[op[1]] = v[op[2]] + v[op[3]]
+        elif kind == _SUB:
+            v[op[1]] = v[op[2]] - v[op[3]]
+        elif kind == _CONST:
+            v[op[1]] = const(op[2])
+        elif kind in (_DIV, _DIVC):
+            v[op[1]] = v[op[2]] / v[op[3]]
+        elif kind == _NEG:
+            v[op[1]] = -v[op[2]]
+        elif kind == _POW:
+            v[op[1]] = v[op[2]].powi(op[3])
+        elif kind == _EXP:
+            v[op[1]] = v[op[2]].exp()
+        elif kind == _SINCOS:
+            u = v[op[3]]
+            v[op[1]] = u.sin()
+            v[op[2]] = u.cos()
+        else:
+            raise AssertionError(f"bad op kind {kind}")
+    return v
+
+
 def _tape_order(ops, state, slots, i, const):
+    """Coefficient i >= 1 of every slot written by ops, from the lower
+    orders and the state's order-i coefficients."""
     for op in ops:
         kind = op[0]
-        if kind == _MUL:
-            a, b = slots[op[2]], slots[op[3]]
+        if kind == _MUL or kind == _POW:
+            # a power convolves the two factors of its product chain
+            a, b = slots[op[-2]], slots[op[-1]]
             acc = a[0] * b[i]
             for j in range(1, i + 1):
                 acc = acc + a[j] * b[i - j]
@@ -300,9 +354,6 @@ def _tape_order(ops, state, slots, i, const):
             slots[op[1]].append(slots[op[2]][i] - slots[op[3]][i])
         elif kind == _NEG:
             slots[op[1]].append(-slots[op[2]][i])
-        elif kind == _CONST:
-            # time-constant: only ever run at order 0
-            slots[op[1]].append(const(op[2]))
         elif kind == _DIVC:
             slots[op[1]].append(slots[op[2]][i] / slots[op[3]][0])
         elif kind == _DIV:
@@ -313,26 +364,19 @@ def _tape_order(ops, state, slots, i, const):
             w.append(acc / b[0])
         elif kind == _EXP:
             u, w = slots[op[2]], slots[op[1]]
-            if i == 0:
-                w.append(u[0].exp())
-            else:
-                acc = const(float(i)) * u[i] * w[0]
-                for j in range(1, i):
-                    acc = acc + const(float(j)) * u[j] * w[i - j]
-                w.append(acc / const(float(i)))
+            acc = const(float(i)) * u[i] * w[0]
+            for j in range(1, i):
+                acc = acc + const(float(j)) * u[j] * w[i - j]
+            w.append(acc / const(float(i)))
         elif kind == _SINCOS:
             u, s, c = slots[op[3]], slots[op[1]], slots[op[2]]
-            if i == 0:
-                s.append(u[0].sin())
-                c.append(u[0].cos())
-            else:
-                sacc = const(float(i)) * u[i] * c[0]
-                cacc = const(float(i)) * u[i] * s[0]
-                for j in range(1, i):
-                    sacc = sacc + const(float(j)) * u[j] * c[i - j]
-                    cacc = cacc + const(float(j)) * u[j] * s[i - j]
-                ii = const(float(i))
-                s.append(sacc / ii)
-                c.append(-(cacc / ii))
+            sacc = const(float(i)) * u[i] * c[0]
+            cacc = const(float(i)) * u[i] * s[0]
+            for j in range(1, i):
+                sacc = sacc + const(float(j)) * u[j] * c[i - j]
+                cacc = cacc + const(float(j)) * u[j] * s[i - j]
+            ii = const(float(i))
+            s.append(sacc / ii)
+            c.append(-(cacc / ii))
         else:
             raise AssertionError(f"bad op kind {kind}")

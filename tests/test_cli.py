@@ -219,6 +219,44 @@ class TestBatch:
         assert code == EXIT_USAGE
 
 
+class TestMalformedNumbers:
+    """Numeric options outside their domain are usage errors, exit 64."""
+
+    @pytest.mark.parametrize("option, value", [
+        ("--order", "-1"),
+        ("--order", "0"),
+        ("--tol", "nan"),
+        ("--tol", "0"),
+        ("--tol", "-1"),
+    ])
+    def test_verify_config_is_usage(self, capsys, option, value):
+        code, out, err = run_cli(
+            capsys, "verify", "--model", "timer", "--formula", "G[0,5](x - 1 < 0)",
+            option, value,
+        )
+        assert code == EXIT_USAGE
+        assert not out and err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_batch_widen_is_usage(self, capsys, value):
+        code, out, err = run_cli(
+            capsys, "batch", "--model", "rotation", "--formula", "true",
+            "--runs", "1", "--widen", value,
+        )
+        assert code == EXIT_USAGE
+        assert not out and err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_trace_horizon_is_usage(self, capsys, tmp_path, value):
+        path = tmp_path / "t.csv"
+        code, _, err = run_cli(
+            capsys, "trace", "--model", "timer", "--horizon", value,
+            "--output", str(path),
+        )
+        assert code == EXIT_USAGE
+        assert err and not path.exists()
+
+
 class TestTrace:
     def test_timer_trace_is_monotone_two_column(self, capsys, tmp_path):
         out_path = tmp_path / "trace.csv"

@@ -21,13 +21,12 @@ from stlmon.expr import (
     Sub,
     Tokenizer,
     Var,
-    eval_box,
     eval_point,
     expr_to_str,
     free_divisions,
 )
-from stlmon.interval import Interval, IntervalBox
-from stlmon.taylor import compile_flow, lie_derivative
+from stlmon.interval import Interval
+from stlmon.taylor import compile_flow, eval_box, lie_derivative
 
 
 def parse(text, params=(), variables=("x", "y", "z")):
@@ -47,6 +46,13 @@ def parse(text, params=(), variables=("x", "y", "z")):
     return e
 
 
+def box_value(e, box):
+    """Interval value of e over a state box (no parameters), from the
+    tape's order-0 evaluator."""
+    (iv,) = eval_box(compile_flow((e,), len(box), 0), list(box))
+    return iv
+
+
 class TestEval:
     def test_point_eval(self):
         e = parse("x^2 - 2*y + sin(z)")
@@ -58,27 +64,30 @@ class TestEval:
 
     def test_box_eval_contains_samples(self):
         e = parse("x^2 - 2")
-        iv = eval_box(e, IntervalBox([]), IntervalBox([Interval(1.0, 2.0)]))
+        iv = box_value(e, [Interval(1.0, 2.0)])
         assert iv.lo <= -1.0 and iv.hi >= 2.0
 
     def test_division_by_zero_interval_raises(self):
         e = parse("1/x")
         with pytest.raises(ZeroDivisionError):
-            eval_box(e, IntervalBox([]), IntervalBox([Interval(-1.0, 1.0)]))
+            box_value(e, [Interval(-1.0, 1.0)])
 
     def test_interval_eval_containment_fuzz(self):
         rng = random.Random(20240817)
         e = parse("sin(x*y) + exp(y/4) - x^3/(z + 5) + cos(x - z)*y")
         for _ in range(300):
             los = [rng.uniform(-2, 2) for _ in range(3)]
-            box = IntervalBox(
-                Interval(lo, lo + rng.uniform(0, 0.5)) for lo in los
-            )
-            iv = eval_box(e, IntervalBox([]), box)
+            box = [Interval(lo, lo + rng.uniform(0, 0.5)) for lo in los]
+            iv = box_value(e, box)
             for _ in range(5):
                 pt = [rng.uniform(b.lo, b.hi) for b in box]
                 v = eval_point(e, [], pt)
                 assert iv.lo <= v <= iv.hi
+
+    def test_even_power_is_tight_across_zero(self):
+        # x^2 is x.powi(2), not the product x*x = [-2, 4]
+        iv = box_value(parse("x^2"), [Interval(-1.0, 2.0)])
+        assert (iv.lo, iv.hi) == (0.0, 4.0)
 
 
 class TestDiff:

@@ -77,6 +77,17 @@ class TestValidation:
         text = "[vars] x in [1, 2]\n[init] x = 1\n[flow] x' = 1/x\n"
         parse_model(text)
 
+    def test_even_power_denominator_accepted(self):
+        # x^2 + 1 is [1, 5] over x in [-1, 1]; as the product x*x + 1 it
+        # would be [0, 2] and the model would be refused
+        text = "[vars] x in [-1, 1]\n[init] x = 0\n[flow] x' = 1/(x^2 + 1)\n"
+        parse_model(text)
+
+    def test_nested_vanishing_denominator(self):
+        text = "[vars] x in [-1, 1]\n[init] x = 0.5\n[flow] x' = 1/(3 + 1/x)\n"
+        with pytest.raises(ModelError, match="denominator x may vanish"):
+            parse_model(text)
+
     def test_undeclared_flow_identifier(self):
         text = "[vars] x in [0, 1]\n[init] x = 0\n[flow] x' = y\n"
         with pytest.raises(ModelError, match="undeclared"):

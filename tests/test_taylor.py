@@ -182,6 +182,24 @@ class TestJets:
                 assert got.lo <= val <= got.hi
                 assert jets[0][i].val.lo <= pj[0][i].val.mid() <= jets[0][i].val.hi
 
+    def test_power_jets_equal_the_product_chain(self):
+        # Jet.powi forms the tape's balanced product chain, so a power's
+        # jets are the spelled-out products' bit for bit
+        def jets_for(flow):
+            sys = parse_model(
+                f"[vars] x1 in [-5, 5]\n[init] x1 = 1\n[flow] x1' = {flow}\n"
+            )
+            prog = compile_flow(sys.flow, 1, 0)
+            return state_series(
+                prog, jet_seed([Interval(0.9, 1.1)], 1), 8, jet_const_maker(1)
+            )[0]
+
+        got = jets_for("x1^4 - x1^3")
+        want = jets_for("(x1*x1)*(x1*x1) - x1*x1*x1")
+        for g, w in zip(got, want):
+            assert (g.val.lo, g.val.hi) == (w.val.lo, w.val.hi)
+            assert (g.grad[0].lo, g.grad[0].hi) == (w.grad[0].lo, w.grad[0].hi)
+
 
 class TestSharing:
     def test_common_subexpressions_share_slots(self):
