@@ -79,13 +79,7 @@ def _load_formula(args, system: ContinuousSystem):
 
 
 def _config(args) -> MonitorConfig:
-    return MonitorConfig(
-        epsilon=args.epsilon,
-        theta=args.theta,
-        t_min=args.tmin,
-        order=args.order,
-        tol=args.tol,
-    )
+    return MonitorConfig(order=args.order, tol=args.tol)
 
 
 def _write_trace(enc: SignalEnclosure, path: str, var_names) -> None:
@@ -124,7 +118,7 @@ def cmd_verify(args) -> int:
     phi = _load_formula(args, system)
     cfg = _config(args)
     # the trace is written from the enclosure the verification integrates
-    enc = SignalEnclosure(system, order=cfg.order, tol=cfg.tol, t_min=cfg.t_min)
+    enc = SignalEnclosure(system, order=cfg.order, tol=cfg.tol)
     verdict = monitor_stl(system, phi, cfg, enc=enc, collect_sets=args.dump_sets)
     print(json.dumps(verdict.to_json(), indent=2))
     if args.trace:
@@ -184,7 +178,7 @@ def cmd_trace(args) -> int:
         return _fail("--horizon must be finite and non-negative")
     system = _load_model(args.model)
     cfg = _config(args)
-    enc = SignalEnclosure(system, order=cfg.order, tol=cfg.tol, t_min=cfg.t_min)
+    enc = SignalEnclosure(system, order=cfg.order, tol=cfg.tol)
     try:
         enc.extend(args.horizon)
     except (IntegrationError,) + NUMERIC_FAILURES as exc:
@@ -198,9 +192,6 @@ def cmd_trace(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, help="model file path or builtin name")
-    p.add_argument("--epsilon", type=float, default=1e-14)
-    p.add_argument("--theta", type=float, default=0.01)
-    p.add_argument("--tmin", type=float, default=1e-14)
     p.add_argument("--order", type=int, default=15, help="Taylor order")
     p.add_argument("--tol", type=float, default=1e-15, help="step truncation target")
 

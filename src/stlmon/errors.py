@@ -10,7 +10,7 @@ class StlmonError(Exception):
 
 
 class IntegrationError(StlmonError):
-    """Validated integration could not certify a step (blow-up or h < t_min)."""
+    """Validated integration could not certify a step (blow-up or step size underflow)."""
 
     def __init__(self, message: str, horizon_reached: float = 0.0):
         super().__init__(message)

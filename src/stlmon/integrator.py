@@ -41,6 +41,8 @@ from .taylor import (
 
 __all__ = ["StepModel", "SignalEnclosure"]
 
+# the smallest step the integrator takes before giving up
+_T_MIN = 1e-14
 _ZERO = Interval(0.0)
 _ONE = Interval(1.0)
 
@@ -121,7 +123,6 @@ class SignalEnclosure:
         init_box: IntervalBox | None = None,
         order: int = 15,
         tol: float = 1e-15,
-        t_min: float = 1e-14,
     ):
         self.system = system
         self.u_box = system.u_domain if u_box is None else u_box
@@ -132,7 +133,6 @@ class SignalEnclosure:
             raise ValueError("init_box must lie inside the system's initial box")
         self.order = order
         self.tol = tol
-        self.t_min = t_min
 
         self.n = system.n_vars
         # point parameters become constants of this run's flow; interval
@@ -214,7 +214,7 @@ class SignalEnclosure:
             if apriori is not None:
                 break
             h *= 0.5
-            if h < self.t_min:
+            if h < _T_MIN:
                 raise IntegrationError(
                     f"step size underflow at t={t0:.6g}", horizon_reached=t0
                 )
@@ -273,7 +273,7 @@ class SignalEnclosure:
         remaining = target_time - t0
         if not math.isfinite(h):
             h = remaining
-        return max(min(h, remaining), self.t_min)
+        return max(min(h, remaining), _T_MIN)
 
     def _picard(self, zbox: list, s: Interval) -> list | None:
         rates = eval_box(self._prog, zbox)

@@ -20,7 +20,6 @@ __all__ = [
     "EMPTY",
     "IntervalLike",
     "hull",
-    "hypermetric",
     "ext_div",
     "newton_step",
     "inflate",
@@ -76,10 +75,6 @@ class Interval:
 
     def contains_interval(self, other: "Interval") -> bool:
         return self.lo <= other.lo and other.hi <= self.hi
-
-    def interior_contains(self, other: "Interval") -> bool:
-        """other is a subset of the open interior of self."""
-        return self.lo < other.lo and other.hi < self.hi
 
     def is_point(self) -> bool:
         return self.lo == self.hi
@@ -273,14 +268,6 @@ def hull(intervals: Iterable[IntervalLike]) -> IntervalLike:
             continue
         out = iv if out.is_empty else out.hull(iv)
     return out
-
-
-def hypermetric(a: Interval, b: Interval) -> float:
-    """max(|a.hi - b.hi|, |a.lo - b.lo|), rounded up."""
-    if a.is_empty or b.is_empty:
-        raise ValueError("hypermetric requires non-empty intervals")
-    d = max(abs(a.hi - b.hi), abs(a.lo - b.lo))
-    return next_up(d) if d != 0.0 else 0.0
 
 
 def ext_div(a: Interval, b: Interval, d: Interval) -> IntervalLike:

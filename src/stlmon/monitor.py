@@ -3,8 +3,10 @@
 The stages are: enclosures of f(x~(t)), order 0 of f's own compiled
 tape over the signal enclosure (SignalEnclosure.value), and of
 d/dt f(x~(t)), the order-1 Taylor coefficient of f along the flow's tape
-(dt_enclosure); a two-phase certified zero search along the signal
-enclosure (search_zero), per-atom enumeration of sign-change boundaries
+(dt_enclosure); a certified zero search along the signal enclosure
+(search_zero) that sweeps to a bracket, a window over which f is strictly
+monotone with strictly opposite signs at its ends, and contracts it with
+interval Newton steps; per-atom enumeration of sign-change boundaries
 (monitor_ap), structural propagation through the formula via the
 consistent-time-set algebra (propagate), and the decision at time zero
 (consistent_at_init).
@@ -27,7 +29,7 @@ from .errors import (
 )
 from .expr import Expr
 from .integrator import SignalEnclosure
-from .interval import EMPTY, Interval, IntervalBox, IntervalLike, hypermetric, inflate, newton_step
+from .interval import EMPTY, Interval, IntervalBox, IntervalLike, newton_step
 from .stl import (
     Atom,
     Formula,
@@ -69,8 +71,10 @@ NUMERIC_ERROR = "NumericError"
 # zero-containing interval, NaN bounds); each maps to NUMERIC_ERROR
 NUMERIC_FAILURES = (OverflowError, ZeroDivisionError, NumericError)
 
-_MAX_PHASE1 = 10_000
-_MAX_PHASE2 = 200
+# the narrowest subwindow the zero search tries before refusing
+_EPSILON = 1e-14
+_MAX_SWEEP = 10_000
+_MAX_CONTRACT = 200
 
 # Not live names: the benchmark's tracer (perfbench/tracing.py) rebinds
 # monitor.gradient and monitor.eval_box by name.  Atom values come from
@@ -82,27 +86,13 @@ eval_box = None
 
 @dataclass(frozen=True)
 class MonitorConfig:
-    """Tuning knobs of the certification pipeline.
+    """Taylor order and step truncation target of the validated
+    integration; the zero search has no knobs."""
 
-    epsilon is the stop threshold of the zero search's contraction loop,
-    theta the inflation parameter of the uniqueness verification, and
-    t_min the smallest step the integrator may take before giving up.
-    order/tol configure the underlying Taylor integration.
-    """
-
-    epsilon: float = 1e-14
-    theta: float = 0.01
-    t_min: float = 1e-14
     order: int = 15
     tol: float = 1e-15
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise ValueError("epsilon must be positive")
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError("theta must lie in (0, 1)")
-        if not self.t_min > 0.0:
-            raise ValueError("t_min must be positive")
         if not self.order >= 1:
             raise ValueError("order must be at least 1")
         if not self.tol > 0.0:
@@ -172,182 +162,169 @@ def dt_enclosure(
     return enc.rate(f, enc.eval(t) if x is None else x)
 
 
+def _sign(v: Interval) -> bool | None:
+    """True when v is strictly positive, False when strictly negative."""
+    if v.lo > 0.0:
+        return True
+    if v.hi < 0.0:
+        return False
+    return None
+
+
+def _w_min(hi: float) -> float:
+    """Narrowest subwindow the searches try before refusing."""
+    return max(_EPSILON, 8.0 * math.ulp(max(1.0, hi)))
+
+
+def _monotone_sign(
+    f: Expr, enc: SignalEnclosure, sub: Interval, x: IntervalBox | None = None
+) -> bool | None:
+    """Strict sign of f at sub.hi when d/dt f excludes zero over sub, so
+    that f of every signal is strictly monotone there; None otherwise."""
+    if 0.0 in dt_enclosure(f, enc, sub, x):
+        return None
+    return _sign(_f_at(f, enc, Interval(sub.hi)))
+
+
 def search_zero(
     f: Expr,
     enc: SignalEnclosure,
     t_init: Interval,
-    cfg: MonitorConfig,
     stats: MonitorStats | None = None,
 ) -> IntervalLike:
     """Certified enclosure of the earliest root of f(x~(t)) in t_init.
 
-    Returns an interval proven to contain the first root of every
-    admissible signal and to contain exactly one root per signal, or the
-    empty interval as a proof that no signal has a root in t_init.
-    Raises TangencyError when neither can be certified (grazing contact,
-    or precision exhausted).
+    f must be strictly signed at t_init.lo.  Returns a bracket over which
+    d/dt f excludes zero and at whose ends f has strictly opposite signs:
+    every admissible signal has exactly one root in it and none before it
+    in t_init.  Returns the empty interval as a proof that no signal has
+    a root in t_init.  Raises TangencyError when neither can be certified
+    (grazing contact, a root on the closed end of t_init, or precision
+    exhausted).
     """
     if stats is not None:
         stats.search_zero_calls += 1
-
-    # Phase 1: sweep the lower end of the window toward the earliest root.
-    # Working on an adaptive subwindow keeps the derivative enclosure
-    # local: over the full window it can be orders of magnitude wider than
-    # near the sweep point, which would stall the Newton march.  Each move
-    # is a certified no-root elimination (range test excluding zero, or an
-    # interval Newton step over the subwindow), so an exhausted window
-    # proves unsatisfiability.
-    lo = t_init.lo
-    hi = t_init.hi
-    w_min = max(cfg.epsilon, 8.0 * math.ulp(max(1.0, hi)))
-    # seed the subwindow at the local integrator step: over that scale the
-    # dense output is tight, so the first range tests are informative
-    # instead of forcing a long halving cascade down from the full window
+    lo, hi = t_init.lo, t_init.hi
+    s0 = _sign(_f_at(f, enc, Interval(lo)))
+    if s0 is None:
+        raise TangencyError("sign of the atom is undecidable at the search start")
+    # Sweep with the invariant: [t_init.lo, lo] is root-free and f has
+    # sign s0 at lo.  A subwindow is eliminated by a range test excluding
+    # zero, or by monotonicity with f still of sign s0 at its upper end;
+    # a monotone subwindow whose upper end has the other sign is a
+    # bracket.  Local subwindows keep the derivative enclosure tight; the
+    # first one is the local integrator step, over which the dense output
+    # is tight.
+    w_min = _w_min(hi)
     w = min(hi - lo, max(enc.step_span_at(lo), w_min))
-    for _ in range(_MAX_PHASE1):
-        if lo >= hi:
-            return EMPTY
+    for _ in range(_MAX_SWEEP):
         sub = Interval(lo, min(lo + w, hi))
         x = enc.eval(sub)
-        if 0.0 not in enc.value(f, x):
-            lo = sub.hi
-            w = min(2.0 * w, hi - lo if lo < hi else w)
-            continue
-        d = dt_enclosure(f, enc, sub, x)
-        fv = _f_at(f, enc, Interval(lo))
-        ns = newton_step(fv, d, sub, lo)
-        if ns.is_empty:
-            lo = sub.hi
-            w = min(2.0 * w, hi - lo if lo < hi else w)
-            continue
-        if ns.lo - lo > cfg.epsilon:
-            lo = ns.lo
-            continue
-        if w <= w_min:
-            break  # sweep point pinned against the earliest root
-        w *= 0.5
-    else:
-        # an unpinned sweep point is no start for phase 2: its Newton
-        # image can skip the unchecked gap below it
-        raise TangencyError("zero search sweep exhausted its iteration budget")
+        if 0.0 in enc.value(f, x):
+            s = _monotone_sign(f, enc, sub, x)
+            if s is None:
+                if w <= w_min:
+                    raise TangencyError(
+                        f"no monotone subwindow at t={lo!r}; tangency suspected"
+                    )
+                w *= 0.5
+                continue
+            if s != s0:
+                return _contract(f, enc, sub, s0, stats)
+        if sub.hi == hi:
+            return EMPTY
+        lo = sub.hi
+        w = min(2.0 * w, hi - lo)
+    raise TangencyError("zero search sweep exhausted its iteration budget")
 
-    # Phase 2: starting from the (point) lower bound, verify that a
-    # neighbourhood contains exactly one root: Newton contraction into the
-    # interior certifies existence + uniqueness; otherwise inflate and
-    # retry until the contraction stalls.
-    t_work = Interval(lo)
-    delta = math.inf
-    for _ in range(_MAX_PHASE2):
+
+def _contract(
+    f: Expr,
+    enc: SignalEnclosure,
+    t: Interval,
+    s0: bool,
+    stats: MonitorStats | None,
+) -> Interval:
+    """Shrink a bracket t: d/dt f excludes zero over t, and f has the
+    strict sign s0 at t.lo and the opposite one at t.hi.
+
+    Each end moves onto an endpoint of the interval Newton image, or half
+    or one image width beyond it, only where f has that end's strict
+    sign, so the bracket property holds after every move.  The loop ends
+    at the first step that moves neither end.
+    """
+    a, b = t.lo, t.hi
+    for _ in range(_MAX_CONTRACT):
         if stats is not None:
             stats.newton_iterations += 1
-        d = dt_enclosure(f, enc, t_work)
-        if 0.0 in d:
-            raise TangencyError(
-                "derivative enclosure straddles zero during root certification"
-            )
-        # anchor at the midpoint: an endpoint anchor can leave the Newton
-        # image sharing an endpoint with the window (no strict interior
-        # containment) when f at the anchor touches zero exactly
-        m = t_work.mid()
-        fv = _f_at(f, enc, Interval(m))
-        t_prime = Interval(m) - fv / d
-        if t_work.interior_contains(t_prime):
-            return t_prime
-        delta_bak = delta
-        delta = hypermetric(t_work, t_prime)
-        inflated = inflate(t_prime, 1.0 + cfg.theta).intersect(t_init)
-        if inflated.is_empty:
-            raise TangencyError("certification window escaped the search interval")
-        t_work = inflated
-        if delta >= (1.0 - cfg.theta) * delta_bak:
-            raise TangencyError("stalled Newton contraction; tangency suspected")
-    raise TangencyError("root certification did not converge")
-
-
-def _advance_past(
-    f: Expr, enc: SignalEnclosure, tz: Interval, horizon: float
-) -> float:
-    """Restart time for the next zero search after a certified root at tz.
-
-    The natural restart is the enclosure's upper end, but that point sits
-    within rounding distance of the root: the sign of f may be undecidable
-    there, and even when decidable its magnitude is below the contraction
-    loop's noise floor, which stalls the next search.  Instead, widen a
-    window over which the derivative enclosure excludes zero: f is then
-    strictly monotone across its unique root in tz, so no root hides in
-    the skipped gap and a slightly later restart is sound.
-    """
-    lo = tz.hi
-    for gap in (1e-12, 1e-9, 1e-6, 1e-3):
-        hi = min(lo + gap, horizon)
-        if hi <= lo:
+        t = Interval(a, b)
+        m = t.mid()
+        image = newton_step(_f_at(f, enc, Interval(m)), dt_enclosure(f, enc, t), t, m)
+        if image.is_empty:
+            # a bracket holds a root of every signal: the enclosures disagree
+            raise TangencyError("empty Newton image over a certified bracket")
+        # the last candidate lies at least one float beyond, for a point
+        # image on an exact root
+        r = image.width()
+        a = next(
+            (c for c in (image.lo, image.lo - 0.5 * r,
+                         math.nextafter(image.lo - r, -math.inf))
+             if a < c < b and _sign(_f_at(f, enc, Interval(c))) == s0),
+            a,
+        )
+        b = next(
+            (c for c in (image.hi, image.hi + 0.5 * r,
+                         math.nextafter(image.hi + r, math.inf))
+             if a < c < b and _sign(_f_at(f, enc, Interval(c))) == (not s0)),
+            b,
+        )
+        if (a, b) == (t.lo, t.hi):
             break
-        d = dt_enclosure(f, enc, Interval(tz.lo, hi))
-        if 0.0 not in d and 0.0 not in _f_at(f, enc, Interval(hi)):
-            return hi
-        if hi == horizon:
-            break
-    return lo
+    return Interval(a, b)
 
 
 def _atom_set(
     f: Expr,
     enc: SignalEnclosure,
     horizon: float,
-    cfg: MonitorConfig,
     stats: MonitorStats | None = None,
 ) -> ApproxSet:
     """Boundary enclosures of the consistent intervals of f(x) < 0."""
     fv = _f_at(f, enc, Interval(0.0))
     start = 0.0
-    if fv.hi < 0.0:
-        b0 = True
-    elif fv.lo > 0.0:
-        b0 = False
-    elif fv.lo == 0.0 and fv.hi == 0.0:
+    s = _sign(fv)
+    if s is None:
+        if fv.lo != 0.0 or fv.hi != 0.0:
+            raise InitialSignError(
+                f"sign of the atom is undecidable at time 0: enclosure {fv}"
+            )
         # f is exactly zero at time 0, so the strict atom is false there.
         # The zero search must not chase this degenerate root: certify a
         # monotone window just after 0 and start behind it.
-        b0 = False
-        start = None
-        for gap in (1e-12, 1e-9, 1e-6, 1e-3):
-            g = min(gap, horizon)
-            d = dt_enclosure(f, enc, Interval(0.0, g))
-            fg = _f_at(f, enc, Interval(g))
-            if 0.0 not in d and 0.0 not in fg:
-                if fg.hi < 0.0:
-                    # the atom flips at exactly time 0; its consistent
-                    # interval is left-open there, outside the
-                    # representable boundary shapes
-                    raise InitialSignError(
-                        "atom switches sign at exactly time 0"
-                    )
-                start = g
-                break
-            if g == horizon:
-                break
-        if start is None:
-            raise InitialSignError(
-                "sign of the atom is undecidable just after time 0"
-            )
-    else:
-        raise InitialSignError(
-            f"sign of the atom is undecidable at time 0: enclosure {fv}"
-        )
+        w_min = _w_min(horizon)
+        start = min(horizon, max(enc.step_span_at(0.0), w_min))
+        while (s := _monotone_sign(f, enc, Interval(0.0, start))) is None:
+            if start <= w_min:
+                raise InitialSignError(
+                    "sign of the atom is undecidable just after time 0"
+                )
+            start *= 0.5
+        if not s:
+            # the atom flips at exactly time 0; its consistent interval
+            # is left-open there, outside the representable boundary shapes
+            raise InitialSignError("atom switches sign at exactly time 0")
     raw: list[BoundaryEnclosure] = []
-    if b0:
+    if not s:
         raw.append(BoundaryEnclosure(Interval(0.0), True))
-    polarity = not b0
+    polarity = s
     t = Interval(start, horizon)
     while True:
-        tz = search_zero(f, enc, t, cfg, stats)
+        tz = search_zero(f, enc, t, stats)
         if tz.is_empty:
             break
         raw.append(BoundaryEnclosure(tz, polarity))
-        restart = _advance_past(f, enc, tz, horizon)
-        if restart >= horizon:
-            break
-        t = Interval(restart, horizon)
+        # f is strictly signed at tz.hi, so the next search starts there
+        t = Interval(tz.hi, horizon)
         polarity = not polarity
     return normalize(raw)
 
@@ -363,9 +340,7 @@ def monitor_ap(
     cfg = cfg or MonitorConfig()
     horizon = horizon_upper(phi)
     if enc is None:
-        enc = SignalEnclosure(
-            system, order=cfg.order, tol=cfg.tol, t_min=cfg.t_min
-        )
+        enc = SignalEnclosure(system, order=cfg.order, tol=cfg.tol)
     enc.extend(horizon)
     # each atom is searched only up to its own temporal depth: its sign
     # beyond that cannot reach the verdict at time 0, and late segments
@@ -374,7 +349,7 @@ def monitor_ap(
     out: dict[Expr, ApproxSet] = {}
     for f in atoms(phi):
         ah = min(horizon, _float_upper(depths[f]))
-        out[f] = _atom_set(f, enc, ah, cfg, stats)
+        out[f] = _atom_set(f, enc, ah, stats)
     return out
 
 
@@ -459,7 +434,6 @@ def monitor_stl(
                 init_box=init_box,
                 order=cfg.order,
                 tol=cfg.tol,
-                t_min=cfg.t_min,
             )
         horizon = horizon_upper(phi)
         enc.extend(horizon)

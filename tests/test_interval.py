@@ -18,7 +18,6 @@ from stlmon.interval import (
     Interval,
     ext_div,
     hull,
-    hypermetric,
     inflate,
     newton_step,
 )
@@ -154,22 +153,6 @@ class TestExtDiv:
                 assert not r.is_empty
                 assert r.lo <= deltas[feasible].min() + 1e-12
                 assert r.hi >= deltas[feasible].max() - 1e-12
-
-
-class TestHypermetric:
-    def test_examples(self):
-        assert hypermetric(Interval(0, 2), Interval(1, 3)) == pytest.approx(1.0)
-        assert hypermetric(Interval(1), Interval(1)) == 0.0
-        assert hypermetric(Interval(0, 1), Interval(0, 4)) == pytest.approx(3.0)
-
-    def test_metric_axioms_sampled(self):
-        rng = random.Random(3)
-        for _ in range(500):
-            a, b, c = (_rand_iv(rng, -10, 10) for _ in range(3))
-            dab = hypermetric(a, b)
-            assert dab == hypermetric(b, a)
-            assert hypermetric(a, a) == 0.0
-            assert dab <= hypermetric(a, c) + hypermetric(c, b) + 1e-12
 
 
 class TestNewtonStep:

@@ -17,7 +17,6 @@ from stlmon.monitor import (
     UNKNOWN,
     UNSAT,
     VALID,
-    MonitorConfig,
     MonitorStats,
     consistent_at_init,
     dt_enclosure,
@@ -30,9 +29,6 @@ from stlmon.monitor import (
 from stlmon.stl import atom_depths, atoms, parse_formula
 from stlmon.system import load_builtin
 from stlmon.timesets import EMPTY_SET, UNIVERSE, BoundaryEnclosure, seq
-
-
-CFG = MonitorConfig()
 
 
 def atom_of(system, text):
@@ -71,14 +67,14 @@ class TestSearchZero:
     def test_first_root_of_cosine(self):
         sys = load_builtin("timer")
         enc = timer_enc()
-        tz = search_zero(atom_of(sys, "cos(x) < 0"), enc, Interval(0.0, 10.0), CFG)
+        tz = search_zero(atom_of(sys, "cos(x) < 0"), enc, Interval(0.0, 10.0))
         assert math.pi / 2 in tz
         assert tz.lo >= 1.57 and tz.hi <= 1.58
 
     def test_first_root_of_sine_past_zero(self):
         sys = load_builtin("timer")
         enc = timer_enc()
-        tz = search_zero(atom_of(sys, "sin(x) < 0"), enc, Interval(0.5, 7.0), CFG)
+        tz = search_zero(atom_of(sys, "sin(x) < 0"), enc, Interval(0.5, 7.0))
         assert math.pi in tz
         assert tz.width() < 1e-6
 
@@ -87,21 +83,21 @@ class TestSearchZero:
         sys = load_builtin("timer")
         enc = timer_enc()
         f = atom_of(sys, "x^2 - 7*x + 10 < 0")
-        tz = search_zero(f, enc, Interval(0.0, 10.0), CFG)
+        tz = search_zero(f, enc, Interval(0.0, 10.0))
         assert 2.0 in tz
         assert 5.0 not in tz
 
     def test_no_root_returns_empty(self):
         sys = load_builtin("timer")
         enc = timer_enc()
-        tz = search_zero(atom_of(sys, "x + 1 < 0"), enc, Interval(0.0, 10.0), CFG)
+        tz = search_zero(atom_of(sys, "x + 1 < 0"), enc, Interval(0.0, 10.0))
         assert tz.is_empty
 
     def test_stats_are_counted(self):
         sys = load_builtin("timer")
         enc = timer_enc()
         stats = MonitorStats()
-        search_zero(atom_of(sys, "cos(x) < 0"), enc, Interval(0.0, 10.0), CFG, stats)
+        search_zero(atom_of(sys, "cos(x) < 0"), enc, Interval(0.0, 10.0), stats)
         assert stats.search_zero_calls == 1
         assert stats.newton_iterations >= 1
 
@@ -112,15 +108,50 @@ class TestSearchZero:
         enc = SignalEnclosure(sys, u_box=IntervalBox([Interval(0.0)]))
         enc.extend(4.0)
         with pytest.raises(TangencyError):
-            search_zero(atom_of(sys, "x2 - 1 < 0"), enc, Interval(0.0, 4.0), CFG)
+            search_zero(atom_of(sys, "x2 - 1 < 0"), enc, Interval(0.0, 4.0))
+
+    @pytest.mark.parametrize(
+        "text, window",
+        [
+            ("cos(x) < 0", (0.0, 10.0)),
+            ("sin(x) < 0", (0.5, 7.0)),
+            ("x^2 - 7*x + 10 < 0", (0.0, 10.0)),
+            ("x - 1 < 0", (0.0, 3.0)),
+        ],
+    )
+    def test_enclosure_is_a_signed_monotone_bracket(self, text, window):
+        # strictly opposite signs at the ends and a derivative enclosure
+        # excluding zero: exactly one root of every signal inside
+        sys = load_builtin("timer")
+        enc = timer_enc()
+        f = atom_of(sys, text)
+        tz = search_zero(f, enc, Interval(*window))
+        f_lo = enc.value(f, enc.eval(Interval(tz.lo)))
+        f_hi = enc.value(f, enc.eval(Interval(tz.hi)))
+        assert (f_lo.lo > 0.0 and f_hi.hi < 0.0) or (f_lo.hi < 0.0 and f_hi.lo > 0.0)
+        assert 0.0 not in dt_enclosure(f, enc, tz)
+
+    def test_root_on_closed_end_is_not_eliminated(self):
+        # x - 0.5 is exactly 0 at the window's closed end: no bracket can
+        # certify it, and EMPTY would drop it
+        sys = load_builtin("timer")
+        enc = timer_enc()
+        with pytest.raises(TangencyError):
+            search_zero(atom_of(sys, "x - 0.5 < 0"), enc, Interval(0.0, 0.5))
+
+    def test_unsigned_start_raises(self):
+        sys = load_builtin("timer")
+        enc = timer_enc()
+        with pytest.raises(TangencyError):
+            search_zero(atom_of(sys, "x - 1 < 0"), enc, Interval(1.0, 3.0))
 
     def test_exhausted_sweep_raises(self, monkeypatch):
         # the unbudgeted sweep needs more moves than this to pin the root
-        monkeypatch.setattr(monitor, "_MAX_PHASE1", 3)
+        monkeypatch.setattr(monitor, "_MAX_SWEEP", 3)
         sys = load_builtin("timer")
         enc = timer_enc()
         with pytest.raises(TangencyError, match="budget"):
-            search_zero(atom_of(sys, "cos(x) < 0"), enc, Interval(0.0, 10.0), CFG)
+            search_zero(atom_of(sys, "cos(x) < 0"), enc, Interval(0.0, 10.0))
 
 
 class TestAtomDepths:
@@ -237,6 +268,58 @@ class TestMonitorStl:
         doc = monitor_stl(sys, phi).to_json()
         assert doc["outcome"] == VALID and doc["unknown_cause"] is None
         assert doc["stats"]["integration_steps"] > 0
+
+
+def timer_verdict(text):
+    sys = load_builtin("timer")
+    return monitor_stl(sys, parse_formula(text, sys.resolver(allow_params=False)))
+
+
+class TestDegenerateRoots:
+    """Roots on a closed temporal bound or at time 0 of the timer x = t."""
+
+    @pytest.mark.parametrize(
+        "text, truth",
+        [
+            # the strict atom is false at t = 0.5 and t = 1, inside the window
+            ("G[0,0.5] (x - 0.5 < 0)", UNSAT),
+            ("F[0,0.5] !(x - 0.5 < 0)", VALID),
+            ("G[0,1] (x - 1 < 0)", UNSAT),
+        ],
+    )
+    def test_root_on_the_closed_bound(self, text, truth):
+        assert timer_verdict(text).outcome in (truth, UNKNOWN)
+
+    def test_zero_at_time_0_then_positive(self):
+        # x is 0 at time 0 and positive after: x < 0 never holds
+        assert timer_verdict("F[0,1] (x < 0)").outcome == UNSAT
+
+    def test_zero_at_time_0_then_negative(self):
+        # -x < 0 holds on (0, 1]: a left-open interval at time 0
+        v = timer_verdict("F[0,1] (-x < 0)")
+        assert v.outcome == UNKNOWN
+        assert v.unknown_cause == "InitialSignError"
+
+
+class TestSeededRotationBoxes:
+    def test_widened_drifts_follow_the_sign_of_the_box(self):
+        # 20 seeded drifts widened by 1e-3 and clipped to the domain, plus
+        # a box around zero drift: boxes of one sign are decided with it,
+        # boxes containing zero are never decided
+        rng = random.Random(12345)
+        boxes = [
+            (max(-0.1, u - 1e-3), min(0.1, u + 1e-3))
+            for u in (rng.uniform(-0.1, 0.1) for _ in range(20))
+        ]
+        boxes.append((-1e-3, 1e-3))
+        for lo, hi in boxes:
+            v = rotation_verdict(Interval(lo, hi))
+            if lo > 0.0:
+                assert v.outcome == VALID, (lo, hi)
+            elif hi < 0.0:
+                assert v.outcome == UNSAT, (lo, hi)
+            else:
+                assert (v.outcome, v.unknown_cause) == (UNKNOWN, "SearchZeroError")
 
 
 class TestSoundnessSpotCheck:
