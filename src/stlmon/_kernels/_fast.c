@@ -1,6 +1,8 @@
 /* Compiled outward-rounded interval kernels.
  *
- * A function-for-function mirror of _pure.py, which documents the method;
+ * Each product or quotient bound comes from the one corner that the operand
+ * signs select, rounded one way by the sign of its exact error term.  A
+ * function-for-function mirror of _pure.py, which documents the method;
  * keep the two in sync.  Plain CPython C API, built by setup.py as an
  * optional extension (or by hand: gcc -O3 -shared -fPIC -I<python include>).
  */
@@ -9,7 +11,8 @@
 #include <math.h>
 
 /* Dekker's split and the division residual need every product rounded on
- * its own; a fused multiply-add would change their results. */
+ * its own; a fused multiply-add would change their results.  The pragma
+ * covers every function below it. */
 #if defined(__clang__)
 #pragma STDC FP_CONTRACT OFF
 #elif defined(__GNUC__)
@@ -39,7 +42,8 @@ static void ksub(double al, double ah, double bl, double bh, double *lo, double 
     if (*hi + bl != ah || ah - *hi != bl) *hi = up(*hi);
 }
 
-/* Error term of the product x*y rounded to p (NaN if the split overflows). */
+/* Error term x*y - p of the product x*y rounded to p (NaN if the split
+ * overflows). */
 static double prod_err(double x, double y, double p)
 {
     double xh = x * SPLIT, yh = y * SPLIT, xl, yl;
@@ -50,67 +54,81 @@ static double prod_err(double x, double y, double p)
     return ((xh * yh - p) + xh * yl + xl * yh) + xl * yl;
 }
 
-static void prod_bounds(double x, double y, double *d, double *u)
+static double prod_down(double x, double y)
 {
-    double p = x * y, ap = fabs(p), e;
-    if (ap > BIG || (ap < TINY && x != 0.0 && y != 0.0)) { /* see _pure */
-        *d = down(p);
-        *u = up(p);
-        return;
-    }
-    e = prod_err(x, y, p);
-    if (e > 0.0) { *d = p; *u = up(p); }
-    else if (e < 0.0) { *d = down(p); *u = p; }
-    else if (e == 0.0) { *d = p; *u = p; }
-    else { *d = down(p); *u = up(p); } /* NaN: the split overflowed */
+    double p = x * y, ap = fabs(p);
+    if (ap > BIG || (ap < TINY && x != 0.0 && y != 0.0)) return down(p); /* see _pure */
+    return prod_err(x, y, p) >= 0.0 ? p : down(p); /* NaN: the split overflowed */
 }
 
-static void quot_bounds(double a, double b, double *d, double *u)
+static double prod_up(double x, double y)
 {
-    double q = a / b, aq = fabs(q), aa = fabs(a), p, rem;
-    if (aq > BIG || (aq < TINY && q != 0.0) || aa > BIG || (aa > 0.0 && aa < TINY)) {
-        *d = down(q);
-        *u = up(q);
-        return;
-    }
-    p = q * b;
-    rem = (a - p) - prod_err(q, b, p);
-    if (rem == 0.0) { *d = q; *u = q; }
-    else if (rem != rem) { *d = down(q); *u = up(q); } /* the split overflowed */
-    else if ((rem > 0.0) == (b > 0.0)) { *d = q; *u = up(q); }
-    else { *d = down(q); *u = q; }
+    double p = x * y, ap = fabs(p);
+    if (ap > BIG || (ap < TINY && x != 0.0 && y != 0.0)) return up(p);
+    return prod_err(x, y, p) <= 0.0 ? p : up(p);
 }
 
-/* Hull of the four corner bounds, with the comparison order of min()/max(). */
-static void corners(void (*f)(double, double, double *, double *), double al, double ah,
-                    double bl, double bh, double *lo, double *hi)
-{
-    double d[4], u[4];
-    f(al, bl, &d[0], &u[0]);
-    f(al, bh, &d[1], &u[1]);
-    f(ah, bl, &d[2], &u[2]);
-    f(ah, bh, &d[3], &u[3]);
-    *lo = d[0];
-    *hi = u[0];
-    for (int i = 1; i < 4; i++) {
-        if (d[i] < *lo) *lo = d[i];
-        if (u[i] > *hi) *hi = u[i];
-    }
-}
-
+/* Sign-selected corners; a min or max compares in the order of min()/max(). */
 static void kmul(double al, double ah, double bl, double bh, double *lo, double *hi)
 {
     if ((al == 0.0 && ah == 0.0) || (bl == 0.0 && bh == 0.0)) { *lo = 0.0; *hi = 0.0; }
     else if (al == 1.0 && ah == 1.0) { *lo = bl; *hi = bh; }
     else if (bl == 1.0 && bh == 1.0) { *lo = al; *hi = ah; }
-    else corners(prod_bounds, al, ah, bl, bh, lo, hi);
+    else if (al >= 0.0) {
+        if (bl >= 0.0) { *lo = prod_down(al, bl); *hi = prod_up(ah, bh); }
+        else if (bh <= 0.0) { *lo = prod_down(ah, bl); *hi = prod_up(al, bh); }
+        else { *lo = prod_down(ah, bl); *hi = prod_up(ah, bh); }
+    }
+    else if (ah <= 0.0) {
+        if (bl >= 0.0) { *lo = prod_down(al, bh); *hi = prod_up(ah, bl); }
+        else if (bh <= 0.0) { *lo = prod_down(ah, bh); *hi = prod_up(al, bl); }
+        else { *lo = prod_down(al, bh); *hi = prod_up(al, bl); }
+    }
+    else if (bl >= 0.0) { *lo = prod_down(al, bh); *hi = prod_up(ah, bh); }
+    else if (bh <= 0.0) { *lo = prod_down(ah, bl); *hi = prod_up(al, bl); }
+    else {
+        double d = prod_down(ah, bl), u = prod_up(ah, bh);
+        *lo = prod_down(al, bh);
+        *hi = prod_up(al, bl);
+        if (d < *lo) *lo = d;
+        if (u > *hi) *hi = u;
+    }
+}
+
+/* Residual a - q*b of the quotient a/b rounded to q, exact (NaN if the split
+ * or the error term may overflow or underflow). */
+static double quot_rem(double a, double b, double q)
+{
+    double aq = fabs(q), aa = fabs(a), p;
+    if (aq > BIG || (aq < TINY && q != 0.0) || aa > BIG || (aa > 0.0 && aa < TINY)) return NAN;
+    p = q * b;
+    return (a - p) - prod_err(q, b, p);
+}
+
+static double quot_down(double a, double b)
+{
+    double q = a / b, rem = quot_rem(a, b, q);
+    return rem == 0.0 || (rem == rem && (rem > 0.0) == (b > 0.0)) ? q : down(q);
+}
+
+static double quot_up(double a, double b)
+{
+    double q = a / b, rem = quot_rem(a, b, q);
+    return rem == 0.0 || (rem == rem && (rem > 0.0) != (b > 0.0)) ? q : up(q);
 }
 
 static void kdiv(double al, double ah, double bl, double bh, double *lo, double *hi)
 {
     /* caller guarantees 0 not in [bl, bh] */
     if (bl == 1.0 && bh == 1.0) { *lo = al; *hi = ah; }
-    else corners(quot_bounds, al, ah, bl, bh, lo, hi);
+    else if (bl > 0.0) {
+        if (al >= 0.0) { *lo = quot_down(al, bh); *hi = quot_up(ah, bl); }
+        else if (ah <= 0.0) { *lo = quot_down(al, bl); *hi = quot_up(ah, bh); }
+        else { *lo = quot_down(al, bl); *hi = quot_up(ah, bl); }
+    }
+    else if (al >= 0.0) { *lo = quot_down(ah, bh); *hi = quot_up(al, bl); }
+    else if (ah <= 0.0) { *lo = quot_down(ah, bl); *hi = quot_up(al, bh); }
+    else { *lo = quot_down(ah, bh); *hi = quot_up(al, bh); }
 }
 
 static double as_double(PyObject *o)

@@ -1,20 +1,24 @@
 """Pure-Python outward-rounded interval kernels.
 
 These functions are the only place in the package where rounding direction
-is handled.  add/sub use the two-sum exactness test; mul/div recover the
-rounding error with Dekker's two-product, so each bound is the tightest
-float in the outward direction (exact results stay exact).  A bound whose
-split or error term may overflow or underflow (an operand above ~1.3e300, a
-result outside [1e-290, 1e290], a numerator below 1e-290) is widened by one
-ulp both ways instead.  Containment is axiomatic for all callers.
+is handled.  add/sub use the two-sum exactness test.  mul/div take each
+bound from the one corner that the operand signs select (the classical
+sign-case table; only when both factors of a product straddle zero are two
+corners compared per bound) and round it one way: Dekker's two-product
+gives the sign of a product's rounding error, and the residual a - q*b that
+of a quotient's, so each bound is the nearest float outward (exact results
+stay exact).  A bound whose split or error term may overflow or underflow
+(an operand above ~1.3e300, a result outside [1e-290, 1e290], a numerator
+below 1e-290) is moved one ulp outward instead.  Containment is axiomatic
+for all callers.
 
 The hand-written C lane in ``_fast.c`` mirrors this module function for
 function; keep the two in sync.
 """
 
-import math
+from math import inf as _INF, nan as _NAN, nextafter
 
-_INF = math.inf
+_NINF = -_INF
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp split constant
 _BIG = 1e290
 _TINY = 1e-290
@@ -23,56 +27,68 @@ BACKEND = "pure"
 
 
 def next_down(x: float) -> float:
-    return math.nextafter(x, -_INF)
+    return nextafter(x, _NINF)
 
 
 def next_up(x: float) -> float:
-    return math.nextafter(x, _INF)
+    return nextafter(x, _INF)
 
 
 def kadd(al: float, ah: float, bl: float, bh: float):
     lo = al + bl
     if lo - al != bl or lo - bl != al:
-        lo = next_down(lo)
+        lo = nextafter(lo, _NINF)
     hi = ah + bh
     if hi - ah != bh or hi - bh != ah:
-        hi = next_up(hi)
+        hi = nextafter(hi, _INF)
     return lo, hi
 
 
 def ksub(al: float, ah: float, bl: float, bh: float):
     lo = al - bh
     if lo + bh != al or al - lo != bh:
-        lo = next_down(lo)
+        lo = nextafter(lo, _NINF)
     hi = ah - bl
     if hi + bl != ah or ah - hi != bl:
-        hi = next_up(hi)
+        hi = nextafter(hi, _INF)
     return lo, hi
 
 
-def _prod_bounds(x: float, y: float):
-    """(down, up) directed roundings of x*y."""
+def _prod_down(x: float, y: float) -> float:
+    """Largest float <= x*y."""
     p = x * y
     ap = abs(p)
     if ap > _BIG or (ap < _TINY and x != 0.0 and y != 0.0):
         # split/error term may overflow or denormalize, or the product
-        # underflowed to zero: widen both ways
-        return next_down(p), next_up(p)
+        # underflowed to zero
+        return nextafter(p, _NINF)
     xh = x * _SPLIT
     xh = xh - (xh - x)
     xl = x - xh
     yh = y * _SPLIT
     yh = yh - (yh - y)
     yl = y - yh
-    e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
-    if e > 0.0:
-        return p, next_up(p)
-    if e < 0.0:
-        return next_down(p), p
-    if e == 0.0:
-        return p, p
-    # NaN: the split of an operand above ~1.3e300 overflowed
-    return next_down(p), next_up(p)
+    # x*y - p; NaN when the split of an operand above ~1.3e300 overflowed
+    if ((xh * yh - p) + xh * yl + xl * yh) + xl * yl >= 0.0:
+        return p
+    return nextafter(p, _NINF)
+
+
+def _prod_up(x: float, y: float) -> float:
+    """Smallest float >= x*y; the mirror of _prod_down."""
+    p = x * y
+    ap = abs(p)
+    if ap > _BIG or (ap < _TINY and x != 0.0 and y != 0.0):
+        return nextafter(p, _INF)
+    xh = x * _SPLIT
+    xh = xh - (xh - x)
+    xl = x - xh
+    yh = y * _SPLIT
+    yh = yh - (yh - y)
+    yl = y - yh
+    if ((xh * yh - p) + xh * yl + xl * yh) + xl * yl <= 0.0:
+        return p
+    return nextafter(p, _INF)
 
 
 def kmul(al: float, ah: float, bl: float, bh: float):
@@ -82,20 +98,34 @@ def kmul(al: float, ah: float, bl: float, bh: float):
         return bl, bh
     if bl == 1.0 and bh == 1.0:
         return al, ah
-    d1, u1 = _prod_bounds(al, bl)
-    d2, u2 = _prod_bounds(al, bh)
-    d3, u3 = _prod_bounds(ah, bl)
-    d4, u4 = _prod_bounds(ah, bh)
-    return min(d1, d2, d3, d4), max(u1, u2, u3, u4)
+    if al >= 0.0:
+        if bl >= 0.0:
+            return _prod_down(al, bl), _prod_up(ah, bh)
+        if bh <= 0.0:
+            return _prod_down(ah, bl), _prod_up(al, bh)
+        return _prod_down(ah, bl), _prod_up(ah, bh)
+    if ah <= 0.0:
+        if bl >= 0.0:
+            return _prod_down(al, bh), _prod_up(ah, bl)
+        if bh <= 0.0:
+            return _prod_down(ah, bh), _prod_up(al, bl)
+        return _prod_down(al, bh), _prod_up(al, bl)
+    if bl >= 0.0:
+        return _prod_down(al, bh), _prod_up(ah, bh)
+    if bh <= 0.0:
+        return _prod_down(ah, bl), _prod_up(al, bl)
+    return (min(_prod_down(al, bh), _prod_down(ah, bl)),
+            max(_prod_up(al, bl), _prod_up(ah, bh)))
 
 
-def _quot_bounds(a: float, b: float):
-    """(down, up) directed roundings of a/b (b nonzero)."""
-    q = a / b
+def _quot_rem(a: float, b: float, q: float) -> float:
+    """a - q*b exactly, for q the rounded quotient a/b (b nonzero): q is
+    below a/b when it has the sign of b.  NaN when the split or the
+    error term may overflow or underflow."""
     aq = abs(q)
     aa = abs(a)
     if aq > _BIG or (aq < _TINY and q != 0.0) or aa > _BIG or 0.0 < aa < _TINY:
-        return next_down(q), next_up(q)
+        return _NAN
     p = q * b
     qh = q * _SPLIT
     qh = qh - (qh - q)
@@ -103,24 +133,42 @@ def _quot_bounds(a: float, b: float):
     bh_ = b * _SPLIT
     bh_ = bh_ - (bh_ - b)
     bl_ = b - bh_
+    # q*b == p + e exactly (e is NaN when the split of a divisor above
+    # ~1.3e300 overflowed)
     e = ((qh * bh_ - p) + qh * bl_ + ql * bh_) + ql * bl_
-    # q*b == p + e exactly; residual sign decides the rounding direction
-    rem = (a - p) - e
-    if rem == 0.0:
-        return q, q
-    if rem != rem:  # NaN: the split of a divisor above ~1.3e300 overflowed
-        return next_down(q), next_up(q)
-    if (rem > 0.0) == (b > 0.0):
-        return q, next_up(q)
-    return next_down(q), q
+    return (a - p) - e
+
+
+def _quot_down(a: float, b: float) -> float:
+    """Largest float <= a/b."""
+    q = a / b
+    rem = _quot_rem(a, b, q)
+    if rem == 0.0 or (rem == rem and (rem > 0.0) == (b > 0.0)):
+        return q
+    return nextafter(q, _NINF)
+
+
+def _quot_up(a: float, b: float) -> float:
+    """Smallest float >= a/b; the mirror of _quot_down."""
+    q = a / b
+    rem = _quot_rem(a, b, q)
+    if rem == 0.0 or (rem == rem and (rem > 0.0) != (b > 0.0)):
+        return q
+    return nextafter(q, _INF)
 
 
 def kdiv(al: float, ah: float, bl: float, bh: float):
     # caller guarantees 0 not in [bl, bh]
     if bl == 1.0 and bh == 1.0:
         return al, ah
-    d1, u1 = _quot_bounds(al, bl)
-    d2, u2 = _quot_bounds(al, bh)
-    d3, u3 = _quot_bounds(ah, bl)
-    d4, u4 = _quot_bounds(ah, bh)
-    return min(d1, d2, d3, d4), max(u1, u2, u3, u4)
+    if bl > 0.0:
+        if al >= 0.0:
+            return _quot_down(al, bh), _quot_up(ah, bl)
+        if ah <= 0.0:
+            return _quot_down(al, bl), _quot_up(ah, bh)
+        return _quot_down(al, bl), _quot_up(ah, bl)
+    if al >= 0.0:
+        return _quot_down(ah, bh), _quot_up(al, bl)
+    if ah <= 0.0:
+        return _quot_down(ah, bl), _quot_up(al, bh)
+    return _quot_down(ah, bh), _quot_up(al, bh)

@@ -231,16 +231,16 @@ def _cubic_deriv_eval(x: Interval, roots):
 # --- kernel lanes against exact rationals ---------------------------------
 
 
-@pytest.fixture(scope="module")
-def c_lane(tmp_path_factory):
-    """_fast.c compiled into a temporary directory and loaded from there."""
+def _build_c_lane(tmp_path_factory, *flags):
+    """_fast.c compiled with flags into a temporary directory and loaded
+    from there."""
     gcc = shutil.which("gcc")
     include = sysconfig.get_paths()["include"]
     if gcc is None or not (Path(include) / "Python.h").is_file():
         pytest.skip("gcc or the Python headers are missing")
     lib = tmp_path_factory.mktemp("c_lane") / ("_fast" + sysconfig.get_config_var("EXT_SUFFIX"))
     src = Path(_pure.__file__).with_name("_fast.c")
-    subprocess.run([gcc, "-O3", "-shared", "-fPIC", "-I", include, str(src), "-o", str(lib)],
+    subprocess.run([gcc, *flags, "-shared", "-fPIC", "-I", include, str(src), "-o", str(lib)],
                    check=True, capture_output=True)
     spec = importlib.util.spec_from_file_location("stlmon._kernels._fast", lib)
     mod = importlib.util.module_from_spec(spec)
@@ -248,9 +248,24 @@ def c_lane(tmp_path_factory):
     return mod
 
 
-@pytest.fixture(params=["pure", "c"])
+@pytest.fixture(scope="module")
+def c_lane(tmp_path_factory):
+    return _build_c_lane(tmp_path_factory, "-O3")
+
+
+@pytest.fixture(scope="module")
+def c_lane_native(tmp_path_factory):
+    # on a host with FMA, gcc contracts a*b - c into a fused multiply-add
+    # at this setting unless the source forbids it; a fused Dekker error
+    # term or division residual shows up as a wrong bound
+    return _build_c_lane(tmp_path_factory, "-O3", "-march=native")
+
+
+@pytest.fixture(params=["pure", "c", "c-native"])
 def lane(request):
-    return _pure if request.param == "pure" else request.getfixturevalue("c_lane")
+    if request.param == "pure":
+        return _pure
+    return request.getfixturevalue("c_lane" if request.param == "c" else "c_lane_native")
 
 
 def _random_double(rng):
@@ -283,6 +298,93 @@ _EXACT = {
 }
 
 
+
+# The corner formula of the previous kernels, kept as a reference: every
+# corner rounded both ways, bounds the min and max of the four.  Each
+# corner also reports whether it took a widening branch (a result outside
+# [1e-290, 1e290], a numerator below 1e-290, or an operand whose split
+# overflows) instead of rounding to the nearest float outward.
+
+def _ref_prod(x, y):
+    p = x * y
+    ap = abs(p)
+    if ap > 1e290 or (ap < 1e-290 and x != 0.0 and y != 0.0):
+        return math.nextafter(p, -math.inf), math.nextafter(p, math.inf), True
+    xh = x * 134217729.0
+    xh = xh - (xh - x)
+    xl = x - xh
+    yh = y * 134217729.0
+    yh = yh - (yh - y)
+    yl = y - yh
+    e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+    if e > 0.0:
+        return p, math.nextafter(p, math.inf), False
+    if e < 0.0:
+        return math.nextafter(p, -math.inf), p, False
+    if e == 0.0:
+        return p, p, False
+    return math.nextafter(p, -math.inf), math.nextafter(p, math.inf), True
+
+
+def _ref_quot(a, b):
+    q = a / b
+    aq = abs(q)
+    aa = abs(a)
+    if aq > 1e290 or (aq < 1e-290 and q != 0.0) or aa > 1e290 or 0.0 < aa < 1e-290:
+        return math.nextafter(q, -math.inf), math.nextafter(q, math.inf), True
+    p = q * b
+    qh = q * 134217729.0
+    qh = qh - (qh - q)
+    ql = q - qh
+    bh_ = b * 134217729.0
+    bh_ = bh_ - (bh_ - b)
+    bl_ = b - bh_
+    e = ((qh * bh_ - p) + qh * bl_ + ql * bh_) + ql * bl_
+    rem = (a - p) - e
+    if rem == 0.0:
+        return q, q, False
+    if rem != rem:
+        return math.nextafter(q, -math.inf), math.nextafter(q, math.inf), True
+    if (rem > 0.0) == (b > 0.0):
+        return q, math.nextafter(q, math.inf), False
+    return math.nextafter(q, -math.inf), q, False
+
+
+def _four_corners(name, al, ah, bl, bh):
+    """(lo, hi, widened): the reference bounds, and whether a corner took
+    a widening branch."""
+    corner = _ref_prod if name == "kmul" else _ref_quot
+    c = [corner(x, y) for x, y in ((al, bl), (al, bh), (ah, bl), (ah, bh))]
+    return min(d for d, _, _ in c), max(u for _, u, _ in c), any(w for _, _, w in c)
+
+
+def _operand(rng, pattern, zero_ok=True):
+    """Finite sorted bounds of the given sign pattern: "+" (lo >= 0), "-"
+    (hi <= 0) or "0" (lo < 0 < hi); zero bounds carry a random sign."""
+
+    def magnitude(zero_ok):
+        while True:
+            if zero_ok and rng.random() < 0.1:
+                return 0.0
+            x = abs(_random_double(rng) if rng.random() < 0.7 else rng.uniform(1e-3, 1e3))
+            if x != 0.0:
+                return x
+
+    a = magnitude(zero_ok and pattern != "0")
+    b = a if rng.random() < 0.1 else magnitude(zero_ok and pattern != "0")
+    a, b = min(a, b), max(a, b)
+    lo, hi = {"+": (a, b), "-": (-b, -a), "0": (-a, b)}[pattern]
+    if lo == 0.0:
+        lo = rng.choice((0.0, -0.0))
+    if hi == 0.0:
+        hi = rng.choice((0.0, -0.0))
+    return lo, hi
+
+
+def _in_range(v):
+    return v == 0.0 or 1e-290 <= abs(v) <= 1e290
+
+
 class TestKernelLanes:
     def test_exact_rational_oracle(self, lane):
         # every bound of a point operation encloses the exact rational
@@ -298,6 +400,33 @@ class TestKernelLanes:
                 if not lo <= exact(Fraction(x), Fraction(y)) <= hi:
                     unsound.append((name, x, y, lo, hi))
         assert not unsound, f"{len(unsound)} unsound, e.g. {unsound[:3]}"
+
+    def test_interval_operand_oracle(self, lane):
+        # every sign pattern of both operands, including signed zero bounds
+        # and operands straddling zero: the bounds enclose every exact
+        # corner, are the nearest floats outward where no corner leaves
+        # the normal range, and never lose to the four-corner reference
+        rng = random.Random(20261018)
+        patterns = [(p, q) for p in "+-0" for q in "+-0"]
+        bad = []
+        for i in range(9_000):
+            pa, pb = patterns[i % 9]
+            al, ah = _operand(rng, pa)
+            # divisors exclude zero
+            for name, pb in (("kmul", pb), ("kdiv", pb if pb != "0" else rng.choice("+-"))):
+                bl, bh = _operand(rng, pb, zero_ok=name == "kmul")
+                lo, hi = getattr(lane, name)(al, ah, bl, bh)
+                exact = [_EXACT[name](Fraction(x), Fraction(y))
+                         for x, y in ((al, bl), (al, bh), (ah, bl), (ah, bh))]
+                ref_lo, ref_hi, widened = _four_corners(name, al, ah, bl, bh)
+                ok = lo <= min(exact) and max(exact) <= hi and ref_lo <= lo and hi <= ref_hi
+                if not widened:
+                    ok = ok and lo == ref_lo and hi == ref_hi
+                if all(map(_in_range, (al, ah, bl, bh, *exact))):
+                    ok = ok and (lo, hi) == (_directed(min(exact))[0], _directed(max(exact))[1])
+                if not ok:
+                    bad.append((name, al, ah, bl, bh, lo, hi))
+        assert not bad, f"{len(bad)} failures, e.g. {bad[:3]}"
 
     @pytest.mark.parametrize("name, x, y", [
         ("kmul", 3e305, 1.1e-20),  # the split of 3e305 overflows
@@ -324,22 +453,24 @@ class TestKernelLanes:
                 got = getattr(lane, name)(x, x, y, y)
                 assert got == _directed(exact(Fraction(x), Fraction(y))), (name, x, y)
 
-    def test_c_lane_matches_pure_bit_for_bit(self, c_lane):
-        assert c_lane.BACKEND == "c"
+    def test_c_lane_matches_pure_bit_for_bit(self, c_lane, c_lane_native):
         special = [0.0, -0.0, 1.0, -1.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf]
         rng = random.Random(11)
 
         def bits(pair):
             return tuple("nan" if v != v else struct.pack("<d", v) for v in pair)
 
+        for build in (c_lane, c_lane_native):
+            assert build.BACKEND == "c"
         for _ in range(20_000):
             quad = [rng.choice(special) if rng.random() < 0.2 else _random_double(rng)
                     for _ in range(4)]
-            for name in _EXACT:
-                if name == "kdiv" and 0.0 in quad[2:]:
-                    continue  # pure Python raises; callers never divide by zero
-                assert bits(getattr(c_lane, name)(*quad)) == bits(getattr(_pure, name)(*quad)), \
-                    (name, quad)
             x = quad[0]
-            assert bits((c_lane.next_down(x), c_lane.next_up(x))) == \
-                bits((_pure.next_down(x), _pure.next_up(x)))
+            for build in (c_lane, c_lane_native):
+                for name in _EXACT:
+                    if name == "kdiv" and 0.0 in quad[2:]:
+                        continue  # pure Python raises; callers never divide by zero
+                    assert bits(getattr(build, name)(*quad)) == bits(getattr(_pure, name)(*quad)), \
+                        (name, quad)
+                assert bits((build.next_down(x), build.next_up(x))) == \
+                    bits((_pure.next_down(x), _pure.next_up(x)))
