@@ -1,16 +1,20 @@
 """Pure-Python outward-rounded interval kernels.
 
 These functions are the only place in the package where rounding direction
-is handled.  add/sub use the two-sum exactness test.  mul/div take each
-bound from the one corner that the operand signs select (the classical
-sign-case table; only when both factors of a product straddle zero are two
-corners compared per bound) and round it one way: Dekker's two-product
-gives the sign of a product's rounding error, and the residual a - q*b that
-of a quotient's, so each bound is the nearest float outward (exact results
-stay exact).  A bound whose split or error term may overflow or underflow
-(an operand above ~1.3e300, a result outside [1e-290, 1e290], a numerator
-below 1e-290) is moved one ulp outward instead.  Containment is axiomatic
-for all callers.
+is handled.
+
+- add/sub: the two-sum exactness test; an inexact bound is moved one ulp
+  outward.
+- mul/div: each bound comes from the one corner that the operand signs
+  select (the classical sign-case table; only a product of two operands
+  straddling zero compares two corners per bound) and is rounded one way,
+  by the sign of Dekker's two-product error term or of the division
+  residual a - q*b.  So each bound is the nearest float outward (exact
+  results stay exact).  A bound whose split or error term may overflow or
+  underflow (an operand above ~1.3e300, a result outside [1e-290, 1e290],
+  a numerator below 1e-290) is moved one ulp outward instead.
+
+Containment is axiomatic for all callers.
 
 The hand-written C lane in ``_fast.c`` mirrors this module function for
 function; keep the two in sync.

@@ -412,6 +412,9 @@ class SignalEnclosure:
             raise ValueError(
                 f"query {t} outside covered horizon [0, {self.horizon_reached}]"
             )
+        if not self.steps:
+            # only the query at time 0 gets here, and the initial box answers it
+            return self.init_box
 
         def partial(step: StepModel) -> list:
             s = (t - Interval(step.t0)).intersect(

@@ -299,6 +299,8 @@ def _atom_set(
                 f"sign of the atom is undecidable at time 0: enclosure {fv}"
             )
         # f is exactly zero at time 0, so the strict atom is false there.
+        if horizon == 0.0:
+            return normalize([])
         # The zero search must not chase this degenerate root: certify a
         # monotone window just after 0 and start behind it.
         w_min = _w_min(horizon)
@@ -316,6 +318,10 @@ def _atom_set(
     raw: list[BoundaryEnclosure] = []
     if not s:
         raw.append(BoundaryEnclosure(Interval(0.0), True))
+    if horizon == 0.0:
+        # an atom of temporal depth 0 is read at time 0 only, which the
+        # initial box decides; the enclosure may hold no step to search
+        return normalize(raw)
     polarity = s
     t = Interval(start, horizon)
     while True:

@@ -168,6 +168,17 @@ class TestModelLimits:
         assert doc["outcome"] == "Unknown"
         assert doc["unknown_cause"] == "IntegrationError"
 
+    @pytest.mark.parametrize("formula, code, outcome", [
+        ("x - 1 < 0", 0, "Valid"),
+        ("1 - x < 0", 1, "Unsat"),
+        ("x < 0", 1, "Unsat"),  # x(0) = 0, so the strict atom is false
+    ])
+    def test_formula_of_depth_zero_is_decided_at_time_0(self, capsys, formula, code, outcome):
+        # horizon 0: no integration step is taken, and the initial box
+        # alone decides the formula
+        got, out, _ = run_cli(capsys, "verify", "--model", "timer", "--formula", formula)
+        assert (got, json.loads(out)["outcome"]) == (code, outcome)
+
 
 BATCH_ARGS = (
     "batch",

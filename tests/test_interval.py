@@ -433,6 +433,8 @@ class TestKernelLanes:
         ("kmul", 1e-200, 1e-200),  # the product underflows to zero
         ("kdiv", 1.1e-20, 3e305),  # the split of the divisor overflows
         ("kdiv", 1.3186702273437003e-308, 1.5111793720406807e-295),  # subnormal numerator
+        ("kadd", 1.7976931348623157e308, 1.7976931348623157e308),  # the sum overflows
+        ("ksub", 1.7976931348623157e308, -1.7976931348623157e308),
     ])
     def test_split_and_underflow_cases(self, lane, name, x, y):
         lo, hi = getattr(lane, name)(x, x, y, y)
