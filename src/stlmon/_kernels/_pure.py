@@ -79,7 +79,8 @@ def _prod_down(x: float, y: float) -> float:
 
 
 def _prod_up(x: float, y: float) -> float:
-    """Smallest float >= x*y; the mirror of _prod_down."""
+    """Smallest float >= x*y; the mirror of _prod_down (the split is
+    repeated, not shared, to save a call per bound)."""
     p = x * y
     ap = abs(p)
     if ap > _BIG or (ap < _TINY and x != 0.0 and y != 0.0):
@@ -124,8 +125,8 @@ def kmul(al: float, ah: float, bl: float, bh: float):
 
 def _quot_rem(a: float, b: float, q: float) -> float:
     """a - q*b exactly, for q the rounded quotient a/b (b nonzero): q is
-    below a/b when it has the sign of b.  NaN when the split or the
-    error term may overflow or underflow."""
+    below a/b when this residual has the sign of b.  NaN when the split
+    or the error term may overflow or underflow."""
     aq = abs(q)
     aa = abs(a)
     if aq > _BIG or (aq < _TINY and q != 0.0) or aa > _BIG or 0.0 < aa < _TINY:

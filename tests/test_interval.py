@@ -298,7 +298,6 @@ _EXACT = {
 }
 
 
-
 # The corner formula of the previous kernels, kept as a reference: every
 # corner rounded both ways, bounds the min and max of the four.  Each
 # corner also reports whether it took a widening branch (a result outside
