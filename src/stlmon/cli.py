@@ -193,7 +193,10 @@ def cmd_trace(args) -> int:
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, help="model file path or builtin name")
     p.add_argument("--order", type=int, default=15, help="Taylor order")
-    p.add_argument("--tol", type=float, default=1e-15, help="step truncation target")
+    p.add_argument(
+        "--tol", type=float, default=1e-15,
+        help="bound on each integration step's Lagrange remainder term",
+    )
 
 
 def _add_formula(p: argparse.ArgumentParser) -> None:

@@ -1,18 +1,25 @@
 """Validated ODE integration: the solution-enclosure operator.
 
-Each accepted step certifies, via a Picard-Lindelof contraction, that
-every solution through the current enclosure stays inside an apriori
-box over the step, then tightens it with an interval Taylor expansion:
+Each accepted step of size h certifies a high-order a-priori enclosure
+(Nedialkov, Jackson & Pryce, Reliable Computing 7, 2001): for a trial
+box T, if
 
-    z(t0 + s)  in  sum_{i<=k} z^[i](z0) s^i  +  z^[k+1](apriori) s^{k+1}
+    E = sum_{i<=k} z^[i](zbox) [0,h]^i + z^[k+1](T) [0,h]^{k+1}
 
-for every s in [0, h].  The coefficient functions z^[i] are evaluated
-in mean-value form, z^[i](z0) in c_i + S_i (z0 - zhat), where c_i is
-the point expansion at the box midpoint and S_i the jet-computed
-coefficient Jacobian over the step's start box.  The parameterized
-deviation z0 - zhat = B r is carried in a QR-orthogonalized frame
-(Lohner's method) so that long integrations do not fall to the
-wrapping effect.
+lies inside T, every solution through the step's start box zbox stays
+in E over the whole step, and satisfies
+
+    z(t0 + s)  in  sum_{i<=k} z^[i](z0) s^i  +  z^[k+1](T) s^{k+1}
+
+for every s in [0, h].  A step is accepted only when its Lagrange term
+|z^[k+1](T)| h^{k+1} is at most tol and E lies in the state domain; a
+step that fails, or whose flow is undefined over T, is halved.  The
+coefficient functions z^[i] are evaluated in mean-value form,
+z^[i](z0) in c_i + S_i (z0 - zhat), where c_i is the point expansion at
+the box midpoint and S_i the jet-computed coefficient Jacobian over the
+step's start box.  The parameterized deviation z0 - zhat = B r is
+carried in a QR-orthogonalized frame (Lohner's method) so that long
+integrations do not fall to the wrapping effect.
 
 Parameters whose run box is a point are folded into the flow as
 constants (a point interval is one float, so this is exact).  The
@@ -202,38 +209,31 @@ class SignalEnclosure:
         k = self.order
         t0 = self.horizon_reached
         zbox = self._current_box()
-        self._check_domain(zbox, t0)
+        if not self._in_domain(zbox):
+            raise IntegrationError(
+                f"enclosure left the state domain at t={t0:.6g}", horizon_reached=t0
+            )
 
         point = state_series(self._prog, list(self._zhat), k, interval_const)
+        # the jets depend on the start box only; their values are the
+        # coefficient enclosures z^[i](zbox) every trial step reuses
+        jets = state_series(
+            self._prog, jet_seed(zbox, self.d), k, self._jet_const
+        )
         h = self._choose_h(point, t0, target_time)
 
         while True:
             t1 = t0 + h
             span = Interval(t1) - Interval(t0)  # encloses the exact real step
-            apriori = self._picard(zbox, Interval(0.0, span.hi))
-            if apriori is not None:
+            found = self._enclose(zbox, jets, Interval(0.0, span.hi))
+            if isinstance(found, tuple):
+                apriori, remainder = found
                 break
             h *= 0.5
             if h < _T_MIN:
                 raise IntegrationError(
-                    f"step size underflow at t={t0:.6g}", horizon_reached=t0
+                    f"step size underflow at t={t0:.6g}: {found}", horizon_reached=t0
                 )
-        # the whole step, not only its start, must stay where the model holds
-        self._check_domain(apriori, t0, t1)
-
-        jets = state_series(
-            self._prog, jet_seed(zbox, self.d), k, self._jet_const
-        )
-        try:
-            tail = state_series(self._prog, list(apriori), k + 1, interval_const)
-        except ZeroDivisionError:
-            raise IntegrationError(
-                f"flow undefined over the apriori box at t={t0:.6g}",
-                horizon_reached=t0,
-            ) from None
-        # parameter rows of the series are constant: dense output and
-        # the remainder keep the state rows only
-        remainder = [tail[j][k + 1] for j in range(self.n)]
 
         dev = _imat_vec(_lift(self._B), self._r)
         coeffs = []
@@ -243,8 +243,7 @@ class SignalEnclosure:
 
         self.steps.append(
             StepModel(
-                t0=t0, t1=t1, coeffs=coeffs, remainder=remainder,
-                apriori=apriori[: self.n],
+                t0=t0, t1=t1, coeffs=coeffs, remainder=remainder, apriori=apriori,
             )
         )
         self._starts.append(t0)
@@ -252,13 +251,11 @@ class SignalEnclosure:
         self.horizon_reached = t1
         self._last_h = h
 
-    def _check_domain(self, box: list, t0: float, t1: float | None = None) -> None:
-        for j, dom in enumerate(self.system.x_domain.ivs):
-            if box[j].lo < dom.lo or box[j].hi > dom.hi:
-                when = f"at t={t0:.6g}" if t1 is None else f"over [{t0:.6g}, {t1:.6g}]"
-                raise IntegrationError(
-                    f"enclosure left the state domain {when}", horizon_reached=t0
-                )
+    def _in_domain(self, box: list) -> bool:
+        return all(
+            dom.lo <= box[j].lo and box[j].hi <= dom.hi
+            for j, dom in enumerate(self.system.x_domain.ivs)
+        )
 
     def _choose_h(self, point, t0: float, target_time: float) -> float:
         k = self.order
@@ -275,25 +272,42 @@ class SignalEnclosure:
             h = remaining
         return max(min(h, remaining), _T_MIN)
 
-    def _picard(self, zbox: list, s: Interval) -> list | None:
-        rates = eval_box(self._prog, zbox)
-        trial = [
-            inflate(zbox[j] + s * rates[j], 1.1) if j < self.n else zbox[j]
-            for j in range(self.d)
-        ]
+    def _enclose(self, zbox: list, jets, s: Interval) -> tuple | str:
+        """(E, z^[k+1](T)) on the state rows for the step s = [0, h] (see
+        the module docstring): T is a trial box that contains E, E lies
+        in the state domain and the Lagrange term meets tol.  Otherwise
+        the reason why the step size h must shrink.
+        """
+        k, n = self.order, self.n
+        # the polynomial part in Horner's form, which over s = [0, h] lies
+        # inside the sum of the terms z^[i](zbox) [0,h]^i (subdistributivity)
+        poly = []
+        for j in range(n):
+            acc = jets[j][k].val
+            for i in range(k - 1, -1, -1):
+                acc = acc * s + jets[j][i].val
+            poly.append(acc)
+        sk1 = s.powi(k + 1)
+        fixed = list(zbox[n:])
+        trial = [inflate(p, 1.1) for p in poly] + fixed
         for _ in range(12):
-            rates = eval_box(self._prog, trial)
-            new = [zbox[j] + s * rates[j] for j in range(self.n)] + list(zbox[self.n:])
-            if all(
-                trial[j].lo <= new[j].lo and new[j].hi <= trial[j].hi
-                for j in range(self.n)
-            ):
-                return new
-            trial = [
-                inflate(new[j].hull(trial[j]), 1.2) if j < self.n else trial[j]
-                for j in range(self.d)
-            ]
-        return None
+            try:
+                tail = state_series(self._prog, trial, k + 1, interval_const)
+            except ZeroDivisionError:
+                return "flow undefined over the trial box"
+            # parameter rows of the series are constant: the remainder
+            # keeps the state rows only
+            remainder = [tail[j][k + 1] for j in range(n)]
+            # a wider trial box only widens the remainder
+            if max(r.mag() for r in remainder) * sk1.hi > self.tol:
+                return "Lagrange remainder above tol"
+            box = [p + r * sk1 for p, r in zip(poly, remainder)]
+            if all(trial[j].contains_interval(box[j]) for j in range(n)):
+                if not self._in_domain(box):
+                    return "enclosure left the state domain"
+                return box, remainder
+            trial = [inflate(b.hull(t), 1.2) for b, t in zip(box, trial)] + fixed
+        return "no trial box contains its enclosure"
 
     def _propagate_frame(self, point, jets, remainder, span: Interval) -> None:
         k = self.order

@@ -87,7 +87,11 @@ eval_box = None
 @dataclass(frozen=True)
 class MonitorConfig:
     """Taylor order and step truncation target of the validated
-    integration; the zero search has no knobs."""
+    integration; the zero search has no knobs.
+
+    tol bounds each accepted step's Lagrange remainder term
+    max_j |z_j^[order+1](T)| h^(order+1), T the step's trial box.
+    """
 
     order: int = 15
     tol: float = 1e-15

@@ -158,8 +158,8 @@ class TestModelLimits:
         assert "x - 1e999 < 0" in json.loads(dumped[1])["sets"]
 
     def test_step_leaving_the_state_domain_is_unknown(self, capsys):
-        # timer's domain is x in [-1, 25]; one step over [0, 30] has the
-        # apriori box [0, 30] although it starts inside the domain
+        # timer's domain is x in [-1, 25]; steps that would leave it are
+        # halved until the step size underflows near t = 25
         code, out, _ = run_cli(
             capsys, "verify", "--model", "timer", "--formula", "G[0,30] (x - 1 < 0)"
         )

@@ -15,7 +15,7 @@ from stlmon.errors import IntegrationError
 from stlmon.expr import eval_point
 from stlmon.integrator import SignalEnclosure, StepModel
 from stlmon.interval import Interval, IntervalBox
-from stlmon.system import load_builtin
+from stlmon.system import load_builtin, parse_model
 
 
 def point_box(*vals):
@@ -107,6 +107,133 @@ class TestOracleContainment:
             for iv, v in zip(box.ivs, col):
                 # DOP853 at 1e-12 is itself only approximate; allow its noise
                 assert iv.lo - 1e-8 <= v <= iv.hi + 1e-8
+
+
+def reference_at(system, u, times):
+    """DOP853 solution (rtol = atol = 1e-12) at each of the given times."""
+    x0 = [iv.lo for iv in system.x_init.ivs]
+
+    def rhs(_t, x):
+        return [eval_point(f, u, x) for f in system.flow]
+
+    uniq = sorted(set(times))
+    sol = solve_ivp(
+        rhs, (0.0, uniq[-1]), x0, t_eval=uniq, rtol=1e-12, atol=1e-12,
+        method="DOP853",
+    )
+    assert sol.success
+    return dict(zip(uniq, sol.y.T))
+
+
+class TestStepEnclosures:
+    """Each accepted step's a-priori box holds the solution over the whole
+    step, and its Lagrange term |z^[k+1](T)| h^(k+1) is at most tol."""
+
+    # (model, point parameters, horizon, order, tol).  At the default
+    # orders the remainder is far below the reference's own error; the
+    # low orders make it large enough for the reference to resolve a
+    # remainder that is missing or evaluated over too small a box.
+    CASES = [
+        ("rotation", [0.05], 10.0, 15, 1e-15),
+        ("rotation", [-0.05], 10.0, 15, 1e-15),
+        ("lorenz", [10.0, 28.0, 2.5], 2.0, 20, 1e-15),
+        ("rotation", [0.05], 4.0, 2, 1e-3),
+        ("rotation", [-0.05], 4.0, 2, 1e-3),
+        ("lorenz", [10.0, 28.0, 2.5], 2.0, 4, 1e-6),
+    ]
+
+    @staticmethod
+    def integrate(name, u, horizon, order, tol):
+        system = load_builtin(name)
+        enc = SignalEnclosure(system, u_box=point_box(*u), order=order, tol=tol)
+        enc.extend(horizon)
+        return system, enc
+
+    @pytest.mark.parametrize("name,u,horizon,order,tol", CASES)
+    def test_apriori_contains_reference(self, name, u, horizon, order, tol):
+        system, enc = self.integrate(name, u, horizon, order, tol)
+        samples = [
+            (step, t)
+            for step in enc.steps
+            for t in [step.t0]
+            + [step.t0 + f * (step.t1 - step.t0) for f in (0.25, 0.5, 0.75)]
+            + [step.t1]
+        ]
+        ref = reference_at(system, u, [t for _, t in samples])
+        for step, t in samples:
+            for iv, v in zip(step.apriori, ref[t]):
+                # DOP853's own error, relative to the solution's size
+                slack = 1e-9 * max(1.0, abs(v))
+                assert iv.lo - slack <= v <= iv.hi + slack, (t, iv, v)
+
+    @pytest.mark.parametrize("name,u,horizon,order,tol", CASES)
+    def test_lagrange_term_meets_tol(self, name, u, horizon, order, tol):
+        _, enc = self.integrate(name, u, horizon, order, tol)
+        for step in enc.steps:
+            term = max(r.mag() for r in step.remainder) * (step.t1 - step.t0) ** (order + 1)
+            assert term <= tol * (1.0 + 1e-9), (step.t0, term)
+
+
+# rotation at zero drift, whose orbit x1^2 + x2^2 = 1 nearly fills the domain
+TIGHT_ROTATION = """
+[vars] x1 in [-1.01, 1.01]
+       x2 in [-1.01, 1.01]
+[init] x1 = 1
+       x2 = 0
+[flow] x1' = -x2
+       x2' = x1
+"""
+
+# y' is 0 everywhere, but its expression divides by x - 1.95, which
+# vanishes just outside the domain
+POLE_PAST_DOMAIN = """
+[vars] x in [-1, 1.9]
+       y in [-1, 1]
+[init] x = 0
+       y = 0
+[flow] x' = 1
+       y' = 0 * (1 / (x - 1.95))
+"""
+
+
+class TestStateDomain:
+    """A step whose enclosure leaves the domain, or whose flow is undefined
+    over the trial box, is shortened; only a start box outside the domain
+    or a step size underflow refuses."""
+
+    @staticmethod
+    def verdict(system, text):
+        from stlmon.monitor import monitor_stl
+        from stlmon.stl import parse_formula
+
+        return monitor_stl(system, parse_formula(text, system.resolver(allow_params=False)))
+
+    @pytest.mark.parametrize("text", ["G[0,6] (x1 - 2 < 0)", "F[0,6] (x1 + 0.5 < 0)"])
+    def test_step_leaving_the_domain_is_shortened(self, text):
+        system = parse_model(TIGHT_ROTATION)
+        v = self.verdict(system, text)
+        assert (v.outcome, v.unknown_cause) == ("Valid", None)
+        enc = SignalEnclosure(system)
+        enc.extend(6.0)
+        for step in enc.steps:
+            assert system.x_domain.contains_box(IntervalBox(step.apriori))
+
+    def test_flow_undefined_over_the_trial_box_shortens_the_step(self):
+        system = parse_model(POLE_PAST_DOMAIN)
+        enc = SignalEnclosure(system)
+        enc.extend(1.88)
+        # the first trial step, over [0, 1.88], has x - 1.95 straddle 0
+        assert len(enc.steps) > 1 and enc.steps[0].t1 < 1.88
+        v = self.verdict(system, "F[0,1.88] !(x - 1.5 < 0)")
+        assert (v.outcome, v.unknown_cause) == ("Valid", None)
+
+    def test_solution_leaving_the_domain_is_refused(self):
+        # timer's domain is x in [-1, 25]: steps shrink towards t = 25
+        # until the step size underflows
+        enc = SignalEnclosure(load_builtin("timer"))
+        with pytest.raises(IntegrationError, match="underflow") as exc:
+            enc.extend(30.0)
+        assert 24.0 < exc.value.horizon_reached <= 25.0
 
 
 class TestStepStructure:
