@@ -90,9 +90,11 @@ def _write_trace(enc: SignalEnclosure, path: str, var_names) -> None:
         for name in var_names:
             header += [f"{name}_lo", f"{name}_hi"]
         writer.writerow(header)
-        times = [s.t0 for s in enc.steps]
         if enc.steps:
-            times.append(enc.steps[-1].t1)
+            times = [s.t0 for s in enc.steps] + [enc.steps[-1].t1]
+        else:
+            # with no step taken, the initial box still answers t = 0
+            times = [0.0] if enc.failure is None else []
         for t in times:
             box = enc.eval(Interval(t))
             row = [repr(t)]

@@ -33,7 +33,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
@@ -79,6 +80,15 @@ def _lift(M):
     return [[Interval(x) for x in row] for row in M]
 
 
+def _horner(cols, s):
+    """sum_i cols[i] s^i in Horner's form, componentwise: cols[i] is the
+    vector of order-i terms."""
+    acc = cols[-1]
+    for c in reversed(cols[:-1]):
+        acc = [a * s + x for a, x in zip(acc, c)]
+    return acc
+
+
 @dataclass
 class StepModel:
     """Dense output over one accepted step [t0, t1], state rows only.
@@ -97,11 +107,8 @@ class StepModel:
     apriori: list         # list of Interval, length n_vars
 
     def eval_local(self, s: Interval) -> list:
-        acc = self.remainder
-        for ci in reversed(self.coeffs):
-            acc = [a * s + c for a, c in zip(acc, ci)]
         out = []
-        for v, ap in zip(acc, self.apriori):
+        for v, ap in zip(_horner(self.coeffs + [self.remainder], s), self.apriori):
             w = v.intersect(ap)
             # both operands enclose the same solution set, so an empty
             # intersection means an enclosure is unsound
@@ -174,14 +181,8 @@ class SignalEnclosure:
             self.failure = exc
 
         self.steps: list[StepModel] = []
-        self._starts: list[float] = []
         self.horizon_reached = 0.0
         self._last_h: float | None = None
-        # sparse table of range hulls over step apriori boxes; level k
-        # entry i is the hull of steps [i, i + 2^k); rebuilt lazily so a
-        # window query over m interior steps costs O(1) hulls instead of m
-        self._hull_levels: list[list[list[Interval]]] = []
-        self._hull_len = 0
 
     # -- integration -------------------------------------------------
 
@@ -195,8 +196,8 @@ class SignalEnclosure:
                 self.failure = exc
                 raise
 
-    def _current_box(self) -> list:
-        box = [z + dv for z, dv in zip(self._zhat, _imat_vec(_lift(self._B), self._r))]
+    def _current_box(self, dev: list) -> list:
+        box = [z + dv for z, dv in zip(self._zhat, dev)]
         # parameter components are constant in truth; the frame change
         # can only overapproximate them
         for j, u in enumerate(self._u_free):
@@ -208,7 +209,8 @@ class SignalEnclosure:
     def _step(self, target_time: float) -> None:
         k = self.order
         t0 = self.horizon_reached
-        zbox = self._current_box()
+        dev = _imat_vec(_lift(self._B), self._r)
+        zbox = self._current_box(dev)
         if not self._in_domain(zbox):
             raise IntegrationError(
                 f"enclosure left the state domain at t={t0:.6g}", horizon_reached=t0
@@ -235,7 +237,6 @@ class SignalEnclosure:
                     f"step size underflow at t={t0:.6g}: {found}", horizon_reached=t0
                 )
 
-        dev = _imat_vec(_lift(self._B), self._r)
         coeffs = []
         for i in range(k + 1):
             s_dev = _imat_vec([jets[rj][i].grad for rj in range(self.n)], dev)
@@ -246,7 +247,6 @@ class SignalEnclosure:
                 t0=t0, t1=t1, coeffs=coeffs, remainder=remainder, apriori=apriori,
             )
         )
-        self._starts.append(t0)
         self._propagate_frame(point, jets, remainder, span)
         self.horizon_reached = t1
         self._last_h = h
@@ -267,6 +267,13 @@ class SignalEnclosure:
         h *= 0.9
         if self._last_h is not None:
             h = min(h, 5.0 * self._last_h)
+        # h = 0 only when a coefficient is infinite; the step's interval
+        # arithmetic reports that as a NumericError
+        if 0.0 < h < _T_MIN:
+            raise IntegrationError(
+                f"step size underflow at t={t0:.6g}: accuracy estimate {h:.3g}",
+                horizon_reached=t0,
+            )
         remaining = target_time - t0
         if not math.isfinite(h):
             h = remaining
@@ -281,12 +288,7 @@ class SignalEnclosure:
         k, n = self.order, self.n
         # the polynomial part in Horner's form, which over s = [0, h] lies
         # inside the sum of the terms z^[i](zbox) [0,h]^i (subdistributivity)
-        poly = []
-        for j in range(n):
-            acc = jets[j][k].val
-            for i in range(k - 1, -1, -1):
-                acc = acc * s + jets[j][i].val
-            poly.append(acc)
+        poly = _horner([[jets[j][i].val for j in range(n)] for i in range(k + 1)], s)
         sk1 = s.powi(k + 1)
         fixed = list(zbox[n:])
         trial = [inflate(p, 1.1) for p in poly] + fixed
@@ -314,18 +316,16 @@ class SignalEnclosure:
         d = self.d
         # point value and coefficient Jacobian at the step's far end
         sk1 = span.powi(k + 1)
-        p_end = [point[j][k] for j in range(d)]
-        for i in range(k - 1, -1, -1):
-            p_end = [p * span + point[j][i] for j, p in enumerate(p_end)]
+        p_end = _horner([[point[j][i] for j in range(d)] for i in range(k + 1)], span)
         # parameter rows have no remainder: their series is the constant
         p_end = [p + r * sk1 for p, r in zip(p_end, remainder)] + p_end[self.n:]
 
-        S = [[jets[rj][k].grad[cj] for cj in range(d)] for rj in range(d)]
-        for i in range(k - 1, -1, -1):
-            S = [
-                [S[rj][cj] * span + jets[rj][i].grad[cj] for cj in range(d)]
-                for rj in range(d)
-            ]
+        # the d x d rows flattened into one vector per order
+        S = _horner(
+            [[g for rj in range(d) for g in jets[rj][i].grad] for i in range(k + 1)],
+            span,
+        )
+        S = [S[rj * d:(rj + 1) * d] for rj in range(d)]
 
         A = _imat_mat(S, _lift(self._B))
         zhat_new = [Interval(p.mid()) for p in p_end]
@@ -381,46 +381,21 @@ class SignalEnclosure:
 
     # -- queries -----------------------------------------------------
 
-    def _rebuild_hull_table(self) -> None:
-        base = [s.apriori for s in self.steps]
-        levels = [base]
-        k = 1
-        while (1 << k) <= len(base):
-            prev = levels[-1]
-            half = 1 << (k - 1)
-            levels.append(
-                [
-                    [a.hull(b) for a, b in zip(prev[i], prev[i + half])]
-                    for i in range(len(base) - (1 << k) + 1)
-                ]
-            )
-            k += 1
-        self._hull_levels = levels
-        self._hull_len = len(base)
-
-    def _range_hull(self, i: int, j: int) -> list:
-        """Hull of the apriori boxes of steps i..j inclusive (state part)."""
-        if self._hull_len != len(self.steps):
-            self._rebuild_hull_table()
-        k = (j - i + 1).bit_length() - 1
-        a = self._hull_levels[k][i]
-        b = self._hull_levels[k][j - (1 << k) + 1]
-        if i == j - (1 << k) + 1:
-            return a
-        return [x.hull(y) for x, y in zip(a, b)]
+    def _index(self, t: float) -> int:
+        """Index of the accepted step whose span contains time t."""
+        return max(bisect_right(self.steps, t, key=attrgetter("t0")) - 1, 0)
 
     def step_span_at(self, t: float) -> float:
         """Width of the accepted step whose span contains time t."""
-        idx = max(bisect_right(self._starts, t) - 1, 0)
-        step = self.steps[idx]
+        step = self.steps[self._index(t)]
         return step.t1 - step.t0
 
     def eval(self, t: Interval) -> IntervalBox:
         """Hull of the state enclosure over the time window t (x only).
 
-        Callers must have extended past t.hi; uses dense output on the
-        partially covered boundary steps, and the range-hull table of
-        apriori boxes over the fully covered interior run.
+        Callers must have extended past t.hi.  Each step the window fully
+        covers contributes its apriori box; a partially covered step
+        contributes its dense output over the clipped local window.
         """
         if t.lo < 0.0 or t.hi > self.horizon_reached:
             raise ValueError(
@@ -430,37 +405,21 @@ class SignalEnclosure:
             # only the query at time 0 gets here, and the initial box answers it
             return self.init_box
 
-        def partial(step: StepModel) -> list:
-            s = (t - Interval(step.t0)).intersect(
-                Interval(0.0, (Interval(step.t1) - Interval(step.t0)).hi)
-            )
-            if s is EMPTY:
-                raise IntegrationError(
-                    f"query {t} misses the step [{step.t0}, {step.t1}]",
-                    horizon_reached=self.horizon_reached,
-                )
-            return step.eval_local(s)
-
-        i = max(bisect_right(self._starts, t.lo) - 1, 0)
-        j = max(bisect_right(self._starts, t.hi) - 1, i)
         acc: list | None = None
-        lo_full = i
-        first = self.steps[i]
-        if not (t.lo <= first.t0 and first.t1 <= t.hi):
-            acc = partial(first)
-            lo_full = i + 1
-        hi_full = j
-        if j > i and self.steps[j].t1 > t.hi:
-            vals = partial(self.steps[j])
+        for step in self.steps[self._index(t.lo):self._index(t.hi) + 1]:
+            if t.lo <= step.t0 and step.t1 <= t.hi:
+                vals = step.apriori
+            else:
+                s = (t - Interval(step.t0)).intersect(
+                    Interval(0.0, (Interval(step.t1) - Interval(step.t0)).hi)
+                )
+                if s is EMPTY:
+                    raise IntegrationError(
+                        f"query {t} misses the step [{step.t0}, {step.t1}]",
+                        horizon_reached=self.horizon_reached,
+                    )
+                vals = step.eval_local(s)
             acc = vals if acc is None else [a.hull(v) for a, v in zip(acc, vals)]
-            hi_full = j - 1
-        if lo_full <= hi_full:
-            vals = self._range_hull(lo_full, hi_full)
-            acc = vals if acc is None else [a.hull(v) for a, v in zip(acc, vals)]
-        if acc is None:
-            raise IntegrationError(
-                f"query {t} covers no step", horizon_reached=self.horizon_reached
-            )
         return IntervalBox(acc)
 
     def eval_point(self, t: float) -> IntervalBox:

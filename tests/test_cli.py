@@ -323,6 +323,26 @@ class TestTrace:
         assert code == 0
         assert out_path.read_text() == ref_path.read_text()
 
+    def test_trace_without_a_step_writes_the_initial_row(self, capsys, tmp_path):
+        out_path = tmp_path / "trace.csv"
+        code, _, _ = run_cli(
+            capsys, "trace", "--model", "timer", "--horizon", "0",
+            "--output", str(out_path),
+        )
+        assert code == 0
+        assert out_path.read_text().splitlines() == ["t,x_lo,x_hi", "0.0,0.0,0.0"]
+
+    def test_verify_trace_of_depth_zero_formula_writes_the_initial_row(
+        self, capsys, tmp_path
+    ):
+        out_path = tmp_path / "verify.csv"
+        code, _, _ = run_cli(
+            capsys, "verify", "--model", "timer", "--formula", "x - 1 < 0",
+            "--trace", str(out_path),
+        )
+        assert code == 0
+        assert out_path.read_text().splitlines() == ["t,x_lo,x_hi", "0.0,0.0,0.0"]
+
     def test_verify_with_trace_writes_csv(self, capsys, tmp_path):
         out_path = tmp_path / "run.csv"
         code, _, _ = run_cli(

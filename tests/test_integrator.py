@@ -235,6 +235,70 @@ class TestStateDomain:
             enc.extend(30.0)
         assert 24.0 < exc.value.horizon_reached <= 25.0
 
+    def test_accuracy_step_below_the_floor_raises(self):
+        # at order 1 the timer's accuracy estimate is 0.9 tol = 9e-16,
+        # below the smallest step; lifting it to the floor would crawl
+        enc = SignalEnclosure(load_builtin("timer"), order=1)
+        with pytest.raises(IntegrationError, match="underflow"):
+            enc.extend(1e-12)
+        assert enc.steps == [] and enc.horizon_reached == 0.0
+
+
+class TestWindowQueries:
+    """A window query over many steps holds every solution value in the
+    window, and holds every query over a sub-window."""
+
+    @pytest.fixture(scope="class")
+    def rotation(self):
+        system = load_builtin("rotation")
+        enc = SignalEnclosure(system, u_box=point_box(0.05))
+        enc.extend(10.0)
+        return system, enc
+
+    @staticmethod
+    def windows(enc):
+        st = enc.steps
+        assert len(st) >= 10
+
+        def mid(i):
+            return 0.5 * (st[i].t0 + st[i].t1)
+
+        return [
+            (st[2].t0, st[6].t0),                        # both ends on boundaries
+            (st[3].t1, mid(7)),                          # starts on a boundary
+            (mid(1), st[5].t1),                          # ends on a boundary
+            (st[4].t0 + 0.1 * (st[4].t1 - st[4].t0), mid(4)),  # inside one step
+            (mid(0), mid(len(st) - 2)),                  # spans most steps
+            (0.0, enc.horizon_reached),                  # the whole horizon
+        ]
+
+    def test_window_holds_reference_samples(self, rotation):
+        system, enc = rotation
+        windows = self.windows(enc)
+        grids = [list(np.linspace(lo, hi, 40)) for lo, hi in windows]
+        ref = reference_at(system, [0.05], [float(t) for g in grids for t in g])
+        for (lo, hi), grid in zip(windows, grids):
+            box = enc.eval(Interval(lo, hi))
+            for t in grid:
+                for iv, v in zip(box.ivs, ref[float(t)]):
+                    # DOP853 at 1e-12 is itself only approximate; allow its noise
+                    assert iv.lo - 1e-8 <= v <= iv.hi + 1e-8
+
+    def test_window_holds_its_sub_windows(self, rotation):
+        _, enc = rotation
+        for lo, hi in self.windows(enc):
+            box = enc.eval(Interval(lo, hi))
+            # every step boundary inside the window, and points between
+            cuts = sorted(
+                set(np.linspace(lo, hi, 7).tolist())
+                | {s.t0 for s in enc.steps if lo < s.t0 < hi}
+            )
+            subs = list(zip(cuts, cuts[1:])) + [(c, c) for c in cuts]
+            subs.append((cuts[1], cuts[-2]))
+            for a, b in subs:
+                sub = enc.eval(Interval(a, b))
+                assert box.contains_box(sub), (lo, hi, a, b)
+
 
 class TestStepStructure:
     def test_steps_tile_without_gaps(self):
