@@ -19,7 +19,10 @@ z^[i](z0) in c_i + S_i (z0 - zhat), where c_i is the point expansion at
 the box midpoint and S_i the jet-computed coefficient Jacobian over the
 step's start box.  The parameterized deviation z0 - zhat = B r is
 carried in a QR-orthogonalized frame (Lohner's method) so that long
-integrations do not fall to the wrapping effect.
+integrations do not fall to the wrapping effect.  The frame Q is formed
+in floats by two-pass Gram-Schmidt and is only nearly orthonormal; the
+method stays rigorous because r is mapped through an interval enclosure
+of Q^-1, bounded by a Neumann series on I - Q^T Q.
 
 Parameters whose run box is a point are folded into the flow as
 constants (a point interval is one float, so this is exact).  The
@@ -35,8 +38,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
-
-import numpy as np
 
 from .errors import IntegrationError, NumericError
 from .expr import Const, Expr, Param, substitute_params
@@ -78,6 +79,26 @@ def _dot(row, col):
 def _lift(M):
     """Float matrix to interval matrix (exact)."""
     return [[Interval(x) for x in row] for row in M]
+
+
+def _gram_schmidt(A):
+    """Q of the QR factorization of the float matrix A, as rows.
+
+    Each column is projected off the earlier ones twice, which keeps Q
+    orthonormal to rounding level however ill-conditioned A is ("twice
+    is enough"; Giraud, Langou & Rozloznik 2005).  Q need only be nearly
+    orthonormal: the frame's rigor comes from the enclosure of Q^-1.
+    """
+    cols = []
+    for v in map(list, zip(*A)):
+        for _ in range(2):
+            for q in cols:
+                c = sum(x * y for x, y in zip(q, v))
+                v = [x - c * y for x, y in zip(v, q)]
+        norm = math.hypot(*v)
+        # a vanishing column stays zero; _rigorous_inverse then refuses Q
+        cols.append([x / norm for x in v] if norm > 0.0 else v)
+    return [list(row) for row in zip(*cols)]
 
 
 def _horner(cols, s):
@@ -172,7 +193,7 @@ class SignalEnclosure:
         # the frame half updated, so extend() never resumes after one
         self.failure: Exception | None = None
         z0 = list(self.init_box.ivs) + self._u_free
-        self._B = np.eye(self.d)
+        self._B = [[float(r == c) for c in range(self.d)] for r in range(self.d)]
         try:
             self._zhat = [Interval(v.mid()) for v in z0]
             self._r = [v - Interval(v.mid()) for v in z0]
@@ -331,12 +352,11 @@ class SignalEnclosure:
         zhat_new = [Interval(p.mid()) for p in p_end]
         delta = [p - z for p, z in zip(p_end, zhat_new)]
 
-        A_mid = np.array([[a.mid() for a in row] for row in A])
-        Q, _ = np.linalg.qr(A_mid)
+        Q = _gram_schmidt([[a.mid() for a in row] for row in A])
         Qinv = self._rigorous_inverse(Q)
         if Qinv is None:
-            Q = np.eye(d)
-            Qinv = _lift(np.eye(d))
+            Q = [[float(r == c) for c in range(d)] for r in range(d)]
+            Qinv = _lift(Q)
         self._r = [
             a + b
             for a, b in zip(
@@ -347,7 +367,7 @@ class SignalEnclosure:
         self._B = Q
 
     @staticmethod
-    def _rigorous_inverse(Q: np.ndarray):
+    def _rigorous_inverse(Q: list):
         """Interval enclosure of Q^-1 for a numerically orthonormal Q.
 
         With E = I - Q^T Q and eps = ||E||_inf < 1, the Neumann series
@@ -355,7 +375,7 @@ class SignalEnclosure:
         >= 2 tail bounded by eps^2/(1-eps).  Returns None when Q is too
         far from orthonormal for the bound to be useful.
         """
-        d = Q.shape[0]
+        d = len(Q)
         Qi = _lift(Q)
         Qt = [[Qi[c][r] for c in range(d)] for r in range(d)]
         E = _imat_mat(Qt, Qi)

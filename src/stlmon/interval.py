@@ -19,8 +19,6 @@ __all__ = [
     "IntervalBox",
     "EMPTY",
     "IntervalLike",
-    "hull",
-    "ext_div",
     "newton_step",
     "inflate",
 ]
@@ -124,9 +122,7 @@ class Interval:
 
     def __truediv__(self, other: "Interval") -> "Interval":
         if other.lo <= 0.0 <= other.hi:
-            raise ZeroDivisionError(
-                f"division by zero-containing interval {other}; use ext_div"
-            )
+            raise ZeroDivisionError(f"division by zero-containing interval {other}")
         return Interval(*kdiv(self.lo, self.hi, other.lo, other.hi))
 
     def powi(self, n: int) -> "Interval":
@@ -261,58 +257,6 @@ def _has_multiple_of_two_pi(lo: float, hi: float) -> bool:
 # --- module-level operations -------------------------------------------
 
 
-def hull(intervals: Iterable[IntervalLike]) -> IntervalLike:
-    out: IntervalLike = EMPTY
-    for iv in intervals:
-        if iv.is_empty:
-            continue
-        out = iv if out.is_empty else out.hull(iv)
-    return out
-
-
-def ext_div(a: Interval, b: Interval, d: Interval) -> IntervalLike:
-    """Hull of {delta in d | exists alpha in a, beta in b: alpha = beta*delta}.
-
-    Implements the four-case extended division, including the half-infinite
-    conventions when a bound of b is exactly zero.  The result of a split
-    set is returned as its hull.
-    """
-    if a.is_empty or b.is_empty or d.is_empty:
-        raise ValueError("ext_div requires non-empty operands")
-    if not (b.lo <= 0.0 <= b.hi):
-        return (a / b).intersect(d)
-    if a.lo > 0.0:
-        # excluded open gap (a.lo/b.lo, a.lo/b.hi)
-        g1 = -math.inf if b.lo == 0.0 else next_up(a.lo / b.lo)
-        g2 = math.inf if b.hi == 0.0 else next_down(a.lo / b.hi)
-        return _box_minus_gap(d, g1, g2)
-    if a.hi < 0.0:
-        # excluded open gap (a.hi/b.hi, a.hi/b.lo)
-        g1 = -math.inf if b.hi == 0.0 else next_up(a.hi / b.hi)
-        g2 = math.inf if b.lo == 0.0 else next_down(a.hi / b.lo)
-        return _box_minus_gap(d, g1, g2)
-    return d
-
-
-def _box_minus_gap(d: Interval, g1: float, g2: float) -> IntervalLike:
-    """Hull of d with the open gap (g1, g2) removed.
-
-    The gap endpoints are rounded toward each other by the caller, so the
-    kept pieces can only grow (containment-safe).
-    """
-    if g2 < g1:
-        return d
-    left = d.lo <= g1
-    right = g2 <= d.hi
-    if left and right:
-        return d
-    if left:
-        return Interval(d.lo, min(d.hi, g1))
-    if right:
-        return Interval(max(d.lo, g2), d.hi)
-    return EMPTY
-
-
 def newton_step(
     f_at_anchor: Interval,
     df_over_domain: Interval,
@@ -321,14 +265,17 @@ def newton_step(
 ) -> IntervalLike:
     """One interval-Newton step expanded at ``anchor``.
 
-    Returns anchor + ext_div(-f(anchor), df(domain), domain - anchor),
-    clipped to the domain; every root of f in the domain is retained, and
-    an empty result certifies that no root exists.
+    Returns anchor + (-f(anchor) / df(domain)) intersected with
+    domain - anchor, clipped to the domain; df(domain) must exclude
+    zero.  Every root of f in the domain is retained, and an empty
+    result certifies that no root exists.
     """
     if anchor not in domain:
         raise ValueError("anchor must lie in the domain")
+    if 0.0 in df_over_domain:
+        raise ValueError("derivative enclosure must exclude zero")
     anc = Interval(anchor)
-    shifted = ext_div(-f_at_anchor, df_over_domain, domain - anc)
+    shifted = (-f_at_anchor / df_over_domain).intersect(domain - anc)
     if shifted.is_empty:
         return EMPTY
     return (anc + shifted).intersect(domain)

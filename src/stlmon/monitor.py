@@ -125,7 +125,11 @@ class Verdict:
     sets: dict[str, ApproxSet] | None = None
 
     def __post_init__(self):
-        assert (self.outcome == UNKNOWN) == (self.unknown_cause is not None)
+        if (self.outcome == UNKNOWN) != (self.unknown_cause is not None):
+            raise ValueError(
+                f"outcome {self.outcome!r} with cause {self.unknown_cause!r}: "
+                "exactly the Unknown outcome carries a cause"
+            )
 
     def to_json(self) -> dict:
         from .timesets import to_json as set_json
@@ -255,15 +259,22 @@ def _contract(
     Each end moves onto an endpoint of the interval Newton image, or half
     or one image width beyond it, only where f has that end's strict
     sign, so the bracket property holds after every move.  The loop ends
-    at the first step that moves neither end.
+    at the first step that moves neither end, or whose d/dt f enclosure
+    over the current bracket contains zero.
     """
     a, b = t.lo, t.hi
     for _ in range(_MAX_CONTRACT):
         if stats is not None:
             stats.newton_iterations += 1
         t = Interval(a, b)
+        df = dt_enclosure(f, enc, t)
+        if 0.0 in df:
+            # t lies in the sweep window whose rate enclosure excluded
+            # zero, so it is still a bracket; a sub-window's enclosure can
+            # come out wider by rounding
+            break
         m = t.mid()
-        image = newton_step(_f_at(f, enc, Interval(m)), dt_enclosure(f, enc, t), t, m)
+        image = newton_step(_f_at(f, enc, Interval(m)), df, t, m)
         if image.is_empty:
             # a bracket holds a root of every signal: the enclosures disagree
             raise TangencyError("empty Newton image over a certified bracket")

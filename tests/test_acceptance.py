@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 
 from stlmon.errors import AmbiguityError
 from stlmon.expr import eval_point
-from stlmon.interval import Interval, IntervalBox, ext_div
+from stlmon.interval import Interval, IntervalBox
 from stlmon.monitor import UNKNOWN, UNSAT, VALID, MonitorConfig, monitor_stl
 from stlmon.stl import formula_to_str, parse_formula
 from stlmon.system import load_builtin
@@ -164,8 +164,8 @@ def test_lorenz_certification():
 
 def test_property_suites():
     """Randomized property checks across the stack: interval containment
-    fuzz, extended-division feasibility, time-set grid oracles, integrator
-    oracle containment, and verdict-vs-simulation spot checks."""
+    fuzz, time-set grid oracles, integrator oracle containment, and
+    verdict-vs-simulation spot checks."""
     ok = True
 
     # 10^4 interval containment cases + elementary functions
@@ -174,9 +174,6 @@ def test_property_suites():
     elem = test_interval.TestElementary()
     for fname in ("sin", "cos", "exp"):
         elem.test_sampled_containment(fname)
-
-    # 10^3 extended-division cases against the dense feasibility oracle
-    test_interval.TestExtDiv().test_feasibility_oracle()
 
     # 200 randomized step-function instances vs the grid oracle (the
     # canonicity check runs inside every normalize on the way)

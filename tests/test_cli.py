@@ -354,3 +354,18 @@ class TestTrace:
         )
         assert code == 0
         assert out_path.exists()
+
+
+def test_verify_runs_without_numpy():
+    # None in sys.modules makes every import of numpy fail
+    code = (
+        "import sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from stlmon.cli import main\n"
+        "sys.exit(main(['verify', '--model', 'timer', '--formula', 'F[0,3](x - 1 < 0)']))\n"
+    )
+    src = str(Path(stlmon.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["outcome"] == "Valid"

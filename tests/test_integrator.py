@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from scipy.integrate import solve_ivp
 import stlmon
 from stlmon.errors import IntegrationError
 from stlmon.expr import eval_point
-from stlmon.integrator import SignalEnclosure, StepModel
+from stlmon.integrator import SignalEnclosure, StepModel, _gram_schmidt
 from stlmon.interval import Interval, IntervalBox
 from stlmon.system import load_builtin, parse_model
 
@@ -335,6 +336,65 @@ class TestStepStructure:
         enc.extend(1.0)
         with pytest.raises(ValueError):
             enc.eval(Interval(0.0, enc.horizon_reached + 1.0))
+
+
+def conditioned_matrix(d, kappa, seed):
+    """A d x d float matrix with condition number about kappa."""
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    V, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    sigma = np.logspace(0.0, -math.log10(kappa), d)
+    return ((U * sigma) @ V.T).tolist()
+
+
+def exact_inverse(M):
+    """Inverse of the float matrix M in rationals (Gauss-Jordan)."""
+    d = len(M)
+    rows = [
+        [Fraction(x) for x in row] + [Fraction(int(r == c)) for c in range(d)]
+        for r, row in enumerate(M)
+    ]
+    for c in range(d):
+        p = next(r for r in range(c, d) if rows[r][c] != 0)
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(d):
+            if r != c and rows[r][c] != 0:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return [row[d:] for row in rows]
+
+
+FRAME_CASES = [(d, kappa, seed) for d in (2, 3) for kappa in (1e2, 1e6, 1e12, 1e15)
+               for seed in range(2)]
+
+
+class TestFrameFactor:
+    """The Lohner frame Q comes from two-pass Gram-Schmidt; its rigor
+    comes from the enclosure of Q^-1."""
+
+    @pytest.mark.parametrize("d, kappa, seed", [c for c in FRAME_CASES if c[1] <= 1e12])
+    def test_q_is_orthonormal_to_rounding_level(self, d, kappa, seed):
+        # one projection pass loses orthogonality in proportion to kappa
+        Q = [[Fraction(x) for x in row] for row in
+             _gram_schmidt(conditioned_matrix(d, kappa, seed))]
+        QtQ = [[sum(Q[k][r] * Q[k][c] for k in range(d)) for c in range(d)]
+               for r in range(d)]
+        err = max(sum(abs(int(r == c) - QtQ[r][c]) for c in range(d)) for r in range(d))
+        assert err <= 1e-14
+
+    @pytest.mark.parametrize("d, kappa, seed", FRAME_CASES)
+    def test_inverse_enclosure_holds_the_exact_inverse(self, d, kappa, seed):
+        Q = _gram_schmidt(conditioned_matrix(d, kappa, seed))
+        Qinv = SignalEnclosure._rigorous_inverse(Q)
+        assert Qinv is not None
+        for enc_row, exact_row in zip(Qinv, exact_inverse(Q)):
+            for iv, x in zip(enc_row, exact_row):
+                assert Fraction(iv.lo) <= x <= Fraction(iv.hi)
+
+    def test_vanishing_column_falls_back_to_the_identity_frame(self):
+        Q = _gram_schmidt([[1.0, 0.0], [0.0, 0.0]])
+        assert Q == [[1.0, 0.0], [0.0, 0.0]]
+        assert SignalEnclosure._rigorous_inverse(Q) is None
 
 
 class TestPointParameterFolding:

@@ -18,6 +18,7 @@ from stlmon.monitor import (
     UNSAT,
     VALID,
     MonitorStats,
+    Verdict,
     consistent_at_init,
     dt_enclosure,
     horizon_upper,
@@ -153,6 +154,27 @@ class TestSearchZero:
         with pytest.raises(TangencyError, match="budget"):
             search_zero(atom_of(sys, "cos(x) < 0"), enc, Interval(0.0, 10.0))
 
+    def test_rate_enclosure_containing_zero_stops_the_contraction(self, monkeypatch):
+        # the first Newton step sees the true rate; every later bracket
+        # gets a rate enclosure containing zero, which ends the contraction
+        sys = load_builtin("timer")
+        enc = timer_enc()
+        f = atom_of(sys, "cos(x) < 0")
+        calls = []
+
+        def widened(f, enc, t, x=None):
+            calls.append(t)
+            d = dt_enclosure(f, enc, t, x)
+            return d if len(calls) == 1 else d.hull(Interval(0.0))
+
+        monkeypatch.setattr(monitor, "dt_enclosure", widened)
+        tz = monitor._contract(f, enc, Interval(1.5, 1.6), True, None)
+        assert len(calls) == 2
+        assert 1.5 < tz.lo < tz.hi < 1.6 and math.pi / 2 in tz
+        f_lo = enc.value(f, enc.eval(Interval(tz.lo)))
+        f_hi = enc.value(f, enc.eval(Interval(tz.hi)))
+        assert f_lo.lo > 0.0 and f_hi.hi < 0.0
+
 
 class TestAtomDepths:
     def test_depths_follow_nesting(self):
@@ -261,6 +283,15 @@ class TestMonitorStl:
         v = monitor_stl(sys, phi, collect_sets=True)
         assert v.outcome == VALID
         assert any(key.startswith("true U") for key in v.sets)
+
+    @pytest.mark.parametrize(
+        "outcome, cause", [(VALID, "SearchZeroError"), (UNSAT, "IntegrationError"),
+                           (UNKNOWN, None)],
+    )
+    def test_inconsistent_verdict_is_refused(self, outcome, cause):
+        # an explicit check, so it holds under python -O as well
+        with pytest.raises(ValueError):
+            Verdict(outcome, cause)
 
     def test_verdict_json_shape(self):
         sys = load_builtin("timer")
