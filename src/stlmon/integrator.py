@@ -44,14 +44,16 @@ from .expr import Const, Expr, Param, substitute_params
 from .interval import EMPTY, Interval, IntervalBox, inflate
 from .system import ContinuousSystem
 from .taylor import (
-    TaylorProgram, compile_flow, eval_box, interval_const, jet_const_maker, jet_seed,
-    lie_derivative, state_series,
+    JetAlgebra, TaylorProgram, compile_flow, eval_box, interval_const, lie_derivative,
+    state_series,
 )
 
 __all__ = ["StepModel", "SignalEnclosure"]
 
 # the smallest step the integrator takes before giving up
 _T_MIN = 1e-14
+# the most steps one enclosure takes; every step is kept for dense output
+_MAX_STEPS = 10_000
 _ZERO = Interval(0.0)
 _ONE = Interval(1.0)
 
@@ -187,7 +189,7 @@ class SignalEnclosure:
         # with it as an extra output (rates)
         self._value_progs: dict[Expr, TaylorProgram] = {}
         self._rate_progs: dict[Expr, TaylorProgram] = {}
-        self._jet_const = jet_const_maker(self.d)
+        self._jets = JetAlgebra(self.d)
 
         # the error that stopped integration; a failed step may leave
         # the frame half updated, so extend() never resumes after one
@@ -240,9 +242,7 @@ class SignalEnclosure:
         point = state_series(self._prog, list(self._zhat), k, interval_const)
         # the jets depend on the start box only; their values are the
         # coefficient enclosures z^[i](zbox) every trial step reuses
-        jets = state_series(
-            self._prog, jet_seed(zbox, self.d), k, self._jet_const
-        )
+        jets = state_series(self._prog, zbox, k, self._jets)
         h = self._choose_h(point, t0, target_time)
 
         while True:
@@ -260,7 +260,7 @@ class SignalEnclosure:
 
         coeffs = []
         for i in range(k + 1):
-            s_dev = _imat_vec([jets[rj][i].grad for rj in range(self.n)], dev)
+            s_dev = _imat_vec([jets[rj][i][1:] for rj in range(self.n)], dev)
             coeffs.append([point[j][i] + s_dev[j] for j in range(self.n)])
 
         self.steps.append(
@@ -285,7 +285,7 @@ class SignalEnclosure:
             ck = point[j][k].mag()
             if ck > 0.0:
                 h = min(h, (self.tol / ck) ** (1.0 / k))
-        h *= 0.9
+        h = estimate = 0.9 * h
         if self._last_h is not None:
             h = min(h, 5.0 * self._last_h)
         # h = 0 only when a coefficient is infinite; the step's interval
@@ -296,6 +296,14 @@ class SignalEnclosure:
                 horizon_reached=t0,
             )
         remaining = target_time - t0
+        # the budget reads the accuracy estimate, not the growth cap that
+        # halved steps near the domain's edge leave behind
+        left = _MAX_STEPS - len(self.steps)
+        if estimate > 0.0 and (left <= 0 or remaining > left * estimate):
+            raise IntegrationError(
+                f"step budget of {_MAX_STEPS} exceeded at t={t0:.6g}: steps of "
+                f"{estimate:.3g} to reach t={target_time:.6g}", horizon_reached=t0,
+            )
         if not math.isfinite(h):
             h = remaining
         return max(min(h, remaining), _T_MIN)
@@ -309,7 +317,7 @@ class SignalEnclosure:
         k, n = self.order, self.n
         # the polynomial part in Horner's form, which over s = [0, h] lies
         # inside the sum of the terms z^[i](zbox) [0,h]^i (subdistributivity)
-        poly = _horner([[jets[j][i].val for j in range(n)] for i in range(k + 1)], s)
+        poly = _horner([[jets[j][i][0] for j in range(n)] for i in range(k + 1)], s)
         sk1 = s.powi(k + 1)
         fixed = list(zbox[n:])
         trial = [inflate(p, 1.1) for p in poly] + fixed
@@ -343,7 +351,7 @@ class SignalEnclosure:
 
         # the d x d rows flattened into one vector per order
         S = _horner(
-            [[g for rj in range(d) for g in jets[rj][i].grad] for i in range(k + 1)],
+            [[g for rj in range(d) for g in jets[rj][i][1:]] for i in range(k + 1)],
             span,
         )
         S = [S[rj * d:(rj + 1) * d] for rj in range(d)]

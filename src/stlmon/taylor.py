@@ -1,4 +1,4 @@
-"""Taylor coefficients of ODE solutions, with interval or jet elements.
+"""Taylor coefficients of ODE solutions, run on plain floats.
 
 A flow F is compiled once into a flat tape (one slot per distinct
 subexpression).  Order 0 of a tape run is the value of every slot over
@@ -26,104 +26,181 @@ out[i] = a[i] / c[0]; both drop only terms that multiply an exact zero,
 which the kernels return exactly, so they give the same coefficients as
 the full convolution in O(1) per order instead of O(i).
 
-Element type is anything with ring
-operations plus sin/cos/exp/powi: Interval for point expansions and
-remainder bounds, Jet for the solution's Jacobian (first-order forward
-AD with interval coordinates).
-
-All arithmetic bottoms out in outward-rounded interval kernels, so the
-computed coefficient boxes contain the true Taylor coefficients for
-every point of the input box.
+Elements are plain floats handed to the outward-rounded kernels, so the
+coefficient boxes contain the true Taylor coefficients for every point
+of the input box.  With interval_const an element is one (lo, hi) pair
+(point expansions, remainder bounds).  With JetAlgebra(d) it is a list
+of lower and a list of upper bounds, index 0 the value and 1..d the
+gradient (first-order forward AD seeded with the identity, for the
+coefficient Jacobian); a jet power is its factors' product at order 0
+too.  Intervals appear only in what the runners take and return.  Each
+op output is checked once: a NaN bound raises NumericError, as
+Interval's constructor does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from operator import le
 
+from ._kernels import kadd, kdiv, kmul, ksub
+from .errors import NumericError
 from .expr import Add, Const, Cos, Div, Exp, Expr, Mul, Neg, Param, Pow, Sin, Sub, Var
 from .interval import Interval
 
 __all__ = [
-    "Jet", "TaylorProgram", "compile_flow", "eval_box", "state_series",
-    "lie_derivative", "jet_seed", "interval_const", "jet_const_maker",
+    "TaylorProgram", "compile_flow", "eval_box", "state_series", "lie_derivative",
+    "interval_const", "JetAlgebra",
 ]
 
 
-class Jet:
-    """Value and gradient, both interval-valued: f and (df/dz_1, ..., df/dz_d).
-
-    Seeding component j of a box with gradient e_j and evaluating an
-    expression yields an enclosure of its value and of its true gradient
-    over the box (first-order forward-mode AD).
-    """
-
-    __slots__ = ("val", "grad")
-
-    def __init__(self, val: Interval, grad: tuple):
-        self.val = val
-        self.grad = grad
-
-    def __repr__(self):
-        return f"Jet({self.val}, grad={self.grad})"
-
-    def __add__(self, o):
-        return Jet(self.val + o.val, tuple(a + b for a, b in zip(self.grad, o.grad)))
-
-    def __sub__(self, o):
-        return Jet(self.val - o.val, tuple(a - b for a, b in zip(self.grad, o.grad)))
-
-    def __neg__(self):
-        return Jet(-self.val, tuple(-a for a in self.grad))
-
-    def __mul__(self, o):
-        return Jet(
-            self.val * o.val,
-            tuple(self.val * gb + o.val * ga for ga, gb in zip(self.grad, o.grad)),
-        )
-
-    def __truediv__(self, o):
-        w = self.val / o.val
-        return Jet(w, tuple((ga - w * gb) / o.val for ga, gb in zip(self.grad, o.grad)))
-
-    def sin(self):
-        c = self.val.cos()
-        return Jet(self.val.sin(), tuple(c * g for g in self.grad))
-
-    def cos(self):
-        s = self.val.sin()
-        return Jet(self.val.cos(), tuple(-(s * g) for g in self.grad))
-
-    def exp(self):
-        e = self.val.exp()
-        return Jet(e, tuple(e * g for g in self.grad))
-
-    def powi(self, n: int):
-        """self^n for n >= 1 as the tape's balanced product chain, so a
-        power's jet equals the products its higher orders convolve."""
-        if n == 1:
-            return self
-        if n % 2 == 0:
-            half = self.powi(n // 2)
-            return half * half
-        return self.powi(n - 1) * self
+def _pair(p: tuple) -> tuple:
+    # sound kernels keep bounds ordered, so only a NaN bound fails this
+    if p[0] <= p[1]:
+        return p
+    raise NumericError(f"NaN interval bound [{p[0]}, {p[1]}]")
 
 
-def interval_const(c: float) -> Interval:
-    return Interval(c)
+def _checked(lo: list, hi: list) -> tuple:
+    if not all(map(le, lo, hi)):
+        for p in zip(lo, hi):
+            _pair(p)
+    return lo, hi
 
 
-def jet_const_maker(dim: int):
-    zeros = (Interval(0.0),) * dim
-    return lambda c: Jet(Interval(c), zeros)
+def _divisor(y: tuple) -> tuple:
+    if y[0] <= 0.0 <= y[1]:
+        raise ZeroDivisionError(f"division by zero-containing interval {Interval(*y)}")
+    return y
 
 
-def jet_seed(box_elems, dim: int) -> list:
-    """Identity-seeded jets for the components of a box."""
-    zero, one = Interval(0.0), Interval(1.0)
-    return [
-        Jet(v, tuple(one if i == j else zero for i in range(dim)))
-        for j, v in enumerate(box_elems)
-    ]
+class _Pairs:
+    """Interval elements: one (lo, hi) float pair."""
+
+    def const(self, c: tuple) -> tuple:
+        return c
+
+    def seed(self, box: list) -> list:
+        return [(v.lo, v.hi) for v in box]
+
+    def read(self, x: tuple) -> Interval:
+        return Interval(*x)
+
+    def apply(self, kern, x, y):
+        """The sum or difference kernel kern over x and y."""
+        return _pair(kern(*x, *y))
+
+    def neg(self, x):
+        return -x[1], -x[0]
+
+    def mul(self, x, y):
+        return _pair(kmul(*x, *y))
+
+    def div(self, x, y):
+        return _pair(kdiv(*x, *_divisor(y)))
+
+    def conv(self, a: list, b: list, i: int):
+        """a[0]*b[i] + a[1]*b[i-1] + ... + a[i]*b[0], left to right."""
+        lo, hi = kmul(*a[0], *b[i])
+        for (al, ah), (bl, bh) in zip(a[1:i + 1], b[i - 1::-1]):
+            pl, ph = kmul(al, ah, bl, bh)
+            lo, hi = kadd(lo, hi, pl, ph)
+        return _pair((lo, hi))
+
+    def power(self, base: list, n: int, a: list, b: list, i: int):
+        return self.conv(a, b, i) if i else self.chain(base[0], lambda u: u.powi(n))
+
+    def chain(self, x, f, df=None, negate: bool = False):
+        """f over x (jets also need its derivative df)."""
+        v = f(Interval(*x))
+        return v.lo, v.hi
+
+
+# perfbench/tracing.py tells the interval runs of state_series by the
+# identity of this algebra
+interval_const = _Pairs()
+
+
+class JetAlgebra:
+    """Jet elements over d input components: a list of lower and a list
+    of upper bounds, d + 1 long.  Each operation keeps the order of
+    object-level forward AD: a product's gradient is x.val*gy + y.val*gx,
+    a quotient's (gx - w*gy) / y.val for its value w."""
+
+    def __init__(self, d: int):
+        self.grad = range(1, d + 1)
+
+    def const(self, c: tuple) -> tuple:
+        zeros = [0.0] * len(self.grad)
+        return [c[0]] + zeros, [c[1]] + zeros
+
+    def seed(self, box: list) -> list:
+        units = [[float(k == j) for k in self.grad] for j in self.grad]
+        return [([v.lo] + e, [v.hi] + e) for v, e in zip(box, units)]
+
+    def read(self, x: tuple) -> list:
+        return [Interval(*p) for p in zip(*x)]
+
+    def apply(self, kern, x, y):
+        """The sum or difference kernel kern over x and y, componentwise."""
+        p = list(map(kern, *x, *y))
+        return _checked([q[0] for q in p], [q[1] for q in p])
+
+    def neg(self, x):
+        return [-h for h in x[1]], [-lo for lo in x[0]]
+
+    def _product(self, x, y) -> tuple:
+        (xl, xh), (yl, yh) = x, y
+        vl, vh, wl, wh = xl[0], xh[0], yl[0], yh[0]
+        lo, hi = kmul(vl, vh, wl, wh)
+        lo, hi = [lo], [hi]
+        for k in self.grad:
+            ul, uh = kmul(vl, vh, yl[k], yh[k])
+            tl, th = kmul(wl, wh, xl[k], xh[k])
+            gl, gh = kadd(ul, uh, tl, th)
+            lo.append(gl)
+            hi.append(gh)
+        return lo, hi
+
+    def mul(self, x, y):
+        return _checked(*self._product(x, y))
+
+    def conv(self, a: list, b: list, i: int):
+        """a[0]*b[i] + ... + a[i]*b[0], each product summed in place."""
+        lo, hi = self._product(a[0], b[i])
+        for (xl, xh), (yl, yh) in zip(a[1:i + 1], b[i - 1::-1]):
+            vl, vh, wl, wh = xl[0], xh[0], yl[0], yh[0]
+            pl, ph = kmul(vl, vh, wl, wh)
+            lo[0], hi[0] = kadd(lo[0], hi[0], pl, ph)
+            for k in self.grad:
+                ul, uh = kmul(vl, vh, yl[k], yh[k])
+                tl, th = kmul(wl, wh, xl[k], xh[k])
+                gl, gh = kadd(ul, uh, tl, th)
+                lo[k], hi[k] = kadd(lo[k], hi[k], gl, gh)
+        return _checked(lo, hi)
+
+    def div(self, x, y):
+        (xl, xh), (yl, yh) = x, y
+        b = _divisor((yl[0], yh[0]))
+        w = kdiv(xl[0], xh[0], *b)
+        p = [w] + [kdiv(*ksub(xl[k], xh[k], *kmul(*w, yl[k], yh[k])), *b)
+                   for k in self.grad]
+        return _checked([q[0] for q in p], [q[1] for q in p])
+
+    def power(self, base: list, n: int, a: list, b: list, i: int):
+        # every order convolves x^n's two factors, order 0 included
+        return self.conv(a, b, i)
+
+    def chain(self, x, f, df, negate: bool = False):
+        """f at x's value, with gradient df(value) * (x's gradient), or
+        its negation."""
+        u = Interval(x[0][0], x[1][0])
+        v, dv = f(u), df(u)
+        p = [kmul(dv.lo, dv.hi, x[0][k], x[1][k]) for k in self.grad]
+        if negate:
+            p = [(-h, -lo) for lo, h in p]
+        return _checked([v.lo] + [q[0] for q in p], [v.hi] + [q[1] for q in p])
 
 
 # tape op kinds; each op writes coefficient i of its output slot(s)
@@ -133,7 +210,8 @@ def jet_seed(box_elems, dim: int) -> list:
 # time-constant (out[i] = a[i] / b[0]); operand order is kept so each
 # result is the one the convolution's surviving term gives.  _POW is
 # (kind, out, base, n, a, b): base^n at order 0, the convolution of its
-# factors a and b at orders >= 1.  _CONST runs at order 0 only.
+# factors a and b at orders >= 1.  _CONST runs at order 0 only and
+# carries its lifted (lo, hi) pair.
 (_CONST, _STATE, _ADD, _SUB, _MUL, _DIV, _NEG, _EXP, _SINCOS,
  _SCALE, _CSCALE, _DIVC, _POW) = range(13)
 
@@ -179,7 +257,7 @@ def compile_flow(flow: tuple, n_vars: int, n_params: int) -> TaylorProgram:
         if key in memo:
             return memo[key]
         if n == 0:
-            out = push(_CONST, (1.0,), True)[0]
+            out = push(_CONST, ((1.0, 1.0),), True)[0]
         elif n == 1:
             out = base
         else:
@@ -194,7 +272,7 @@ def compile_flow(flow: tuple, n_vars: int, n_params: int) -> TaylorProgram:
             return memo[e]
         t = type(e)
         if t is Const:
-            (slot,) = push(_CONST, (e.value,), True)
+            (slot,) = push(_CONST, ((e.value, e.value),), True)
         elif t is Var:
             (slot,) = push(_STATE, (e.index,), False)
         elif t is Param:
@@ -246,34 +324,21 @@ def compile_flow(flow: tuple, n_vars: int, n_params: int) -> TaylorProgram:
 def eval_box(program: TaylorProgram, z: list) -> list:
     """The program's outputs over the box z (one Interval per extended
     state component): the natural interval extension of its expressions."""
-    values = _tape_values(program, z, interval_const)
-    return [values[s] for s in program.out_slots]
+    slots: list = [[] for _ in range(program.n_slots)]
+    _tape_order(program.ops, [[(v.lo, v.hi)] for v in z], slots, 0, interval_const)
+    return [Interval(*slots[s][0]) for s in program.out_slots]
 
 
 def state_series(program: TaylorProgram, z0: list, order: int, const) -> list:
     """Taylor coefficients [z^[0], ..., z^[order]] for each state component.
 
-    z0 is the extended initial condition (one element per component);
-    ``const`` lifts a float into the element type.  Returns a list of
-    n_state coefficient lists.
+    z0 is the extended initial box, one Interval per component; const is
+    the element algebra, interval_const or a JetAlgebra.  Returns n_state
+    coefficient lists, each coefficient an Interval (interval_const) or
+    the jet's d + 1 Intervals, value first (JetAlgebra).
     """
-    zero = const(0.0)
-    state = [[v] for v in z0]
-    slots: list = []
-
-    for i in range(order):
-        if i == 0:
-            slots = [[v] for v in _tape_values(program, z0, const)]
-        else:
-            for s in program.const_slots:
-                slots[s].append(zero)
-            _tape_order(program.varying_ops, state, slots, i, const)
-        recip = const(1.0) / const(float(i + 1))
-        for j in range(program.n_vars):
-            state[j].append(slots[program.out_slots[j]][i] * recip)
-        for j in range(program.n_vars, program.n_state):
-            state[j].append(zero)
-    return state
+    state, _ = _run(program, const.seed(z0), order, const)
+    return [[const.read(c) for c in row] for row in state]
 
 
 def lie_derivative(program: TaylorProgram, z: list) -> Interval:
@@ -285,98 +350,98 @@ def lie_derivative(program: TaylorProgram, z: list) -> Interval:
     takes its order-1 coefficients F(z), and the varying ops run once
     more at order 1.
     """
-    zero = Interval(0.0)
-    state = [[v] for v in z]
-    slots = [[v] for v in _tape_values(program, z, interval_const)]
-    for j in range(program.n_vars):
-        state[j].append(slots[program.out_slots[j]][0])
-    for j in range(program.n_vars, program.n_state):
-        state[j].append(zero)
+    state = [[(v.lo, v.hi)] for v in z]
+    slots: list = [[] for _ in range(program.n_slots)]
+    _tape_order(program.ops, state, slots, 0, interval_const)
+    for j, row in enumerate(state):
+        row.append(slots[program.out_slots[j]][0] if j < program.n_vars else (0.0, 0.0))
     for s in program.const_slots:
-        slots[s].append(zero)
+        slots[s].append((0.0, 0.0))
     _tape_order(program.varying_ops, state, slots, 1, interval_const)
-    return slots[program.out_slots[-1]][1]
+    return Interval(*slots[program.out_slots[-1]][1])
 
 
-def _tape_values(program: TaylorProgram, z: list, const) -> list:
-    """Order 0: the value of every slot over z."""
-    v: list = [None] * program.n_slots
-    for op in program.ops:
-        kind = op[0]
-        if kind == _STATE:
-            v[op[1]] = z[op[2]]
-        elif kind in (_MUL, _SCALE, _CSCALE):
-            v[op[1]] = v[op[2]] * v[op[3]]
-        elif kind == _ADD:
-            v[op[1]] = v[op[2]] + v[op[3]]
-        elif kind == _SUB:
-            v[op[1]] = v[op[2]] - v[op[3]]
-        elif kind == _CONST:
-            v[op[1]] = const(op[2])
-        elif kind in (_DIV, _DIVC):
-            v[op[1]] = v[op[2]] / v[op[3]]
-        elif kind == _NEG:
-            v[op[1]] = -v[op[2]]
-        elif kind == _POW:
-            v[op[1]] = v[op[2]].powi(op[3])
-        elif kind == _EXP:
-            v[op[1]] = v[op[2]].exp()
-        elif kind == _SINCOS:
-            u = v[op[3]]
-            v[op[1]] = u.sin()
-            v[op[2]] = u.cos()
-        else:
-            raise AssertionError(f"bad op kind {kind}")
-    return v
+@cache
+def _recip(n: int) -> tuple:
+    """1 / n, one per Taylor order; a jet reciprocal of constants has an
+    exactly zero gradient, so lifting this pair gives it bit for bit."""
+    return kdiv(1.0, 1.0, float(n), float(n))
 
 
-def _tape_order(ops, state, slots, i, const):
-    """Coefficient i >= 1 of every slot written by ops, from the lower
-    orders and the state's order-i coefficients."""
+def _run(program: TaylorProgram, z0: list, order: int, alg) -> tuple:
+    """The state's coefficient lists through ``order`` and the slots'
+    through order - 1, from the initial elements z0."""
+    zero, mul, n = alg.const((0.0, 0.0)), alg.mul, program.n_vars
+    state = [[v] for v in z0]
+    slots: list = [[] for _ in range(program.n_slots)]
+    for i in range(order):
+        if i:
+            for s in program.const_slots:
+                slots[s].append(zero)
+        _tape_order(program.varying_ops if i else program.ops, state, slots, i, alg)
+        recip = alg.const(_recip(i + 1))
+        for j, s in enumerate(program.out_slots[:n]):
+            state[j].append(mul(slots[s][i], recip))
+        for row in state[n:]:
+            row.append(zero)
+    return state, slots
+
+
+def _tape_order(ops, state, slots, i, alg):
+    """Coefficient i of every slot written by ops, from the lower orders
+    and the state's order-i coefficients."""
+    apply, mul = alg.apply, alg.mul
     for op in ops:
-        kind = op[0]
-        if kind == _MUL or kind == _POW:
-            # a power convolves the two factors of its product chain
-            a, b = slots[op[-2]], slots[op[-1]]
-            acc = a[0] * b[i]
-            for j in range(1, i + 1):
-                acc = acc + a[j] * b[i - j]
-            slots[op[1]].append(acc)
-        elif kind == _SCALE:
-            slots[op[1]].append(slots[op[2]][i] * slots[op[3]][0])
+        kind, w = op[0], slots[op[1]]
+        # the kinds most flows use come first
+        if kind == _STATE:
+            w.append(state[op[2]][i])
         elif kind == _CSCALE:
-            slots[op[1]].append(slots[op[2]][0] * slots[op[3]][i])
-        elif kind == _STATE:
-            slots[op[1]].append(state[op[2]][i])
-        elif kind == _ADD:
-            slots[op[1]].append(slots[op[2]][i] + slots[op[3]][i])
+            w.append(mul(slots[op[2]][0], slots[op[3]][i]))
         elif kind == _SUB:
-            slots[op[1]].append(slots[op[2]][i] - slots[op[3]][i])
+            w.append(apply(ksub, slots[op[2]][i], slots[op[3]][i]))
+        elif kind == _ADD:
+            w.append(apply(kadd, slots[op[2]][i], slots[op[3]][i]))
+        elif kind == _MUL:
+            w.append(alg.conv(slots[op[2]], slots[op[3]], i))
+        elif kind == _SCALE:
+            w.append(mul(slots[op[2]][i], slots[op[3]][0]))
+        elif kind == _CONST:
+            w.append(alg.const(op[2]))
         elif kind == _NEG:
-            slots[op[1]].append(-slots[op[2]][i])
+            w.append(alg.neg(slots[op[2]][i]))
         elif kind == _DIVC:
-            slots[op[1]].append(slots[op[2]][i] / slots[op[3]][0])
+            w.append(alg.div(slots[op[2]][i], slots[op[3]][0]))
         elif kind == _DIV:
-            a, b, w = slots[op[2]], slots[op[3]], slots[op[1]]
+            a, b = slots[op[2]], slots[op[3]]
             acc = a[i]
             for j in range(i):
-                acc = acc - w[j] * b[i - j]
-            w.append(acc / b[0])
+                acc = apply(ksub, acc, mul(w[j], b[i - j]))
+            w.append(alg.div(acc, b[0]))
+        elif kind == _POW:
+            w.append(alg.power(slots[op[2]], op[3], slots[op[4]], slots[op[5]], i))
         elif kind == _EXP:
-            u, w = slots[op[2]], slots[op[1]]
-            acc = const(float(i)) * u[i] * w[0]
-            for j in range(1, i):
-                acc = acc + const(float(j)) * u[j] * w[i - j]
-            w.append(acc / const(float(i)))
+            u = slots[op[2]]
+            w.append(_recurrence(alg, u, w, i) if i else
+                     alg.chain(u[0], Interval.exp, Interval.exp))
         elif kind == _SINCOS:
-            u, s, c = slots[op[3]], slots[op[1]], slots[op[2]]
-            sacc = const(float(i)) * u[i] * c[0]
-            cacc = const(float(i)) * u[i] * s[0]
-            for j in range(1, i):
-                sacc = sacc + const(float(j)) * u[j] * c[i - j]
-                cacc = cacc + const(float(j)) * u[j] * s[i - j]
-            ii = const(float(i))
-            s.append(sacc / ii)
-            c.append(-(cacc / ii))
+            u, c = slots[op[3]], slots[op[2]]
+            if i:
+                w.append(_recurrence(alg, u, c, i))
+                c.append(alg.neg(_recurrence(alg, u, w, i)))
+            else:
+                w.append(alg.chain(u[0], Interval.sin, Interval.cos))
+                c.append(alg.chain(u[0], Interval.cos, Interval.sin, negate=True))
         else:
             raise AssertionError(f"bad op kind {kind}")
+
+
+def _recurrence(alg, u: list, w: list, i: int):
+    """(i u[i] w[0] + 1 u[1] w[i-1] + ... + (i-1) u[i-1] w[1]) / i, summed
+    in that order: coefficient i >= 1 of exp(u) for w = exp(u), of sin(u)
+    for w = cos(u), and of -cos(u) for w = sin(u)."""
+    mul, const = alg.mul, alg.const
+    acc = mul(mul(const((float(i),) * 2), u[i]), w[0])
+    for j in range(1, i):
+        acc = alg.apply(kadd, acc, mul(mul(const((float(j),) * 2), u[j]), w[i - j]))
+    return alg.div(acc, const((float(i),) * 2))

@@ -144,6 +144,18 @@ class TestNumericFailures:
         assert code == 2
         assert json.loads(out)["unknown_cause"] == "NumericError"
 
+    def test_nan_rate_is_unknown(self, capsys, tmp_path):
+        # inf - inf is a NaN bound in the flow's first Taylor coefficient
+        model = tmp_path / "nan.model"
+        model.write_text("[vars] x in [-10, 10]\n[init] x = 0\n[flow] x' = 1e999 - 1e999\n")
+        code, out, _ = run_cli(
+            capsys, "verify", "--model", str(model), "--formula", "F[0,1] (x - 0.5 < 0)"
+        )
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["outcome"] == "Unknown"
+        assert doc["unknown_cause"] == "NumericError"
+
 
 class TestModelLimits:
     def test_infinite_constant_prints_with_dump_sets(self, capsys):
@@ -167,6 +179,19 @@ class TestModelLimits:
         doc = json.loads(out)
         assert doc["outcome"] == "Unknown"
         assert doc["unknown_cause"] == "IntegrationError"
+
+    def test_crawling_integration_is_refused_by_the_step_budget(self, capsys):
+        # at order 2 the accuracy estimate gives steps of about 4e-8, so
+        # the 16-unit horizon would need about 4e8 steps
+        code, out, _ = run_cli(
+            capsys, "verify", "--model", "rotation", "--formula",
+            "G[0,10] F[0,6.284] !(x2 - 1 < 0)", "--order", "2",
+        )
+        assert code == 2
+        doc = json.loads(out)
+        assert (doc["outcome"], doc["unknown_cause"]) == ("Unknown", "IntegrationError")
+        # refused up front, before the first step
+        assert doc["stats"]["integration_steps"] == 0
 
     @pytest.mark.parametrize("formula, code, outcome", [
         ("x - 1 < 0", 0, "Valid"),

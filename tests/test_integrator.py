@@ -12,6 +12,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import stlmon
+from stlmon import integrator
 from stlmon.errors import IntegrationError
 from stlmon.expr import eval_point
 from stlmon.integrator import SignalEnclosure, StepModel, _gram_schmidt
@@ -243,6 +244,18 @@ class TestStateDomain:
         with pytest.raises(IntegrationError, match="underflow"):
             enc.extend(1e-12)
         assert enc.steps == [] and enc.horizon_reached == 0.0
+
+
+    def test_step_budget_bounds_the_steps(self):
+        # rotation at order 4 takes steps of about 3e-4: 16 units would
+        # need about 5e4 of them, above the budget
+        enc = SignalEnclosure(load_builtin("rotation"), u_box=point_box(0.05), order=4)
+        assert 16.0 / 3e-4 > integrator._MAX_STEPS
+        enc.extend(0.05)
+        with pytest.raises(IntegrationError, match="step budget") as exc:
+            enc.extend(16.0)
+        assert exc.value.horizon_reached == enc.horizon_reached > 0.0
+        assert len(enc.steps) < integrator._MAX_STEPS
 
 
 class TestWindowQueries:

@@ -1,4 +1,9 @@
-"""Taylor-coefficient tape: recurrences against closed forms and AD jets."""
+"""Taylor-coefficient tape: recurrences against closed forms and AD jets.
+
+The tape runs on plain floats; reference_series recomputes the same
+coefficients with Interval objects and the object-level Jet below, so
+the flat runner is checked bit for bit against an independent one.
+"""
 
 import math
 import random
@@ -7,14 +12,76 @@ import pytest
 
 from stlmon.interval import Interval
 from stlmon.system import parse_model
-from stlmon.taylor import (
-    Jet,
-    compile_flow,
-    interval_const,
-    jet_const_maker,
-    jet_seed,
-    state_series,
-)
+from stlmon.taylor import JetAlgebra, compile_flow, interval_const, state_series
+
+
+class Jet:
+    """Value and gradient, both interval-valued: f and (df/dz_1, ..., df/dz_d).
+
+    Seeding component j of a box with gradient e_j and evaluating an
+    expression yields an enclosure of its value and of its true gradient
+    over the box (first-order forward-mode AD).
+    """
+
+    __slots__ = ("val", "grad")
+
+    def __init__(self, val: Interval, grad: tuple):
+        self.val = val
+        self.grad = grad
+
+    def __add__(self, o):
+        return Jet(self.val + o.val, tuple(a + b for a, b in zip(self.grad, o.grad)))
+
+    def __sub__(self, o):
+        return Jet(self.val - o.val, tuple(a - b for a, b in zip(self.grad, o.grad)))
+
+    def __neg__(self):
+        return Jet(-self.val, tuple(-a for a in self.grad))
+
+    def __mul__(self, o):
+        return Jet(
+            self.val * o.val,
+            tuple(self.val * gb + o.val * ga for ga, gb in zip(self.grad, o.grad)),
+        )
+
+    def __truediv__(self, o):
+        w = self.val / o.val
+        return Jet(w, tuple((ga - w * gb) / o.val for ga, gb in zip(self.grad, o.grad)))
+
+    def sin(self):
+        c = self.val.cos()
+        return Jet(self.val.sin(), tuple(c * g for g in self.grad))
+
+    def cos(self):
+        s = self.val.sin()
+        return Jet(self.val.cos(), tuple(-(s * g) for g in self.grad))
+
+    def exp(self):
+        e = self.val.exp()
+        return Jet(e, tuple(e * g for g in self.grad))
+
+    def powi(self, n: int):
+        """self^n for n >= 1 as the tape's balanced product chain."""
+        if n == 1:
+            return self
+        if n % 2 == 0:
+            half = self.powi(n // 2)
+            return half * half
+        return self.powi(n - 1) * self
+
+
+def jet_const_maker(dim: int):
+    zeros = (Interval(0.0),) * dim
+    return lambda c: Jet(Interval(c), zeros)
+
+
+def jet_seed(box_elems, dim: int) -> list:
+    """Identity-seeded jets for the components of a box."""
+    zero, one = Interval(0.0), Interval(1.0)
+    return [
+        Jet(v, tuple(one if i == j else zero for i in range(dim)))
+        for j, v in enumerate(box_elems)
+    ]
 
 
 def coeffs_for(text_flow, init, order, params=()):
@@ -120,8 +187,8 @@ class TestJets:
             "[flow] x1' = -x2\n x2' = x1\n"
         )
         prog = compile_flow(sys.flow, 2, 0)
-        z0 = jet_seed([Interval(1.0), Interval(0.0)], 2)
-        series = state_series(prog, z0, 6, jet_const_maker(2))
+        z0 = [Interval(1.0), Interval(0.0)]
+        series = state_series(prog, z0, 6, JetAlgebra(2))
         # A^2 = -I, A^3 = -A, A^4 = I ...
         want = {
             0: [[1, 0], [0, 1]],
@@ -134,7 +201,7 @@ class TestJets:
             fact = math.factorial(i)
             for r in range(2):
                 for c in range(2):
-                    assert_encloses(series[r][i].grad[c], mat[r][c] / fact)
+                    assert_encloses(series[r][i][1 + c], mat[r][c] / fact)
 
     def test_jet_gradient_matches_finite_difference(self):
         sys = parse_model(
@@ -152,8 +219,8 @@ class TestJets:
             return state_series(prog, z0, order, interval_const)[comp][i].mid()
 
         pt = [rng.uniform(-1, 1) for _ in range(3)]
-        z0 = jet_seed([Interval(v) for v in pt], 3)
-        jets = state_series(prog, z0, order, jet_const_maker(3))
+        z0 = [Interval(v) for v in pt]
+        jets = state_series(prog, z0, order, JetAlgebra(3))
         h = 1e-6
         for comp in range(2):
             for i in (1, 3, order):
@@ -163,7 +230,7 @@ class TestJets:
                     hi[k] += h
                     lo[k] -= h
                     fd = (coeff(hi, comp, i) - coeff(lo, comp, i)) / (2 * h)
-                    got = jets[comp][i].grad[k].mid()
+                    got = jets[comp][i][1 + k].mid()
                     assert got == pytest.approx(fd, rel=1e-4, abs=1e-7)
 
     def test_jet_over_box_contains_point_jacobians(self):
@@ -173,32 +240,30 @@ class TestJets:
         )
         prog = compile_flow(sys.flow, 1, 0)
         box = Interval(0.8, 1.2)
-        jets = state_series(prog, jet_seed([box], 1), 5, jet_const_maker(1))
+        jets = state_series(prog, [box], 5, JetAlgebra(1))
         for pt in (0.8, 0.95, 1.2):
-            pj = state_series(prog, jet_seed([Interval(pt)], 1), 5, jet_const_maker(1))
+            pj = state_series(prog, [Interval(pt)], 5, JetAlgebra(1))
             for i in range(6):
-                got = jets[0][i].grad[0]
-                val = pj[0][i].grad[0].mid()
+                got = jets[0][i][1]
+                val = pj[0][i][1].mid()
                 assert got.lo <= val <= got.hi
-                assert jets[0][i].val.lo <= pj[0][i].val.mid() <= jets[0][i].val.hi
+                assert jets[0][i][0].lo <= pj[0][i][0].mid() <= jets[0][i][0].hi
 
     def test_power_jets_equal_the_product_chain(self):
-        # Jet.powi forms the tape's balanced product chain, so a power's
-        # jets are the spelled-out products' bit for bit
+        # a jet power is the tape's balanced product chain at every
+        # order, so its jets are the spelled-out products' bit for bit
         def jets_for(flow):
             sys = parse_model(
                 f"[vars] x1 in [-5, 5]\n[init] x1 = 1\n[flow] x1' = {flow}\n"
             )
             prog = compile_flow(sys.flow, 1, 0)
-            return state_series(
-                prog, jet_seed([Interval(0.9, 1.1)], 1), 8, jet_const_maker(1)
-            )[0]
+            return state_series(prog, [Interval(0.9, 1.1)], 8, JetAlgebra(1))[0]
 
         got = jets_for("x1^4 - x1^3")
         want = jets_for("(x1*x1)*(x1*x1) - x1*x1*x1")
         for g, w in zip(got, want):
-            assert (g.val.lo, g.val.hi) == (w.val.lo, w.val.hi)
-            assert (g.grad[0].lo, g.grad[0].hi) == (w.grad[0].lo, w.grad[0].hi)
+            assert (g[0].lo, g[0].hi) == (w[0].lo, w[0].hi)
+            assert (g[1].lo, g[1].hi) == (w[1].lo, w[1].hi)
 
 
 class TestSharing:
@@ -213,10 +278,12 @@ class TestSharing:
 
 
 def reference_series(flow, n_vars, z0, order, const):
-    """Taylor coefficients by the plain recurrences: every product is a
-    full convolution and every quotient the full division recurrence,
-    with no knowledge of which coefficients are zero."""
-    from stlmon.expr import Add, Const, Div, Mul, Neg, Param, Sub, Var
+    """Taylor coefficients by the plain recurrences on Interval or Jet
+    objects: every product is a full convolution, every quotient the full
+    division recurrence and every exp, sin and cos its full recurrence,
+    with no knowledge of which coefficients are zero.  A power is powi
+    at order 0 and its balanced product chain's convolution above."""
+    from stlmon.expr import Add, Const, Cos, Div, Exp, Mul, Neg, Param, Pow, Sin, Sub, Var
 
     zero = const(0.0)
     state = [[v] for v in z0]
@@ -248,6 +315,28 @@ def reference_series(flow, n_vars, z0, order, const):
                 for j in range(m):
                     acc = acc - s[j] * coeff(e.b, m - j)
                 s.append(acc / coeff(e.b, 0))
+            elif t is Pow and e.exponent == 1:
+                s.append(coeff(e.base, m))
+            elif t is Pow and m == 0:
+                s.append(coeff(e.base, 0).powi(e.exponent))
+            elif t is Pow:
+                n = e.exponent
+                a = Pow(e.base, n // 2 if n % 2 == 0 else n - 1)
+                b = a if n % 2 == 0 else e.base
+                acc = coeff(a, 0) * coeff(b, m)
+                for j in range(1, m + 1):
+                    acc = acc + coeff(a, j) * coeff(b, m - j)
+                s.append(acc)
+            elif t in (Exp, Sin, Cos) and m == 0:
+                u = coeff(e.arg, 0)
+                s.append(u.exp() if t is Exp else u.sin() if t is Sin else u.cos())
+            elif t in (Exp, Sin, Cos):
+                # w' = u' * (exp: w, sin: cos, cos: -sin)
+                w = e if t is Exp else Cos(e.arg) if t is Sin else Sin(e.arg)
+                acc = const(float(m)) * coeff(e.arg, m) * coeff(w, 0)
+                for j in range(1, m):
+                    acc = acc + const(float(j)) * coeff(e.arg, j) * coeff(w, m - j)
+                s.append(-(acc / const(float(m))) if t is Cos else acc / const(float(m)))
             else:
                 raise TypeError(e)
         return s[i]
@@ -308,7 +397,7 @@ class TestTimeConstantOps:
                    [Interval(0.9, 1.1), Interval(-0.2, 0.3)]):
             z0 = x0 + [u]
             got = state_series(prog, z0, 12, interval_const)
-            want = reference_series(sys.flow, 2, z0, 12, interval_const)
+            want = reference_series(sys.flow, 2, z0, 12, Interval)
             for g_row, w_row in zip(got, want):
                 assert len(g_row) == len(w_row) == 13
                 for g, w in zip(g_row, w_row):
@@ -319,12 +408,41 @@ class TestTimeConstantOps:
         sys = self._system(f1, f2)
         prog = compile_flow(sys.flow, 2, 1)
         box = [Interval(0.9, 1.1), Interval(0.4, 0.6), Interval(-0.5, 0.25)]
-        got = state_series(prog, jet_seed(box, 3), 8, jet_const_maker(3))
+        got = state_series(prog, box, 8, JetAlgebra(3))
         want = reference_series(sys.flow, 2, jet_seed(box, 3), 8, jet_const_maker(3))
         for g_row, w_row in zip(got, want):
             for g, w in zip(g_row, w_row):
-                assert same_bits(g.val, w.val)
-                assert all(same_bits(a, b) for a, b in zip(g.grad, w.grad))
+                assert len(g) == 4
+                assert same_bits(g[0], w.val)
+                assert all(same_bits(a, b) for a, b in zip(g[1:], w.grad))
+
+    ALL_OPS = [
+        ("sin(x1)*cos(x2) - exp(x2/3)", "x1^3 - x2^2*u1 + 1/(x1 + 3)"),
+        ("-(x1*x2)/(u1 + 3 + x1^2) + sin(u1*x1)", "exp(-x1)*u1 - cos(x1 + x2)^2"),
+        ("x2^4 - 2*x1^5 + u1/4", "sin(x2)^3 + x1/(u1 + 3) - exp(u1)*x2"),
+    ]
+
+    @pytest.mark.parametrize("f1,f2", ALL_OPS)
+    def test_every_op_kind_bit_identical(self, f1, f2):
+        # powers, exp, sin, cos and quotients, time-constant or not,
+        # for intervals and for jets
+        model = self.MODEL.replace("[-100, 100]", "[-2, 2]")
+        sys = parse_model(model.format(f1=f1, f2=f2))
+        prog = compile_flow(sys.flow, 2, 1)
+        for box in ([Interval(1.0), Interval(0.5), Interval(0.75)],
+                    [Interval(0.9, 1.1), Interval(0.4, 0.6), Interval(-0.5, 0.25)]):
+            got = state_series(prog, box, 9, interval_const)
+            want = reference_series(sys.flow, 2, box, 9, Interval)
+            for g_row, w_row in zip(got, want):
+                assert len(g_row) == len(w_row) == 10
+                for g, w in zip(g_row, w_row):
+                    assert same_bits(g, w), (g, w)
+            got = state_series(prog, box, 9, JetAlgebra(3))
+            want = reference_series(sys.flow, 2, jet_seed(box, 3), 9, jet_const_maker(3))
+            for g_row, w_row in zip(got, want):
+                for g, w in zip(g_row, w_row):
+                    assert same_bits(g[0], w.val)
+                    assert all(same_bits(a, b) for a, b in zip(g[1:], w.grad))
 
     def test_remainder_over_box_bit_identical(self):
         # order k + 1 over a wide box, as the integrator's remainder runs
@@ -339,7 +457,7 @@ class TestTimeConstantOps:
         z0 = [Interval(14.0, 16.0), Interval(14.5, 15.5), Interval(35.0, 37.0),
               Interval(10.0), Interval(27.5, 28.5), Interval(2.5)]
         got = state_series(prog, z0, 21, interval_const)
-        want = reference_series(sys.flow, 3, z0, 21, interval_const)
+        want = reference_series(sys.flow, 3, z0, 21, Interval)
         for g_row, w_row in zip(got, want):
             for g, w in zip(g_row, w_row):
                 assert same_bits(g, w), (g, w)
