@@ -22,7 +22,10 @@ carried in a QR-orthogonalized frame (Lohner's method) so that long
 integrations do not fall to the wrapping effect.  The frame Q is formed
 in floats by two-pass Gram-Schmidt and is only nearly orthonormal; the
 method stays rigorous because r is mapped through an interval enclosure
-of Q^-1, bounded by a Neumann series on I - Q^T Q.
+of Q^-1, bounded by a Neumann series on I - Q^T Q.  The frame products,
+the Horner sums and the dense output run the kernels on (lo, hi) float
+pairs, each result checked for a NaN bound; Intervals hold the step
+models and the boxes handed to the Taylor tape.
 
 Parameters whose run box is a point are folded into the flow as
 constants (a point interval is one float, so this is exact).  The
@@ -39,9 +42,10 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
 
+from ._kernels import kadd, kdiv, kmul, ksub
 from .errors import IntegrationError, NumericError
 from .expr import Const, Expr, Param, substitute_params
-from .interval import EMPTY, Interval, IntervalBox, inflate
+from .interval import EMPTY, Interval, IntervalBox, checked, inflate, midpoint
 from .system import ContinuousSystem
 from .taylor import (
     JetAlgebra, TaylorProgram, compile_flow, eval_box, interval_const, lie_derivative,
@@ -54,12 +58,10 @@ __all__ = ["StepModel", "SignalEnclosure"]
 _T_MIN = 1e-14
 # the most steps one enclosure takes; every step is kept for dense output
 _MAX_STEPS = 10_000
-_ZERO = Interval(0.0)
-_ONE = Interval(1.0)
 
 
 def _imat_vec(A, v):
-    """Interval matrix times interval vector."""
+    """Interval matrix times interval vector, entries (lo, hi) pairs."""
     return [_dot(row, v) for row in A]
 
 
@@ -72,15 +74,16 @@ def _imat_mat(A, B):
 
 
 def _dot(row, col):
-    acc = row[0] * col[0]
-    for a, b in zip(row[1:], col[1:]):
-        acc = acc + a * b
-    return acc
+    lo, hi = checked(kmul(*row[0], *col[0]))
+    for (al, ah), (bl, bh) in zip(row[1:], col[1:]):
+        pl, ph = checked(kmul(al, ah, bl, bh))
+        lo, hi = checked(kadd(lo, hi, pl, ph))
+    return lo, hi
 
 
 def _lift(M):
-    """Float matrix to interval matrix (exact)."""
-    return [[Interval(x) for x in row] for row in M]
+    """Float matrix to a matrix of point pairs (exact)."""
+    return [[(x, x) for x in row] for row in M]
 
 
 def _gram_schmidt(A):
@@ -104,11 +107,15 @@ def _gram_schmidt(A):
 
 
 def _horner(cols, s):
-    """sum_i cols[i] s^i in Horner's form, componentwise: cols[i] is the
-    vector of order-i terms."""
+    """sum_i cols[i] s^i in Horner's form, componentwise, on (lo, hi)
+    pairs: cols[i] is the vector of order-i terms."""
+    sl, sh = s
     acc = cols[-1]
     for c in reversed(cols[:-1]):
-        acc = [a * s + x for a, x in zip(acc, c)]
+        prev, acc = acc, []
+        for (al, ah), (xl, xh) in zip(prev, c):
+            pl, ph = checked(kmul(al, ah, sl, sh))
+            acc.append(checked(kadd(pl, ph, xl, xh)))
     return acc
 
 
@@ -120,7 +127,8 @@ class StepModel:
     (point expansion plus Jacobian-propagated deviation already folded
     in); remainder multiplies s^(order+1).  Every solution value at
     local time s in [0, t1 - t0] lies in the polynomial value and in
-    the apriori box.
+    the apriori box.  The fields hold Intervals; eval_local runs on a
+    (lo, hi) pair view of them, built once with the step, and returns pairs.
     """
 
     t0: float
@@ -129,18 +137,22 @@ class StepModel:
     remainder: list       # list of Interval, length n_vars
     apriori: list         # list of Interval, length n_vars
 
+    def __post_init__(self):
+        self._cols = [[(v.lo, v.hi) for v in c] for c in self.coeffs + [self.remainder]]
+        self._box = [(v.lo, v.hi) for v in self.apriori]
+
     def eval_local(self, s: Interval) -> list:
         out = []
-        for v, ap in zip(_horner(self.coeffs + [self.remainder], s), self.apriori):
-            w = v.intersect(ap)
+        for (lo, hi), (al, ah) in zip(_horner(self._cols, (s.lo, s.hi)), self._box):
+            lo, hi = max(lo, al), min(hi, ah)
             # both operands enclose the same solution set, so an empty
             # intersection means an enclosure is unsound
-            if w is EMPTY:
+            if lo > hi:
                 raise IntegrationError(
                     f"dense output and apriori box disagree on the step at t={self.t0:.6g}",
                     horizon_reached=self.t0,
                 )
-            out.append(w)
+            out.append((lo, hi))
         return out
 
 
@@ -198,7 +210,7 @@ class SignalEnclosure:
         self._B = [[float(r == c) for c in range(self.d)] for r in range(self.d)]
         try:
             self._zhat = [Interval(v.mid()) for v in z0]
-            self._r = [v - Interval(v.mid()) for v in z0]
+            self._r = [checked(ksub(v.lo, v.hi, z.lo, z.hi)) for v, z in zip(z0, self._zhat)]
         except (ArithmeticError, NumericError) as exc:
             # an unbounded initial box has no frame; extend() reports it
             self.failure = exc
@@ -220,7 +232,7 @@ class SignalEnclosure:
                 raise
 
     def _current_box(self, dev: list) -> list:
-        box = [z + dv for z, dv in zip(self._zhat, dev)]
+        box = [Interval(*kadd(z.lo, z.hi, *dv)) for z, dv in zip(self._zhat, dev)]
         # parameter components are constant in truth; the frame change
         # can only overapproximate them
         for j, u in enumerate(self._u_free):
@@ -261,13 +273,10 @@ class SignalEnclosure:
         coeffs = []
         for i in range(k + 1):
             s_dev = _imat_vec([jets[rj][i][1:] for rj in range(self.n)], dev)
-            coeffs.append([point[j][i] + s_dev[j] for j in range(self.n)])
+            coeffs.append([Interval(*kadd(*point[j][i], *s_dev[j])) for j in range(self.n)])
 
-        self.steps.append(
-            StepModel(
-                t0=t0, t1=t1, coeffs=coeffs, remainder=remainder, apriori=apriori,
-            )
-        )
+        self.steps.append(StepModel(t0=t0, t1=t1, coeffs=coeffs, apriori=apriori,
+                                    remainder=[Interval(*r) for r in remainder]))
         self._propagate_frame(point, jets, remainder, span)
         self.horizon_reached = t1
         self._last_h = h
@@ -282,7 +291,7 @@ class SignalEnclosure:
         k = self.order
         h = math.inf
         for j in range(self.n):
-            ck = point[j][k].mag()
+            ck = max(map(abs, point[j][k]))
             if ck > 0.0:
                 h = min(h, (self.tol / ck) ** (1.0 / k))
         h = estimate = 0.9 * h
@@ -317,10 +326,10 @@ class SignalEnclosure:
         k, n = self.order, self.n
         # the polynomial part in Horner's form, which over s = [0, h] lies
         # inside the sum of the terms z^[i](zbox) [0,h]^i (subdistributivity)
-        poly = _horner([[jets[j][i][0] for j in range(n)] for i in range(k + 1)], s)
+        poly = _horner([[jets[j][i][0] for j in range(n)] for i in range(k + 1)], (s.lo, s.hi))
         sk1 = s.powi(k + 1)
         fixed = list(zbox[n:])
-        trial = [inflate(p, 1.1) for p in poly] + fixed
+        trial = [inflate(Interval(*p), 1.1) for p in poly] + fixed
         for _ in range(12):
             try:
                 tail = state_series(self._prog, trial, k + 1, interval_const)
@@ -330,9 +339,10 @@ class SignalEnclosure:
             # keeps the state rows only
             remainder = [tail[j][k + 1] for j in range(n)]
             # a wider trial box only widens the remainder
-            if max(r.mag() for r in remainder) * sk1.hi > self.tol:
+            if max(abs(x) for r in remainder for x in r) * sk1.hi > self.tol:
                 return "Lagrange remainder above tol"
-            box = [p + r * sk1 for p, r in zip(poly, remainder)]
+            box = [Interval(*kadd(*p, *checked(kmul(*r, sk1.lo, sk1.hi))))
+                   for p, r in zip(poly, remainder)]
             if all(trial[j].contains_interval(box[j]) for j in range(n)):
                 if not self._in_domain(box):
                     return "enclosure left the state domain"
@@ -344,10 +354,11 @@ class SignalEnclosure:
         k = self.order
         d = self.d
         # point value and coefficient Jacobian at the step's far end
-        sk1 = span.powi(k + 1)
+        sk1, span = span.powi(k + 1), (span.lo, span.hi)
         p_end = _horner([[point[j][i] for j in range(d)] for i in range(k + 1)], span)
         # parameter rows have no remainder: their series is the constant
-        p_end = [p + r * sk1 for p, r in zip(p_end, remainder)] + p_end[self.n:]
+        p_end = [checked(kadd(*p, *checked(kmul(*r, sk1.lo, sk1.hi))))
+                 for p, r in zip(p_end, remainder)] + p_end[self.n:]
 
         # the d x d rows flattened into one vector per order
         S = _horner(
@@ -357,16 +368,16 @@ class SignalEnclosure:
         S = [S[rj * d:(rj + 1) * d] for rj in range(d)]
 
         A = _imat_mat(S, _lift(self._B))
-        zhat_new = [Interval(p.mid()) for p in p_end]
-        delta = [p - z for p, z in zip(p_end, zhat_new)]
+        zhat_new = [Interval(midpoint(*p)) for p in p_end]
+        delta = [checked(ksub(*p, z.lo, z.hi)) for p, z in zip(p_end, zhat_new)]
 
-        Q = _gram_schmidt([[a.mid() for a in row] for row in A])
+        Q = _gram_schmidt([[midpoint(*a) for a in row] for row in A])
         Qinv = self._rigorous_inverse(Q)
         if Qinv is None:
             Q = [[float(r == c) for c in range(d)] for r in range(d)]
             Qinv = _lift(Q)
         self._r = [
-            a + b
+            checked(kadd(*a, *b))
             for a, b in zip(
                 _imat_vec(_imat_mat(Qinv, A), self._r), _imat_vec(Qinv, delta)
             )
@@ -386,24 +397,25 @@ class SignalEnclosure:
         d = len(Q)
         Qi = _lift(Q)
         Qt = [[Qi[c][r] for c in range(d)] for r in range(d)]
-        E = _imat_mat(Qt, Qi)
-        for r in range(d):
-            for c in range(d):
-                base = _ONE if r == c else _ZERO
-                E[r][c] = base - E[r][c]
+        eye = _lift([[float(r == c) for c in range(d)] for r in range(d)])
+        E = [
+            [checked(ksub(*i, *e)) for i, e in zip(*rows)]
+            for rows in zip(eye, _imat_mat(Qt, Qi))
+        ]
         eps = 0.0
         for row in E:
-            acc = Interval(0.0)
+            lo = hi = 0.0
             for e in row:
-                acc = acc + Interval(e.mag())
-            eps = max(eps, acc.hi)
+                m = max(map(abs, e))
+                lo, hi = checked(kadd(lo, hi, m, m))
+            eps = max(eps, hi)
         if eps >= 0.5:
             return None
-        g = ((Interval(eps) * Interval(eps)) / (Interval(1.0) - Interval(eps))).hi
-        tail = Interval(-g, g)
+        sq, gap = checked(kmul(eps, eps, eps, eps)), checked(ksub(1.0, 1.0, eps, eps))
+        g = checked(kdiv(*sq, *gap))[1]
         M = [
-            [(_ONE if r == c else _ZERO) + E[r][c] + tail for c in range(d)]
-            for r in range(d)
+            [checked(kadd(*checked(kadd(*i, *e)), -g, g)) for i, e in zip(*rows)]
+            for rows in zip(eye, E)
         ]
         return _imat_mat(M, Qt)
 
@@ -436,7 +448,7 @@ class SignalEnclosure:
         acc: list | None = None
         for step in self.steps[self._index(t.lo):self._index(t.hi) + 1]:
             if t.lo <= step.t0 and step.t1 <= t.hi:
-                vals = step.apriori
+                vals = step._box
             else:
                 s = (t - Interval(step.t0)).intersect(
                     Interval(0.0, (Interval(step.t1) - Interval(step.t0)).hi)
@@ -447,8 +459,9 @@ class SignalEnclosure:
                         horizon_reached=self.horizon_reached,
                     )
                 vals = step.eval_local(s)
-            acc = vals if acc is None else [a.hull(v) for a, v in zip(acc, vals)]
-        return IntervalBox(acc)
+            acc = vals if acc is None else [(min(a[0], v[0]), max(a[1], v[1]))
+                                            for a, v in zip(acc, vals)]
+        return IntervalBox(Interval(*p) for p in acc)
 
     def eval_point(self, t: float) -> IntervalBox:
         return self.eval(Interval(t))

@@ -81,11 +81,7 @@ class Interval:
         return self.hi - self.lo
 
     def mid(self) -> float:
-        m = 0.5 * (self.lo + self.hi)
-        if not math.isfinite(m):
-            m = 0.5 * self.lo + 0.5 * self.hi
-        # clamp: midpoint of valid bounds always lies inside up to rounding
-        return min(max(m, self.lo), self.hi)
+        return midpoint(self.lo, self.hi)
 
     def mag(self) -> float:
         return max(abs(self.lo), abs(self.hi))
@@ -239,6 +235,8 @@ def _trig_enclosure(a: Interval, func, max_offset: float, min_offset: float) -> 
     """
     if a.hi - a.lo >= _TWO_PI:
         return Interval(-1.0, 1.0)
+    if math.isinf(a.lo):  # [inf, inf] or [-inf, -inf], where libm has no value
+        raise NumericError(f"{func.__name__} of the unbounded interval {a}")
     v1, v2 = func(a.lo), func(a.hi)
     lo = _widen_down(min(v1, v2), 3)
     hi = _widen_up(max(v1, v2), 3)
@@ -255,6 +253,22 @@ def _has_multiple_of_two_pi(lo: float, hi: float) -> bool:
 
 
 # --- module-level operations -------------------------------------------
+
+
+def midpoint(lo: float, hi: float) -> float:
+    """The midpoint of [lo, hi], inside it also when lo + hi overflows."""
+    m = 0.5 * (lo + hi)
+    if not math.isfinite(m):
+        m = 0.5 * lo + 0.5 * hi
+    # clamp: midpoint of valid bounds always lies inside up to rounding
+    return min(max(m, lo), hi)
+
+
+def checked(p: tuple) -> tuple:
+    """A kernel's (lo, hi) result; as in Interval(), a NaN bound fails."""
+    if p[0] <= p[1]:
+        return p
+    raise NumericError(f"NaN interval bound [{p[0]}, {p[1]}]")
 
 
 def newton_step(

@@ -33,9 +33,9 @@ of the input box.  With interval_const an element is one (lo, hi) pair
 of lower and a list of upper bounds, index 0 the value and 1..d the
 gradient (first-order forward AD seeded with the identity, for the
 coefficient Jacobian); a jet power is its factors' product at order 0
-too.  Intervals appear only in what the runners take and return.  Each
-op output is checked once: a NaN bound raises NumericError, as
-Interval's constructor does.
+too.  Intervals are the boxes the runners take and what eval_box and
+lie_derivative return; state_series returns the elements.  Each op output
+is checked once: a NaN bound raises NumericError, as Interval() does.
 """
 
 from __future__ import annotations
@@ -45,9 +45,8 @@ from functools import cache
 from operator import le
 
 from ._kernels import kadd, kdiv, kmul, ksub
-from .errors import NumericError
 from .expr import Add, Const, Cos, Div, Exp, Expr, Mul, Neg, Param, Pow, Sin, Sub, Var
-from .interval import Interval
+from .interval import Interval, checked
 
 __all__ = [
     "TaylorProgram", "compile_flow", "eval_box", "state_series", "lie_derivative",
@@ -55,17 +54,10 @@ __all__ = [
 ]
 
 
-def _pair(p: tuple) -> tuple:
-    # sound kernels keep bounds ordered, so only a NaN bound fails this
-    if p[0] <= p[1]:
-        return p
-    raise NumericError(f"NaN interval bound [{p[0]}, {p[1]}]")
-
-
-def _checked(lo: list, hi: list) -> tuple:
+def _checked_lists(lo: list, hi: list) -> tuple:
     if not all(map(le, lo, hi)):
         for p in zip(lo, hi):
-            _pair(p)
+            checked(p)
     return lo, hi
 
 
@@ -84,21 +76,18 @@ class _Pairs:
     def seed(self, box: list) -> list:
         return [(v.lo, v.hi) for v in box]
 
-    def read(self, x: tuple) -> Interval:
-        return Interval(*x)
-
     def apply(self, kern, x, y):
         """The sum or difference kernel kern over x and y."""
-        return _pair(kern(*x, *y))
+        return checked(kern(*x, *y))
 
     def neg(self, x):
         return -x[1], -x[0]
 
     def mul(self, x, y):
-        return _pair(kmul(*x, *y))
+        return checked(kmul(*x, *y))
 
     def div(self, x, y):
-        return _pair(kdiv(*x, *_divisor(y)))
+        return checked(kdiv(*x, *_divisor(y)))
 
     def conv(self, a: list, b: list, i: int):
         """a[0]*b[i] + a[1]*b[i-1] + ... + a[i]*b[0], left to right."""
@@ -106,7 +95,7 @@ class _Pairs:
         for (al, ah), (bl, bh) in zip(a[1:i + 1], b[i - 1::-1]):
             pl, ph = kmul(al, ah, bl, bh)
             lo, hi = kadd(lo, hi, pl, ph)
-        return _pair((lo, hi))
+        return checked((lo, hi))
 
     def power(self, base: list, n: int, a: list, b: list, i: int):
         return self.conv(a, b, i) if i else self.chain(base[0], lambda u: u.powi(n))
@@ -139,13 +128,10 @@ class JetAlgebra:
         units = [[float(k == j) for k in self.grad] for j in self.grad]
         return [([v.lo] + e, [v.hi] + e) for v, e in zip(box, units)]
 
-    def read(self, x: tuple) -> list:
-        return [Interval(*p) for p in zip(*x)]
-
     def apply(self, kern, x, y):
         """The sum or difference kernel kern over x and y, componentwise."""
         p = list(map(kern, *x, *y))
-        return _checked([q[0] for q in p], [q[1] for q in p])
+        return _checked_lists([q[0] for q in p], [q[1] for q in p])
 
     def neg(self, x):
         return [-h for h in x[1]], [-lo for lo in x[0]]
@@ -164,7 +150,7 @@ class JetAlgebra:
         return lo, hi
 
     def mul(self, x, y):
-        return _checked(*self._product(x, y))
+        return _checked_lists(*self._product(x, y))
 
     def conv(self, a: list, b: list, i: int):
         """a[0]*b[i] + ... + a[i]*b[0], each product summed in place."""
@@ -178,7 +164,7 @@ class JetAlgebra:
                 tl, th = kmul(wl, wh, xl[k], xh[k])
                 gl, gh = kadd(ul, uh, tl, th)
                 lo[k], hi[k] = kadd(lo[k], hi[k], gl, gh)
-        return _checked(lo, hi)
+        return _checked_lists(lo, hi)
 
     def div(self, x, y):
         (xl, xh), (yl, yh) = x, y
@@ -186,7 +172,7 @@ class JetAlgebra:
         w = kdiv(xl[0], xh[0], *b)
         p = [w] + [kdiv(*ksub(xl[k], xh[k], *kmul(*w, yl[k], yh[k])), *b)
                    for k in self.grad]
-        return _checked([q[0] for q in p], [q[1] for q in p])
+        return _checked_lists([q[0] for q in p], [q[1] for q in p])
 
     def power(self, base: list, n: int, a: list, b: list, i: int):
         # every order convolves x^n's two factors, order 0 included
@@ -200,7 +186,7 @@ class JetAlgebra:
         p = [kmul(dv.lo, dv.hi, x[0][k], x[1][k]) for k in self.grad]
         if negate:
             p = [(-h, -lo) for lo, h in p]
-        return _checked([v.lo] + [q[0] for q in p], [v.hi] + [q[1] for q in p])
+        return _checked_lists([v.lo] + [q[0] for q in p], [v.hi] + [q[1] for q in p])
 
 
 # tape op kinds; each op writes coefficient i of its output slot(s)
@@ -334,11 +320,12 @@ def state_series(program: TaylorProgram, z0: list, order: int, const) -> list:
 
     z0 is the extended initial box, one Interval per component; const is
     the element algebra, interval_const or a JetAlgebra.  Returns n_state
-    coefficient lists, each coefficient an Interval (interval_const) or
-    the jet's d + 1 Intervals, value first (JetAlgebra).
+    coefficient lists, each coefficient the runner's element: a (lo, hi)
+    pair (interval_const) or the jet's d + 1 pairs, value first
+    (JetAlgebra).
     """
     state, _ = _run(program, const.seed(z0), order, const)
-    return [[const.read(c) for c in row] for row in state]
+    return state if const is interval_const else [[list(zip(*c)) for c in row] for row in state]
 
 
 def lie_derivative(program: TaylorProgram, z: list) -> Interval:

@@ -144,6 +144,17 @@ class TestNumericFailures:
         assert code == 2
         assert json.loads(out)["unknown_cause"] == "NumericError"
 
+    @pytest.mark.parametrize("arg", ["sin(1e999)", "cos(1e999)", "sin(-1e999)", "cos(-1e999)"])
+    def test_trig_of_an_infinite_literal_is_unknown(self, capsys, arg):
+        # libm's math domain error used to escape as a usage error, exit 64
+        code, out, _ = run_cli(
+            capsys, "verify", "--model", "timer", "--formula", f"F[0,1] (x - {arg} < 0)"
+        )
+        assert code == 2
+        doc = json.loads(out)
+        assert doc["outcome"] == "Unknown"
+        assert doc["unknown_cause"] == "NumericError"
+
     def test_nan_rate_is_unknown(self, capsys, tmp_path):
         # inf - inf is a NaN bound in the flow's first Taylor coefficient
         model = tmp_path / "nan.model"

@@ -13,7 +13,7 @@ from scipy.integrate import solve_ivp
 
 import stlmon
 from stlmon import integrator
-from stlmon.errors import IntegrationError
+from stlmon.errors import IntegrationError, NumericError
 from stlmon.expr import eval_point
 from stlmon.integrator import SignalEnclosure, StepModel, _gram_schmidt
 from stlmon.interval import Interval, IntervalBox
@@ -377,6 +377,11 @@ def exact_inverse(M):
     return [row[d:] for row in rows]
 
 
+def as_intervals(M):
+    """A matrix of (lo, hi) pairs, as the frame code holds it, read as Intervals."""
+    return [[Interval(*p) for p in row] for row in M]
+
+
 FRAME_CASES = [(d, kappa, seed) for d in (2, 3) for kappa in (1e2, 1e6, 1e12, 1e15)
                for seed in range(2)]
 
@@ -400,7 +405,7 @@ class TestFrameFactor:
         Q = _gram_schmidt(conditioned_matrix(d, kappa, seed))
         Qinv = SignalEnclosure._rigorous_inverse(Q)
         assert Qinv is not None
-        for enc_row, exact_row in zip(Qinv, exact_inverse(Q)):
+        for enc_row, exact_row in zip(as_intervals(Qinv), exact_inverse(Q)):
             for iv, x in zip(enc_row, exact_row):
                 assert Fraction(iv.lo) <= x <= Fraction(iv.hi)
 
@@ -408,6 +413,23 @@ class TestFrameFactor:
         Q = _gram_schmidt([[1.0, 0.0], [0.0, 0.0]])
         assert Q == [[1.0, 0.0], [0.0, 0.0]]
         assert SignalEnclosure._rigorous_inverse(Q) is None
+
+
+class TestPairChecks:
+    """The frame products and Horner sums check every kernel result on
+    (lo, hi) pairs as Interval's constructor does: a sum of opposite
+    infinities is a NumericError, not a NaN bound that a later product
+    with an exact zero would hide."""
+
+    def test_dot_refuses_a_nan_bound(self):
+        with pytest.raises(NumericError):
+            integrator._dot([(math.inf, math.inf), (1.0, 1.0)],
+                            [(1.0, 1.0), (-math.inf, -math.inf)])
+
+    def test_horner_refuses_a_nan_bound(self):
+        # inf * s + (-inf) at the first Horner step
+        with pytest.raises(NumericError):
+            integrator._horner([[(-math.inf, -math.inf)], [(math.inf, math.inf)]], (1.0, 1.0))
 
 
 class TestPointParameterFolding:

@@ -114,6 +114,19 @@ class TestElementary:
         assert_encloses(iv, 1.0)
         assert iv.width() < 1e-14
 
+    @pytest.mark.parametrize("fname", ["sin", "cos"])
+    @pytest.mark.parametrize("x", [1e999, -1e999])
+    def test_trig_of_an_infinite_point_is_a_numeric_error(self, fname, x):
+        # libm has no value at +-inf; a math domain ValueError would
+        # escape the monitor as a usage error
+        with pytest.raises(NumericError):
+            getattr(Interval(x), fname)()
+
+    @pytest.mark.parametrize("fname", ["sin", "cos"])
+    def test_trig_of_an_unbounded_interval_is_the_full_range(self, fname):
+        for iv in (Interval(0.0, 1e999), Interval(-1e999, 0.0), Interval(-1e999, 1e999)):
+            assert getattr(iv, fname)() == Interval(-1.0, 1.0)
+
 
 class TestNewtonStep:
     def test_sqrt2(self):

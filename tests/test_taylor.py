@@ -84,6 +84,14 @@ def jet_seed(box_elems, dim: int) -> list:
     ]
 
 
+def as_intervals(x):
+    """A state_series result read as Intervals: each (lo, hi) pair, a
+    coefficient or a jet's entry, becomes an Interval."""
+    if isinstance(x, tuple):
+        return Interval(*x)
+    return [as_intervals(v) for v in x]
+
+
 def coeffs_for(text_flow, init, order, params=()):
     """Interval Taylor coefficients at a point initial condition."""
     var_lines = "\n".join(
@@ -103,7 +111,7 @@ def coeffs_for(text_flow, init, order, params=()):
     )
     prog = compile_flow(sys.flow, sys.n_vars, sys.n_params)
     z0 = [Interval(v) for v in init] + [Interval(v) for v in params]
-    return state_series(prog, z0, order, interval_const)
+    return as_intervals(state_series(prog, z0, order, interval_const))
 
 
 def assert_encloses(iv, value, slack=1e-12):
@@ -148,7 +156,7 @@ class TestPointSeries:
             "[vars] x1 in [0.1, 1000]\n[init] x1 = 1\n[flow] x1' = 1/x1\n"
         )
         prog = compile_flow(sys.flow, 1, 0)
-        series = state_series(prog, [Interval(1.0)], 8, interval_const)
+        series = as_intervals(state_series(prog, [Interval(1.0)], 8, interval_const))
         expected = [1.0, 1.0, -0.5, 0.5, -0.625, 0.875, -1.3125, 2.0625, -3.3515625]
         for c, want in zip(series[0], expected):
             assert_encloses(c, want)
@@ -188,7 +196,7 @@ class TestJets:
         )
         prog = compile_flow(sys.flow, 2, 0)
         z0 = [Interval(1.0), Interval(0.0)]
-        series = state_series(prog, z0, 6, JetAlgebra(2))
+        series = as_intervals(state_series(prog, z0, 6, JetAlgebra(2)))
         # A^2 = -I, A^3 = -A, A^4 = I ...
         want = {
             0: [[1, 0], [0, 1]],
@@ -216,11 +224,11 @@ class TestJets:
 
         def coeff(pt, comp, i):
             z0 = [Interval(v) for v in pt]
-            return state_series(prog, z0, order, interval_const)[comp][i].mid()
+            return as_intervals(state_series(prog, z0, order, interval_const))[comp][i].mid()
 
         pt = [rng.uniform(-1, 1) for _ in range(3)]
         z0 = [Interval(v) for v in pt]
-        jets = state_series(prog, z0, order, JetAlgebra(3))
+        jets = as_intervals(state_series(prog, z0, order, JetAlgebra(3)))
         h = 1e-6
         for comp in range(2):
             for i in (1, 3, order):
@@ -240,9 +248,9 @@ class TestJets:
         )
         prog = compile_flow(sys.flow, 1, 0)
         box = Interval(0.8, 1.2)
-        jets = state_series(prog, [box], 5, JetAlgebra(1))
+        jets = as_intervals(state_series(prog, [box], 5, JetAlgebra(1)))
         for pt in (0.8, 0.95, 1.2):
-            pj = state_series(prog, [Interval(pt)], 5, JetAlgebra(1))
+            pj = as_intervals(state_series(prog, [Interval(pt)], 5, JetAlgebra(1)))
             for i in range(6):
                 got = jets[0][i][1]
                 val = pj[0][i][1].mid()
@@ -257,7 +265,7 @@ class TestJets:
                 f"[vars] x1 in [-5, 5]\n[init] x1 = 1\n[flow] x1' = {flow}\n"
             )
             prog = compile_flow(sys.flow, 1, 0)
-            return state_series(prog, [Interval(0.9, 1.1)], 8, JetAlgebra(1))[0]
+            return as_intervals(state_series(prog, [Interval(0.9, 1.1)], 8, JetAlgebra(1)))[0]
 
         got = jets_for("x1^4 - x1^3")
         want = jets_for("(x1*x1)*(x1*x1) - x1*x1*x1")
@@ -396,7 +404,7 @@ class TestTimeConstantOps:
         for x0 in ([Interval(1.0), Interval(0.5)],
                    [Interval(0.9, 1.1), Interval(-0.2, 0.3)]):
             z0 = x0 + [u]
-            got = state_series(prog, z0, 12, interval_const)
+            got = as_intervals(state_series(prog, z0, 12, interval_const))
             want = reference_series(sys.flow, 2, z0, 12, Interval)
             for g_row, w_row in zip(got, want):
                 assert len(g_row) == len(w_row) == 13
@@ -408,7 +416,7 @@ class TestTimeConstantOps:
         sys = self._system(f1, f2)
         prog = compile_flow(sys.flow, 2, 1)
         box = [Interval(0.9, 1.1), Interval(0.4, 0.6), Interval(-0.5, 0.25)]
-        got = state_series(prog, box, 8, JetAlgebra(3))
+        got = as_intervals(state_series(prog, box, 8, JetAlgebra(3)))
         want = reference_series(sys.flow, 2, jet_seed(box, 3), 8, jet_const_maker(3))
         for g_row, w_row in zip(got, want):
             for g, w in zip(g_row, w_row):
@@ -431,13 +439,13 @@ class TestTimeConstantOps:
         prog = compile_flow(sys.flow, 2, 1)
         for box in ([Interval(1.0), Interval(0.5), Interval(0.75)],
                     [Interval(0.9, 1.1), Interval(0.4, 0.6), Interval(-0.5, 0.25)]):
-            got = state_series(prog, box, 9, interval_const)
+            got = as_intervals(state_series(prog, box, 9, interval_const))
             want = reference_series(sys.flow, 2, box, 9, Interval)
             for g_row, w_row in zip(got, want):
                 assert len(g_row) == len(w_row) == 10
                 for g, w in zip(g_row, w_row):
                     assert same_bits(g, w), (g, w)
-            got = state_series(prog, box, 9, JetAlgebra(3))
+            got = as_intervals(state_series(prog, box, 9, JetAlgebra(3)))
             want = reference_series(sys.flow, 2, jet_seed(box, 3), 9, jet_const_maker(3))
             for g_row, w_row in zip(got, want):
                 for g, w in zip(g_row, w_row):
@@ -456,7 +464,7 @@ class TestTimeConstantOps:
         prog = compile_flow(sys.flow, 3, 3)
         z0 = [Interval(14.0, 16.0), Interval(14.5, 15.5), Interval(35.0, 37.0),
               Interval(10.0), Interval(27.5, 28.5), Interval(2.5)]
-        got = state_series(prog, z0, 21, interval_const)
+        got = as_intervals(state_series(prog, z0, 21, interval_const))
         want = reference_series(sys.flow, 3, z0, 21, Interval)
         for g_row, w_row in zip(got, want):
             for g, w in zip(g_row, w_row):
