@@ -2,7 +2,10 @@
 
 The operation set is closed: {+, -, *, /, integer power, sin, cos, exp}.
 This module builds, parses, prints and rewrites trees, and evaluates
-them at float points (eval_point).  Interval values, Taylor coefficients
+them at float points (eval_point).  A decimal literal is exact as
+written: one that no double equals keeps its rational value, and the
+tape computes with the smallest double interval around it (IEEE Std
+1788-2015's textToInterval).  Interval values, Taylor coefficients
 and time derivatives along a flow all come from compiling trees to a
 tape (see taylor.py), whose order 0 is the natural interval extension
 and therefore contains all pointwise values.
@@ -13,14 +16,17 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable
 
 from .errors import ModelError
+from .timesets import rational_enclosure
 
 __all__ = [
     "Expr", "Const", "Param", "Var", "Add", "Sub", "Mul", "Div", "Pow",
-    "Sin", "Cos", "Exp", "Neg", "eval_point", "substitute_params",
-    "free_divisions", "expr_to_str", "Tokenizer", "ExprParser",
+    "Sin", "Cos", "Exp", "Neg", "literal", "literal_bounds", "eval_point",
+    "substitute_params", "free_divisions", "expr_to_str", "decimal_text",
+    "Tokenizer", "ExprParser",
 ]
 
 
@@ -31,7 +37,34 @@ class Expr:
 
 @dataclass(frozen=True)
 class Const(Expr):
+    """A constant.  value is a double, the one eval_point uses; a literal
+    that no double equals also keeps its exact value, which bounds
+    encloses."""
+
     value: float
+    exact: Fraction | None = None
+
+    @property
+    def bounds(self) -> tuple:
+        return (self.value, self.value) if self.exact is None else literal_bounds(self.exact)
+
+
+def literal_bounds(q: Fraction) -> tuple:
+    """The smallest double interval (lo, hi) around the rational q.  A q
+    beyond the double range reads as infinity, as float() reads its text
+    (so 1e999 stands for an unbounded domain end)."""
+    try:
+        iv = rational_enclosure(q)
+    except OverflowError:
+        return (math.inf, math.inf) if q > 0 else (-math.inf, -math.inf)
+    return iv.lo, iv.hi
+
+
+def literal(q: Fraction) -> Const:
+    """The constant the literal q denotes: a point when a double equals
+    it (or it lies beyond the double range), else its exact value."""
+    lo, hi = literal_bounds(q)
+    return Const(lo) if lo == hi else Const(float(q), q)
 
 
 @dataclass(frozen=True)
@@ -169,7 +202,9 @@ def _fmt(e: Expr, prec: int) -> str:
     t = type(e)
     if t is Const:
         v = e.value
-        if math.isfinite(v) and v == int(v) and abs(v) < 1e15:
+        if e.exact is not None:
+            s = decimal_text(e.exact)
+        elif math.isfinite(v) and v == int(v) and abs(v) < 1e15:
             s = repr(int(v))
         else:
             s = repr(v).replace("inf", "1e999")  # an infinity parses back as itself
@@ -195,6 +230,17 @@ def _fmt(e: Expr, prec: int) -> str:
         return f"({s})" if prec > 2 else s
     name = {Sin: "sin", Cos: "cos", Exp: "exp"}[t]
     return f"{name}({_fmt(e.arg, 0)})"
+
+
+def decimal_text(q: Fraction) -> str:
+    """q, whose denominator divides a power of ten (a decimal literal
+    or a double), written exactly."""
+    m = 0
+    while q.numerator * 10**m % q.denominator:
+        m += 1
+    digits = str(abs(q.numerator) * 10**m // q.denominator).rjust(m + 1, "0")
+    sign = "-" if q < 0 else ""
+    return sign + (f"{digits[:-m]}.{digits[-m:]}" if m else digits)
 
 
 # --- tokenizing and parsing ----------------------------------------------
@@ -328,7 +374,7 @@ class ExprParser:
     def parse_atom(self) -> Expr:
         tok = self.tz.next()
         if tok.kind == "num":
-            return Const(float(tok.text))
+            return literal(Fraction(tok.text))
         if tok.kind == "ident":
             if tok.text in _FUNCTIONS:
                 self.tz.expect("(")

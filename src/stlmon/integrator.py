@@ -14,6 +14,11 @@ in E over the whole step, and satisfies
 for every s in [0, h].  A step is accepted only when its Lagrange term
 |z^[k+1](T)| h^{k+1} is at most tol and E lies in the state domain; a
 step that fails, or whose flow is undefined over T, is halved.  The
+first trial h is 0.9 (tol / |c_k|)^(1/k) for the order-k point
+coefficient c_k, capped by 0.9 (tol / |z^[k+1]|)^(1/(k+1)) for the
+remainder the previous step was accepted on: that is the term the test
+bounds, and over T it can exceed the point estimate many times (Lorenz),
+so the cap spares most rejections and halvings.  The
 coefficient functions z^[i] are evaluated in mean-value form,
 z^[i](z0) in c_i + S_i (z0 - zhat), where c_i is the point expansion at
 the box midpoint and S_i the jet-computed coefficient Jacobian over the
@@ -294,6 +299,12 @@ class SignalEnclosure:
             ck = max(map(abs, point[j][k]))
             if ck > 0.0:
                 h = min(h, (self.tol / ck) ** (1.0 / k))
+        if self.steps:
+            # the term the last step passed its Lagrange test on, over its
+            # trial box: the point coefficient can sit far below it
+            rk = max(r.mag() for r in self.steps[-1].remainder)
+            if rk > 0.0:
+                h = min(h, (self.tol / rk) ** (1.0 / (k + 1)))
         h = estimate = 0.9 * h
         if self._last_h is not None:
             h = min(h, 5.0 * self._last_h)

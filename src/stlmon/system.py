@@ -7,7 +7,9 @@ see the bundled examples under ``stlmon/models``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from importlib import resources
 
 from .errors import ModelError
@@ -18,8 +20,10 @@ from .expr import (
     Token,
     Tokenizer,
     Var,
+    decimal_text,
     expr_to_str,
     free_divisions,
+    literal_bounds,
 )
 from .interval import Interval, IntervalBox
 from .taylor import compile_flow, eval_box
@@ -79,8 +83,8 @@ class ContinuousSystem:
         return resolve
 
 
-def _parse_number(tz: Tokenizer) -> float:
-    sign = 1.0
+def _parse_number(tz: Tokenizer) -> Fraction:
+    sign = 1
     while True:
         if tz.accept("-"):
             sign = -sign
@@ -91,18 +95,28 @@ def _parse_number(tz: Tokenizer) -> float:
     tok = tz.next()
     if tok.kind != "num":
         raise ModelError(f"expected a number, found {tok.text!r}", tok.line, tok.col)
-    return sign * float(tok.text)
+    return sign * Fraction(tok.text)
 
 
-def _parse_interval(tz: Tokenizer) -> Interval:
+def _parse_interval(tz: Tokenizer, inward: bool = False) -> Interval:
+    """[lo, hi] rounded outward to doubles, or inward for a state domain:
+    the domain check must not accept a box that leaves the domain as
+    written."""
     tz.expect("[")
     lo = _parse_number(tz)
     tz.expect(",")
     hi = _parse_number(tz)
     tz.expect("]")
     if lo > hi:
-        raise ModelError(f"domain bounds out of order: [{lo}, {hi}]")
-    return Interval(lo, hi)
+        raise ModelError(f"domain bounds out of order: [{decimal_text(lo)}, {decimal_text(hi)}]")
+    (lo_lo, lo_hi), (hi_lo, hi_hi) = literal_bounds(lo), literal_bounds(hi)
+    if not inward:
+        return Interval(lo_lo, hi_hi)
+    if lo_hi > hi_lo:
+        raise ModelError(
+            f"no double lies in the state domain [{decimal_text(lo)}, {decimal_text(hi)}]"
+        )
+    return Interval(lo_hi, hi_lo)
 
 
 def parse_model(text: str) -> ContinuousSystem:
@@ -132,7 +146,7 @@ def parse_model(text: str) -> ContinuousSystem:
         params.append(_parse_domain_decl(decl, lineno))
     variables: list[tuple[str, Interval]] = []
     for lineno, decl in sections["vars"]:
-        variables.append(_parse_domain_decl(decl, lineno))
+        variables.append(_parse_domain_decl(decl, lineno, inward=True))
 
     if not variables:
         raise ModelError("a model needs at least one variable")
@@ -151,8 +165,7 @@ def parse_model(text: str) -> ContinuousSystem:
                 f"init declares unknown variable {name_tok.text!r}", name_tok.line, name_tok.col
             )
         if tz.accept("="):
-            v = _parse_number(tz)
-            init_ivs[name_tok.text] = Interval(v)
+            init_ivs[name_tok.text] = Interval(*literal_bounds(_parse_number(tz)))
         else:
             tz.expect("in")
             init_ivs[name_tok.text] = _parse_interval(tz)
@@ -191,13 +204,13 @@ def parse_model(text: str) -> ContinuousSystem:
     )
 
 
-def _parse_domain_decl(decl: str, lineno: int) -> tuple[str, Interval]:
+def _parse_domain_decl(decl: str, lineno: int, inward: bool = False) -> tuple[str, Interval]:
     tz = Tokenizer(decl, line_offset=lineno)
     name_tok = tz.next()
     if name_tok.kind != "ident":
         raise ModelError(f"expected a name, found {name_tok.text!r}", name_tok.line, name_tok.col)
     tz.expect("in")
-    iv = _parse_interval(tz)
+    iv = _parse_interval(tz, inward)
     _expect_end(tz)
     return name_tok.text, iv
 
@@ -216,22 +229,32 @@ def _check_distinct(names: list[str]) -> None:
         seen.add(n)
 
 
+def _number_text(x: float) -> str:
+    """x as a literal that parses back to exactly x."""
+    if math.isinf(x):
+        return "1e999" if x > 0 else "-1e999"
+    return repr(x) if Fraction(repr(x)) == x else decimal_text(Fraction(x))
+
+
 def format_model(sys: ContinuousSystem) -> str:
     """Inverse of parse_model (up to whitespace); used for round-trip checks."""
+    def box(iv: Interval) -> str:
+        return f"[{_number_text(iv.lo)}, {_number_text(iv.hi)}]"
+
     lines = []
     if sys.param_names:
         lines.append("[params]")
         for n, iv in zip(sys.param_names, sys.u_domain):
-            lines.append(f"  {n} in [{iv.lo!r}, {iv.hi!r}]")
+            lines.append(f"  {n} in {box(iv)}")
     lines.append("[vars]")
     for n, iv in zip(sys.var_names, sys.x_domain):
-        lines.append(f"  {n} in [{iv.lo!r}, {iv.hi!r}]")
+        lines.append(f"  {n} in {box(iv)}")
     lines.append("[init]")
     for n, iv in zip(sys.var_names, sys.x_init):
         if iv.is_point():
-            lines.append(f"  {n} = {iv.lo!r}")
+            lines.append(f"  {n} = {_number_text(iv.lo)}")
         else:
-            lines.append(f"  {n} in [{iv.lo!r}, {iv.hi!r}]")
+            lines.append(f"  {n} in {box(iv)}")
     lines.append("[flow]")
     for n, f in zip(sys.var_names, sys.flow):
         lines.append(f"  {n}' = {expr_to_str(f)}")

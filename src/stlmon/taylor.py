@@ -197,7 +197,7 @@ class JetAlgebra:
 # result is the one the convolution's surviving term gives.  _POW is
 # (kind, out, base, n, a, b): base^n at order 0, the convolution of its
 # factors a and b at orders >= 1.  _CONST runs at order 0 only and
-# carries its lifted (lo, hi) pair.
+# carries its (lo, hi) pair: the literal's enclosure (Const.bounds).
 (_CONST, _STATE, _ADD, _SUB, _MUL, _DIV, _NEG, _EXP, _SINCOS,
  _SCALE, _CSCALE, _DIVC, _POW) = range(13)
 
@@ -258,7 +258,7 @@ def compile_flow(flow: tuple, n_vars: int, n_params: int) -> TaylorProgram:
             return memo[e]
         t = type(e)
         if t is Const:
-            (slot,) = push(_CONST, ((e.value, e.value),), True)
+            (slot,) = push(_CONST, (e.bounds,), True)
         elif t is Var:
             (slot,) = push(_STATE, (e.index,), False)
         elif t is Param:

@@ -216,6 +216,27 @@ class TestModelLimits:
         assert (got, json.loads(out)["outcome"]) == (code, outcome)
 
 
+# x(t) = 1e-17 t as written, so x - 1e-17 < 0 holds exactly for t < 1.
+# The nearest doubles of the two flow literals differ by 1.39e-17, which
+# would put the computed root near t = 0.72.
+CANCELLING_LITERALS = "[vars] x in [-1, 25]\n[init] x = 0\n[flow] x' = 0.1 - 0.09999999999999999\n"
+
+
+class TestDecimalLiterals:
+    """Valid and Unsat hold of the literals as written, not of their
+    nearest doubles."""
+
+    @pytest.mark.parametrize("formula", [
+        "G[0,0.9] (x - 0.00000000000000001 < 0)",  # Valid as written
+        "F[0,0.9] !(x - 0.00000000000000001 < 0)",  # Unsat as written
+    ])
+    def test_cancelling_literals_are_not_decided_wrongly(self, capsys, tmp_path, formula):
+        model = tmp_path / "cancel.model"
+        model.write_text(CANCELLING_LITERALS)
+        code, out, _ = run_cli(capsys, "verify", "--model", str(model), "--formula", formula)
+        assert (code, json.loads(out)["outcome"]) == (2, "Unknown")
+
+
 BATCH_ARGS = (
     "batch",
     "--model", "rotation",

@@ -3,6 +3,7 @@ printing."""
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,6 +25,8 @@ from stlmon.expr import (
     eval_point,
     expr_to_str,
     free_divisions,
+    literal,
+    literal_bounds,
 )
 from stlmon.interval import Interval
 from stlmon.taylor import compile_flow, eval_box, lie_derivative
@@ -164,7 +167,9 @@ class TestParsePrint:
 
     @pytest.mark.parametrize("text, value", [("1e-3", 1e-3), ("2.5E+2", 250.0), (".5e1", 5.0)])
     def test_exponent_literals(self, text, value):
-        assert parse(f"{text}*x") == Mul(Const(value), Var(0, "x"))
+        # the literal's nearest double, and its exact value when that differs
+        exact = None if Fraction(text) == value else Fraction(text)
+        assert parse(f"{text}*x") == Mul(Const(value, exact), Var(0, "x"))
 
     def test_exponent_literal_power_rejected(self):
         with pytest.raises(ModelError, match="integer literal"):
@@ -174,6 +179,12 @@ class TestParsePrint:
         e = parse("x - 1e-20")
         assert parse(expr_to_str(e)) == e
 
+    @pytest.mark.parametrize("text", ["x - 0.1", "x - 0.00000000000000001", "2.675*x"])
+    def test_inexact_literal_round_trips(self, text):
+        e = parse(text)
+        assert parse(expr_to_str(e)) == e
+
+
     def test_bad_character_rejected(self):
         with pytest.raises(ModelError):
             parse("x $ y")
@@ -182,3 +193,33 @@ class TestParsePrint:
         e = parse("1/(x + 1/y)")
         dens = {expr_to_str(d) for d in free_divisions(e)}
         assert dens == {"x + 1/y", "y"}
+
+
+class TestLiterals:
+    """A literal is enclosed as written: a double is a point, any other
+    decimal the two doubles around it."""
+
+    @pytest.mark.parametrize("text", ["0", "7", "0.5", "2.5E+2", "1e-3", "0.1", "1e-17"])
+    def test_bounds_are_the_tightest_enclosure(self, text):
+        q = Fraction(text)
+        c = literal(q)
+        lo, hi = c.bounds
+        assert c.value == float(q)
+        assert Fraction(lo) <= q <= Fraction(hi)
+        if Fraction(c.value) == q:
+            assert (lo, hi) == (c.value, c.value) and c.exact is None
+        else:
+            assert hi == math.nextafter(lo, math.inf) and c.exact == q
+
+    def test_tape_runs_on_the_enclosure(self):
+        (iv,) = eval_box(compile_flow((parse("0.1 - 0.09999999999999999"),), 0, 0), [])
+        # the nearest doubles alone give the point 1.39e-17
+        assert Fraction(iv.lo) <= Fraction("1e-17") <= Fraction(iv.hi)
+
+    def test_point_evaluation_keeps_the_nearest_double(self):
+        assert eval_point(parse("0.1 - 0.09999999999999999"), [], []) == 0.1 - 0.09999999999999999
+
+    @pytest.mark.parametrize("text, bound", [("1e999", math.inf), ("-1e999", -math.inf)])
+    def test_literal_beyond_the_double_range_is_infinite(self, text, bound):
+        assert literal_bounds(Fraction(text)) == (bound, bound)
+        assert literal(Fraction(text)) == Const(bound)

@@ -351,6 +351,29 @@ class TestStepStructure:
             enc.eval(Interval(0.0, enc.horizon_reached + 1.0))
 
 
+class TestStepSize:
+    """Each step is sized from the Lagrange remainder the previous step
+    was accepted on, so most steps pass their first trial."""
+
+    def test_lorenz_steps_rarely_halve(self, monkeypatch):
+        order, runs, state_series = 20, [], integrator.state_series
+
+        def counting(prog, z0, k, const):
+            runs.append(k)
+            return state_series(prog, z0, k, const)
+
+        monkeypatch.setattr(integrator, "state_series", counting)
+        enc = SignalEnclosure(load_builtin("lorenz"), u_box=point_box(10.0, 28.0, 2.5),
+                              order=order)
+        enc.extend(0.6)  # the horizon of the benchmark's lorenz_short case
+        # one order-(k+1) run per trial step size
+        assert runs.count(order + 1) <= 1.25 * len(enc.steps)
+        for prev, step in zip(enc.steps, enc.steps[1:]):
+            rk = max(r.mag() for r in prev.remainder)
+            cap = 0.9 * (enc.tol / rk) ** (1.0 / (order + 1))
+            assert step.t1 - step.t0 <= cap * (1.0 + 1e-12), step.t0
+
+
 def conditioned_matrix(d, kappa, seed):
     """A d x d float matrix with condition number about kappa."""
     rng = np.random.default_rng(seed)

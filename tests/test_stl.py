@@ -84,7 +84,8 @@ class TestBounds:
     def test_exponent_bounds_are_exact_rationals(self):
         phi = parse("F[1e-1,2.5E+0] x1 - 1e-3 < 0")
         assert phi.lo == Fraction(1, 10) and phi.hi == Fraction(5, 2)
-        assert phi.b == Atom(Sub(Var(0, "x1"), Const(1e-3)))
+        # 1e-3 is no double: the atom keeps the literal exactly
+        assert phi.b == Atom(Sub(Var(0, "x1"), Const(1e-3, Fraction(1, 1000))))
 
     @pytest.mark.parametrize("bad", ["F[2,1] x1 < 0", "F[0,0] x1 < 0", "F[-1,2] x1 < 0"])
     def test_degenerate_bounds_rejected(self, bad):

@@ -1,5 +1,7 @@
 """Model files: parsing, validation, builtins, round-trip."""
 
+from fractions import Fraction
+
 import pytest
 
 from stlmon.errors import ModelError
@@ -60,6 +62,38 @@ class TestParse:
         assert (sys.x_domain.ivs[0].lo, sys.x_domain.ivs[0].hi) == (-10.0, 10.0)
         assert sys.x_init.ivs[0].lo == 0.5
         assert eval_point(sys.flow[0], [1000.0], [1.0]) == 1.0 - 250.0
+
+
+class TestDecimalLiterals:
+    """Domains and initial values hold the model as written: parameter
+    domains and initial boxes are rounded outward, state domains inward."""
+
+    TEXT = (
+        "[params] a in [0.1, 0.3]\n"
+        "[vars] x in [0.1, 0.7]\n"
+        "       y in [-1, 1]\n"
+        "[init] x in [0.2, 0.3]\n"
+        "       y = 0.1\n"
+        "[flow] x' = a\n"
+        "       y' = 0.1*a\n"
+    )
+
+    def test_domains_and_init_are_rounded(self):
+        sys = parse_model(self.TEXT)
+        (a,), (x, y) = sys.u_domain.ivs, sys.x_domain.ivs
+        x0, y0 = sys.x_init.ivs
+        for outer, lo, hi in [(a, "0.1", "0.3"), (x0, "0.2", "0.3"), (y0, "0.1", "0.1")]:
+            assert Fraction(outer.lo) < Fraction(lo) and Fraction(hi) < Fraction(outer.hi)
+        assert Fraction("0.1") < Fraction(x.lo) and Fraction(x.hi) < Fraction("0.7")
+        assert (y.lo, y.hi) == (-1.0, 1.0)
+
+    def test_round_trip(self):
+        sys = parse_model(self.TEXT)
+        assert parse_model(format_model(sys)) == sys
+
+    def test_state_domain_without_a_double_is_refused(self):
+        with pytest.raises(ModelError, match="no double lies"):
+            parse_model("[vars] x in [0.1, 0.1]\n[init] x = 0\n[flow] x' = 0\n")
 
 
 class TestValidation:
