@@ -20,12 +20,13 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import ModelError
-from .timesets import rational_enclosure
+from .interval import rational_enclosure
 
 __all__ = [
     "Expr", "Const", "Param", "Var", "Add", "Sub", "Mul", "Div", "Pow",
     "Sin", "Cos", "Exp", "Neg", "literal", "literal_bounds", "eval_point",
     "substitute_params", "free_divisions", "expr_to_str", "decimal_text",
+    "number_text",
     "Tokenizer", "ExprParser",
 ]
 
@@ -202,12 +203,7 @@ def _fmt(e: Expr, prec: int) -> str:
     t = type(e)
     if t is Const:
         v = e.value
-        if e.exact is not None:
-            s = decimal_text(e.exact)
-        elif math.isfinite(v) and v == int(v) and abs(v) < 1e15:
-            s = repr(int(v))
-        else:
-            s = repr(v).replace("inf", "1e999")  # an infinity parses back as itself
+        s = number_text(v) if e.exact is None else decimal_text(e.exact)
         return s if v >= 0 or prec < 3 else f"({s})"
     if t in (Param, Var):
         return e.name
@@ -233,14 +229,34 @@ def _fmt(e: Expr, prec: int) -> str:
 
 
 def decimal_text(q: Fraction) -> str:
-    """q, whose denominator divides a power of ten (a decimal literal
-    or a double), written exactly."""
-    m = 0
-    while q.numerator * 10**m % q.denominator:
-        m += 1
-    digits = str(abs(q.numerator) * 10**m // q.denominator).rjust(m + 1, "0")
+    """q written exactly as a decimal; a q whose denominator has a prime
+    factor other than 2 and 5 has no such form and raises ValueError."""
+    num, den, k = abs(q.numerator), q.denominator, 0
+    while den % 2 == 0:
+        den //= 2
+        num *= 5
+        k += 1
+    while den % 5 == 0:
+        den //= 5
+        num *= 2
+        k += 1
+    if den != 1:
+        raise ValueError(f"{q} has no finite decimal form")
+    digits = str(num).rjust(k + 1, "0")
     sign = "-" if q < 0 else ""
-    return sign + (f"{digits[:-m]}.{digits[-m:]}" if m else digits)
+    return sign + (f"{digits[:-k]}.{digits[-k:]}" if k else digits)
+
+
+def number_text(x: float) -> str:
+    """The double x as a literal that parses back to exactly x: 25 for an
+    integer, 1e999 for an infinity, else its repr when that is its exact
+    value and its exact expansion when not."""
+    if math.isinf(x):
+        return "1e999" if x > 0 else "-1e999"
+    if x == int(x) and abs(x) < 1e15:
+        return repr(int(x))
+    s = repr(x)
+    return s if Fraction(s) == x else decimal_text(Fraction(x))
 
 
 # --- tokenizing and parsing ----------------------------------------------

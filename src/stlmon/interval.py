@@ -9,6 +9,7 @@ for every operation: for x in a and y in b, x op y lies in a op b.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Iterable, Union
 
 from ._kernels import kadd, kdiv, kmul, ksub, next_down, next_up
@@ -21,6 +22,7 @@ __all__ = [
     "IntervalLike",
     "newton_step",
     "inflate",
+    "rational_enclosure",
 ]
 
 
@@ -262,6 +264,18 @@ def midpoint(lo: float, hi: float) -> float:
         m = 0.5 * lo + 0.5 * hi
     # clamp: midpoint of valid bounds always lies inside up to rounding
     return min(max(m, lo), hi)
+
+
+def rational_enclosure(q: Fraction) -> Interval:
+    """Smallest machine interval containing the exact rational q; a q
+    beyond the double range raises OverflowError."""
+    x = float(q)
+    d = Fraction(x) - q
+    if d == 0:
+        return Interval(x)
+    if d > 0:
+        return Interval(math.nextafter(x, -math.inf), x)
+    return Interval(x, math.nextafter(x, math.inf))
 
 
 def checked(p: tuple) -> tuple:

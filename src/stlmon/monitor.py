@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import (
     AmbiguityError,
@@ -29,7 +28,7 @@ from .errors import (
 )
 from .expr import Expr
 from .integrator import SignalEnclosure
-from .interval import EMPTY, Interval, IntervalBox, IntervalLike, newton_step
+from .interval import EMPTY, Interval, IntervalBox, IntervalLike, newton_step, rational_enclosure
 from .stl import (
     Atom,
     Formula,
@@ -46,13 +45,11 @@ from .system import ContinuousSystem
 from .timesets import (
     ApproxSet,
     BoundaryEnclosure,
-    EMPTY_SET,
     UNIVERSE,
     first_element,
     invert,
     join,
     normalize,
-    rational_enclosure,
     shift_all,
 )
 
@@ -144,17 +141,9 @@ class Verdict:
         return out
 
 
-def _float_upper(h) -> float:
-    """Smallest float >= the exact rational h."""
-    hf = float(h)
-    if hf < h:
-        hf = math.nextafter(hf, math.inf)
-    return hf
-
-
 def horizon_upper(phi: Formula) -> float:
     """Smallest float >= the exact rational horizon of phi."""
-    return _float_upper(necessary_length(phi))
+    return rational_enclosure(necessary_length(phi)).hi
 
 
 def _f_at(f: Expr, enc: SignalEnclosure, t: Interval) -> Interval:
@@ -369,7 +358,7 @@ def monitor_ap(
     depths = atom_depths(phi)
     out: dict[Expr, ApproxSet] = {}
     for f in atoms(phi):
-        ah = min(horizon, _float_upper(depths[f]))
+        ah = min(horizon, rational_enclosure(depths[f]).hi)
         out[f] = _atom_set(f, enc, ah, stats)
     return out
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ModelError
-from .expr import Const, Expr, ExprParser, Sub, Token, Tokenizer, expr_to_str
+from .expr import Const, Expr, ExprParser, Sub, Token, Tokenizer, decimal_text, expr_to_str
 
 __all__ = [
     "Formula", "TrueF", "Atom", "Or", "Not", "Until", "TRUE",
@@ -135,23 +135,7 @@ def atom_depths(phi: Formula) -> dict[Expr, Fraction]:
 
 def atoms(phi: Formula) -> list[Expr]:
     """Distinct atom expressions in stable first-appearance order."""
-    out: list[Expr] = []
-    seen: set[Expr] = set()
-
-    def walk(p: Formula) -> None:
-        t = type(p)
-        if t is Atom:
-            if p.f not in seen:
-                seen.add(p.f)
-                out.append(p.f)
-        elif t is Not:
-            walk(p.a)
-        elif t in (Or, Until):
-            walk(p.a)
-            walk(p.b)
-
-    walk(phi)
-    return out
+    return list(atom_depths(phi))
 
 
 # --- concrete syntax -------------------------------------------------------
@@ -305,29 +289,8 @@ def _fmt(phi: Formula, prec: int) -> str:
         return f"!{_fmt(phi.a, 4)}"
     if t is Until:
         s = (
-            f"{_fmt(phi.a, 3)} U[{_frac_str(phi.lo)},{_frac_str(phi.hi)}] "
+            f"{_fmt(phi.a, 3)} U[{decimal_text(phi.lo)},{decimal_text(phi.hi)}] "
             f"{_fmt(phi.b, 2)}"
         )
         return f"({s})" if prec > 2 else s
     raise TypeError(f"unknown formula node {phi!r}")
-
-
-def _frac_str(q: Fraction) -> str:
-    """Exact decimal rendering; bounds originate from decimal literals, so
-    the denominator is of the form 2^a 5^b."""
-    num, den = q.numerator, q.denominator
-    k = 0
-    while den % 2 == 0:
-        den //= 2
-        num *= 5
-        k += 1
-    while den % 5 == 0:
-        den //= 5
-        num *= 2
-        k += 1
-    if den != 1:
-        raise ValueError(f"time bound {q} has no finite decimal form")
-    if k == 0:
-        return str(num)
-    digits = str(num).rjust(k + 1, "0")
-    return f"{digits[:-k]}.{digits[-k:]}"

@@ -7,7 +7,6 @@ see the bundled examples under ``stlmon/models``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
@@ -24,6 +23,7 @@ from .expr import (
     expr_to_str,
     free_divisions,
     literal_bounds,
+    number_text,
 )
 from .interval import Interval, IntervalBox
 from .taylor import compile_flow, eval_box
@@ -70,17 +70,23 @@ class ContinuousSystem:
 
     def resolver(self, allow_params: bool = True):
         """Identifier resolver for expressions over this system."""
-        params = {n: i for i, n in enumerate(self.param_names)}
-        variables = {n: i for i, n in enumerate(self.var_names)}
+        return _resolver(self.param_names if allow_params else (), self.var_names)
 
-        def resolve(name: str, tok: Token) -> Expr:
-            if name in variables:
-                return Var(variables[name], name)
-            if allow_params and name in params:
-                return Param(params[name], name)
-            raise ModelError(f"undeclared identifier {name!r}", tok.line, tok.col)
 
-        return resolve
+def _resolver(param_names: tuple, var_names: tuple):
+    """Maps a declared name to its Param or Var node; any other name is
+    a ModelError at its token."""
+    params = {n: i for i, n in enumerate(param_names)}
+    variables = {n: i for i, n in enumerate(var_names)}
+
+    def resolve(name: str, tok: Token) -> Expr:
+        if name in variables:
+            return Var(variables[name], name)
+        if name in params:
+            return Param(params[name], name)
+        raise ModelError(f"undeclared identifier {name!r}", tok.line, tok.col)
+
+    return resolve
 
 
 def _parse_number(tz: Tokenizer) -> Fraction:
@@ -175,10 +181,7 @@ def parse_model(text: str) -> ContinuousSystem:
         raise ModelError(f"missing init for {', '.join(missing)}")
 
     flows: dict[str, Expr] = {}
-    dummy = ContinuousSystem.__new__(ContinuousSystem)  # only for resolver closure
-    object.__setattr__(dummy, "param_names", param_names)
-    object.__setattr__(dummy, "var_names", var_names)
-    resolve = dummy.resolver()
+    resolve = _resolver(param_names, var_names)
     for lineno, decl in sections["flow"]:
         tz = Tokenizer(decl, line_offset=lineno)
         name_tok = tz.next()
@@ -229,17 +232,10 @@ def _check_distinct(names: list[str]) -> None:
         seen.add(n)
 
 
-def _number_text(x: float) -> str:
-    """x as a literal that parses back to exactly x."""
-    if math.isinf(x):
-        return "1e999" if x > 0 else "-1e999"
-    return repr(x) if Fraction(repr(x)) == x else decimal_text(Fraction(x))
-
-
 def format_model(sys: ContinuousSystem) -> str:
     """Inverse of parse_model (up to whitespace); used for round-trip checks."""
     def box(iv: Interval) -> str:
-        return f"[{_number_text(iv.lo)}, {_number_text(iv.hi)}]"
+        return f"[{number_text(iv.lo)}, {number_text(iv.hi)}]"
 
     lines = []
     if sys.param_names:
@@ -252,7 +248,7 @@ def format_model(sys: ContinuousSystem) -> str:
     lines.append("[init]")
     for n, iv in zip(sys.var_names, sys.x_init):
         if iv.is_point():
-            lines.append(f"  {n} = {_number_text(iv.lo)}")
+            lines.append(f"  {n} = {number_text(iv.lo)}")
         else:
             lines.append(f"  {n} in {box(iv)}")
     lines.append("[flow]")

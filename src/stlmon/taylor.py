@@ -190,16 +190,15 @@ class JetAlgebra:
 
 
 # tape op kinds; each op writes coefficient i of its output slot(s)
-# from children coefficients of orders <= i.  _SCALE is a product whose
-# right factor is time-constant (out[i] = a[i] * b[0]), _CSCALE one whose
-# left factor is (out[i] = a[0] * b[i]), and _DIVC a quotient by a
-# time-constant (out[i] = a[i] / b[0]); operand order is kept so each
-# result is the one the convolution's surviving term gives.  _POW is
+# from children coefficients of orders <= i.  _CSCALE is a product with
+# one time-constant factor, taken as the left operand (out[i] = a[0] *
+# b[i]; the kernels commute bit for bit, so x*c gives what c*x does), and
+# _DIVC a quotient by a time-constant (out[i] = a[i] / b[0]).  _POW is
 # (kind, out, base, n, a, b): base^n at order 0, the convolution of its
 # factors a and b at orders >= 1.  _CONST runs at order 0 only and
 # carries its (lo, hi) pair: the literal's enclosure (Const.bounds).
 (_CONST, _STATE, _ADD, _SUB, _MUL, _DIV, _NEG, _EXP, _SINCOS,
- _SCALE, _CSCALE, _DIVC, _POW) = range(13)
+ _CSCALE, _DIVC, _POW) = range(12)
 
 
 @dataclass(frozen=True)
@@ -273,8 +272,9 @@ def compile_flow(flow: tuple, n_vars: int, n_params: int) -> TaylorProgram:
         elif t is Mul:
             a, b = emit(e.a), emit(e.b)
             ca, cb = a in tconst, b in tconst
-            kind = _SCALE if cb and not ca else _CSCALE if ca and not cb else _MUL
-            (slot,) = push(kind, (a, b), ca and cb)
+            if cb and not ca:
+                a, b = b, a
+            (slot,) = push(_CSCALE if ca != cb else _MUL, (a, b), ca and cb)
         elif t is Div:
             a, b = emit(e.a), emit(e.b)
             ca, cb = a in tconst, b in tconst
@@ -337,14 +337,7 @@ def lie_derivative(program: TaylorProgram, z: list) -> Interval:
     takes its order-1 coefficients F(z), and the varying ops run once
     more at order 1.
     """
-    state = [[(v.lo, v.hi)] for v in z]
-    slots: list = [[] for _ in range(program.n_slots)]
-    _tape_order(program.ops, state, slots, 0, interval_const)
-    for j, row in enumerate(state):
-        row.append(slots[program.out_slots[j]][0] if j < program.n_vars else (0.0, 0.0))
-    for s in program.const_slots:
-        slots[s].append((0.0, 0.0))
-    _tape_order(program.varying_ops, state, slots, 1, interval_const)
+    _, slots = _run(program, interval_const.seed(z), 2, interval_const)
     return Interval(*slots[program.out_slots[-1]][1])
 
 
@@ -391,8 +384,6 @@ def _tape_order(ops, state, slots, i, alg):
             w.append(apply(kadd, slots[op[2]][i], slots[op[3]][i]))
         elif kind == _MUL:
             w.append(alg.conv(slots[op[2]], slots[op[3]], i))
-        elif kind == _SCALE:
-            w.append(mul(slots[op[2]][i], slots[op[3]][0]))
         elif kind == _CONST:
             w.append(alg.const(op[2]))
         elif kind == _NEG:

@@ -23,16 +23,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from fractions import Fraction
-from math import nextafter
 
 from .errors import AmbiguityError
-from .interval import EMPTY, Interval
+from .interval import Interval
 
 __all__ = [
     "BoundaryEnclosure", "ApproxSet", "UNIVERSE", "EMPTY_SET", "seq",
     "normalize", "invert", "join", "intersect", "shift_all",
-    "first_element", "rational_enclosure", "to_json",
+    "first_element", "to_json",
 ]
 
 
@@ -199,17 +197,6 @@ def intersect(t1: ApproxSet, t2: ApproxSet) -> ApproxSet:
     return invert(join(invert(t1), invert(t2)))
 
 
-def rational_enclosure(q: Fraction) -> Interval:
-    """Smallest machine interval containing the exact rational q."""
-    x = float(q)
-    d = Fraction(x) - q
-    if d == 0:
-        return Interval(x)
-    if d > 0:
-        return Interval(nextafter(x, -float("inf")), x)
-    return Interval(x, nextafter(x, float("inf")))
-
-
 def _pairs(t: ApproxSet, horizon: float):
     """Consecutive (lower, upper) enclosure pairs; a trailing lower bound
     with no matching upper is paired with a sentinel upper at the covered
@@ -254,7 +241,7 @@ def shift_all(
     """Consistent times of phi1 U_[a,b] phi2 from those of the operands.
 
     t_lo/t_hi are 1-ulp interval enclosures of the exact rational bounds
-    a and b (see rational_enclosure), so the shifts stay outward-rounded.
+    a and b (see interval.rational_enclosure), so the shifts stay outward-rounded.
     """
     if t1.is_empty or t2.is_empty:
         return EMPTY_SET

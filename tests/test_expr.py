@@ -22,6 +22,7 @@ from stlmon.expr import (
     Sub,
     Tokenizer,
     Var,
+    decimal_text,
     eval_point,
     expr_to_str,
     free_divisions,
@@ -141,6 +142,8 @@ class TestParsePrint:
         "sin(x + cos(y))*exp(-z)",
         "x^3 - 2*x^2 + x - 7",
         "x - 1e999",
+        # the exact value of the double nearest 0.1, so a point constant
+        "x - 0.1000000000000000055511151231257827021181583404541015625",
     ]
 
     @pytest.mark.parametrize("text", ROUND_TRIP)
@@ -178,6 +181,10 @@ class TestParsePrint:
     def test_small_constant_round_trips(self):
         e = parse("x - 1e-20")
         assert parse(expr_to_str(e)) == e
+
+    def test_decimal_text_refuses_a_non_decimal(self):
+        with pytest.raises(ValueError, match="no finite decimal form"):
+            decimal_text(Fraction(1, 3))
 
     @pytest.mark.parametrize("text", ["x - 0.1", "x - 0.00000000000000001", "2.675*x"])
     def test_inexact_literal_round_trips(self, text):

@@ -431,6 +431,31 @@ class TestKernelLanes:
                 got = getattr(lane, name)(x, x, y, y)
                 assert got == _directed(exact(Fraction(x), Fraction(y))), (name, x, y)
 
+    def test_sum_and_product_commute_bit_for_bit(self, lane):
+        # the tape computes x*c as c*x, so swapping the operands of kadd
+        # or kmul must not change a bit, signed zeros included
+        special = [(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (1.0, 1.0), (-1.0, -1.0),
+                   (5e-324, 5e-324), (-5e-324, 2e-308), (-math.inf, math.inf),
+                   (math.inf, math.inf), (-math.inf, -1.5), (2.5, math.inf)]
+        rng = random.Random(20261019)
+
+        def bits(pair):
+            return tuple("nan" if v != v else struct.pack("<d", v) for v in pair)
+
+        def operand():
+            if rng.random() < 0.2:
+                return rng.choice(special)
+            return _operand(rng, rng.choice("+-0"))
+
+        bad = []
+        for _ in range(10_000):
+            a, b = operand(), operand()
+            for name in ("kadd", "kmul"):
+                kern = getattr(lane, name)
+                if bits(kern(*a, *b)) != bits(kern(*b, *a)):
+                    bad.append((name, a, b))
+        assert not bad, f"{len(bad)} pairs differ, e.g. {bad[:3]}"
+
     def test_c_lane_matches_pure_bit_for_bit(self, c_lane, c_lane_native):
         special = [0.0, -0.0, 1.0, -1.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf]
         rng = random.Random(11)

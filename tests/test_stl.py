@@ -161,6 +161,10 @@ class TestRoundTrip:
         phi = parse_formula(LORENZ_PROPERTY, r)
         assert parse_formula(formula_to_str(phi), r) == phi
 
+    def test_bound_without_a_decimal_form_is_refused(self):
+        with pytest.raises(ValueError, match="no finite decimal form"):
+            formula_to_str(Until(Fraction(0), Fraction(1, 3), TRUE, TRUE))
+
     def test_timer_example_round_trip(self):
         r = load_builtin("timer").resolver()
         phi = parse_formula("F[0,6.284] (cos(x) < 0 & sin(x) < 0)", r)

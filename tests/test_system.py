@@ -91,6 +91,15 @@ class TestDecimalLiterals:
         sys = parse_model(self.TEXT)
         assert parse_model(format_model(sys)) == sys
 
+    def test_round_trip_keeps_an_exact_double_constant(self):
+        # the exact expansion of 0.1's double is a point constant, and its
+        # repr 0.1 would parse back as the enclosure of 1/10
+        sys = parse_model(
+            "[vars] x in [-1, 1]\n[init] x = 0\n"
+            "[flow] x' = 0.1000000000000000055511151231257827021181583404541015625\n"
+        )
+        assert parse_model(format_model(sys)) == sys
+
     def test_state_domain_without_a_double_is_refused(self):
         with pytest.raises(ModelError, match="no double lies"):
             parse_model("[vars] x in [0.1, 0.1]\n[init] x = 0\n[flow] x' = 0\n")

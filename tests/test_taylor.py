@@ -394,7 +394,7 @@ class TestTimeConstantOps:
             assert not set(prog.const_slots) & {
                 op[1] for op in prog.ops if op[0] == tay._STATE and op[2] < 2
             }
-        assert {tay._SCALE, tay._CSCALE, tay._DIVC} <= kinds
+        assert {tay._CSCALE, tay._DIVC} <= kinds
 
     @pytest.mark.parametrize("f1,f2", FLOWS)
     @pytest.mark.parametrize("u", [Interval(0.75), Interval(-0.5, 0.25)])

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from stlmon.errors import AmbiguityError
-from stlmon.interval import Interval
+from stlmon.interval import Interval, rational_enclosure
 from stlmon.timesets import (
     EMPTY_SET,
     UNIVERSE,
@@ -18,7 +18,6 @@ from stlmon.timesets import (
     invert,
     join,
     normalize,
-    rational_enclosure,
     seq,
     shift_all,
     to_json,
