@@ -37,7 +37,6 @@ from .stl import (
     TrueF,
     Until,
     atom_depths,
-    atoms,
     formula_to_str,
     necessary_length,
 )
@@ -355,10 +354,9 @@ def monitor_ap(
     # each atom is searched only up to its own temporal depth: its sign
     # beyond that cannot reach the verdict at time 0, and late segments
     # are where the enclosure is widest and certification most fragile
-    depths = atom_depths(phi)
     out: dict[Expr, ApproxSet] = {}
-    for f in atoms(phi):
-        ah = min(horizon, rational_enclosure(depths[f]).hi)
+    for f, depth in atom_depths(phi).items():
+        ah = min(horizon, rational_enclosure(depth).hi)
         out[f] = _atom_set(f, enc, ah, stats)
     return out
 

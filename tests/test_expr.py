@@ -182,6 +182,14 @@ class TestParsePrint:
         e = parse("x - 1e-20")
         assert parse(expr_to_str(e)) == e
 
+    @pytest.mark.parametrize("q, text", [
+        ("0.5", "0.5"), ("0.25", "0.25"), ("0.1", "0.10"), ("-2.675", "-2.6750"),
+        ("1e-20", "0.0000000000000000000100000000000000000000"),
+    ])
+    def test_decimal_text_writes_a_plus_b_places(self, q, text):
+        # denominator 2^a*5^b: one place per factor, not the minimal max(a, b)
+        assert decimal_text(Fraction(q)) == text
+
     def test_decimal_text_refuses_a_non_decimal(self):
         with pytest.raises(ValueError, match="no finite decimal form"):
             decimal_text(Fraction(1, 3))

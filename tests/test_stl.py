@@ -165,6 +165,13 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="no finite decimal form"):
             formula_to_str(Until(Fraction(0), Fraction(1, 3), TRUE, TRUE))
 
+    def test_printed_text_is_pinned(self):
+        # a decimal with denominator 2^a*5^b prints with a + b places; this
+        # text keys Verdict.sets, which the bit-identity digests hash
+        r = load_builtin("rotation").resolver()
+        phi = parse_formula("F[0,6.284] !(x2 - 0.1 < 0)", r)
+        assert formula_to_str(phi) == "true U[0,6.2840] !(x2 - 0.10 < 0)"
+
     def test_timer_example_round_trip(self):
         r = load_builtin("timer").resolver()
         phi = parse_formula("F[0,6.284] (cos(x) < 0 & sin(x) < 0)", r)

@@ -390,11 +390,22 @@ class TestTimeConstantOps:
             sys = self._system(f1, f2)
             prog = compile_flow(sys.flow, 2, 1)
             kinds |= {op[0] for op in prog.ops}
+            tconst = set(prog.const_slots)
             # constants and the parameter are time-constant, states are not
-            assert not set(prog.const_slots) & {
+            assert not tconst & {
                 op[1] for op in prog.ops if op[0] == tay._STATE and op[2] < 2
             }
+            # a product with one time-constant factor is a scale, whichever
+            # side the factor is written on, and the factor is its left operand
+            for op in prog.ops:
+                if op[0] in (tay._MUL, tay._CSCALE):
+                    ca, cb = op[2] in tconst, op[3] in tconst
+                    assert (op[0] == tay._CSCALE) == (ca != cb), op
+                    assert op[0] == tay._MUL or ca, op
         assert {tay._CSCALE, tay._DIVC} <= kinds
+        # FLOWS[0] writes the factor on the left (u1*x1) and the right (x1*u1)
+        prog = compile_flow(self._system(*self.FLOWS[0]).flow, 2, 1)
+        assert [op[0] for op in prog.ops].count(tay._CSCALE) == 2
 
     @pytest.mark.parametrize("f1,f2", FLOWS)
     @pytest.mark.parametrize("u", [Interval(0.75), Interval(-0.5, 0.25)])
