@@ -229,8 +229,9 @@ def _fmt(e: Expr, prec: int) -> str:
 
 
 def decimal_text(q: Fraction) -> str:
-    """q written exactly as a decimal; a q whose denominator has a prime
-    factor other than 2 and 5 has no such form and raises ValueError."""
+    """q written exactly as a decimal with no trailing fractional zero; a
+    q whose denominator has a prime factor other than 2 and 5 has no such
+    form and raises ValueError."""
     num, den, k = abs(q.numerator), q.denominator, 0
     while den % 2 == 0:
         den //= 2
@@ -244,7 +245,7 @@ def decimal_text(q: Fraction) -> str:
         raise ValueError(f"{q} has no finite decimal form")
     digits = str(num).rjust(k + 1, "0")
     sign = "-" if q < 0 else ""
-    return sign + (f"{digits[:-k]}.{digits[-k:]}" if k else digits)
+    return sign + (f"{digits[:-k]}.{digits[-k:].rstrip('0')}" if k else digits)
 
 
 def number_text(x: float) -> str:

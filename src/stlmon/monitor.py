@@ -364,7 +364,6 @@ def monitor_ap(
 def propagate(
     phi: Formula,
     atom_sets: dict[Expr, ApproxSet],
-    horizon: float,
     record: dict[str, ApproxSet] | None = None,
 ) -> ApproxSet:
     """Consistent-time set of phi by structural recursion over the formula."""
@@ -382,11 +381,7 @@ def propagate(
             t1 = rec(node.a)
             t2 = rec(node.b)
             t = shift_all(
-                rational_enclosure(node.lo),
-                rational_enclosure(node.hi),
-                t1,
-                t2,
-                horizon,
+                rational_enclosure(node.lo), rational_enclosure(node.hi), t1, t2
             )
         else:  # pragma: no cover - exhaustive over the core grammar
             raise TypeError(f"unknown formula node {node!r}")
@@ -443,10 +438,8 @@ def monitor_stl(
                 order=cfg.order,
                 tol=cfg.tol,
             )
-        horizon = horizon_upper(phi)
-        enc.extend(horizon)
         atom_sets = monitor_ap(system, phi, cfg, enc=enc, stats=stats)
-        t_phi = propagate(phi, atom_sets, horizon, record=sets)
+        t_phi = propagate(phi, atom_sets, record=sets)
         outcome = consistent_at_init(t_phi)
         if outcome == UNKNOWN:
             cause = PROPAGATION_ERROR

@@ -13,7 +13,13 @@ Canonical form (asserted after every operation):
   - polarities strictly alternate, starting with a lower bound.
 
 The operations realize complement (invert), union (join), intersection
-(De Morgan composition), and the back-shift of the bounded Until.
+(De Morgan composition), and the back-shift of the bounded Until: for
+consistent intervals I of phi1 and J of phi2 with I & J = [l, u),
+phi1 U_[a,b] phi2 holds on [l - b, u - a) & I.  An interval still
+holding where an atom's search ends, at its temporal depth, has no upper
+bound: it stays open.  A formula never reads an atom beyond its depth,
+so the open end meets no time that is read, where an end placed at the
+depth would: a punctual bound [a, a] shifts it exactly onto one.
 Normalization can fail when enclosures of opposite polarity overlap —
 the true boundary order is then unknown — which surfaces as
 AmbiguityError and, at the top level, an Unknown verdict.
@@ -194,28 +200,20 @@ def join(t1: ApproxSet, t2: ApproxSet) -> ApproxSet:
 
 
 def intersect(t1: ApproxSet, t2: ApproxSet) -> ApproxSet:
+    if t1.is_universe:
+        return t2
+    if t2.is_universe:
+        return t1
     return invert(join(invert(t1), invert(t2)))
 
 
-def _pairs(t: ApproxSet, horizon: float):
-    """Consecutive (lower, upper) enclosure pairs; a trailing lower bound
-    with no matching upper is paired with a sentinel upper at the covered
-    horizon."""
+def _pairs(t: ApproxSet):
+    """The consistent intervals of t, one set each: consecutive (lower,
+    upper) enclosure pairs.  A trailing lower bound stays alone, an
+    interval still open at the end of the searched time."""
     if t.is_universe:
-        # the universe over the covered horizon is the single interval
-        # starting at 0 and still open at the horizon
-        return [
-            seq(
-                [
-                    BoundaryEnclosure(_POINT_ZERO, True),
-                    BoundaryEnclosure(Interval(horizon), False),
-                ]
-            )
-        ]
-    elems = list(t.elems)
-    if len(elems) % 2 == 1:
-        elems.append(BoundaryEnclosure(Interval(horizon), False))
-    return [seq(elems[i : i + 2]) for i in range(0, len(elems), 2)]
+        return [t]
+    return [seq(t.elems[i : i + 2]) for i in range(0, len(t.elems), 2)]
 
 
 def _shift_elem(t: ApproxSet, t_lo: Interval, t_hi: Interval) -> ApproxSet:
@@ -232,11 +230,7 @@ def _shift_elem(t: ApproxSet, t_lo: Interval, t_hi: Interval) -> ApproxSet:
 
 
 def shift_all(
-    t_lo: Interval,
-    t_hi: Interval,
-    t1: ApproxSet,
-    t2: ApproxSet,
-    horizon: float,
+    t_lo: Interval, t_hi: Interval, t1: ApproxSet, t2: ApproxSet
 ) -> ApproxSet:
     """Consistent times of phi1 U_[a,b] phi2 from those of the operands.
 
@@ -245,25 +239,14 @@ def shift_all(
     """
     if t1.is_empty or t2.is_empty:
         return EMPTY_SET
-    if t1.is_universe:
-        parts = [_shift_elem(p2, t_lo, t_hi) for p2 in _pairs(t2, horizon)]
-    elif t2.is_universe:
-        parts = [
-            intersect(_shift_elem(p1, t_lo, t_hi), p1)
-            for p1 in _pairs(t1, horizon)
-        ]
-    else:
-        parts = [
-            intersect(_shift_elem(intersect(p1, p2), t_lo, t_hi), p1)
-            for p1 in _pairs(t1, horizon)
-            for p2 in _pairs(t2, horizon)
-        ]
     raw: list[BoundaryEnclosure] = []
-    for p in parts:
-        if p.is_universe:
-            raw.append(BoundaryEnclosure(_POINT_ZERO, True))
-        elif not p.is_empty:
-            raw.extend(p.elems)
+    for p1 in _pairs(t1):
+        for p2 in _pairs(t2):
+            p = intersect(_shift_elem(intersect(p1, p2), t_lo, t_hi), p1)
+            if p.is_universe:
+                raw.append(BoundaryEnclosure(_POINT_ZERO, True))
+            elif not p.is_empty:
+                raw.extend(p.elems)
     return normalize(raw)
 
 

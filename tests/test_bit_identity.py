@@ -2,7 +2,7 @@
 
 Each case hashes every accepted step model (t0, t1, coefficients,
 remainder, apriori box) bit for bit, and the verdict's outcome, cause
-and time sets.  A change that is meant to leave the arithmetic alone
+and time sets, the latter in the order propagate records them.  A change that is meant to leave the arithmetic alone
 (a faster tape runner, a new element layout) must leave these digests
 unchanged, in the pure-Python and the C kernel lane alike; a change that
 moves any bound must update them on purpose.
@@ -35,27 +35,29 @@ CASES = {
     "lorenz_short": ("lorenz", LORENZ, 20, [(10.0, 10.0), (28.0, 28.0), (2.5, 2.5)]),
 }
 
-# the rotation digests were recorded with the object-based tape runner
-# (Jet and Interval elements); lorenz_short was re-recorded, identical in
-# the pure and the C lane, when each step size became capped by the last
-# accepted step's Lagrange remainder, which shortens Lorenz's steps
+# the step models are those recorded with the object-based tape runner
+# (rotation) and with each step size capped by the last accepted step's
+# Lagrange remainder (lorenz_short); all 8 digests were re-recorded,
+# identical in the pure and the C lane, when the sets came to be hashed
+# by position and an interval still holding at an atom's depth stayed
+# open instead of ending at the formula horizon
 DIGESTS = {
-    "rotation_point_pos_large":
-        "9a5c30f7768ed786fdf43fa035da83f9cbbbb24e65c51073cac8be88f6e176f6",
-    "rotation_point_pos_small":
-        "289a19574537a6de8dcdc7bd25592acef7040ed068b8e893019175a56a930c51",
-    "rotation_point_neg_small":
-        "24b601abedc616460e82133bc3664ab68060416bd80d3fe1d5f7b58724754ce9",
-    "rotation_point_neg_large":
-        "0cc016981ee23c6128e19bd7153be3a90adf84c3ea3da1476b737282de651053",
-    "rotation_box_pos":
-        "bbcbb209483adfa435c06829f0f61fe8bcf782e362b84dd44ebef3264f77655f",
-    "rotation_box_neg":
-        "692b3f7e5d9dad550646377548bbd525afeadcf622a844a2bfc1776c2d1e73a8",
-    "rotation_box_straddle":
-        "4eaf3699b7d2a8adc12fa10cbc61928593a3e39b0a4b4e7e54b0c28063dd52bd",
     "lorenz_short":
-        "6ab4109e6416e9469e5866a83a570deef2b9b58a0722c15b35c8477b67f7e3f6",
+        "93c99046e8e26e4ea7a2a9c1e4d340a82e1ed4d53b7a8bce7ba9773752cd4d34",
+    "rotation_box_neg":
+        "2974a1e7668a428fe91a0aa3f06beb5ced9391125bc18eea5a019e5266f1b944",
+    "rotation_box_pos":
+        "81854ff6106fa55963d6bc9b8a9336b8381a42a7eb4208dc0c19a0d0e5e3895e",
+    "rotation_box_straddle":
+        "1067126e075d00417bf08f07d91ef0c7edb6ebb4163bcfc640deb90d07574058",
+    "rotation_point_neg_large":
+        "0b364b46a814f3c8db484508c6a90a57cdc3d58628351a585d30d9711ed4091f",
+    "rotation_point_neg_small":
+        "6b7047fe3a00a25deb5fe1b41e1223f5df4d1006ec389719d0f09aa56307df98",
+    "rotation_point_pos_large":
+        "11d4cd354d97a819a381e324adf3c28d3377020fb17372319851044a45172802",
+    "rotation_point_pos_small":
+        "8f46be298d94025e290925b760f99033ff1d9577a032b859b8aac5260538a2cd",
 }
 
 
@@ -83,8 +85,10 @@ def digest(model: str, formula: str, order: int, u: list) -> str:
     for step in enc.steps:
         h.update(_canon((step.t0, step.t1, step.coeffs, step.remainder,
                          step.apriori)).encode())
+    # the sets in propagate's recording order, without the display text
+    # that keys them, so that a printing change moves no digest
     h.update(_canon((verdict["outcome"], verdict["unknown_cause"],
-                     verdict["sets"])).encode())
+                     list(verdict["sets"].values()))).encode())
     return h.hexdigest()
 
 

@@ -234,7 +234,7 @@ class TestPropagateAndConsistency:
                 BoundaryEnclosure(Interval(2.0, 2.0), False),
             ]
         )
-        t_phi = propagate(phi, {f: t_p}, horizon=3.0)
+        t_phi = propagate(phi, {f: t_p})
         first = t_phi.elems[0]
         assert first.polarity is True and 0.0 in first.s
 
@@ -330,6 +330,26 @@ class TestDegenerateRoots:
         v = timer_verdict("F[0,1] (-x < 0)")
         assert v.outcome == UNKNOWN
         assert v.unknown_cause == "InitialSignError"
+
+
+class TestPunctualBounds:
+    """A bound [a, a] reads an atom exactly at its depth, where x = t < 5
+    still holds: the atom's interval must stay open there, not end."""
+
+    @pytest.mark.parametrize(
+        "text, truth",
+        [
+            ("F[1,1] (x - 5 < 0)", VALID),
+            ("G[1,1] !(x - 5 < 0)", UNSAT),
+            ("G[0,1] F[2,2] (x - 5 < 0)", VALID),
+            ("(x - 5 < 0) U[1,1] (x - 5 < 0)", VALID),
+            ("F[0,1] G[2,2] !(x - 5 < 0)", UNSAT),
+            # a non-punctual control
+            ("F[1,1.5] (x - 5 < 0)", VALID),
+        ],
+    )
+    def test_true_verdict(self, text, truth):
+        assert timer_verdict(text).outcome == truth
 
 
 class TestSeededRotationBoxes:

@@ -1,0 +1,284 @@
+"""Differential soundness against exact truth on models solved in closed form.
+
+Each case draws a model, x' = c (linear) or x' = y, y' = c (quadratic),
+written with decimal literals of 0 to 3 places, with c a parameter
+interval in about 30% of the cases.  The formula puts the atom x - a < 0,
+or its negation, under F and G: nested up to depth 2 over the linear
+model, one operator over the quadratic one.  About 30% of the time bounds
+are punctual, [a, a] with a > 0, and in half of the cases a is chosen so
+that the atom's root sits exactly on the summed lower or upper bound.
+
+The truth is exact, in Fraction arithmetic.  Over the linear model the
+atom holds on a half-line of time, open or closed at its end, and F and G
+move that end; over the quadratic model the extremes of x - a on a window
+lie at its ends or at the parabola's vertex.  x(t) grows with c for
+t >= 0, so every formula is monotone in c, and its truth at c's two ends
+decides the whole box: true at both is Valid, false at both is Unsat,
+and otherwise no decided verdict is right.
+
+A decided verdict that contradicts the truth fails, and so does any
+exception or Unknown cause outside the documented ones.  Unknown passes;
+its rate per cause is printed.  The test runs a fixed seeded slice; for
+longer campaigns over a range of seeds run
+
+    PYTHONPATH=src python tests/test_soundness_exact.py --seeds 1-20 --cases 3000
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import random
+import time
+from collections import Counter
+from fractions import Fraction
+
+from stlmon.expr import decimal_text
+from stlmon.monitor import (
+    INITIAL_SIGN_ERROR,
+    INTEGRATION_ERROR,
+    NUMERIC_ERROR,
+    PROPAGATION_ERROR,
+    SEARCH_ZERO_ERROR,
+    UNKNOWN,
+    UNSAT,
+    VALID,
+    monitor_stl,
+)
+from stlmon.stl import parse_formula
+from stlmon.system import parse_model
+
+CAUSES = {
+    SEARCH_ZERO_ERROR, PROPAGATION_ERROR, INTEGRATION_ERROR,
+    INITIAL_SIGN_ERROR, NUMERIC_ERROR,
+}
+MIXED = "mixed"  # true for one end of c and false for the other
+
+SLICE_SEED = 7
+SLICE_CASES = 3000
+
+
+def _decimal(rng: random.Random, lo: int, hi: int) -> Fraction:
+    """A decimal in [lo, hi] with 0 to 3 places."""
+    scale = 10 ** rng.randint(0, 3)
+    return Fraction(rng.randint(lo * scale, hi * scale), scale)
+
+
+# --- exact truth ------------------------------------------------------------
+#
+# Over the linear model a set of times is a half-line of [0, inf):
+# ("down", r, closed) is {t < r}, or {t <= r} when closed, and
+# ("up", r, closed) is {t > r}, or {t >= r}; r may be -inf.
+
+
+def _linear_atom(x0, c, a):
+    """Times at which x0 + c t - a < 0."""
+    if c == 0:
+        return ("up", -math.inf, False) if x0 < a else ("down", -math.inf, False)
+    return ("down" if c > 0 else "up", (a - x0) / c, False)
+
+
+def _negate(s):
+    kind, r, closed = s
+    return ("up" if kind == "down" else "down", r, not closed)
+
+
+def _temporal(op, lo, hi, s):
+    """F[lo, hi] or G[lo, hi] of a half-line: F needs its earliest read
+    time in a down-set and its latest in an up-set, G the opposite."""
+    kind, r, closed = s
+    reads_lo = (op == "F") == (kind == "down")
+    return (kind, r - (lo if reads_lo else hi), closed)
+
+
+def _at_zero(s) -> bool:
+    kind, r, closed = s
+    if kind == "down":
+        return 0 <= r if closed else 0 < r
+    return 0 >= r if closed else 0 > r
+
+
+def _linear_truth(case, c) -> bool:
+    s = _linear_atom(case["x0"], c, case["a"])
+    if case["negated"]:
+        s = _negate(s)
+    for op, lo, hi in reversed(case["ops"]):
+        s = _temporal(op, lo, hi, s)
+    return _at_zero(s)
+
+
+def _quadratic_truth(case, c) -> bool:
+    x0, y0, a = case["x0"], case["y0"], case["a"]
+    ((op, lo, hi),) = case["ops"]
+    times = [lo, hi]
+    if c != 0 and lo < -y0 / c < hi:
+        times.append(-y0 / c)
+    values = [x0 + y0 * t + c * t * t / 2 - a for t in times]
+    if case["negated"]:  # x - a >= 0 somewhere (F) or throughout (G)
+        return (max(values) if op == "F" else min(values)) >= 0
+    return (min(values) if op == "F" else max(values)) < 0
+
+
+def truth(case) -> str:
+    decide = _linear_truth if case["model"] == "linear" else _quadratic_truth
+    at_ends = {decide(case, c) for c in (case["c_lo"], case["c_hi"])}
+    if at_ends == {True}:
+        return VALID
+    if at_ends == {False}:
+        return UNSAT
+    return MIXED
+
+
+# --- case generation -------------------------------------------------------
+
+
+def _x_at(case, c, t):
+    if case["model"] == "quadratic":
+        return case["x0"] + case["y0"] * t + c * t * t / 2
+    return case["x0"] + c * t
+
+
+def draw_case(rng: random.Random) -> dict:
+    model = "linear" if rng.random() < 0.7 else "quadratic"
+    c_lo = _decimal(rng, -2, 2)
+    c_hi = c_lo
+    if rng.random() < 0.3:
+        while c_hi == c_lo:
+            c_hi = c_lo + _decimal(rng, 0, 1)
+    case = {
+        "model": model, "x0": _decimal(rng, -3, 3), "y0": _decimal(rng, -2, 2),
+        "c_lo": c_lo, "c_hi": c_hi, "negated": rng.random() < 0.5,
+    }
+    ops = []
+    for _ in range(rng.randint(1, 2) if model == "linear" else 1):
+        if rng.random() < 0.3:
+            lo = hi = Fraction(0)
+            while lo == 0:
+                lo = hi = _decimal(rng, 0, 2)
+        else:
+            lo, hi = _decimal(rng, 0, 2), Fraction(0)
+            while hi <= 0:
+                hi = _decimal(rng, 0, 2)
+            hi += lo
+        ops.append((rng.choice("FG"), lo, hi))
+    case["ops"] = ops
+    if rng.random() < 0.5:
+        # the root on the summed lower or upper bound, for one end of c
+        t = sum(op[1 if rng.random() < 0.5 else 2] for op in ops)
+        case["a"] = _x_at(case, rng.choice((c_lo, c_hi)), t)
+    else:
+        case["a"] = _decimal(rng, -4, 4)
+    return case
+
+
+def model_text(case) -> str:
+    if case["c_lo"] == case["c_hi"]:
+        params, c = "", decimal_text(case["c_lo"])
+    else:
+        c_lo, c_hi = decimal_text(case["c_lo"]), decimal_text(case["c_hi"])
+        params, c = f"[params] c in [{c_lo}, {c_hi}]\n", "c"
+    x0 = decimal_text(case["x0"])
+    if case["model"] == "linear":
+        return f"{params}[vars] x in [-1000, 1000]\n[init] x = {x0}\n[flow] x' = {c}\n"
+    return (
+        f"{params}[vars] x in [-1000, 1000]\n y in [-1000, 1000]\n"
+        f"[init] x = {x0}\n y = {decimal_text(case['y0'])}\n"
+        f"[flow] x' = y\n y' = {c}\n"
+    )
+
+
+def formula_text(case) -> str:
+    a = case["a"]
+    atom = f"(x - {decimal_text(a)} < 0)" if a >= 0 else f"(x + {decimal_text(-a)} < 0)"
+    text = f"!{atom}" if case["negated"] else atom
+    for op, lo, hi in reversed(case["ops"]):
+        text = f"{op}[{decimal_text(lo)},{decimal_text(hi)}] {text}"
+    return text
+
+
+def punctual(case) -> bool:
+    return any(lo == hi for _, lo, hi in case["ops"])
+
+
+# --- campaign ---------------------------------------------------------------
+
+
+def run_campaign(seed: int, n: int) -> dict:
+    """Monitor n seeded cases; return the wrong verdicts, the exceptions
+    and undocumented causes, and the counts of outcomes and causes."""
+    rng = random.Random(seed)
+    wrong, errors = [], []
+    outcomes, causes = Counter(), Counter()
+    for _ in range(n):
+        case = draw_case(rng)
+        model, formula = model_text(case), formula_text(case)
+        label = f"model {model!r} formula {formula!r}"
+        system = parse_model(model)
+        phi = parse_formula(formula, system.resolver(allow_params=False))
+        want = truth(case)
+        try:
+            v = monitor_stl(system, phi)
+        except Exception as exc:  # every exception is a finding
+            errors.append(f"{label}: {type(exc).__name__}: {exc}")
+            continue
+        outcomes[v.outcome] += 1
+        if v.outcome == UNKNOWN:
+            causes[v.unknown_cause] += 1
+            if v.unknown_cause not in CAUSES:
+                errors.append(f"{label}: undocumented cause {v.unknown_cause}")
+        elif v.outcome != want:
+            wrong.append(f"{label}: {v.outcome}, truth {want}"
+                         f"{' (punctual)' if punctual(case) else ''}")
+    return {"wrong": wrong, "errors": errors, "outcomes": outcomes, "causes": causes}
+
+
+def summary(result: dict, n: int) -> str:
+    rates = ", ".join(f"{k} {v / n:.1%}" for k, v in sorted(result["causes"].items()))
+    return (f"{n} cases: {dict(result['outcomes'])}; Unknown by cause: {rates or 'none'}; "
+            f"{len(result['wrong'])} wrong, {len(result['errors'])} errors")
+
+
+def test_exact_slice_has_no_wrong_verdict():
+    result = run_campaign(SLICE_SEED, SLICE_CASES)
+    print(summary(result, SLICE_CASES))
+    assert not result["errors"], "\n".join(result["errors"][:10])
+    assert not result["wrong"], "\n".join(result["wrong"][:10])
+
+
+def test_truth_of_the_punctual_reproducers():
+    # x(t) = t: x - 5 < 0 still holds at t = 1 and t = 2
+    timer = {"model": "linear", "x0": Fraction(0), "y0": Fraction(0),
+             "c_lo": Fraction(1), "c_hi": Fraction(1), "a": Fraction(5)}
+    one, two = Fraction(1), Fraction(2)
+    assert truth({**timer, "negated": False, "ops": [("F", one, one)]}) == VALID
+    assert truth({**timer, "negated": True, "ops": [("G", one, one)]}) == UNSAT
+    assert truth({**timer, "negated": False,
+                  "ops": [("G", 0, one), ("F", two, two)]}) == VALID
+    # the strict atom is false on its root: G[0,0.5] (x - 0.5 < 0) fails
+    half = Fraction(1, 2)
+    assert truth({**timer, "a": half, "negated": False,
+                  "ops": [("G", 0, half)]}) == UNSAT
+    assert truth({**timer, "a": half, "negated": True,
+                  "ops": [("F", 0, half)]}) == VALID
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seeds", default=f"{SLICE_SEED}", help="a seed or a range lo-hi")
+    ap.add_argument("--cases", type=int, default=SLICE_CASES, help="cases per seed")
+    args = ap.parse_args()
+    lo, _, hi = args.seeds.partition("-")
+    failed = False
+    for seed in range(int(lo), int(hi or lo) + 1):
+        start = time.perf_counter()
+        result = run_campaign(seed, args.cases)
+        print(f"seed {seed}: {summary(result, args.cases)} "
+              f"in {time.perf_counter() - start:.1f} s")
+        for line in result["wrong"] + result["errors"]:
+            print("  " + line)
+        failed |= bool(result["wrong"] or result["errors"])
+    raise SystemExit(1 if failed else 0)
+
+
+if __name__ == "__main__":
+    main()

@@ -166,11 +166,11 @@ class TestRoundTrip:
             formula_to_str(Until(Fraction(0), Fraction(1, 3), TRUE, TRUE))
 
     def test_printed_text_is_pinned(self):
-        # a decimal with denominator 2^a*5^b prints with a + b places; this
-        # text keys Verdict.sets, which the bit-identity digests hash
+        # a decimal prints with no trailing zero; this text keys
+        # Verdict.sets, which the bit-identity digests hash by position
         r = load_builtin("rotation").resolver()
         phi = parse_formula("F[0,6.284] !(x2 - 0.1 < 0)", r)
-        assert formula_to_str(phi) == "true U[0,6.2840] !(x2 - 0.10 < 0)"
+        assert formula_to_str(phi) == "true U[0,6.284] !(x2 - 0.1 < 0)"
 
     def test_timer_example_round_trip(self):
         r = load_builtin("timer").resolver()

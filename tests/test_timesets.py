@@ -150,24 +150,42 @@ class TestIntersect:
         assert_same(intersect(t, UNIVERSE), t)
         assert intersect(t, EMPTY_SET) is EMPTY_SET
 
+    def test_universe_is_the_unit_without_inversion(self):
+        # inverting t would put an upper bound straddling 0 first
+        t = S((-0.1, 0.1, True), (1, 1.1, False))
+        with pytest.raises(AmbiguityError):
+            invert(t)
+        assert intersect(UNIVERSE, t) is t
+        assert intersect(t, UNIVERSE) is t
+
 
 class TestShiftAll:
     def test_worked_example(self):
         lo, hi = rational_enclosure(Fraction(0)), rational_enclosure(Fraction("6.284"))
         t2 = S((3.14, 3.15, True), (4.71, 4.72, False))
-        got = shift_all(lo, hi, UNIVERSE, t2, horizon=6.284)
+        got = shift_all(lo, hi, UNIVERSE, t2)
         assert_same(got, S((0, 0, True), (4.71, 4.72, False)))
 
     def test_empty_operands(self):
         lo, hi = rational_enclosure(Fraction(0)), rational_enclosure(Fraction(1))
-        assert shift_all(lo, hi, EMPTY_SET, S((1, 1, True)), 10.0) is EMPTY_SET
-        assert shift_all(lo, hi, UNIVERSE, EMPTY_SET, 10.0) is EMPTY_SET
+        assert shift_all(lo, hi, EMPTY_SET, S((1, 1, True))) is EMPTY_SET
+        assert shift_all(lo, hi, UNIVERSE, EMPTY_SET) is EMPTY_SET
 
     def test_point_shift(self):
         # F_[2,3] of the interval [5, 6): holds on [2, 4)
         lo, hi = rational_enclosure(Fraction(2)), rational_enclosure(Fraction(3))
-        got = shift_all(lo, hi, UNIVERSE, S((5, 5, True), (6, 6, False)), 10.0)
+        got = shift_all(lo, hi, UNIVERSE, S((5, 5, True), (6, 6, False)))
         assert_same(got, S((2, 2, True), (4, 4, False)))
+
+    def test_universe_stays_universe_at_a_punctual_bound(self):
+        one = rational_enclosure(Fraction(1))
+        assert shift_all(one, one, UNIVERSE, UNIVERSE) is UNIVERSE
+
+    def test_open_interval_stays_open(self):
+        # F_[2,3] of [5, ...) still holding at the end of the search
+        lo, hi = rational_enclosure(Fraction(2)), rational_enclosure(Fraction(3))
+        got = shift_all(lo, hi, UNIVERSE, S((5, 5, True)))
+        assert_same(got, S((2, 2, True)))
 
     def test_first_element(self):
         t = S((0, 0, True), (4.71, 4.72, False))
@@ -292,12 +310,13 @@ class TestGridOracle:
             p1, v1 = _random_boolean_signal(rng)
             p2, v2 = _random_boolean_signal(rng)
             a = rng.choice([0.0, 0.25, 0.5])
-            b = a + rng.choice([0.5, 1.0, 2.0])
+            # a punctual bound [a, a] needs a > 0: U[0,0] is not a formula
+            b = a + rng.choice([0.0, 0.5, 1.0, 2.0] if a > 0 else [0.5, 1.0, 2.0])
             t1, t2 = _exact_set(p1, v1), _exact_set(p2, v2)
             lo = rational_enclosure(Fraction(a))
             hi = rational_enclosure(Fraction(b))
             try:
-                got = shift_all(lo, hi, t1, t2, HORIZON)
+                got = shift_all(lo, hi, t1, t2)
             except AmbiguityError:
                 continue
             count += 1
@@ -356,9 +375,9 @@ class TestComplexityGuard:
         lo, hi = rational_enclosure(Fraction(0)), rational_enclosure(Fraction(1))
         big = self._big_set(1000)
         start = time.monotonic()
-        shift_all(lo, hi, UNIVERSE, big, horizon=4000.0)
+        shift_all(lo, hi, UNIVERSE, big)
         assert time.monotonic() - start < 5.0
         small = self._big_set(60)
         start = time.monotonic()
-        shift_all(lo, hi, small, small, horizon=200.0)
+        shift_all(lo, hi, small, small)
         assert time.monotonic() - start < 30.0
