@@ -6,8 +6,8 @@ for bit, and is selected at import time when the extension is absent.
 """
 
 try:
-    from ._fast import BACKEND, kadd, kdiv, kmul, ksub, next_down, next_up
+    from ._fast import BACKEND, kadd, kdiv, kmul, ksub
 except ImportError:  # extension not built on this platform
-    from ._pure import BACKEND, kadd, kdiv, kmul, ksub, next_down, next_up
+    from ._pure import BACKEND, kadd, kdiv, kmul, ksub
 
-__all__ = ["BACKEND", "kadd", "ksub", "kmul", "kdiv", "next_down", "next_up"]
+__all__ = ["BACKEND", "kadd", "ksub", "kmul", "kdiv"]

@@ -168,18 +168,6 @@ KERNEL(ksub)
 KERNEL(kmul)
 KERNEL(kdiv)
 
-static PyObject *py_next_down(PyObject *mod, PyObject *x)
-{
-    double v = as_double(x);
-    return v == -1.0 && PyErr_Occurred() ? NULL : PyFloat_FromDouble(down(v));
-}
-
-static PyObject *py_next_up(PyObject *mod, PyObject *x)
-{
-    double v = as_double(x);
-    return v == -1.0 && PyErr_Occurred() ? NULL : PyFloat_FromDouble(up(v));
-}
-
 #define FASTCALL(name) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
 
 static PyMethodDef methods[] = {
@@ -187,8 +175,6 @@ static PyMethodDef methods[] = {
     FASTCALL(ksub),
     FASTCALL(kmul),
     FASTCALL(kdiv),
-    {"next_down", py_next_down, METH_O, NULL},
-    {"next_up", py_next_up, METH_O, NULL},
     {NULL, NULL, 0, NULL},
 };
 

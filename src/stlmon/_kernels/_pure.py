@@ -1,7 +1,9 @@
 """Pure-Python outward-rounded interval kernels.
 
-These functions are the only place in the package where rounding direction
-is handled.
+The four kernels kadd, ksub, kmul and kdiv take two intervals as four
+floats (alo, ahi, blo, bhi) and return the (lo, hi) pair of the result.
+They are the only arithmetic whose rounding direction the package handles;
+elsewhere a bound moved one ulp outward is a plain math.nextafter.
 
 - add/sub: the two-sum exactness test; an inexact bound is moved one ulp
   outward.
@@ -28,14 +30,6 @@ _BIG = 1e290
 _TINY = 1e-290
 
 BACKEND = "pure"
-
-
-def next_down(x: float) -> float:
-    return nextafter(x, _NINF)
-
-
-def next_up(x: float) -> float:
-    return nextafter(x, _INF)
 
 
 def kadd(al: float, ah: float, bl: float, bh: float):

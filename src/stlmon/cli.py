@@ -21,7 +21,7 @@ import sys
 import time
 
 from .errors import IntegrationError, ModelError
-from .integrator import SignalEnclosure
+from .integrator import MonitorConfig, SignalEnclosure
 from .interval import Interval, IntervalBox
 from .monitor import (
     INITIAL_SIGN_ERROR,
@@ -33,7 +33,7 @@ from .monitor import (
     UNKNOWN,
     UNSAT,
     VALID,
-    MonitorConfig,
+    monitor_enclosure,
     monitor_stl,
 )
 from .stl import parse_formula
@@ -118,11 +118,17 @@ def _sample_u_box(system: ContinuousSystem, rng: random.Random, widen: float) ->
 def cmd_verify(args) -> int:
     system = _load_model(args.model)
     phi = _load_formula(args, system)
-    cfg = _config(args)
     # the trace is written from the enclosure the verification integrates
-    enc = SignalEnclosure(system, order=cfg.order, tol=cfg.tol)
-    verdict = monitor_stl(system, phi, cfg, enc=enc, collect_sets=args.dump_sets)
-    print(json.dumps(verdict.to_json(), indent=2))
+    enc = SignalEnclosure(system, cfg=_config(args))
+    verdict = monitor_enclosure(enc, phi, collect_sets=args.dump_sets)
+    try:
+        print(json.dumps(verdict.to_json(), indent=2), flush=True)
+    except BrokenPipeError:
+        # the reader left early (`| head`): the verdict stands, and the
+        # flush at exit writes the rest of the buffer to nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     if args.trace:
         if enc.failure is not None:
             print(
@@ -179,8 +185,7 @@ def cmd_trace(args) -> int:
     if not 0.0 <= args.horizon < math.inf:
         return _fail("--horizon must be finite and non-negative")
     system = _load_model(args.model)
-    cfg = _config(args)
-    enc = SignalEnclosure(system, order=cfg.order, tol=cfg.tol)
+    enc = SignalEnclosure(system, cfg=_config(args))
     try:
         enc.extend(args.horizon)
     except (IntegrationError,) + NUMERIC_FAILURES as exc:
@@ -194,9 +199,9 @@ def cmd_trace(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", required=True, help="model file path or builtin name")
-    p.add_argument("--order", type=int, default=15, help="Taylor order")
+    p.add_argument("--order", type=int, default=MonitorConfig.order, help="Taylor order")
     p.add_argument(
-        "--tol", type=float, default=1e-15,
+        "--tol", type=float, default=MonitorConfig.tol,
         help="bound on each integration step's Lagrange remainder term",
     )
 

@@ -1,7 +1,8 @@
 """Exception hierarchy for the monitor.
 
-Every exception below maps to an Unknown verdict at the top level; the
-class determines the reported cause.
+Every certification failure below maps to an Unknown verdict at the top
+level, and its class determines the reported cause.  ModelError is not
+one: bad model or formula text is a usage error (exit code 64).
 """
 
 

@@ -11,9 +11,11 @@ in E over the whole step, and satisfies
 
     z(t0 + s)  in  sum_{i<=k} z^[i](z0) s^i  +  z^[k+1](T) s^{k+1}
 
-for every s in [0, h].  A step is accepted only when its Lagrange term
-|z^[k+1](T)| h^{k+1} is at most tol and E lies in the state domain; a
-step that fails, or whose flow is undefined over T, is halved.  The
+for every s in [0, h].  T is the polynomial part of E with its radius
+widened by a tenth, one trial box per step size.  A step is accepted
+only when E lies in T and in the state domain and its Lagrange term
+|z^[k+1](T)| h^{k+1} is at most tol; a step that fails, or whose flow
+is undefined over T, is halved.  The
 first trial h is 0.9 (tol / |c_k|)^(1/k) for the order-k point
 coefficient c_k, capped by 0.9 (tol / |z^[k+1]|)^(1/(k+1)) for the
 remainder the previous step was accepted on: that is the term the test
@@ -38,6 +40,9 @@ remaining interval parameters are adjoined as constant state components
 (u' = 0), so one machinery covers interval parameters and interval
 initial states; the extended state has n_vars + #interval-params
 components.
+
+A run's order k and tol have one home, the MonitorConfig its
+enclosure is built with, which validates them.
 """
 
 from __future__ import annotations
@@ -57,12 +62,31 @@ from .taylor import (
     state_series,
 )
 
-__all__ = ["StepModel", "SignalEnclosure"]
+__all__ = ["MonitorConfig", "StepModel", "SignalEnclosure"]
 
 # the smallest step the integrator takes before giving up
 _T_MIN = 1e-14
 # the most steps one enclosure takes; every step is kept for dense output
 _MAX_STEPS = 10_000
+
+
+@dataclass(frozen=True)
+class MonitorConfig:
+    """Taylor order and step truncation target of a run's validated
+    integration; the zero search has no knobs.
+
+    tol bounds each accepted step's Lagrange remainder term
+    max_j |z_j^[order+1](T)| h^(order+1), T the step's trial box.
+    """
+
+    order: int = 15
+    tol: float = 1e-15
+
+    def __post_init__(self):
+        if not self.order >= 1:
+            raise ValueError("order must be at least 1")
+        if not self.tol > 0.0:
+            raise ValueError("tol must be positive")
 
 
 def _imat_vec(A, v):
@@ -167,7 +191,7 @@ class SignalEnclosure:
     Steps are appended by extend(); eval() answers time-interval
     queries against the stored dense output.  Optional u_box/init_box
     narrow the system's boxes for a single run (e.g. one sampled
-    parameter value).
+    parameter value); cfg holds the run's order and tol.
     """
 
     def __init__(
@@ -175,8 +199,7 @@ class SignalEnclosure:
         system: ContinuousSystem,
         u_box: IntervalBox | None = None,
         init_box: IntervalBox | None = None,
-        order: int = 15,
-        tol: float = 1e-15,
+        cfg: MonitorConfig | None = None,
     ):
         self.system = system
         self.u_box = system.u_domain if u_box is None else u_box
@@ -185,8 +208,7 @@ class SignalEnclosure:
             raise ValueError("u_box must lie inside the system's parameter domain")
         if not system.x_init.contains_box(self.init_box):
             raise ValueError("init_box must lie inside the system's initial box")
-        self.order = order
-        self.tol = tol
+        self.cfg = cfg or MonitorConfig()
 
         self.n = system.n_vars
         # point parameters become constants of this run's flow; interval
@@ -247,7 +269,7 @@ class SignalEnclosure:
         return box
 
     def _step(self, target_time: float) -> None:
-        k = self.order
+        k = self.cfg.order
         t0 = self.horizon_reached
         dev = _imat_vec(_lift(self._B), self._r)
         zbox = self._current_box(dev)
@@ -293,18 +315,18 @@ class SignalEnclosure:
         )
 
     def _choose_h(self, point, t0: float, target_time: float) -> float:
-        k = self.order
+        k, tol = self.cfg.order, self.cfg.tol
         h = math.inf
         for j in range(self.n):
             ck = max(map(abs, point[j][k]))
             if ck > 0.0:
-                h = min(h, (self.tol / ck) ** (1.0 / k))
+                h = min(h, (tol / ck) ** (1.0 / k))
         if self.steps:
             # the term the last step passed its Lagrange test on, over its
             # trial box: the point coefficient can sit far below it
             rk = max(r.mag() for r in self.steps[-1].remainder)
             if rk > 0.0:
-                h = min(h, (self.tol / rk) ** (1.0 / (k + 1)))
+                h = min(h, (tol / rk) ** (1.0 / (k + 1)))
         h = estimate = 0.9 * h
         if self._last_h is not None:
             h = min(h, 5.0 * self._last_h)
@@ -330,39 +352,36 @@ class SignalEnclosure:
 
     def _enclose(self, zbox: list, jets, s: Interval) -> tuple | str:
         """(E, z^[k+1](T)) on the state rows for the step s = [0, h] (see
-        the module docstring): T is a trial box that contains E, E lies
-        in the state domain and the Lagrange term meets tol.  Otherwise
-        the reason why the step size h must shrink.
+        the module docstring): T is the trial box, the polynomial part
+        inflated once; E must lie inside T and in the state domain, and
+        the Lagrange term must meet tol.  Otherwise the reason why the
+        step size h must shrink.
         """
-        k, n = self.order, self.n
+        k, n = self.cfg.order, self.n
         # the polynomial part in Horner's form, which over s = [0, h] lies
         # inside the sum of the terms z^[i](zbox) [0,h]^i (subdistributivity)
         poly = _horner([[jets[j][i][0] for j in range(n)] for i in range(k + 1)], (s.lo, s.hi))
         sk1 = s.powi(k + 1)
-        fixed = list(zbox[n:])
-        trial = [inflate(Interval(*p), 1.1) for p in poly] + fixed
-        for _ in range(12):
-            try:
-                tail = state_series(self._prog, trial, k + 1, interval_const)
-            except ZeroDivisionError:
-                return "flow undefined over the trial box"
-            # parameter rows of the series are constant: the remainder
-            # keeps the state rows only
-            remainder = [tail[j][k + 1] for j in range(n)]
-            # a wider trial box only widens the remainder
-            if max(abs(x) for r in remainder for x in r) * sk1.hi > self.tol:
-                return "Lagrange remainder above tol"
-            box = [Interval(*kadd(*p, *checked(kmul(*r, sk1.lo, sk1.hi))))
-                   for p, r in zip(poly, remainder)]
-            if all(trial[j].contains_interval(box[j]) for j in range(n)):
-                if not self._in_domain(box):
-                    return "enclosure left the state domain"
-                return box, remainder
-            trial = [inflate(b.hull(t), 1.2) for b, t in zip(box, trial)] + fixed
-        return "no trial box contains its enclosure"
+        trial = [inflate(Interval(*p), 1.1) for p in poly] + list(zbox[n:])
+        try:
+            tail = state_series(self._prog, trial, k + 1, interval_const)
+        except ZeroDivisionError:
+            return "flow undefined over the trial box"
+        # parameter rows of the series are constant: the remainder keeps
+        # the state rows only
+        remainder = [tail[j][k + 1] for j in range(n)]
+        if max(abs(x) for r in remainder for x in r) * sk1.hi > self.cfg.tol:
+            return "Lagrange remainder above tol"
+        box = [Interval(*kadd(*p, *checked(kmul(*r, sk1.lo, sk1.hi))))
+               for p, r in zip(poly, remainder)]
+        if not all(trial[j].contains_interval(box[j]) for j in range(n)):
+            return "trial box does not contain its enclosure"
+        if not self._in_domain(box):
+            return "enclosure left the state domain"
+        return box, remainder
 
     def _propagate_frame(self, point, jets, remainder, span: Interval) -> None:
-        k = self.order
+        k = self.cfg.order
         d = self.d
         # point value and coefficient Jacobian at the step's far end
         sk1, span = span.powi(k + 1), (span.lo, span.hi)

@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-from ._kernels import kadd, kdiv, kmul, ksub, next_down, next_up
+from ._kernels import kadd, kdiv, kmul, ksub
 from .errors import NumericError
 
 __all__ = [
@@ -200,13 +200,13 @@ _TWO_PI = 2.0 * math.pi
 
 def _widen_down(x: float, ulps: int) -> float:
     for _ in range(ulps):
-        x = next_down(x)
+        x = math.nextafter(x, -math.inf)
     return x
 
 
 def _widen_up(x: float, ulps: int) -> float:
     for _ in range(ulps):
-        x = next_up(x)
+        x = math.nextafter(x, math.inf)
     return x
 
 
@@ -320,6 +320,6 @@ def inflate(a: Interval, factor: float) -> Interval:
     if factor <= 1.0:
         raise ValueError("inflation factor must exceed 1")
     m = a.mid()
-    rad = next_up(max(m - a.lo, a.hi - m))
-    rad = next_up(rad * factor + 8.0 * math.ulp(max(1.0, abs(m))))
-    return Interval(next_down(m - rad), next_up(m + rad))
+    rad = math.nextafter(max(m - a.lo, a.hi - m), math.inf)
+    rad = math.nextafter(rad * factor + 8.0 * math.ulp(max(1.0, abs(m))), math.inf)
+    return Interval(math.nextafter(m - rad, -math.inf), math.nextafter(m + rad, math.inf))

@@ -10,8 +10,11 @@ interval Newton steps; per-atom enumeration of sign-change boundaries
 (monitor_ap), structural propagation through the formula via the
 consistent-time-set algebra (propagate), and the decision at time zero
 (consistent_at_init).
-monitor_stl wires them together and converts every certification failure
-into an Unknown verdict tagged with its cause.
+monitor_enclosure wires them together over one signal enclosure, which
+carries the run's boxes and MonitorConfig and is integrated only as far
+as the deepest atom is read; it converts every certification failure
+into an Unknown verdict tagged with its cause.  monitor_stl builds that
+enclosure from a system.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .errors import (
     TangencyError,
 )
 from .expr import Expr
-from .integrator import SignalEnclosure
+from .integrator import MonitorConfig, SignalEnclosure
 from .interval import EMPTY, Interval, IntervalBox, IntervalLike, newton_step, rational_enclosure
 from .stl import (
     Atom,
@@ -38,7 +41,6 @@ from .stl import (
     Until,
     atom_depths,
     formula_to_str,
-    necessary_length,
 )
 from .system import ContinuousSystem
 from .timesets import (
@@ -80,25 +82,6 @@ gradient = None
 eval_box = None
 
 
-@dataclass(frozen=True)
-class MonitorConfig:
-    """Taylor order and step truncation target of the validated
-    integration; the zero search has no knobs.
-
-    tol bounds each accepted step's Lagrange remainder term
-    max_j |z_j^[order+1](T)| h^(order+1), T the step's trial box.
-    """
-
-    order: int = 15
-    tol: float = 1e-15
-
-    def __post_init__(self):
-        if not self.order >= 1:
-            raise ValueError("order must be at least 1")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
-
-
 @dataclass
 class MonitorStats:
     integration_steps: int = 0
@@ -138,11 +121,6 @@ class Verdict:
         if self.sets is not None:
             out["sets"] = {k: set_json(v) for k, v in self.sets.items()}
         return out
-
-
-def horizon_upper(phi: Formula) -> float:
-    """Smallest float >= the exact rational horizon of phi."""
-    return rational_enclosure(necessary_length(phi)).hi
 
 
 def _f_at(f: Expr, enc: SignalEnclosure, t: Interval) -> Interval:
@@ -339,26 +317,18 @@ def _atom_set(
 
 
 def monitor_ap(
-    system: ContinuousSystem,
+    enc: SignalEnclosure,
     phi: Formula,
-    cfg: MonitorConfig | None = None,
-    enc: SignalEnclosure | None = None,
     stats: MonitorStats | None = None,
 ) -> dict[Expr, ApproxSet]:
-    """Consistent-time boundary sets for every atom of phi on [0, |phi|]."""
-    cfg = cfg or MonitorConfig()
-    horizon = horizon_upper(phi)
-    if enc is None:
-        enc = SignalEnclosure(system, order=cfg.order, tol=cfg.tol)
-    enc.extend(horizon)
+    """Consistent-time boundary sets for every atom of phi, each on
+    [0, its temporal depth]."""
     # each atom is searched only up to its own temporal depth: its sign
     # beyond that cannot reach the verdict at time 0, and late segments
     # are where the enclosure is widest and certification most fragile
-    out: dict[Expr, ApproxSet] = {}
-    for f, depth in atom_depths(phi).items():
-        ah = min(horizon, rational_enclosure(depth).hi)
-        out[f] = _atom_set(f, enc, ah, stats)
-    return out
+    depths = {f: rational_enclosure(d).hi for f, d in atom_depths(phi).items()}
+    enc.extend(max(depths.values(), default=0.0))
+    return {f: _atom_set(f, enc, depth, stats) for f, depth in depths.items()}
 
 
 def propagate(
@@ -406,40 +376,23 @@ def consistent_at_init(t: ApproxSet) -> str:
     return UNKNOWN
 
 
-def monitor_stl(
-    system: ContinuousSystem,
-    phi: Formula,
-    cfg: MonitorConfig | None = None,
-    *,
-    u_box=None,
-    init_box=None,
-    enc: SignalEnclosure | None = None,
-    collect_sets: bool = False,
+def monitor_enclosure(
+    enc: SignalEnclosure, phi: Formula, collect_sets: bool = False
 ) -> Verdict:
-    """Decide whether every signal of the system satisfies phi.
+    """Decide whether every signal that enc encloses satisfies phi.
 
-    Valid and Unsat are certified over the whole parameter/initial boxes;
-    any certification failure is caught and reported as Unknown with the
-    failing stage as its cause.  Arithmetic that overflows, divides by
-    zero or yields a NaN bound is reported as Unknown with NumericError.
-    A fresh enclosure of the system passed as enc is integrated in place
-    of one built from u_box/init_box, so the caller can read its steps.
+    Valid and Unsat are certified over the enclosure's whole parameter
+    and initial boxes; any certification failure is caught and reported
+    as Unknown with the failing stage as its cause.  Arithmetic that
+    overflows, divides by zero or yields a NaN bound is reported as
+    Unknown with NumericError.  enc is integrated in place, so the caller
+    can read its steps afterwards.
     """
-    cfg = cfg or MonitorConfig()
     stats = MonitorStats()
     sets: dict[str, ApproxSet] | None = {} if collect_sets else None
     cause: str | None = None
     try:
-        if enc is None:
-            enc = SignalEnclosure(
-                system,
-                u_box=u_box,
-                init_box=init_box,
-                order=cfg.order,
-                tol=cfg.tol,
-            )
-        atom_sets = monitor_ap(system, phi, cfg, enc=enc, stats=stats)
-        t_phi = propagate(phi, atom_sets, record=sets)
+        t_phi = propagate(phi, monitor_ap(enc, phi, stats), record=sets)
         outcome = consistent_at_init(t_phi)
         if outcome == UNKNOWN:
             cause = PROPAGATION_ERROR
@@ -453,6 +406,21 @@ def monitor_stl(
         outcome, cause = UNKNOWN, INITIAL_SIGN_ERROR
     except NUMERIC_FAILURES:
         outcome, cause = UNKNOWN, NUMERIC_ERROR
-    if enc is not None:
-        stats.integration_steps = len(enc.steps)
+    stats.integration_steps = len(enc.steps)
     return Verdict(outcome, cause, stats, sets)
+
+
+def monitor_stl(
+    system: ContinuousSystem,
+    phi: Formula,
+    cfg: MonitorConfig | None = None,
+    *,
+    u_box=None,
+    init_box=None,
+    collect_sets: bool = False,
+) -> Verdict:
+    """Decide whether every signal of the system satisfies phi:
+    monitor_enclosure over a fresh enclosure of the system, narrowed to
+    u_box/init_box and integrated with cfg."""
+    enc = SignalEnclosure(system, u_box=u_box, init_box=init_box, cfg=cfg)
+    return monitor_enclosure(enc, phi, collect_sets)

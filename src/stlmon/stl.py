@@ -1,4 +1,4 @@
-"""Bounded STL: syntax, parser, desugaring, and necessary signal length.
+"""Bounded STL: syntax, parser, desugaring, and atom depths.
 
 After parsing, a formula uses only the core grammar
 
@@ -21,7 +21,7 @@ from .expr import Const, Expr, ExprParser, Sub, Token, Tokenizer, decimal_text, 
 
 __all__ = [
     "Formula", "TrueF", "Atom", "Or", "Not", "Until", "TRUE",
-    "parse_formula", "formula_to_str", "necessary_length", "atoms",
+    "parse_formula", "formula_to_str", "atom_depths", "atoms",
     "conj", "implies", "finally_", "globally",
 ]
 
@@ -89,28 +89,15 @@ def globally(lo: Fraction, hi: Fraction, a: Formula) -> Formula:
     return Not(Until(lo, hi, TRUE, Not(a)))
 
 
-def necessary_length(phi: Formula) -> Fraction:
-    """Signal length needed to decide phi from time 0 (the inductive table:
-    atoms 0, boolean operators max, until adds the upper time bound)."""
-    t = type(phi)
-    if t in (TrueF, Atom):
-        return Fraction(0)
-    if t is Not:
-        return necessary_length(phi.a)
-    if t is Or:
-        return max(necessary_length(phi.a), necessary_length(phi.b))
-    if t is Until:
-        return max(necessary_length(phi.a), necessary_length(phi.b)) + phi.hi
-    raise TypeError(f"unknown formula node {phi!r}")
-
-
 def atom_depths(phi: Formula) -> dict[Expr, Fraction]:
     """Maximum temporal depth at which each atom expression occurs.
 
     The depth of an occurrence is the sum of the upper time bounds of
     the until operators on its path from the root; the truth of the
     atom beyond its depth cannot influence the formula's value at time
-    0, so monitoring may stop searching for sign changes there.
+    0, so monitoring may stop searching for sign changes there.  The
+    deepest atom's depth is the signal length needed to decide the
+    formula: a `true` leaf reads no signal.
     """
     depths: dict[Expr, Fraction] = {}
 

@@ -12,9 +12,9 @@ import hashlib
 
 import pytest
 
-from stlmon.integrator import SignalEnclosure
+from stlmon.integrator import MonitorConfig, SignalEnclosure
 from stlmon.interval import Interval, IntervalBox
-from stlmon.monitor import MonitorConfig, monitor_stl
+from stlmon.monitor import monitor_enclosure
 from stlmon.stl import parse_formula
 from stlmon.system import load_builtin
 
@@ -78,9 +78,8 @@ def digest(model: str, formula: str, order: int, u: list) -> str:
     system = load_builtin(model)
     phi = parse_formula(formula, system.resolver(allow_params=False))
     u_box = IntervalBox([Interval(lo, hi) for lo, hi in u])
-    cfg = MonitorConfig(order=order)
-    enc = SignalEnclosure(system, u_box=u_box, order=cfg.order, tol=cfg.tol)
-    verdict = monitor_stl(system, phi, cfg, enc=enc, collect_sets=True).to_json()
+    enc = SignalEnclosure(system, u_box=u_box, cfg=MonitorConfig(order=order))
+    verdict = monitor_enclosure(enc, phi, collect_sets=True).to_json()
     h = hashlib.sha256()
     for step in enc.steps:
         h.update(_canon((step.t0, step.t1, step.coeffs, step.remainder,

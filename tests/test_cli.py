@@ -14,8 +14,8 @@ import stlmon
 from stlmon import cli, monitor
 from stlmon.cli import EXIT_USAGE, main
 from stlmon.integrator import SignalEnclosure
-from stlmon.monitor import horizon_upper
-from stlmon.stl import parse_formula
+from stlmon.interval import rational_enclosure
+from stlmon.stl import atom_depths, parse_formula
 from stlmon.system import load_builtin
 
 
@@ -367,10 +367,11 @@ class TestTrace:
         )
         assert code == 2
         assert len(built) == 1
-        # a separate integration over the formula's horizon gives the
-        # same rows
+        # a separate integration up to the formula's deepest atom gives
+        # the same rows
         system = load_builtin("rotation")
-        horizon = horizon_upper(parse_formula(formula, system.resolver(allow_params=False)))
+        depths = atom_depths(parse_formula(formula, system.resolver(allow_params=False)))
+        horizon = rational_enclosure(max(depths.values())).hi
         ref_path = tmp_path / "ref.csv"
         code, _, _ = run_cli(
             capsys,
@@ -411,6 +412,24 @@ class TestTrace:
         )
         assert code == 0
         assert out_path.exists()
+
+
+def test_closed_stdout_keeps_the_verdict_exit_code():
+    # the reader is gone before the verdict is written, as with `| head`
+    # after its first line: exit with the verdict's code, stderr quiet
+    src = str(Path(stlmon.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "stlmon", "verify", "--model", "timer",
+             "--formula", "F[0,4] (x - 2 < 0)", "--dump-sets"],
+            env=env, stdout=w, stderr=subprocess.PIPE, text=True,
+        )
+    finally:
+        os.close(w)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_verify_runs_without_numpy():

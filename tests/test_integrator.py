@@ -15,7 +15,7 @@ import stlmon
 from stlmon import integrator
 from stlmon.errors import IntegrationError, NumericError
 from stlmon.expr import eval_point
-from stlmon.integrator import SignalEnclosure, StepModel, _gram_schmidt
+from stlmon.integrator import MonitorConfig, SignalEnclosure, StepModel, _gram_schmidt
 from stlmon.interval import Interval, IntervalBox
 from stlmon.system import load_builtin, parse_model
 
@@ -147,7 +147,7 @@ class TestStepEnclosures:
     @staticmethod
     def integrate(name, u, horizon, order, tol):
         system = load_builtin(name)
-        enc = SignalEnclosure(system, u_box=point_box(*u), order=order, tol=tol)
+        enc = SignalEnclosure(system, u_box=point_box(*u), cfg=MonitorConfig(order, tol))
         enc.extend(horizon)
         return system, enc
 
@@ -240,16 +240,25 @@ class TestStateDomain:
     def test_accuracy_step_below_the_floor_raises(self):
         # at order 1 the timer's accuracy estimate is 0.9 tol = 9e-16,
         # below the smallest step; lifting it to the floor would crawl
-        enc = SignalEnclosure(load_builtin("timer"), order=1)
+        enc = SignalEnclosure(load_builtin("timer"), cfg=MonitorConfig(order=1))
         with pytest.raises(IntegrationError, match="underflow"):
             enc.extend(1e-12)
         assert enc.steps == [] and enc.horizon_reached == 0.0
 
+    def test_trial_box_missing_its_enclosure_halves_the_step(self, monkeypatch):
+        # with no margin the trial box is the polynomial part itself, out
+        # of which the remainder term pokes at every step size
+        monkeypatch.setattr(integrator, "inflate", lambda a, factor: a)
+        enc = SignalEnclosure(load_builtin("rotation"), u_box=point_box(0.05))
+        with pytest.raises(IntegrationError, match="trial box does not contain its enclosure"):
+            enc.extend(1.0)
+        assert enc.steps == []
 
     def test_step_budget_bounds_the_steps(self):
         # rotation at order 4 takes steps of about 3e-4: 16 units would
         # need about 5e4 of them, above the budget
-        enc = SignalEnclosure(load_builtin("rotation"), u_box=point_box(0.05), order=4)
+        enc = SignalEnclosure(load_builtin("rotation"), u_box=point_box(0.05),
+                              cfg=MonitorConfig(order=4))
         assert 16.0 / 3e-4 > integrator._MAX_STEPS
         enc.extend(0.05)
         with pytest.raises(IntegrationError, match="step budget") as exc:
@@ -331,7 +340,7 @@ class TestStepStructure:
             enc = SignalEnclosure(
                 load_builtin("rotation"),
                 u_box=IntervalBox([Interval(0.02)]),
-                tol=tol,
+                cfg=MonitorConfig(tol=tol),
             )
             enc.extend(6.0)
             widths.append(max(enc.eval_point(t).max_width() for t in (1.0, 3.0, 6.0)))
@@ -364,13 +373,13 @@ class TestStepSize:
 
         monkeypatch.setattr(integrator, "state_series", counting)
         enc = SignalEnclosure(load_builtin("lorenz"), u_box=point_box(10.0, 28.0, 2.5),
-                              order=order)
+                              cfg=MonitorConfig(order=order))
         enc.extend(0.6)  # the horizon of the benchmark's lorenz_short case
         # one order-(k+1) run per trial step size
         assert runs.count(order + 1) <= 1.25 * len(enc.steps)
         for prev, step in zip(enc.steps, enc.steps[1:]):
             rk = max(r.mag() for r in prev.remainder)
-            cap = 0.9 * (enc.tol / rk) ** (1.0 / (order + 1))
+            cap = 0.9 * (enc.cfg.tol / rk) ** (1.0 / (order + 1))
             assert step.t1 - step.t0 <= cap * (1.0 + 1e-12), step.t0
 
 
@@ -476,7 +485,7 @@ class TestPointParameterFolding:
     def test_mixed_box_contains_sampled_trajectories(self):
         system = load_builtin("lorenz")
         horizon = 0.5
-        enc = SignalEnclosure(system, u_box=MIXED_LORENZ_BOX, order=20)
+        enc = SignalEnclosure(system, u_box=MIXED_LORENZ_BOX, cfg=MonitorConfig(order=20))
         enc.extend(horizon)
         x0 = [iv.lo for iv in system.x_init.ivs]
         times = np.linspace(0.0, horizon, 200)

@@ -11,7 +11,7 @@ from scipy.integrate import solve_ivp
 
 from stlmon import monitor
 from stlmon.errors import TangencyError
-from stlmon.integrator import SignalEnclosure
+from stlmon.integrator import MonitorConfig, SignalEnclosure
 from stlmon.interval import Interval, IntervalBox
 from stlmon.monitor import (
     UNKNOWN,
@@ -21,14 +21,14 @@ from stlmon.monitor import (
     Verdict,
     consistent_at_init,
     dt_enclosure,
-    horizon_upper,
     monitor_ap,
+    monitor_enclosure,
     monitor_stl,
     propagate,
     search_zero,
 )
 from stlmon.stl import atom_depths, atoms, parse_formula
-from stlmon.system import load_builtin
+from stlmon.system import load_builtin, parse_model
 from stlmon.timesets import EMPTY_SET, UNIVERSE, BoundaryEnclosure, seq
 
 
@@ -186,7 +186,6 @@ class TestAtomDepths:
         depths = atom_depths(phi)
         by_depth = sorted(depths.values())
         assert by_depth == [Fraction(15), Fraction(21)]
-        assert horizon_upper(phi) == 21.0
 
     def test_max_over_occurrences(self):
         sys = load_builtin("timer")
@@ -204,7 +203,7 @@ class TestMonitorAp:
             "F[0,6.284]((cos(x) < 0) & (sin(x) < 0))",
             sys.resolver(allow_params=False),
         )
-        sets = monitor_ap(sys, phi)
+        sets = monitor_ap(SignalEnclosure(sys), phi)
         f_cos, f_sin = atoms(phi)
         cos_bounds = [(e.s, e.polarity) for e in sets[f_cos].elems]
         assert len(cos_bounds) == 2
@@ -219,7 +218,7 @@ class TestMonitorAp:
     def test_never_true_atom_is_empty(self):
         sys = load_builtin("timer")
         phi = parse_formula("F[0,3](x + 1 < 0)", sys.resolver(allow_params=False))
-        sets = monitor_ap(sys, phi)
+        sets = monitor_ap(SignalEnclosure(sys), phi)
         assert sets[atoms(phi)[0]] is EMPTY_SET
 
 
@@ -350,6 +349,50 @@ class TestPunctualBounds:
     )
     def test_true_verdict(self, text, truth):
         assert timer_verdict(text).outcome == truth
+
+
+# x = 1 / (1 - t) leaves every bounded domain before t = 1
+SQUARE = "[vars] x in [0, 1000]\n[init] x = 1\n[flow] x' = x^2\n"
+
+
+class TestDeepestAtom:
+    """The enclosure is integrated only as far as an atom is read: a
+    `true` leaf reads no signal, however deep it sits."""
+
+    @pytest.mark.parametrize(
+        "model, text",
+        [
+            (SQUARE, "F[0,5] true"),
+            (SQUARE, "(x - 2 < 0) | G[0,5] true"),
+            ("rotation", "(x2 - 1 < 0) | F[0,20] true"),
+        ],
+    )
+    def test_true_leaves_take_no_step(self, model, text):
+        sys = load_builtin(model) if model == "rotation" else parse_model(model)
+        v = monitor_stl(sys, parse_formula(text, sys.resolver(allow_params=False)))
+        assert (v.outcome, v.stats.integration_steps) == (VALID, 0)
+
+    def test_enclosure_ends_at_the_deepest_atom(self):
+        sys = load_builtin("timer")
+        phi = parse_formula("F[0,2] (x - 5 < 0) | G[0,7] true", sys.resolver())
+        enc = SignalEnclosure(sys)
+        monitor_ap(enc, phi)
+        assert enc.horizon_reached == 2.0
+
+
+class TestOneConfig:
+    """A run's order and tol live in the MonitorConfig of its enclosure."""
+
+    def test_bad_config_is_refused_before_the_run(self):
+        with pytest.raises(ValueError, match="order"):
+            SignalEnclosure(load_builtin("timer"), cfg=MonitorConfig(order=-3))
+
+    def test_enclosure_runs_its_config(self):
+        sys = load_builtin("timer")
+        enc = SignalEnclosure(sys, cfg=MonitorConfig(order=4))
+        v = monitor_enclosure(enc, parse_formula("F[0,4] (x - 2 < 0)", sys.resolver()))
+        assert v.outcome == VALID and v.stats.integration_steps == len(enc.steps) > 0
+        assert all(len(step.coeffs) == 5 for step in enc.steps)
 
 
 class TestSeededRotationBoxes:

@@ -12,9 +12,9 @@ from stlmon.stl import (
     Not,
     Or,
     Until,
+    atom_depths,
     atoms,
     formula_to_str,
-    necessary_length,
     parse_formula,
 )
 from stlmon.system import load_builtin, parse_model
@@ -103,25 +103,32 @@ class TestBounds:
 
 
 class TestNecessaryLength:
+    """The signal length needed to decide a formula: its deepest atom's
+    depth."""
+
+    @staticmethod
+    def length(phi):
+        return max(atom_depths(phi).values())
+
     def test_atom_is_zero(self):
-        assert necessary_length(parse("x1 < 0")) == 0
+        assert self.length(parse("x1 < 0")) == 0
 
     def test_finally_adds_upper_bound(self):
-        assert necessary_length(parse("F[0,6.284] x1 < 0")) == Fraction("6.284")
+        assert self.length(parse("F[0,6.284] x1 < 0")) == Fraction("6.284")
 
     def test_nested_globally_finally(self):
         phi = parse("G[0,10] F[0,6.284] !(x2 - 1 < 0)")
-        assert necessary_length(phi) == Fraction("16.284")
+        assert self.length(phi) == Fraction("16.284")
 
     def test_lorenz_property(self):
         phi = parse(LORENZ_PROPERTY, model="lorenz")
-        assert necessary_length(phi) == 21
+        assert self.length(phi) == 21
 
     def test_invariant_under_desugaring(self):
         # ||G_t phi|| computed on the sugar-free tree equals ||phi|| + hi
         inner = parse("F[0,2] x1 < 0")
         outer = parse("G[1,3] F[0,2] x1 < 0")
-        assert necessary_length(outer) == necessary_length(inner) + 3
+        assert self.length(outer) == self.length(inner) + 3
 
 
 class TestAtoms:
