@@ -115,20 +115,25 @@ def _sample_u_box(system: ContinuousSystem, rng: random.Random, widen: float) ->
     return IntervalBox(tuple(ivs))
 
 
+def _print_json(obj) -> None:
+    """The one output path of verify and batch: obj as JSON on stdout."""
+    try:
+        print(json.dumps(obj, indent=2), flush=True)
+    except BrokenPipeError:
+        # the reader left early (`| head`): the result stands, and the
+        # flush at exit writes the rest of the buffer to nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def cmd_verify(args) -> int:
     system = _load_model(args.model)
     phi = _load_formula(args, system)
     # the trace is written from the enclosure the verification integrates
     enc = SignalEnclosure(system, cfg=_config(args))
     verdict = monitor_enclosure(enc, phi, collect_sets=args.dump_sets)
-    try:
-        print(json.dumps(verdict.to_json(), indent=2), flush=True)
-    except BrokenPipeError:
-        # the reader left early (`| head`): the verdict stands, and the
-        # flush at exit writes the rest of the buffer to nowhere
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+    _print_json(verdict.to_json())
     if args.trace:
         if enc.failure is not None:
             print(
@@ -177,7 +182,7 @@ def cmd_batch(args) -> int:
         "n_unknown_by_cause": by_cause,
         "mean_valid_time": valid_time / n_valid if n_valid else None,
     }
-    print(json.dumps(out, indent=2))
+    _print_json(out)
     return 0
 
 

@@ -20,19 +20,30 @@ first trial h is 0.9 (tol / |c_k|)^(1/k) for the order-k point
 coefficient c_k, capped by 0.9 (tol / |z^[k+1]|)^(1/(k+1)) for the
 remainder the previous step was accepted on: that is the term the test
 bounds, and over T it can exceed the point estimate many times (Lorenz),
-so the cap spares most rejections and halvings.  The
-coefficient functions z^[i] are evaluated in mean-value form,
+so the cap spares most rejections and halvings.  Through an order
+m the coefficient functions z^[i] are evaluated in mean-value form,
 z^[i](z0) in c_i + S_i (z0 - zhat), where c_i is the point expansion at
 the box midpoint and S_i the jet-computed coefficient Jacobian over the
-step's start box.  The parameterized deviation z0 - zhat = B r is
-carried in a QR-orthogonalized frame (Lohner's method) so that long
-integrations do not fall to the wrapping effect.  The frame Q is formed
-in floats by two-pass Gram-Schmidt and is only nearly orthonormal; the
-method stays rigorous because r is mapped through an interval enclosure
-of Q^-1, bounded by a Neumann series on I - Q^T Q.  The frame products,
-the Horner sums and the dense output run the kernels on (lo, hi) float
-pairs, each result checked for a NaN bound; Intervals hold the step
-models and the boxes handed to the Taylor tape.
+step's start box; above m they are the natural extension z^[i](zbox),
+the values of the same jet run, which drops the gradient there.  Any m
+is sound; m decides tightness only.  With h chosen, t_i is the
+dependence order i carries, max_j sum_l |S_i[j][l]| rad(dev_l) h^i, and
+order i settles once t_i shrinks (q = t_i / t_(i-1) < 1) and its
+geometric tail t_i / (1 - q) is at most the Lagrange term the last
+step's remainder gives at this h, |z^[k+1](T_prev)| h^{k+1}; on the
+first step, which has no such term, only an exactly zero t_i settles
+(a point start).  A point start keeps a few orders, a wide box all k.
+The parameterized deviation z0 - zhat = B r is carried in a
+QR-orthogonalized frame (Lohner's method) so that long integrations do
+not fall to the wrapping effect: the frame matrix is sum_{i<=m} S_i h^i,
+and the orders above m go with the point part into the far end's box.
+The frame Q is formed in floats by two-pass Gram-Schmidt and is only
+nearly orthonormal; the method stays rigorous because r is mapped
+through an interval enclosure of Q^-1, bounded by a Neumann series on
+I - Q^T Q.  The frame products, the Horner sums and the dense output
+run the kernels on (lo, hi) float pairs, each result checked for a NaN
+bound; Intervals hold the step models and the boxes handed to the
+Taylor tape.
 
 Parameters whose run box is a point are folded into the flow as
 constants (a point interval is one float, so this is exact).  The
@@ -228,7 +239,6 @@ class SignalEnclosure:
         # with it as an extra output (rates)
         self._value_progs: dict[Expr, TaylorProgram] = {}
         self._rate_progs: dict[Expr, TaylorProgram] = {}
-        self._jets = JetAlgebra(self.d)
 
         # the error that stopped integration; a failed step may leave
         # the frame half updated, so extend() never resumes after one
@@ -279,10 +289,12 @@ class SignalEnclosure:
             )
 
         point = state_series(self._prog, list(self._zhat), k, interval_const)
-        # the jets depend on the start box only; their values are the
-        # coefficient enclosures z^[i](zbox) every trial step reuses
-        jets = state_series(self._prog, zbox, k, self._jets)
         h = self._choose_h(point, t0, target_time)
+        # the jets depend on the start box only; their values are the
+        # coefficient enclosures z^[i](zbox) every trial step reuses, and
+        # their gradients stop at the order m the rule settles on
+        jets = state_series(self._prog, zbox, k, JetAlgebra(self.d, self._settled(dev, h)))
+        m = sum(len(c) > 1 for c in jets[0]) - 1
 
         while True:
             t1 = t0 + h
@@ -298,15 +310,42 @@ class SignalEnclosure:
                 )
 
         coeffs = []
-        for i in range(k + 1):
+        for i in range(m + 1):
             s_dev = _imat_vec([jets[rj][i][1:] for rj in range(self.n)], dev)
             coeffs.append([Interval(*kadd(*point[j][i], *s_dev[j])) for j in range(self.n)])
+        coeffs += [[Interval(*jets[j][i][0]) for j in range(self.n)] for i in range(m + 1, k + 1)]
 
         self.steps.append(StepModel(t0=t0, t1=t1, coeffs=coeffs, apriori=apriori,
                                     remainder=[Interval(*r) for r in remainder]))
-        self._propagate_frame(point, jets, remainder, span)
+        self._propagate_frame(point, jets, m, remainder, span)
         self.horizon_reached = t1
         self._last_h = h
+
+    def _settled(self, dev: list, h: float):
+        """The rule that ends the jets' gradients (see the module
+        docstring): order i settles once the dependence estimate t_i,
+        continued as a geometric tail, fits in the Lagrange term of the
+        last step's remainder at this step's h."""
+        k, n = self.cfg.order, self.n
+        rk = max(r.mag() for r in self.steps[-1].remainder) if self.steps else 0.0
+        # _choose_h keeps this near tol; the guard spares 0 * inf
+        budget = rk * h ** (k + 1) if rk > 0.0 else 0.0
+        rad = [0.5 * (hi - lo) for lo, hi in dev]
+        # t_0, as the seed's gradient is the identity, and h^0; the runner
+        # asks about the orders 1, 2, ... in turn
+        prev, h_pow = max(rad), 1.0
+
+        def settled(i: int, column: list) -> bool:
+            nonlocal prev, h_pow
+            h_pow *= h
+            t = h_pow * max(
+                sum(max(-gl, gh) * r for gl, gh, r in zip(lo[1:], hi[1:], rad))
+                for lo, hi in column[:n]
+            )
+            q, prev = t / prev if prev > 0.0 else math.inf, t
+            return t == 0.0 or (q < 1.0 and t / (1.0 - q) <= budget)
+
+        return settled
 
     def _in_domain(self, box: list) -> bool:
         return all(
@@ -380,19 +419,23 @@ class SignalEnclosure:
             return "enclosure left the state domain"
         return box, remainder
 
-    def _propagate_frame(self, point, jets, remainder, span: Interval) -> None:
+    def _propagate_frame(self, point, jets, m: int, remainder, span: Interval) -> None:
         k = self.cfg.order
         d = self.d
-        # point value and coefficient Jacobian at the step's far end
+        # value and coefficient Jacobian at the step's far end: the point
+        # expansion through order m, whose start-box dependence the
+        # Jacobian carries, and the coefficient enclosures above it
         sk1, span = span.powi(k + 1), (span.lo, span.hi)
-        p_end = _horner([[point[j][i] for j in range(d)] for i in range(k + 1)], span)
+        p_end = _horner([[point[j][i] for j in range(d)] for i in range(m + 1)]
+                        + [[jets[j][i][0] for j in range(d)] for i in range(m + 1, k + 1)],
+                        span)
         # parameter rows have no remainder: their series is the constant
         p_end = [checked(kadd(*p, *checked(kmul(*r, sk1.lo, sk1.hi))))
                  for p, r in zip(p_end, remainder)] + p_end[self.n:]
 
         # the d x d rows flattened into one vector per order
         S = _horner(
-            [[g for rj in range(d) for g in jets[rj][i][1:]] for i in range(k + 1)],
+            [[g for rj in range(d) for g in jets[rj][i][1:]] for i in range(m + 1)],
             span,
         )
         S = [S[rj * d:(rj + 1) * d] for rj in range(d)]

@@ -33,7 +33,9 @@ of the input box.  With interval_const an element is one (lo, hi) pair
 of lower and a list of upper bounds, index 0 the value and 1..d the
 gradient (first-order forward AD seeded with the identity, for the
 coefficient Jacobian); a jet power is its factors' product at order 0
-too.  Intervals are the boxes the runners take and what eval_box and
+too.  A jet run may drop the gradient above an order its algebra's
+settled rule accepts and go on with pairs, which keeps every value.
+Intervals are the boxes the runners take and what eval_box and
 lie_derivative return; state_series returns the elements.  Each op output
 is checked once: a NaN bound raises NumericError, as Interval() does.
 """
@@ -117,8 +119,11 @@ class JetAlgebra:
     object-level forward AD: a product's gradient is x.val*gy + y.val*gx,
     a quotient's (gx - w*gy) / y.val for its value w."""
 
-    def __init__(self, d: int):
+    def __init__(self, d: int, settled=None):
         self.grad = range(1, d + 1)
+        # settled(i, column) reads the state's order-i jets and tells
+        # whether the orders above i may run on their values alone
+        self.settled = settled
 
     def const(self, c: tuple) -> tuple:
         zeros = [0.0] * len(self.grad)
@@ -322,7 +327,8 @@ def state_series(program: TaylorProgram, z0: list, order: int, const) -> list:
     the element algebra, interval_const or a JetAlgebra.  Returns n_state
     coefficient lists, each coefficient the runner's element: a (lo, hi)
     pair (interval_const) or the jet's d + 1 pairs, value first
-    (JetAlgebra).
+    (JetAlgebra); above the order a JetAlgebra's settled rule accepts,
+    the value pair alone.
     """
     state, _ = _run(program, const.seed(z0), order, const)
     return state if const is interval_const else [[list(zip(*c)) for c in row] for row in state]
@@ -350,10 +356,21 @@ def _recip(n: int) -> tuple:
 
 def _run(program: TaylorProgram, z0: list, order: int, alg) -> tuple:
     """The state's coefficient lists through ``order`` and the slots'
-    through order - 1, from the initial elements z0."""
-    zero, mul, n = alg.const((0.0, 0.0)), alg.mul, program.n_vars
+    through order - 1, from the initial elements z0.
+
+    A jet run whose algebra's settled() accepts the state's order-m jets
+    (m >= 1) goes on from there on values: every slot and state element
+    is projected to its value pair and the higher orders run on
+    interval_const.  Orders >= 1 of every op give the same value pair in
+    both algebras, so the values stay those of the full jet run, bit for
+    bit; the state keeps its jets through order m, and each higher order
+    is a jet with no gradient.
+    """
+    n, settled = program.n_vars, getattr(alg, "settled", None)
+    zero = alg.const((0.0, 0.0))
     state = [[v] for v in z0]
     slots: list = [[] for _ in range(program.n_slots)]
+    jets = None
     for i in range(order):
         if i:
             for s in program.const_slots:
@@ -361,9 +378,17 @@ def _run(program: TaylorProgram, z0: list, order: int, alg) -> tuple:
         _tape_order(program.varying_ops if i else program.ops, state, slots, i, alg)
         recip = alg.const(_recip(i + 1))
         for j, s in enumerate(program.out_slots[:n]):
-            state[j].append(mul(slots[s][i], recip))
+            state[j].append(alg.mul(slots[s][i], recip))
         for row in state[n:]:
             row.append(zero)
+        if settled and i + 1 < order and settled(i + 1, [row[i + 1] for row in state]):
+            jets, settled, alg, zero = state, None, interval_const, (0.0, 0.0)
+            state = [[(v[0][0], v[1][0]) for v in row] for row in state]
+            slots = [[(v[0][0], v[1][0]) for v in row] for row in slots]
+    if jets is not None:
+        kept = len(jets[0])
+        state = [row + [([lo], [hi]) for lo, hi in values[kept:]]
+                 for row, values in zip(jets, state)]
     return state, slots
 
 

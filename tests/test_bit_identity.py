@@ -40,10 +40,14 @@ CASES = {
 # Lagrange remainder (lorenz_short); all 8 digests were re-recorded,
 # identical in the pure and the C lane, when the sets came to be hashed
 # by position and an interval still holding at an atom's depth stayed
-# open instead of ending at the formula horizon
+# open instead of ending at the formula horizon.  The 4 point drifts and
+# lorenz_short were re-recorded once more, in both lanes, when the jets
+# came to drop the start-box gradient above the order the rule settles
+# at (verdicts and step counts unchanged); on the widened boxes the rule
+# keeps every order, so their digests stand
 DIGESTS = {
     "lorenz_short":
-        "93c99046e8e26e4ea7a2a9c1e4d340a82e1ed4d53b7a8bce7ba9773752cd4d34",
+        "3209ad38f4cc1862a0e203e4da9a58d9ea862d37cae72776890f5cd7c3881bc3",
     "rotation_box_neg":
         "2974a1e7668a428fe91a0aa3f06beb5ced9391125bc18eea5a019e5266f1b944",
     "rotation_box_pos":
@@ -51,13 +55,13 @@ DIGESTS = {
     "rotation_box_straddle":
         "1067126e075d00417bf08f07d91ef0c7edb6ebb4163bcfc640deb90d07574058",
     "rotation_point_neg_large":
-        "0b364b46a814f3c8db484508c6a90a57cdc3d58628351a585d30d9711ed4091f",
+        "03f7e92d626860b3bf121bfc9236a7d16ee2be2f54e238230282140f68570b6a",
     "rotation_point_neg_small":
-        "6b7047fe3a00a25deb5fe1b41e1223f5df4d1006ec389719d0f09aa56307df98",
+        "2f0c41dba91acdd42c53206451e1c9112791a069eb484875a2c6c7621bfb8930",
     "rotation_point_pos_large":
-        "11d4cd354d97a819a381e324adf3c28d3377020fb17372319851044a45172802",
+        "a849282383e5c268d36b3244158c02583425c097129e766560921dd59b291474",
     "rotation_point_pos_small":
-        "8f46be298d94025e290925b760f99033ff1d9577a032b859b8aac5260538a2cd",
+        "0ab74e8d6b8e18a1656999de585017a6bed86d4a2f1609a2013ebd9c1b59cd9f",
 }
 
 

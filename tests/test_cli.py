@@ -414,22 +414,36 @@ class TestTrace:
         assert out_path.exists()
 
 
-def test_closed_stdout_keeps_the_verdict_exit_code():
-    # the reader is gone before the verdict is written, as with `| head`
-    # after its first line: exit with the verdict's code, stderr quiet
+def run_with_closed_stdout(*argv):
+    """The CLI's exit code and stderr when the reader is gone before
+    anything is written, as with `| head` after its first line."""
     src = str(Path(stlmon.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     r, w = os.pipe()
     os.close(r)
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "stlmon", "verify", "--model", "timer",
-             "--formula", "F[0,4] (x - 2 < 0)", "--dump-sets"],
+            [sys.executable, "-m", "stlmon", *argv],
             env=env, stdout=w, stderr=subprocess.PIPE, text=True,
         )
     finally:
         os.close(w)
-    assert (proc.returncode, proc.stderr) == (0, "")
+    return proc.returncode, proc.stderr
+
+
+def test_closed_stdout_keeps_the_verdict_exit_code():
+    # exit with the verdict's code, stderr quiet
+    assert run_with_closed_stdout(
+        "verify", "--model", "timer", "--formula", "F[0,4] (x - 2 < 0)", "--dump-sets",
+    ) == (0, "")
+
+
+def test_batch_with_closed_stdout_exits_zero():
+    # the statistics are complete before they are printed: a reader that
+    # left early is no usage or I/O error
+    assert run_with_closed_stdout(
+        "batch", "--model", "timer", "--formula", "F[0,4] (x - 2 < 0)", "--runs", "2",
+    ) == (0, "")
 
 
 def test_verify_runs_without_numpy():

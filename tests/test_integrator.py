@@ -383,6 +383,66 @@ class TestStepSize:
             assert step.t1 - step.t0 <= cap * (1.0 + 1e-12), step.t0
 
 
+@pytest.fixture
+def jet_orders(monkeypatch):
+    """The highest order whose gradient each step's jet run keeps."""
+    orders, state_series = [], integrator.state_series
+
+    def spying(prog, z0, k, const):
+        out = state_series(prog, z0, k, const)
+        if const is not integrator.interval_const:
+            orders.append(sum(len(c) > 1 for c in out[0]) - 1)
+        return out
+
+    monkeypatch.setattr(integrator, "state_series", spying)
+    return orders
+
+
+class TestGradientOrder:
+    """The jets carry the start-box dependence only while it is above the
+    Lagrange term the step accepts; above that order they are values."""
+
+    def test_point_start_drops_the_gradient_at_once(self, jet_orders):
+        for model, u in (("rotation", (0.0731,)), ("lorenz", (10.0, 28.0, 2.5))):
+            jet_orders.clear()
+            enc = SignalEnclosure(load_builtin(model), u_box=point_box(*u))
+            enc.extend(0.1)
+            assert jet_orders[0] <= 2, model
+
+    def test_widened_box_keeps_every_order(self, jet_orders):
+        enc = SignalEnclosure(load_builtin("rotation"),
+                              u_box=IntervalBox([Interval(0.0511, 0.0531)]))
+        enc.extend(6.0)
+        assert jet_orders == [enc.cfg.order] * len(enc.steps)
+
+    @pytest.mark.parametrize("half_width, forced", [(1e-9, False), (1e-4, True)])
+    def test_interval_drift_encloses_the_closed_form(self, jet_orders, monkeypatch,
+                                                     half_width, forced):
+        # x(t) = e^(u t) (cos t, sin t) from (1, 0).  At tol 1e-9 the rule
+        # stops the jets early on most steps, and the enclosures are wide
+        # enough for a misplaced dependence to show.  Any order is sound:
+        # forced to order 1 on a wide box, the dependence the jets drop is
+        # far above tol and must still be enclosed
+        if forced:
+            monkeypatch.setattr(SignalEnclosure, "_settled",
+                                lambda self, dev, h: lambda i, column: True)
+        u = Interval(0.02 - half_width, 0.02 + half_width)
+        enc = SignalEnclosure(load_builtin("rotation"), u_box=IntervalBox([u]),
+                              cfg=MonitorConfig(tol=1e-9))
+        enc.extend(10.0)
+        assert max(jet_orders) == 1 if forced else min(jet_orders) < enc.cfg.order
+        assert enc.eval(Interval(10.0)).ivs[0].width() > 1e-8
+        times = [10.0 * j / 400 for j in range(401)]
+        times += [0.5 * (s.t0 + s.t1) for s in enc.steps]
+        for t in times:
+            box = enc.eval(Interval(t))
+            for v in (u.lo, u.mid(), u.hi):
+                growth = (Interval(v) * Interval(t)).exp()
+                want = (growth * Interval(t).cos(), growth * Interval(t).sin())
+                for got, w in zip(box.ivs, want):
+                    assert got.lo <= w.hi and w.lo <= got.hi, (t, v)
+
+
 def conditioned_matrix(d, kappa, seed):
     """A d x d float matrix with condition number about kappa."""
     rng = np.random.default_rng(seed)

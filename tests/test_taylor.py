@@ -274,6 +274,68 @@ class TestJets:
             assert (g[1].lo, g[1].hi) == (w[1].lo, w[1].hi)
 
 
+def bits(x):
+    """A state_series result with every float as its hex text."""
+    if isinstance(x, float):
+        return x.hex()
+    return [bits(v) for v in x]
+
+
+# name: (flow text, n_vars, n_params, start box, order)
+SWITCH_CASES = {
+    "lorenz": (
+        "[params] u1 in [9, 11]\n u2 in [27, 29]\n u3 in [2, 3]\n"
+        "[vars] x1 in [-50, 50]\n x2 in [-50, 50]\n x3 in [0, 80]\n"
+        "[init] x1 = 1\n x2 = 1\n x3 = 1\n"
+        "[flow] x1' = u1*(x2 - x1)\n x2' = x1*(u2 - x3) - x2\n x3' = x1*x2 - u3*x3\n",
+        3, 3,
+        [(0.99, 1.01), (1.0, 1.0), (0.9, 1.1), (10.0, 10.0), (27.9, 28.1), (2.5, 2.5)], 20,
+    ),
+    "rotation_interval_drift": (
+        "[params] u1 in [-0.1, 0.1]\n"
+        "[vars] x1 in [-10, 10]\n x2 in [-10, 10]\n"
+        "[init] x1 = 1\n x2 = 0\n"
+        "[flow] x1' = u1*x1 - x2\n x2' = x1 + u1*x2\n",
+        2, 1, [(1.0, 1.0), (0.0, 0.0), (0.0511, 0.0531)], 15,
+    ),
+    "elementary": (
+        "[params] u1 in [-1, 1]\n"
+        "[vars] x1 in [-20, 20]\n x2 in [-20, 20]\n"
+        "[init] x1 = 1\n x2 = 0\n"
+        "[flow] x1' = sin(x2) - x1^3 + cos(u1*x1)\n x2' = exp(-x1)*x2^2 + u1/(2 + x1^2)\n",
+        2, 1, [(0.9, 1.1), (-0.1, 0.05), (0.2, 0.3)], 12,
+    ),
+}
+
+
+class TestSettledJets:
+    """A jet run whose rule settles at order m goes on with values only."""
+
+    @pytest.mark.parametrize("name", sorted(SWITCH_CASES))
+    def test_switch_keeps_values_and_gradients_through_m(self, name):
+        text, n_vars, n_params, box, order = SWITCH_CASES[name]
+        sys = parse_model(text)
+        prog = compile_flow(sys.flow, n_vars, n_params)
+        z0 = [Interval(lo, hi) for lo, hi in box]
+        d = len(z0)
+        full = bits(state_series(prog, z0, order, JetAlgebra(d)))
+        for m in (1, 2, 3, order // 2, order - 1):
+            asked = []
+
+            def settled(i, column):
+                asked.append(i)
+                assert len(column) == d and all(len(lo) == d + 1 for lo, _ in column)
+                return i == m
+
+            got = bits(state_series(prog, z0, order, JetAlgebra(d, settled)))
+            # the rule reads each order once, up to the one it settles at
+            assert asked == list(range(1, m + 1))
+            for g_row, f_row in zip(got, full):
+                assert [c[0] for c in g_row] == [c[0] for c in f_row]
+                assert g_row[:m + 1] == f_row[:m + 1]
+                assert all(len(c) == 1 for c in g_row[m + 1:])
+
+
 class TestSharing:
     def test_common_subexpressions_share_slots(self):
         sys = parse_model(
