@@ -23,7 +23,7 @@ class TangencyError(StlmonError):
 
 
 class InitialSignError(StlmonError):
-    """An atom's sign at t = 0 is undecidable over the initial box."""
+    """An atom's truth at t = 0 is undecidable over the initial box."""
 
 
 class AmbiguityError(StlmonError):

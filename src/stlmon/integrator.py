@@ -536,9 +536,6 @@ class SignalEnclosure:
                                             for a, v in zip(acc, vals)]
         return IntervalBox(Interval(*p) for p in acc)
 
-    def eval_point(self, t: float) -> IntervalBox:
-        return self.eval(Interval(t))
-
     def value(self, f: Expr, x: IntervalBox) -> Interval:
         """Enclosure of f over the state box x, for every parameter in
         this run's box."""

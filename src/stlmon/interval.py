@@ -192,8 +192,6 @@ class IntervalBox:
     def contains_box(self, other: "IntervalBox") -> bool:
         return all(a.contains_interval(b) for a, b in zip(self.ivs, other.ivs))
 
-    def max_width(self) -> float:
-        return max(iv.width() for iv in self.ivs)
 
 _TWO_PI = 2.0 * math.pi
 

@@ -5,8 +5,8 @@ tape over the signal enclosure (SignalEnclosure.value), and of
 d/dt f(x~(t)), the order-1 Taylor coefficient of f along the flow's tape
 (dt_enclosure); a certified zero search along the signal enclosure
 (search_zero) that sweeps to a bracket, a window over which f is strictly
-monotone with strictly opposite signs at its ends, and contracts it with
-interval Newton steps; per-atom enumeration of sign-change boundaries
+monotone and the atom f < 0 has opposite truth at its ends, and contracts
+it with interval Newton steps; per-atom enumeration of truth-change boundaries
 (monitor_ap), structural propagation through the formula via the
 consistent-time-set algebra (propagate), and the decision at time zero
 (consistent_at_init).
@@ -136,11 +136,12 @@ def dt_enclosure(
     return enc.rate(f, enc.eval(t) if x is None else x)
 
 
-def _sign(v: Interval) -> bool | None:
-    """True when v is strictly positive, False when strictly negative."""
-    if v.lo > 0.0:
-        return True
+def _holds(v: Interval) -> bool | None:
+    """Truth of the strict atom f < 0 over an enclosure v of f: True when
+    v < 0, False when v >= 0, None when v decides neither."""
     if v.hi < 0.0:
+        return True
+    if v.lo >= 0.0:
         return False
     return None
 
@@ -150,14 +151,14 @@ def _w_min(hi: float) -> float:
     return max(_EPSILON, 8.0 * math.ulp(max(1.0, hi)))
 
 
-def _monotone_sign(
+def _monotone_truth(
     f: Expr, enc: SignalEnclosure, sub: Interval, x: IntervalBox | None = None
 ) -> bool | None:
-    """Strict sign of f at sub.hi when d/dt f excludes zero over sub, so
+    """Truth of the atom at sub.hi when d/dt f excludes zero over sub, so
     that f of every signal is strictly monotone there; None otherwise."""
     if 0.0 in dt_enclosure(f, enc, sub, x):
         return None
-    return _sign(_f_at(f, enc, Interval(sub.hi)))
+    return _holds(_f_at(f, enc, Interval(sub.hi)))
 
 
 def search_zero(
@@ -166,36 +167,45 @@ def search_zero(
     t_init: Interval,
     stats: MonitorStats | None = None,
 ) -> IntervalLike:
-    """Certified enclosure of the earliest root of f(x~(t)) in t_init.
+    """Certified enclosure of the earliest change of the truth of the
+    strict atom f(x~(t)) < 0 in t_init.
 
-    f must be strictly signed at t_init.lo.  Returns a bracket over which
-    d/dt f excludes zero and at whose ends f has strictly opposite signs:
-    every admissible signal has exactly one root in it and none before it
-    in t_init.  Returns the empty interval as a proof that no signal has
-    a root in t_init.  Raises TangencyError when neither can be certified
-    (grazing contact, a root on the closed end of t_init, or precision
-    exhausted).
+    The atom's truth must be decided at t_init.lo.  Returns a bracket over
+    which d/dt f excludes zero and at whose ends the atom has opposite
+    truth: every admissible signal changes it exactly once in the bracket
+    and never before it in t_init.  Returns the empty interval as a proof
+    that the truth is constant over t_init.  Raises TangencyError when
+    neither can be certified (grazing contact, or precision exhausted).
+
+    An end where the atom fails may sit on f = 0; at one where it holds,
+    f < 0.  The time-set algebra reads each consistent interval as [l, u)
+    with l in a start bracket and u in an end bracket.  That is sound
+    because a start bracket's upper end is a time at which the atom
+    strictly holds, an end bracket's upper end one at which it fails, and
+    no time in a start bracket is read as holding: an atom that turns
+    true just after a lower end with f = 0 holds on an interval left-open
+    there, which the reading never claims.  Only the point [0], emitted
+    when the atom holds at time 0, is read as holding at its lower end.
     """
     if stats is not None:
         stats.search_zero_calls += 1
     lo, hi = t_init.lo, t_init.hi
-    s0 = _sign(_f_at(f, enc, Interval(lo)))
+    s0 = _holds(_f_at(f, enc, Interval(lo)))
     if s0 is None:
-        raise TangencyError("sign of the atom is undecidable at the search start")
-    # Sweep with the invariant: [t_init.lo, lo] is root-free and f has
-    # sign s0 at lo.  A subwindow is eliminated by a range test excluding
-    # zero, or by monotonicity with f still of sign s0 at its upper end;
-    # a monotone subwindow whose upper end has the other sign is a
-    # bracket.  Local subwindows keep the derivative enclosure tight; the
-    # first one is the local integrator step, over which the dense output
-    # is tight.
+        raise TangencyError("truth of the atom is undecidable at the search start")
+    # Sweep with the invariant: the atom has truth s0 over [t_init.lo, lo].
+    # A subwindow is eliminated by a range that decides the atom, or by
+    # monotonicity with the atom still of truth s0 at its upper end; a
+    # monotone subwindow whose upper end has the other truth is a bracket.
+    # Local subwindows keep the derivative enclosure tight; the first one
+    # is the local integrator step, over which the dense output is tight.
     w_min = _w_min(hi)
     w = min(hi - lo, max(enc.step_span_at(lo), w_min))
     for _ in range(_MAX_SWEEP):
         sub = Interval(lo, min(lo + w, hi))
         x = enc.eval(sub)
-        if 0.0 in enc.value(f, x):
-            s = _monotone_sign(f, enc, sub, x)
+        if _holds(enc.value(f, x)) is None:
+            s = _monotone_truth(f, enc, sub, x)
             if s is None:
                 if w <= w_min:
                     raise TangencyError(
@@ -219,14 +229,15 @@ def _contract(
     s0: bool,
     stats: MonitorStats | None,
 ) -> Interval:
-    """Shrink a bracket t: d/dt f excludes zero over t, and f has the
-    strict sign s0 at t.lo and the opposite one at t.hi.
+    """Shrink a bracket t: d/dt f excludes zero over t, and the atom has
+    truth s0 at t.lo and the other truth at t.hi.
 
     Each end moves onto an endpoint of the interval Newton image, or half
-    or one image width beyond it, only where f has that end's strict
-    sign, so the bracket property holds after every move.  The loop ends
-    at the first step that moves neither end, or whose d/dt f enclosure
-    over the current bracket contains zero.
+    or one image width beyond it, only where the atom has that end's truth
+    and f is strictly signed, so the bracket property holds after every
+    move and an end reached on f = 0 stays where the sweep put it.  The
+    loop ends at the first step that moves neither end, or whose d/dt f
+    enclosure over the current bracket contains zero.
     """
     a, b = t.lo, t.hi
     for _ in range(_MAX_CONTRACT):
@@ -250,13 +261,15 @@ def _contract(
         a = next(
             (c for c in (image.lo, image.lo - 0.5 * r,
                          math.nextafter(image.lo - r, -math.inf))
-             if a < c < b and _sign(_f_at(f, enc, Interval(c))) == s0),
+             if a < c < b and 0.0 not in (v := _f_at(f, enc, Interval(c)))
+             and _holds(v) == s0),
             a,
         )
         b = next(
             (c for c in (image.hi, image.hi + 0.5 * r,
                          math.nextafter(image.hi + r, math.inf))
-             if a < c < b and _sign(_f_at(f, enc, Interval(c))) == (not s0)),
+             if a < c < b and 0.0 not in (v := _f_at(f, enc, Interval(c)))
+             and _holds(v) != s0),
             b,
         )
         if (a, b) == (t.lo, t.hi):
@@ -270,47 +283,29 @@ def _atom_set(
     horizon: float,
     stats: MonitorStats | None = None,
 ) -> ApproxSet:
-    """Boundary enclosures of the consistent intervals of f(x) < 0."""
+    """Boundary enclosures of the consistent intervals of f(x) < 0 on
+    [0, horizon]: the point [0] starts one when the atom holds at time 0,
+    and the brackets of search_zero's sweep from 0 alternate from there.
+    Raises InitialSignError when the truth at time 0 is undecidable."""
     fv = _f_at(f, enc, Interval(0.0))
-    start = 0.0
-    s = _sign(fv)
-    if s is None:
-        if fv.lo != 0.0 or fv.hi != 0.0:
-            raise InitialSignError(
-                f"sign of the atom is undecidable at time 0: enclosure {fv}"
-            )
-        # f is exactly zero at time 0, so the strict atom is false there.
-        if horizon == 0.0:
-            return normalize([])
-        # The zero search must not chase this degenerate root: certify a
-        # monotone window just after 0 and start behind it.
-        w_min = _w_min(horizon)
-        start = min(horizon, max(enc.step_span_at(0.0), w_min))
-        while (s := _monotone_sign(f, enc, Interval(0.0, start))) is None:
-            if start <= w_min:
-                raise InitialSignError(
-                    "sign of the atom is undecidable just after time 0"
-                )
-            start *= 0.5
-        if not s:
-            # the atom flips at exactly time 0; its consistent interval
-            # is left-open there, outside the representable boundary shapes
-            raise InitialSignError("atom switches sign at exactly time 0")
-    raw: list[BoundaryEnclosure] = []
-    if not s:
-        raw.append(BoundaryEnclosure(Interval(0.0), True))
+    holds = _holds(fv)
+    if holds is None:
+        raise InitialSignError(
+            f"truth of the atom is undecidable at time 0: enclosure {fv}"
+        )
+    raw = [BoundaryEnclosure(Interval(0.0), True)] if holds else []
     if horizon == 0.0:
         # an atom of temporal depth 0 is read at time 0 only, which the
         # initial box decides; the enclosure may hold no step to search
         return normalize(raw)
-    polarity = s
-    t = Interval(start, horizon)
+    polarity = not holds
+    t = Interval(0.0, horizon)
     while True:
         tz = search_zero(f, enc, t, stats)
         if tz.is_empty:
             break
         raw.append(BoundaryEnclosure(tz, polarity))
-        # f is strictly signed at tz.hi, so the next search starts there
+        # the atom's truth is decided at tz.hi, so the next search starts there
         t = Interval(tz.hi, horizon)
         polarity = not polarity
     return normalize(raw)

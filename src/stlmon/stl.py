@@ -21,7 +21,7 @@ from .expr import Const, Expr, ExprParser, Sub, Token, Tokenizer, decimal_text, 
 
 __all__ = [
     "Formula", "TrueF", "Atom", "Or", "Not", "Until", "TRUE",
-    "parse_formula", "formula_to_str", "atom_depths", "atoms",
+    "parse_formula", "formula_to_str", "atom_depths",
     "conj", "implies", "finally_", "globally",
 ]
 
@@ -118,11 +118,6 @@ def atom_depths(phi: Formula) -> dict[Expr, Fraction]:
 
     walk(phi, Fraction(0))
     return depths
-
-
-def atoms(phi: Formula) -> list[Expr]:
-    """Distinct atom expressions in stable first-appearance order."""
-    return list(atom_depths(phi))
 
 
 # --- concrete syntax -------------------------------------------------------

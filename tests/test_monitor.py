@@ -12,7 +12,7 @@ from scipy.integrate import solve_ivp
 from stlmon import monitor
 from stlmon.errors import TangencyError
 from stlmon.integrator import MonitorConfig, SignalEnclosure
-from stlmon.interval import Interval, IntervalBox
+from stlmon.interval import EMPTY, Interval, IntervalBox
 from stlmon.monitor import (
     UNKNOWN,
     UNSAT,
@@ -27,7 +27,7 @@ from stlmon.monitor import (
     propagate,
     search_zero,
 )
-from stlmon.stl import atom_depths, atoms, parse_formula
+from stlmon.stl import atom_depths, parse_formula
 from stlmon.system import load_builtin, parse_model
 from stlmon.timesets import EMPTY_SET, UNIVERSE, BoundaryEnclosure, seq
 
@@ -35,7 +35,7 @@ from stlmon.timesets import EMPTY_SET, UNIVERSE, BoundaryEnclosure, seq
 def atom_of(system, text):
     """First atom expression of a formula over the system's variables."""
     phi = parse_formula(text, system.resolver(allow_params=False))
-    return atoms(phi)[0]
+    return next(iter(atom_depths(phi)))
 
 
 def timer_enc(horizon=10.0):
@@ -133,18 +133,30 @@ class TestSearchZero:
         assert 0.0 not in dt_enclosure(f, enc, tz)
 
     def test_root_on_closed_end_is_not_eliminated(self):
-        # x - 0.5 is exactly 0 at the window's closed end: no bracket can
-        # certify it, and EMPTY would drop it
+        # x - 0.5 is exactly 0 at the window's closed end, where the strict
+        # atom fails: that end closes a bracket, and EMPTY would drop it
         sys = load_builtin("timer")
         enc = timer_enc()
-        with pytest.raises(TangencyError):
-            search_zero(atom_of(sys, "x - 0.5 < 0"), enc, Interval(0.0, 0.5))
+        f = atom_of(sys, "x - 0.5 < 0")
+        tz = search_zero(f, enc, Interval(0.0, 0.5))
+        assert tz.hi == 0.5 and tz.lo < 0.5
+        assert enc.value(f, enc.eval(Interval(tz.lo))).hi < 0.0
+        f_hi = enc.value(f, enc.eval(Interval(tz.hi)))
+        assert (f_hi.lo, f_hi.hi) == (0.0, 0.0)
+
+    def test_start_on_an_exact_zero_stays_false(self):
+        # x - 1 is 0 at t = 1 and positive after: the atom never holds
+        sys = load_builtin("timer")
+        enc = timer_enc()
+        assert search_zero(atom_of(sys, "x - 1 < 0"), enc, Interval(1.0, 3.0)) is EMPTY
 
     def test_unsigned_start_raises(self):
-        sys = load_builtin("timer")
-        enc = timer_enc()
-        with pytest.raises(TangencyError):
-            search_zero(atom_of(sys, "x - 1 < 0"), enc, Interval(1.0, 3.0))
+        # x(0) in [-0.5, 0.5]: the atom holds at time 0 for some signals only
+        sys = parse_model("[vars] x in [-10, 10]\n[init] x in [-0.5, 0.5]\n[flow] x' = 1\n")
+        enc = SignalEnclosure(sys)
+        enc.extend(3.0)
+        with pytest.raises(TangencyError, match="search start"):
+            search_zero(atom_of(sys, "x < 0"), enc, Interval(0.0, 3.0))
 
     def test_exhausted_sweep_raises(self, monkeypatch):
         # the unbudgeted sweep needs more moves than this to pin the root
@@ -168,7 +180,8 @@ class TestSearchZero:
             return d if len(calls) == 1 else d.hull(Interval(0.0))
 
         monkeypatch.setattr(monitor, "dt_enclosure", widened)
-        tz = monitor._contract(f, enc, Interval(1.5, 1.6), True, None)
+        # cos > 0 at 1.5: the atom fails at the bracket's lower end
+        tz = monitor._contract(f, enc, Interval(1.5, 1.6), False, None)
         assert len(calls) == 2
         assert 1.5 < tz.lo < tz.hi < 1.6 and math.pi / 2 in tz
         f_lo = enc.value(f, enc.eval(Interval(tz.lo)))
@@ -204,7 +217,7 @@ class TestMonitorAp:
             sys.resolver(allow_params=False),
         )
         sets = monitor_ap(SignalEnclosure(sys), phi)
-        f_cos, f_sin = atoms(phi)
+        f_cos, f_sin = atom_depths(phi)
         cos_bounds = [(e.s, e.polarity) for e in sets[f_cos].elems]
         assert len(cos_bounds) == 2
         assert cos_bounds[0][1] is True and cos_bounds[1][1] is False
@@ -219,14 +232,15 @@ class TestMonitorAp:
         sys = load_builtin("timer")
         phi = parse_formula("F[0,3](x + 1 < 0)", sys.resolver(allow_params=False))
         sets = monitor_ap(SignalEnclosure(sys), phi)
-        assert sets[atoms(phi)[0]] is EMPTY_SET
+        (f,) = atom_depths(phi)
+        assert sets[f] is EMPTY_SET
 
 
 class TestPropagateAndConsistency:
     def test_shift_of_a_known_set(self):
         sys = load_builtin("timer")
         phi = parse_formula("F[0,1](x - 2 < 0)", sys.resolver(allow_params=False))
-        (f,) = atoms(phi)
+        (f,) = atom_depths(phi)
         t_p = seq(
             [
                 BoundaryEnclosure(Interval(0.0), True),
@@ -306,7 +320,8 @@ def timer_verdict(text):
 
 
 class TestDegenerateRoots:
-    """Roots on a closed temporal bound or at time 0 of the timer x = t."""
+    """Roots on a closed temporal bound, on an atom's depth or at time 0,
+    where f = 0 makes the strict atom false."""
 
     @pytest.mark.parametrize(
         "text, truth",
@@ -318,17 +333,33 @@ class TestDegenerateRoots:
         ],
     )
     def test_root_on_the_closed_bound(self, text, truth):
-        assert timer_verdict(text).outcome in (truth, UNKNOWN)
+        assert timer_verdict(text).outcome == truth
 
     def test_zero_at_time_0_then_positive(self):
         # x is 0 at time 0 and positive after: x < 0 never holds
         assert timer_verdict("F[0,1] (x < 0)").outcome == UNSAT
 
     def test_zero_at_time_0_then_negative(self):
-        # -x < 0 holds on (0, 1]: a left-open interval at time 0
-        v = timer_verdict("F[0,1] (-x < 0)")
-        assert v.outcome == UNKNOWN
-        assert v.unknown_cause == "InitialSignError"
+        # -x < 0 holds on (0, 1]: a left-open interval at time 0, whose
+        # start bracket is never read as holding
+        assert timer_verdict("F[0,1] (-x < 0)").outcome == VALID
+
+    @pytest.mark.parametrize(
+        "model, text",
+        [
+            # f = x is 0 throughout, so the strict atom never holds
+            ("[vars] x in [-10, 10]\n[init] x = 0\n[flow] x' = 0\n",
+             "G[1.43,2.318] (x - 0 < 0)"),
+            # x = 2t - 1 reaches 5 at t = 3, the atom's depth
+            ("[vars] x in [-10, 10]\n[init] x = -1\n[flow] x' = 2\n",
+             "G[1,3] !(x - 5 < 0)"),
+        ],
+        ids=["constant-zero", "root-on-the-depth"],
+    )
+    def test_atom_false_on_an_exact_zero_is_decided(self, model, text):
+        sys = parse_model(model)
+        v = monitor_stl(sys, parse_formula(text, sys.resolver(allow_params=False)))
+        assert v.outcome == UNSAT
 
 
 class TestPunctualBounds:

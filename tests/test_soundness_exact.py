@@ -18,8 +18,9 @@ and otherwise no decided verdict is right.
 
 A decided verdict that contradicts the truth fails, and so does any
 exception or Unknown cause outside the documented ones.  Unknown passes;
-its rate per cause is printed.  The test runs a fixed seeded slice; for
-longer campaigns over a range of seeds run
+its rate per cause is printed, and so is the count per cause of the
+Unknowns whose truth is decidable (not mixed).  The test runs a fixed
+seeded slice; for longer campaigns over a range of seeds run
 
     PYTHONPATH=src python tests/test_soundness_exact.py --seeds 1-20 --cases 3000
 """
@@ -205,10 +206,11 @@ def punctual(case) -> bool:
 
 def run_campaign(seed: int, n: int) -> dict:
     """Monitor n seeded cases; return the wrong verdicts, the exceptions
-    and undocumented causes, and the counts of outcomes and causes."""
+    and undocumented causes, the counts of outcomes and causes, and the
+    causes of the Unknowns whose truth is decidable (not mixed)."""
     rng = random.Random(seed)
     wrong, errors = [], []
-    outcomes, causes = Counter(), Counter()
+    outcomes, causes, missed = Counter(), Counter(), Counter()
     for _ in range(n):
         case = draw_case(rng)
         model, formula = model_text(case), formula_text(case)
@@ -224,17 +226,23 @@ def run_campaign(seed: int, n: int) -> dict:
         outcomes[v.outcome] += 1
         if v.outcome == UNKNOWN:
             causes[v.unknown_cause] += 1
+            if want != MIXED:
+                missed[v.unknown_cause] += 1
             if v.unknown_cause not in CAUSES:
                 errors.append(f"{label}: undocumented cause {v.unknown_cause}")
         elif v.outcome != want:
             wrong.append(f"{label}: {v.outcome}, truth {want}"
                          f"{' (punctual)' if punctual(case) else ''}")
-    return {"wrong": wrong, "errors": errors, "outcomes": outcomes, "causes": causes}
+    return {"wrong": wrong, "errors": errors, "outcomes": outcomes, "causes": causes,
+            "missed": missed}
 
 
 def summary(result: dict, n: int) -> str:
     rates = ", ".join(f"{k} {v / n:.1%}" for k, v in sorted(result["causes"].items()))
+    missed = ", ".join(f"{k} {v}" for k, v in sorted(result["missed"].items()))
     return (f"{n} cases: {dict(result['outcomes'])}; Unknown by cause: {rates or 'none'}; "
+            f"Unknown with a decidable truth: {sum(result['missed'].values())} "
+            f"({missed or 'none'}); "
             f"{len(result['wrong'])} wrong, {len(result['errors'])} errors")
 
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from stlmon.errors import ModelError
-from stlmon.expr import Const, Cos, Sin, Sub, Var
+from stlmon.expr import Const, Cos, Sin, Sub, Var, expr_to_str
 from stlmon.stl import (
     TRUE,
     Atom,
@@ -13,7 +13,6 @@ from stlmon.stl import (
     Or,
     Until,
     atom_depths,
-    atoms,
     formula_to_str,
     parse_formula,
 )
@@ -137,14 +136,14 @@ class TestAtoms:
         phi = parse_formula(
             "F[0,3] !((x - 1 < 0) | (1 - x < 0)) & F[0,3] (x - 1 < 0)", timer
         )
-        regs = atoms(phi)
-        assert len(regs) == 2  # x-1 and 1-x, each once
+        # x-1 and 1-x, each once, in first-appearance order
+        assert [expr_to_str(f) for f in atom_depths(phi)] == ["x - 1", "1 - x"]
 
     def test_single_atom_formula(self):
-        assert len(atoms(parse("G[0,10] F[0,6.284] !(x2 - 1 < 0)"))) == 1
+        assert len(atom_depths(parse("G[0,10] F[0,6.284] !(x2 - 1 < 0)"))) == 1
 
     def test_true_has_no_atoms(self):
-        assert atoms(TRUE) == []
+        assert list(atom_depths(TRUE)) == []
 
 
 class TestRoundTrip:
