@@ -258,8 +258,13 @@ class SignalEnclosure:
 
     # -- integration -------------------------------------------------
 
-    def extend(self, target_time: float) -> None:
-        while self.horizon_reached < target_time:
+    def extend(self, target_time: float, stop: float | None = None) -> None:
+        """Integrate toward target_time, every step chosen against it, and
+        return once the horizon reaches stop (default: target_time).  The
+        steps do not depend on stop, so extending in stages to the same
+        target takes the same steps as extending at once."""
+        stop = target_time if stop is None else min(stop, target_time)
+        while self.horizon_reached < stop:
             if self.failure is not None:
                 raise self.failure
             try:

@@ -10,17 +10,30 @@ it with interval Newton steps; per-atom enumeration of truth-change boundaries
 (monitor_ap), structural propagation through the formula via the
 consistent-time-set algebra (propagate), and the decision at time zero
 (consistent_at_init).
+
 monitor_enclosure wires them together over one signal enclosure, which
-carries the run's boxes and MonitorConfig and is integrated only as far
-as the deepest atom is read; it converts every certification failure
-into an Unknown verdict tagged with its cause.  monitor_stl builds that
-enclosure from a system.
+carries the run's boxes and MonitorConfig, and decides on the shortest
+certified prefix.  It integrates in chunks, each ending where a window
+of the formula closes at time 0 (stl.window_ends), every step chosen
+against the deepest atom's depth.  After each chunk every atom's sweep
+goes on as far as the new horizon allows, and the formula is propagated
+over a pair of sets (propagate_bounds): under holds where the formula
+holds for every continuation of the known prefix, over where it may.
+An atom's under set is its certified set cut at the end of its certified
+prefix, and its over set also holds from there on.  The verdict is Valid
+once under holds at time 0 and Unsat once over fails there; at full
+depth each atom's pair is one set, and so is the formula's.  A failure
+freezes what it stops: a failed search keeps its atom's certified
+prefix, and a failed step the enclosure's.  Unknown, tagged with the
+cause of the failure that ended the run, is left only when no prefix
+decides.  monitor_stl builds the enclosure from a system.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import (
     AmbiguityError,
@@ -41,11 +54,13 @@ from .stl import (
     Until,
     atom_depths,
     formula_to_str,
+    window_ends,
 )
 from .system import ContinuousSystem
 from .timesets import (
     ApproxSet,
     BoundaryEnclosure,
+    EMPTY_SET,
     UNIVERSE,
     first_element,
     invert,
@@ -69,6 +84,17 @@ NUMERIC_ERROR = "NumericError"
 # zero-containing interval, NaN bounds); each maps to NUMERIC_ERROR
 NUMERIC_FAILURES = (OverflowError, ZeroDivisionError, NumericError)
 
+# every certification failure, with the cause it reports
+_CAUSES = (
+    (TangencyError, SEARCH_ZERO_ERROR),
+    (AmbiguityError, PROPAGATION_ERROR),
+    (IntegrationError, INTEGRATION_ERROR),
+    (InitialSignError, INITIAL_SIGN_ERROR),
+    (NUMERIC_FAILURES, NUMERIC_ERROR),
+)
+_FAILURES = (TangencyError, AmbiguityError, IntegrationError, InitialSignError,
+            *NUMERIC_FAILURES)
+
 # the narrowest subwindow the zero search tries before refusing
 _EPSILON = 1e-14
 _MAX_SWEEP = 10_000
@@ -87,12 +113,15 @@ class MonitorStats:
     integration_steps: int = 0
     search_zero_calls: int = 0
     newton_iterations: int = 0
+    # the time the enclosure reached when the verdict was fixed
+    horizon: float = 0.0
 
     def to_json(self) -> dict:
         return {
             "integration_steps": self.integration_steps,
             "search_zero_calls": self.search_zero_calls,
             "newton_iterations": self.newton_iterations,
+            "horizon": self.horizon,
         }
 
 
@@ -189,20 +218,57 @@ def search_zero(
     """
     if stats is not None:
         stats.search_zero_calls += 1
-    lo, hi = t_init.lo, t_init.hi
-    s0 = _holds(_f_at(f, enc, Interval(lo)))
+    s0 = _holds(_f_at(f, enc, Interval(t_init.lo)))
     if s0 is None:
         raise TangencyError("truth of the atom is undecidable at the search start")
-    # Sweep with the invariant: the atom has truth s0 over [t_init.lo, lo].
+    return _sweep(f, enc, _Sweep(t_init.lo, s0), t_init.hi, stats)
+
+
+@dataclass
+class _Sweep:
+    """A zero search in progress: the atom has truth s0 from the search's
+    start through lo, w is the next window's width (None before the
+    first window) and iters counts the moves against _MAX_SWEEP."""
+
+    lo: float
+    s0: bool
+    w: float | None = None
+    iters: int = 0
+
+
+def _sweep(
+    f: Expr,
+    enc: SignalEnclosure,
+    sw: _Sweep,
+    hi: float,
+    stats: MonitorStats | None,
+    limit: float = math.inf,
+    newton_steps: int = _MAX_CONTRACT,
+) -> IntervalLike | None:
+    """Advance search_zero's sweep sw toward hi through the windows that
+    end below limit: the bracket or EMPTY that search_zero returns, or
+    None when the next window would reach limit.  The windows do not
+    depend on limit, so a sweep resumed after the enclosure has grown
+    reads the windows, and returns the bracket, of one that never stopped.
+    A bracket is contracted by at most newton_steps Newton steps.
+    """
+    # Sweep with the invariant: the atom has truth s0 over [start, sw.lo].
     # A subwindow is eliminated by a range that decides the atom, or by
     # monotonicity with the atom still of truth s0 at its upper end; a
     # monotone subwindow whose upper end has the other truth is a bracket.
     # Local subwindows keep the derivative enclosure tight; the first one
     # is the local integrator step, over which the dense output is tight.
     w_min = _w_min(hi)
-    w = min(hi - lo, max(enc.step_span_at(lo), w_min))
-    for _ in range(_MAX_SWEEP):
+    if sw.w is None:
+        if sw.lo >= limit:
+            return None
+        sw.w = min(hi - sw.lo, max(enc.step_span_at(sw.lo), w_min))
+    while sw.iters < _MAX_SWEEP:
+        lo, w = sw.lo, sw.w
         sub = Interval(lo, min(lo + w, hi))
+        if sub.hi >= limit:
+            return None
+        sw.iters += 1
         x = enc.eval(sub)
         if _holds(enc.value(f, x)) is None:
             s = _monotone_truth(f, enc, sub, x)
@@ -211,15 +277,30 @@ def search_zero(
                     raise TangencyError(
                         f"no monotone subwindow at t={lo!r}; tangency suspected"
                     )
-                w *= 0.5
+                sw.w = 0.5 * w
                 continue
-            if s != s0:
-                return _contract(f, enc, sub, s0, stats)
+            if s != sw.s0:
+                return _contract(f, enc, sub, sw.s0, stats, newton_steps)
         if sub.hi == hi:
+            sw.lo = hi
             return EMPTY
-        lo = sub.hi
-        w = min(2.0 * w, hi - lo)
+        sw.lo, sw.w = sub.hi, min(2.0 * w, hi - sub.hi)
     raise TangencyError("zero search sweep exhausted its iteration budget")
+
+
+def _rungs(x: float, r: float, out: float):
+    """Where a bracket end may move, nearest the root first: onto x, an
+    end of a Newton image of width r, then out from it in direction out
+    on a geometric ladder x + out max(r/2, ulp(x)) 2^j, j < 60.  Near a
+    root the enclosure of f can be wider than the image, and a point
+    image sits on an exact root, where the strict atom fails; the ladder
+    walks out to where f is strictly signed.  The caller drops the rungs
+    past the bracket's other end."""
+    yield x
+    step = max(0.5 * r, math.ulp(x))
+    for _ in range(60):
+        yield x + out * step
+        step *= 2.0
 
 
 def _contract(
@@ -228,19 +309,20 @@ def _contract(
     t: Interval,
     s0: bool,
     stats: MonitorStats | None,
+    newton_steps: int = _MAX_CONTRACT,
 ) -> Interval:
     """Shrink a bracket t: d/dt f excludes zero over t, and the atom has
     truth s0 at t.lo and the other truth at t.hi.
 
-    Each end moves onto an endpoint of the interval Newton image, or half
-    or one image width beyond it, only where the atom has that end's truth
+    Each end moves onto an endpoint of the interval Newton image, or out
+    from it (_rungs), only where the atom has that end's truth
     and f is strictly signed, so the bracket property holds after every
     move and an end reached on f = 0 stays where the sweep put it.  The
     loop ends at the first step that moves neither end, or whose d/dt f
     enclosure over the current bracket contains zero.
     """
     a, b = t.lo, t.hi
-    for _ in range(_MAX_CONTRACT):
+    for _ in range(newton_steps):
         if stats is not None:
             stats.newton_iterations += 1
         t = Interval(a, b)
@@ -255,19 +337,15 @@ def _contract(
         if image.is_empty:
             # a bracket holds a root of every signal: the enclosures disagree
             raise TangencyError("empty Newton image over a certified bracket")
-        # the last candidate lies at least one float beyond, for a point
-        # image on an exact root
         r = image.width()
         a = next(
-            (c for c in (image.lo, image.lo - 0.5 * r,
-                         math.nextafter(image.lo - r, -math.inf))
+            (c for c in _rungs(image.lo, r, -1.0)
              if a < c < b and 0.0 not in (v := _f_at(f, enc, Interval(c)))
              and _holds(v) == s0),
             a,
         )
         b = next(
-            (c for c in (image.hi, image.hi + 0.5 * r,
-                         math.nextafter(image.hi + r, math.inf))
+            (c for c in _rungs(image.hi, r, 1.0)
              if a < c < b and 0.0 not in (v := _f_at(f, enc, Interval(c)))
              and _holds(v) != s0),
             b,
@@ -277,38 +355,132 @@ def _contract(
     return Interval(a, b)
 
 
-def _atom_set(
-    f: Expr,
-    enc: SignalEnclosure,
-    horizon: float,
-    stats: MonitorStats | None = None,
-) -> ApproxSet:
-    """Boundary enclosures of the consistent intervals of f(x) < 0 on
-    [0, horizon]: the point [0] starts one when the atom holds at time 0,
-    and the brackets of search_zero's sweep from 0 alternate from there.
-    Raises InitialSignError when the truth at time 0 is undecidable."""
-    fv = _f_at(f, enc, Interval(0.0))
-    holds = _holds(fv)
-    if holds is None:
-        raise InitialSignError(
-            f"truth of the atom is undecidable at time 0: enclosure {fv}"
-        )
-    raw = [BoundaryEnclosure(Interval(0.0), True)] if holds else []
-    if horizon == 0.0:
-        # an atom of temporal depth 0 is read at time 0 only, which the
-        # initial box decides; the enclosure may hold no step to search
-        return normalize(raw)
-    polarity = not holds
-    t = Interval(0.0, horizon)
-    while True:
-        tz = search_zero(f, enc, t, stats)
-        if tz.is_empty:
-            break
-        raw.append(BoundaryEnclosure(tz, polarity))
-        # the atom's truth is decided at tz.hi, so the next search starts there
-        t = Interval(tz.hi, horizon)
-        polarity = not polarity
-    return normalize(raw)
+class _AtomSearch:
+    """The zero search of one atom f < 0 over [0, depth], resumable as
+    the enclosure grows.
+
+    raw holds the boundary enclosures found so far, from the point [0]
+    when the atom holds at time 0 through search_zero's brackets.  The
+    atom's truth is certified over [0, sweep.lo]: it is sweep.s0 from the
+    last bracket on.  sweep is None until time 0 is read, and complete is
+    set once the sweep has reached depth.  failure is the certification
+    failure that stopped the search; the certified prefix stands.
+    """
+
+    def __init__(self, f: Expr, depth: float):
+        self.f, self.depth = f, depth
+        self.raw: list[BoundaryEnclosure] = []
+        self.sweep: _Sweep | None = None
+        self.complete = False
+        self.failure: Exception | None = None
+
+    def advance(
+        self, enc: SignalEnclosure, hi: float, limit: float, stats: MonitorStats | None,
+        newton_steps: int = _MAX_CONTRACT,
+    ) -> None:
+        """Sweep on toward hi <= depth through the windows that end below
+        limit, contracting each bracket by at most newton_steps Newton
+        steps.  Raises the sweep's failures, leaving a certified prefix."""
+        f = self.f
+        if self.sweep is None:
+            if limit <= 0.0:
+                return
+            fv = _f_at(f, enc, Interval(0.0))
+            holds = _holds(fv)
+            if holds is None:
+                raise InitialSignError(
+                    f"truth of the atom is undecidable at time 0: enclosure {fv}"
+                )
+            if holds:
+                self.raw.append(BoundaryEnclosure(Interval(0.0), True))
+            self.sweep = _Sweep(0.0, holds)
+            if self.depth == 0.0:
+                # an atom of temporal depth 0 is read at time 0 only, which
+                # the initial box decides; the enclosure may hold no step
+                self.complete = True
+                return
+            if stats is not None:
+                stats.search_zero_calls += 1
+        # a sweep that has reached a hi short of its depth stops there; one
+        # that starts on its depth still reads that point, as search_zero does
+        while not self.complete and (self.sweep.lo < hi or hi == self.depth):
+            sw = self.sweep
+            tz = _sweep(f, enc, sw, hi, stats, limit, newton_steps)
+            if tz is None:
+                return
+            if tz.is_empty:
+                self.complete = hi == self.depth
+                return
+            self.raw.append(BoundaryEnclosure(tz, not sw.s0))
+            # the atom's truth is decided at tz.hi, so the next search
+            # starts there with the other truth
+            self.sweep = _Sweep(tz.hi, not sw.s0)
+            if stats is not None:
+                stats.search_zero_calls += 1
+
+    def probe(self, enc: SignalEnclosure, stats: MonitorStats | None) -> _AtomSearch:
+        """A copy swept on to the enclosure's end, its windows clipped
+        there and each bracket shrunk by one Newton step only: that is
+        tight enough to fix a verdict, and the copy is dropped after.  It
+        widens the certified prefix that a verdict may be fixed on; the
+        search itself resumes with its own windows, so that at full depth
+        it finds the sets of a search that never stopped."""
+        p = copy.copy(self)
+        p.raw = list(self.raw)
+        p.sweep = None if self.sweep is None else replace(self.sweep)
+        try:
+            p.advance(enc, min(self.depth, enc.horizon_reached), math.inf, stats,
+                      newton_steps=1)
+        except _FAILURES:
+            pass
+        return p
+
+    def best_case(self, reach: float) -> tuple[ApproxSet, ApproxSet]:
+        """The widest under set and the narrowest over set that sweeping
+        on to reach could certify: the atom holding, and failing, from the
+        end of the certified prefix up to reach (open from reach on when
+        reach is the depth).  propagate_bounds is monotone, so a verdict
+        these leave open, no probe to reach fixes."""
+        end = 0.0 if self.sweep is None else self.sweep.lo
+        was = None if self.sweep is None else self.sweep.s0
+
+        def held(holds: bool) -> ApproxSet:
+            raw = self.raw if was == holds else _closed(self.raw, end, holds)
+            if reach < self.depth:
+                raw = _closed(raw, reach, not holds)
+            return normalize(raw)
+
+        return held(True), held(False)
+
+    def bounds(self) -> tuple[ApproxSet, ApproxSet]:
+        """(under, over): the atom's certified set cut at the end of its
+        certified prefix, and the same set holding from there on.
+
+        The cut is an exact end [end]: under reads the interval that
+        holds there as [l, end), and over a failing atom as holding on
+        [end, inf).  Both are sound only as bounds: the atom holds on
+        [l, end] and fails at end, so under lies inside the truth and over
+        around it, whatever the atom does after end.  Neither is read as
+        the truth; a searched-through atom has one set, open at its depth.
+        """
+        if self.complete:
+            s = normalize(self.raw)
+            return s, s
+        if self.sweep is None:
+            return EMPTY_SET, UNIVERSE
+        holds = self.sweep.s0
+        s = normalize(self.raw)
+        cut = normalize(_closed(self.raw, self.sweep.lo, not holds))
+        return (cut, s) if holds else (s, cut)
+
+
+def _closed(raw: list, t: float, polarity: bool) -> list:
+    """raw with the exact bound [t] of the given polarity appended.  A
+    last bracket that reaches t is dropped instead: the truth it changed
+    to may begin only at t, so the truth before it goes on to t."""
+    if raw and raw[-1].s.hi >= t:
+        return raw[:-1]
+    return raw + [BoundaryEnclosure(Interval(t), polarity)]
 
 
 def monitor_ap(
@@ -317,13 +489,25 @@ def monitor_ap(
     stats: MonitorStats | None = None,
 ) -> dict[Expr, ApproxSet]:
     """Consistent-time boundary sets for every atom of phi, each on
-    [0, its temporal depth]."""
+    [0, its temporal depth], over enc integrated to the deepest atom: the
+    point [0] starts an interval when the atom holds at time 0, and the
+    brackets of search_zero's sweep from 0 alternate from there.  Raises
+    the first certification failure."""
     # each atom is searched only up to its own temporal depth: its sign
     # beyond that cannot reach the verdict at time 0, and late segments
     # are where the enclosure is widest and certification most fragile
-    depths = {f: rational_enclosure(d).hi for f, d in atom_depths(phi).items()}
+    depths = _depths(phi)
     enc.extend(max(depths.values(), default=0.0))
-    return {f: _atom_set(f, enc, depth, stats) for f, depth in depths.items()}
+    sets = {}
+    for f, depth in depths.items():
+        a = _AtomSearch(f, depth)
+        a.advance(enc, depth, math.inf, stats)
+        sets[f] = normalize(a.raw)
+    return sets
+
+
+def _depths(phi: Formula) -> dict[Expr, float]:
+    return {f: rational_enclosure(d).hi for f, d in atom_depths(phi).items()}
 
 
 def propagate(
@@ -332,22 +516,47 @@ def propagate(
     record: dict[str, ApproxSet] | None = None,
 ) -> ApproxSet:
     """Consistent-time set of phi by structural recursion over the formula."""
+    pairs: dict | None = {} if record is not None else None
+    t, _ = propagate_bounds(phi, {f: (s, s) for f, s in atom_sets.items()}, pairs)
+    if record is not None:
+        record.update((k, u) for k, (u, _) in pairs.items())
+    return t
 
-    def rec(node: Formula) -> ApproxSet:
+
+def propagate_bounds(
+    phi: Formula,
+    atom_bounds: dict[Expr, tuple[ApproxSet, ApproxSet]],
+    record: dict[str, tuple] | None = None,
+) -> tuple[ApproxSet, ApproxSet]:
+    """(under, over) sets of phi from (under, over) sets of its atoms.
+
+    Kleene's three-valued reading over a prefix: under holds where phi
+    holds for every continuation, over where it holds for some.  Not
+    swaps the pair (and inverts it); Or and Until are monotone in both
+    operands, so they map each component.  A node whose operands each
+    have one set (under is over) gets one set, computed once.
+    """
+
+    def each(op, *pairs):
+        under = op(*(p[0] for p in pairs))
+        if all(p[0] is p[1] for p in pairs):
+            return under, under
+        return under, op(*(p[1] for p in pairs))
+
+    def rec(node: Formula) -> tuple[ApproxSet, ApproxSet]:
         if isinstance(node, TrueF):
-            t = UNIVERSE
+            t = UNIVERSE, UNIVERSE
         elif isinstance(node, Atom):
-            t = atom_sets[node.f]
+            t = atom_bounds[node.f]
         elif isinstance(node, Not):
-            t = invert(rec(node.a))
+            under, over = rec(node.a)
+            t = each(invert, (over, under))
         elif isinstance(node, Or):
-            t = join(rec(node.a), rec(node.b))
+            t = each(join, rec(node.a), rec(node.b))
         elif isinstance(node, Until):
-            t1 = rec(node.a)
-            t2 = rec(node.b)
-            t = shift_all(
-                rational_enclosure(node.lo), rational_enclosure(node.hi), t1, t2
-            )
+            t_lo, t_hi = rational_enclosure(node.lo), rational_enclosure(node.hi)
+            t = each(lambda t1, t2: shift_all(t_lo, t_hi, t1, t2),
+                     rec(node.a), rec(node.b))
         else:  # pragma: no cover - exhaustive over the core grammar
             raise TypeError(f"unknown formula node {node!r}")
         if record is not None:
@@ -371,37 +580,132 @@ def consistent_at_init(t: ApproxSet) -> str:
     return UNKNOWN
 
 
+def _advance(searches: list, enc: SignalEnclosure, limit: float,
+             stats: MonitorStats) -> None:
+    """Every live search swept on through the windows below limit."""
+    for a in searches:
+        if a.failure is None and not a.complete:
+            try:
+                a.advance(enc, a.depth, limit, stats)
+            except _FAILURES as exc:
+                a.failure = exc
+
+
+def _fixes(phi: Formula, bounds: dict, record: dict | None = None) -> str | None:
+    """Valid when phi's under set holds at time 0, Unsat when its over
+    set fails there, None when neither or when a set is ambiguous.  On a
+    verdict, record gets the sets that fixed it: under for Valid, over
+    for Unsat."""
+    pairs: dict | None = {} if record is not None else None
+    try:
+        under, over = propagate_bounds(phi, bounds, pairs)
+    except AmbiguityError:
+        return None
+    if consistent_at_init(under) == VALID:
+        verdict, side = VALID, 0
+    elif consistent_at_init(over) == UNSAT:
+        verdict, side = UNSAT, 1
+    else:
+        return None
+    if record is not None:
+        record.update((k, t[side]) for k, t in pairs.items())
+    return verdict
+
+
+def _prefix_verdict(phi: Formula, searches: list, enc: SignalEnclosure,
+                    stats: MonitorStats, record: dict | None) -> str | None:
+    """The verdict the certified prefix fixes (_fixes), with the live
+    searches probed to the enclosure's end first.  The probes are skipped
+    when even the best they could certify fixes no verdict."""
+    live = {a.f for a in searches if a.failure is None and not a.complete}
+    reach = enc.horizon_reached
+    try:
+        best = {a.f: a.best_case(min(a.depth, reach)) if a.f in live else a.bounds()
+                for a in searches}
+    except AmbiguityError:
+        best = None  # no best case to rule the probes out
+    if live and best is not None and _fixes(phi, best) is None:
+        return None
+    try:
+        bounds = {
+            a.f: (a.probe(enc, stats) if a.f in live else a).bounds() for a in searches
+        }
+    except AmbiguityError:
+        return None
+    return _fixes(phi, bounds, record)
+
+
+def _decide(enc: SignalEnclosure, phi: Formula, stats: MonitorStats,
+            record: dict | None) -> str:
+    """The verdict on the shortest certified prefix (module docstring).
+    Raises the failure that ended the run when no prefix fixes one: a
+    failed step first, then the first atom, in atom_depths order, whose
+    search or set failed, as a run that searches each atom to its depth
+    in turn would."""
+    depths = _depths(phi)
+    target = max(depths.values(), default=0.0)
+    searches = [_AtomSearch(f, d) for f, d in depths.items()]
+    stops = sorted({rational_enclosure(q).hi for q in window_ends(phi) if q > 0}
+                   | {target})
+    for stop in stops:
+        if enc.horizon_reached >= stop:
+            continue  # an earlier chunk's last step passed it
+        try:
+            enc.extend(target, stop)
+        except (IntegrationError, *NUMERIC_FAILURES):
+            if (verdict := _prefix_verdict(phi, searches, enc, stats, record)):
+                return verdict
+            raise
+        if enc.horizon_reached >= target:
+            break
+        # a window that ends on the horizon waits for the next step: the
+        # search reads the step that starts there once it exists
+        _advance(searches, enc, enc.horizon_reached, stats)
+        if (verdict := _prefix_verdict(phi, searches, enc, stats, record)):
+            return verdict
+    _advance(searches, enc, math.inf, stats)
+    atom_sets: dict[Expr, ApproxSet] = {}
+    for a in searches:
+        if a.failure is None:
+            try:
+                atom_sets[a.f] = normalize(a.raw)
+            except AmbiguityError as exc:
+                a.failure = exc
+        if a.failure is not None:
+            if (verdict := _prefix_verdict(phi, searches, enc, stats, record)):
+                return verdict
+            raise a.failure
+    return consistent_at_init(propagate(phi, atom_sets, record=record))
+
+
 def monitor_enclosure(
     enc: SignalEnclosure, phi: Formula, collect_sets: bool = False
 ) -> Verdict:
     """Decide whether every signal that enc encloses satisfies phi.
 
     Valid and Unsat are certified over the enclosure's whole parameter
-    and initial boxes; any certification failure is caught and reported
-    as Unknown with the failing stage as its cause.  Arithmetic that
-    overflows, divides by zero or yields a NaN bound is reported as
-    Unknown with NumericError.  enc is integrated in place, so the caller
-    can read its steps afterwards.
+    and initial boxes; enc is integrated only as far as the verdict needs
+    (see the module docstring).  A certification failure that no
+    certified prefix overrides is reported as Unknown with the failing
+    stage as its cause.  Arithmetic that overflows, divides by zero or
+    yields a NaN bound is reported as Unknown with NumericError.  enc is
+    integrated in place, so the caller can read its steps afterwards.
+    With collect_sets, the verdict carries the set of every subformula;
+    for a verdict fixed on a prefix, its under sets (Valid) or over sets
+    (Unsat).
     """
     stats = MonitorStats()
     sets: dict[str, ApproxSet] | None = {} if collect_sets else None
     cause: str | None = None
     try:
-        t_phi = propagate(phi, monitor_ap(enc, phi, stats), record=sets)
-        outcome = consistent_at_init(t_phi)
+        outcome = _decide(enc, phi, stats, sets)
         if outcome == UNKNOWN:
             cause = PROPAGATION_ERROR
-    except TangencyError:
-        outcome, cause = UNKNOWN, SEARCH_ZERO_ERROR
-    except AmbiguityError:
-        outcome, cause = UNKNOWN, PROPAGATION_ERROR
-    except IntegrationError:
-        outcome, cause = UNKNOWN, INTEGRATION_ERROR
-    except InitialSignError:
-        outcome, cause = UNKNOWN, INITIAL_SIGN_ERROR
-    except NUMERIC_FAILURES:
-        outcome, cause = UNKNOWN, NUMERIC_ERROR
+    except _FAILURES as exc:
+        outcome = UNKNOWN
+        cause = next(c for kind, c in _CAUSES if isinstance(exc, kind))
     stats.integration_steps = len(enc.steps)
+    stats.horizon = enc.horizon_reached
     return Verdict(outcome, cause, stats, sets)
 
 

@@ -21,7 +21,7 @@ from .expr import Const, Expr, ExprParser, Sub, Token, Tokenizer, decimal_text, 
 
 __all__ = [
     "Formula", "TrueF", "Atom", "Or", "Not", "Until", "TRUE",
-    "parse_formula", "formula_to_str", "atom_depths",
+    "parse_formula", "formula_to_str", "atom_depths", "window_ends",
     "conj", "implies", "finally_", "globally",
 ]
 
@@ -118,6 +118,40 @@ def atom_depths(phi: Formula) -> dict[Expr, Fraction]:
 
     walk(phi, Fraction(0))
     return depths
+
+
+# the most sums window_ends carries along one path; past it, only the
+# sums of upper bounds go on, so a deep formula cannot blow the set up
+_MAX_WINDOW_ENDS = 64
+
+
+def window_ends(phi: Formula) -> set[Fraction]:
+    """Times at which a window of phi, read from time 0, closes on an atom.
+
+    For each atom occurrence these are the sums of one bound, lower or
+    upper, of every until operator on its path from the root: for
+    G[0,10] F[0,6.284] p, the times 0, 6.284, 10 and 16.284.  The
+    largest is the deepest atom's depth (see atom_depths).
+    """
+    ends: set[Fraction] = set()
+
+    def walk(p: Formula, acc: frozenset) -> None:
+        t = type(p)
+        if t is Atom:
+            ends.update(acc)
+        elif t is Not:
+            walk(p.a, acc)
+        elif t is Or:
+            walk(p.a, acc)
+            walk(p.b, acc)
+        elif t is Until:
+            bounds = (p.hi,) if len(acc) > _MAX_WINDOW_ENDS else (p.lo, p.hi)
+            acc = frozenset(s + b for s in acc for b in bounds)
+            walk(p.a, acc)
+            walk(p.b, acc)
+
+    walk(phi, frozenset({Fraction(0)}))
+    return ends
 
 
 # --- concrete syntax -------------------------------------------------------

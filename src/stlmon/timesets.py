@@ -20,6 +20,17 @@ holding where an atom's search ends, at its temporal depth, has no upper
 bound: it stays open.  A formula never reads an atom beyond its depth,
 so the open end meets no time that is read, where an end placed at the
 depth would: a punctual bound [a, a] shifts it exactly onto one.
+
+A verdict fixed on a prefix [0, T] of the signal reads each atom through
+a pair of sets (monitor.propagate_bounds): under is the atom's set cut
+by an exact bound [T] that ends the interval holding at T, and over the
+same set with an exact lower bound [T] when the atom fails at T.  Those
+made-up ends are sound where the one above was not because they are
+read only as bounds: the atom holds on [l, T] and fails at T, so under
+lies inside the truth and over around it whatever the atom does after
+T, and every operation here is monotone but for invert, which the pair
+handles by swapping.  Neither set is read as the truth, so a punctual
+bound that shifts [T] onto a read time can only leave the verdict open.
 Normalization can fail when enclosures of opposite polarity overlap —
 the true boundary order is then unknown — which surfaces as
 AmbiguityError and, at the top level, an Unknown verdict.
@@ -27,7 +38,7 @@ AmbiguityError and, at the top level, an Unknown verdict.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import AmbiguityError
@@ -86,10 +97,9 @@ def _sort_key(e: BoundaryEnclosure):
 
 def _check_canonical(t: ApproxSet) -> None:
     """Canonicity closure check.  The normalization rules leave alternation
-    intact for inputs in generic position; degenerate coincidences (e.g.
-    joining a set with an exact copy of itself, which the boundary counting
-    reads as nested intervals) are refused as ambiguous rather than let a
-    non-canonical set escape."""
+    intact for inputs in generic position; a degenerate coincidence they
+    do not resolve is refused as ambiguous rather than let a non-canonical
+    set escape."""
     if t.kind != "seq":
         return
     elems = t.elems
@@ -139,13 +149,24 @@ def normalize(raw) -> ApproxSet:
 def _n1(elems):
     """Drop embedded bounds by the counting rule: keep a lower bound when
     (#lowers strictly before it) - (#uppers strictly before it) < 1, an
-    upper bound when the difference is < 2."""
+    upper bound when (#lowers strictly before it) - (#other uppers that
+    may lie before it) < 2.  A bound is dropped only when every order its
+    enclosures allow embeds it: of two overlapping upper bounds either may
+    close the outer interval, so both stay and _n3 merges them.  (Lowers
+    and uppers never overlap here, so for them strictly before and may
+    lie before agree.)"""
     lowers = sorted(e.s.hi for e in elems if e.polarity)
     uppers = sorted(e.s.hi for e in elems if not e.polarity)
+    upper_starts = sorted(e.s.lo for e in elems if not e.polarity)
     out = []
     for e in elems:
-        depth = bisect_left(lowers, e.s.lo) - bisect_left(uppers, e.s.lo)
-        if depth < (1 if e.polarity else 2):
+        if e.polarity:
+            keep = bisect_left(lowers, e.s.lo) - bisect_left(uppers, e.s.lo) < 1
+        else:
+            # the uppers starting at or before e's end, e itself excluded
+            before = bisect_right(upper_starts, e.s.hi) - 1
+            keep = bisect_left(lowers, e.s.lo) - before < 2
+        if keep:
             out.append(e)
     return out
 

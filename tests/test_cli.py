@@ -182,14 +182,27 @@ class TestModelLimits:
 
     def test_step_leaving_the_state_domain_is_unknown(self, capsys):
         # timer's domain is x in [-1, 25]; steps that would leave it are
-        # halved until the step size underflows near t = 25
+        # halved until the step size underflows near t = 25, and x = t < 100
+        # must be read up to t = 30 to decide the property
         code, out, _ = run_cli(
-            capsys, "verify", "--model", "timer", "--formula", "G[0,30] (x - 1 < 0)"
+            capsys, "verify", "--model", "timer", "--formula", "G[0,30] (x - 100 < 0)"
         )
         assert code == 2
         doc = json.loads(out)
         assert doc["outcome"] == "Unknown"
         assert doc["unknown_cause"] == "IntegrationError"
+        assert doc["stats"]["horizon"] < 25.0
+
+    def test_failed_step_past_the_deciding_prefix_is_decided(self, capsys):
+        # x - 1 < 0 fails from t = 1 on: the prefix before the domain's
+        # edge decides the property, though the step near t = 25 fails
+        code, out, _ = run_cli(
+            capsys, "verify", "--model", "timer", "--formula", "G[0,30] (x - 1 < 0)"
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert (doc["outcome"], doc["unknown_cause"]) == ("Unsat", None)
+        assert 1.0 < doc["stats"]["horizon"] < 25.0
 
     def test_crawling_integration_is_refused_by_the_step_budget(self, capsys):
         # at order 2 the accuracy estimate gives steps of about 4e-8, so

@@ -384,6 +384,29 @@ class TestStepSize:
             assert step.t1 - step.t0 <= cap * (1.0 + 1e-12), step.t0
 
 
+class TestStagedExtend:
+    """extend(target, stop) chooses every step against target, so a run
+    extended in stages takes the steps of one extended at once."""
+
+    def test_stages_take_the_same_steps(self):
+        system, u = load_builtin("rotation"), IntervalBox([Interval(0.05, 0.0502)])
+        whole = SignalEnclosure(system, u_box=u)
+        whole.extend(16.284)
+        staged = SignalEnclosure(system, u_box=u)
+        for stop in (6.284, 10.0, 16.284):
+            staged.extend(16.284, stop)
+            assert staged.horizon_reached >= stop
+        assert staged.horizon_reached == whole.horizon_reached == 16.284
+        assert [(s.t0, s.t1, s.coeffs, s.remainder, s.apriori) for s in staged.steps] == [
+            (s.t0, s.t1, s.coeffs, s.remainder, s.apriori) for s in whole.steps
+        ]
+
+    def test_stop_beyond_the_target_is_the_target(self):
+        enc = SignalEnclosure(load_builtin("timer"))
+        enc.extend(2.0, 5.0)
+        assert enc.horizon_reached == 2.0
+
+
 @pytest.fixture
 def jet_orders(monkeypatch):
     """The highest order whose gradient each step's jet run keeps."""

@@ -1,5 +1,6 @@
 """Monitoring pipeline: derivative enclosures, certified zero search,
-atom sets, propagation, and end-to-end verdicts against known solutions."""
+atom sets, propagation, prefix decisions, and end-to-end verdicts
+against known solutions."""
 
 import math
 import random
@@ -25,9 +26,10 @@ from stlmon.monitor import (
     monitor_enclosure,
     monitor_stl,
     propagate,
+    propagate_bounds,
     search_zero,
 )
-from stlmon.stl import atom_depths, parse_formula
+from stlmon.stl import atom_depths, formula_to_str, parse_formula
 from stlmon.system import load_builtin, parse_model
 from stlmon.timesets import EMPTY_SET, UNIVERSE, BoundaryEnclosure, seq
 
@@ -311,7 +313,12 @@ class TestMonitorStl:
         phi = parse_formula("F[0,3](x - 1 < 0)", sys.resolver(allow_params=False))
         doc = monitor_stl(sys, phi).to_json()
         assert doc["outcome"] == VALID and doc["unknown_cause"] is None
+        assert set(doc["stats"]) == {
+            "integration_steps", "search_zero_calls", "newton_iterations", "horizon",
+        }
         assert doc["stats"]["integration_steps"] > 0
+        # the enclosure reached the formula's depth, 3, when the verdict was fixed
+        assert doc["stats"]["horizon"] == 3.0
 
 
 def timer_verdict(text):
@@ -334,6 +341,10 @@ class TestDegenerateRoots:
     )
     def test_root_on_the_closed_bound(self, text, truth):
         assert timer_verdict(text).outcome == truth
+
+    def test_disjunction_of_an_atom_with_itself(self):
+        # joining a set with its own copy keeps its end: x < 1 fails from 1
+        assert timer_verdict("G[0,2] ((x - 1 < 0) | (x - 1 < 0))").outcome == UNSAT
 
     def test_zero_at_time_0_then_positive(self):
         # x is 0 at time 0 and positive after: x < 0 never holds
@@ -360,6 +371,119 @@ class TestDegenerateRoots:
         sys = parse_model(model)
         v = monitor_stl(sys, parse_formula(text, sys.resolver(allow_params=False)))
         assert v.outcome == UNSAT
+
+
+class TestNewtonLadder:
+    """Where the enclosure of f near a root is wider than the Newton
+    image, or the image is a point on an exact root, the bracket ends walk
+    out on a geometric ladder to where f is strictly signed."""
+
+    @pytest.mark.parametrize(
+        "model, text, truth",
+        [
+            # x = -1 - 2t reaches -4 at t = 1.5 exactly: a point image
+            ("[vars] x in [-1000, 1000]\n[init] x = -1\n[flow] x' = -2\n",
+             "G[1.06,3.06] G[0.67,0.67] (x + 4 < 0)", VALID),
+            # x = -2.8 + 2t reaches -2.75 at t = 0.025, where f's enclosure
+            # is wider than the image
+            ("[vars] x in [-1000, 1000]\n[init] x = -2.8\n[flow] x' = 2\n",
+             "F[0.904,2.054] (x + 2.75 < 0)", UNSAT),
+        ],
+        ids=["point-image", "wide-enclosure"],
+    )
+    def test_bracket_is_certified(self, model, text, truth):
+        sys = parse_model(model)
+        v = monitor_stl(sys, parse_formula(text, sys.resolver(allow_params=False)))
+        assert (v.outcome, v.unknown_cause) == (truth, None)
+
+
+class TestPrefixDecision:
+    """The verdict is fixed on the shortest certified prefix: integration
+    stops once the under set holds, or the over set fails, at time 0."""
+
+    def test_blow_up_past_the_deciding_prefix(self):
+        # x = 1 / (1 - t) passes 1.5 at t = 1/3 and leaves every bounded
+        # domain before t = 1, short of the formula's depth 2
+        sys = parse_model(SQUARE)
+        v = monitor_stl(sys, parse_formula("G[0,2] (x - 1.5 < 0)", sys.resolver()))
+        assert (v.outcome, v.unknown_cause) == (UNSAT, None)
+        assert 1.0 / 3.0 < v.stats.horizon < 1.0
+
+    def test_search_failure_past_the_deciding_prefix(self):
+        # the roots t = 1.629 / c, c in [0.8, 1.8], straddle the depth 1.01,
+        # so the search fails there; the atom holds on [0, 0.9] already
+        sys = parse_model("[params] c in [0.8, 1.8]\n[vars] x in [-1000, 1000]\n"
+                          "[init] x = -2.629\n[flow] x' = c\n")
+        phi = parse_formula("G[0.01,1.01] !(x + 1 < 0)", sys.resolver(allow_params=False))
+        v = monitor_stl(sys, phi)
+        assert (v.outcome, v.unknown_cause) == (UNSAT, None)
+
+    def test_unsat_rotation_stops_after_the_first_window(self):
+        v = rotation_verdict(Interval(-0.0168))
+        assert v.outcome == UNSAT
+        assert v.stats.integration_steps <= 12
+        assert 6.284 < v.stats.horizon < 10.0
+
+    def test_valid_rotation_needs_full_depth(self):
+        v = rotation_verdict(Interval(0.0123))
+        assert v.outcome == VALID
+        assert v.stats.horizon >= 16.284
+
+    def test_early_verdict_records_its_deciding_sets(self):
+        # an Unsat fixed on a prefix records the over sets: the atom holds
+        # up to the horizon and may hold on after it, and the formula
+        # fails at time 0 however the atom goes on
+        sys = load_builtin("rotation")
+        phi = parse_formula(ROTATION_PROPERTY, sys.resolver(allow_params=False))
+        v = monitor_stl(sys, phi, u_box=IntervalBox([Interval(-0.05)]), collect_sets=True)
+        assert v.outcome == UNSAT and v.stats.horizon < 10.0
+        assert v.sets["x2 - 1 < 0"] is UNIVERSE
+        (negated,) = v.sets["!(x2 - 1 < 0)"].elems
+        assert negated.s == Interval(v.stats.horizon) and negated.polarity
+        assert consistent_at_init(v.sets[formula_to_str(phi)]) == UNSAT
+
+    def test_resumed_search_finds_the_uninterrupted_sets(self):
+        # an atom's sweep paused at a horizon and resumed later reads the
+        # windows, and finds the brackets, of a sweep that never paused
+        sys = load_builtin("rotation")
+        f = atom_of(sys, "x2 - 1 < 0")
+        u = IntervalBox([Interval(0.0511, 0.0531)])
+        whole = SignalEnclosure(sys, u_box=u)
+        whole.extend(16.284)
+        once = monitor._AtomSearch(f, 16.284)
+        once.advance(whole, 16.284, math.inf, None)
+        staged_enc = SignalEnclosure(sys, u_box=u)
+        staged = monitor._AtomSearch(f, 16.284)
+        for stop in (3.0, 6.284, 10.0):
+            staged_enc.extend(16.284, stop)
+            staged.advance(staged_enc, 16.284, staged_enc.horizon_reached, None)
+            assert not staged.complete and staged.sweep.lo < staged_enc.horizon_reached
+        staged_enc.extend(16.284)
+        staged.advance(staged_enc, 16.284, math.inf, None)
+        assert once.complete and staged.complete
+        assert len(once.raw) > 4 and staged.raw == once.raw
+
+
+class TestPropagateBounds:
+    def test_not_swaps_the_pair(self):
+        sys = load_builtin("timer")
+        phi = parse_formula("!(x - 2 < 0)", sys.resolver(allow_params=False))
+        (f,) = atom_depths(phi)
+        under = seq([BoundaryEnclosure(Interval(0.0), True),
+                     BoundaryEnclosure(Interval(1.0), False)])
+        over = seq([BoundaryEnclosure(Interval(0.0), True)])
+        assert propagate_bounds(phi, {f: (under, over)}) == (EMPTY_SET, seq(
+            [BoundaryEnclosure(Interval(1.0), True)]))
+
+    def test_one_set_per_node_at_full_depth(self):
+        sys = load_builtin("timer")
+        phi = parse_formula("G[0,1] F[0,2] !(x - 2 < 0)", sys.resolver(allow_params=False))
+        (f,) = atom_depths(phi)
+        t_p = seq([BoundaryEnclosure(Interval(0.0), True),
+                   BoundaryEnclosure(Interval(2.0, 2.0), False)])
+        under, over = propagate_bounds(phi, {f: (t_p, t_p)})
+        assert under is over
+        assert under == propagate(phi, {f: t_p})
 
 
 class TestPunctualBounds:

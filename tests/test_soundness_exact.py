@@ -7,20 +7,26 @@ or its negation, under F and G: nested up to depth 2 over the linear
 model, one operator over the quadratic one.  About 30% of the time bounds
 are punctual, [a, a] with a > 0, and in half of the cases a is chosen so
 that the atom's root sits exactly on the summed lower or upper bound.
+A tenth as many cases again join two such chains, each with its own
+atom and operators, by a top-level | or &; they come from a random
+stream of their own, so a seed's single-chain cases stay as they were.
 
 The truth is exact, in Fraction arithmetic.  Over the linear model the
 atom holds on a half-line of time, open or closed at its end, and F and G
 move that end; over the quadratic model the extremes of x - a on a window
 lie at its ends or at the parabola's vertex.  x(t) grows with c for
-t >= 0, so every formula is monotone in c, and its truth at c's two ends
-decides the whole box: true at both is Valid, false at both is Unsat,
-and otherwise no decided verdict is right.
+t >= 0, so every chain is monotone in c, falling if its atom is plain
+and rising if negated; when c is an interval both chains of a join take
+one polarity, so the join is monotone too.  The truth at c's two ends
+then decides the whole box: true at both is Valid, false at both is
+Unsat, and otherwise no decided verdict is right.
 
 A decided verdict that contradicts the truth fails, and so does any
 exception or Unknown cause outside the documented ones.  Unknown passes;
 its rate per cause is printed, and so is the count per cause of the
-Unknowns whose truth is decidable (not mixed).  The test runs a fixed
-seeded slice; for longer campaigns over a range of seeds run
+Unknowns whose truth is decidable (not mixed), and the cases and the
+decided verdicts per shape (model, and operators or join).  The test
+runs a fixed seeded slice; for longer campaigns over a range of seeds run
 
     PYTHONPATH=src python tests/test_soundness_exact.py --seeds 1-20 --cases 3000
 """
@@ -120,9 +126,22 @@ def _quadratic_truth(case, c) -> bool:
     return (min(values) if op == "F" else max(values)) < 0
 
 
-def truth(case) -> str:
+def chain_cases(case) -> list:
+    """case as single-chain cases: itself, or each of its chains over its model."""
+    if "chains" not in case:
+        return [case]
+    base = {k: v for k, v in case.items() if k not in ("chains", "join")}
+    return [{**base, **chain} for chain in case["chains"]]
+
+
+def _truth_at(case, c) -> bool:
     decide = _linear_truth if case["model"] == "linear" else _quadratic_truth
-    at_ends = {decide(case, c) for c in (case["c_lo"], case["c_hi"])}
+    values = [decide(chain, c) for chain in chain_cases(case)]
+    return any(values) if case.get("join") == "|" else all(values)
+
+
+def truth(case) -> str:
+    at_ends = {_truth_at(case, c) for c in (case["c_lo"], case["c_hi"])}
     if at_ends == {True}:
         return VALID
     if at_ends == {False}:
@@ -139,17 +158,25 @@ def _x_at(case, c, t):
     return case["x0"] + c * t
 
 
-def draw_case(rng: random.Random) -> dict:
+def _draw_model(rng: random.Random) -> dict:
     model = "linear" if rng.random() < 0.7 else "quadratic"
     c_lo = _decimal(rng, -2, 2)
     c_hi = c_lo
     if rng.random() < 0.3:
         while c_hi == c_lo:
             c_hi = c_lo + _decimal(rng, 0, 1)
-    case = {
+    return {
         "model": model, "x0": _decimal(rng, -3, 3), "y0": _decimal(rng, -2, 2),
-        "c_lo": c_lo, "c_hi": c_hi, "negated": rng.random() < 0.5,
+        "c_lo": c_lo, "c_hi": c_hi,
     }
+
+
+def _draw_chain(rng: random.Random, case: dict, negated: bool | None = None) -> dict:
+    """One F/G chain over case's model: its polarity (drawn unless
+    given), operators and atom constant."""
+    if negated is None:
+        negated = rng.random() < 0.5
+    model, c_lo, c_hi = case["model"], case["c_lo"], case["c_hi"]
     ops = []
     for _ in range(rng.randint(1, 2) if model == "linear" else 1):
         if rng.random() < 0.3:
@@ -162,14 +189,28 @@ def draw_case(rng: random.Random) -> dict:
                 hi = _decimal(rng, 0, 2)
             hi += lo
         ops.append((rng.choice("FG"), lo, hi))
-    case["ops"] = ops
     if rng.random() < 0.5:
         # the root on the summed lower or upper bound, for one end of c
         t = sum(op[1 if rng.random() < 0.5 else 2] for op in ops)
-        case["a"] = _x_at(case, rng.choice((c_lo, c_hi)), t)
+        a = _x_at(case, rng.choice((c_lo, c_hi)), t)
     else:
-        case["a"] = _decimal(rng, -4, 4)
-    return case
+        a = _decimal(rng, -4, 4)
+    return {"negated": negated, "ops": ops, "a": a}
+
+
+def draw_case(rng: random.Random) -> dict:
+    case = _draw_model(rng)
+    return {**case, **_draw_chain(rng, case)}
+
+
+def draw_joined(rng: random.Random) -> dict:
+    """Two independent chains over one model joined by | or &; with an
+    interval c the second takes the first's polarity."""
+    case = _draw_model(rng)
+    first = _draw_chain(rng, case)
+    interval = case["c_lo"] != case["c_hi"]
+    second = _draw_chain(rng, case, first["negated"] if interval else None)
+    return {**case, "chains": [first, second], "join": rng.choice("|&")}
 
 
 def model_text(case) -> str:
@@ -189,6 +230,9 @@ def model_text(case) -> str:
 
 
 def formula_text(case) -> str:
+    if "chains" in case:
+        first, second = map(formula_text, chain_cases(case))
+        return f"({first}) {case['join']} ({second})"
     a = case["a"]
     atom = f"(x - {decimal_text(a)} < 0)" if a >= 0 else f"(x + {decimal_text(-a)} < 0)"
     text = f"!{atom}" if case["negated"] else atom
@@ -198,21 +242,36 @@ def formula_text(case) -> str:
 
 
 def punctual(case) -> bool:
-    return any(lo == hi for _, lo, hi in case["ops"])
+    return any(lo == hi for chain in chain_cases(case) for _, lo, hi in chain["ops"])
+
+
+def shape(case) -> str:
+    """The model and the operators of a single chain, or the join:
+    linear 2-op, quadratic |."""
+    if "join" in case:
+        return f"{case['model']} {case['join']}"
+    return f"{case['model']} {len(case['ops'])}-op"
 
 
 # --- campaign ---------------------------------------------------------------
 
 
+def draw_cases(seed: int, n: int) -> list:
+    """n single-chain cases, then n // 10 joined ones from their own stream."""
+    rng, joined = random.Random(seed), random.Random(f"joined-{seed}")
+    return ([draw_case(rng) for _ in range(n)]
+            + [draw_joined(joined) for _ in range(n // 10)])
+
+
 def run_campaign(seed: int, n: int) -> dict:
-    """Monitor n seeded cases; return the wrong verdicts, the exceptions
-    and undocumented causes, the counts of outcomes and causes, and the
-    causes of the Unknowns whose truth is decidable (not mixed)."""
-    rng = random.Random(seed)
+    """Monitor the seed's cases (draw_cases); return the wrong verdicts,
+    the exceptions and undocumented causes, the counts of outcomes and
+    causes, the causes of the Unknowns whose truth is decidable (not
+    mixed), and the cases and decided verdicts per shape."""
     wrong, errors = [], []
     outcomes, causes, missed = Counter(), Counter(), Counter()
-    for _ in range(n):
-        case = draw_case(rng)
+    shapes, decided = Counter(), Counter()
+    for case in draw_cases(seed, n):
         model, formula = model_text(case), formula_text(case)
         label = f"model {model!r} formula {formula!r}"
         system = parse_model(model)
@@ -224,6 +283,8 @@ def run_campaign(seed: int, n: int) -> dict:
             errors.append(f"{label}: {type(exc).__name__}: {exc}")
             continue
         outcomes[v.outcome] += 1
+        shapes[shape(case)] += 1
+        decided[shape(case)] += v.outcome != UNKNOWN
         if v.outcome == UNKNOWN:
             causes[v.unknown_cause] += 1
             if want != MIXED:
@@ -234,21 +295,24 @@ def run_campaign(seed: int, n: int) -> dict:
             wrong.append(f"{label}: {v.outcome}, truth {want}"
                          f"{' (punctual)' if punctual(case) else ''}")
     return {"wrong": wrong, "errors": errors, "outcomes": outcomes, "causes": causes,
-            "missed": missed}
+            "missed": missed, "shapes": shapes, "decided": decided}
 
 
-def summary(result: dict, n: int) -> str:
+def summary(result: dict) -> str:
+    n = sum(result["shapes"].values())
     rates = ", ".join(f"{k} {v / n:.1%}" for k, v in sorted(result["causes"].items()))
     missed = ", ".join(f"{k} {v}" for k, v in sorted(result["missed"].items()))
+    shapes = ", ".join(f"{k} {v} ({result['decided'][k]} decided)"
+                       for k, v in sorted(result["shapes"].items()))
     return (f"{n} cases: {dict(result['outcomes'])}; Unknown by cause: {rates or 'none'}; "
             f"Unknown with a decidable truth: {sum(result['missed'].values())} "
-            f"({missed or 'none'}); "
+            f"({missed or 'none'}); per shape: {shapes}; "
             f"{len(result['wrong'])} wrong, {len(result['errors'])} errors")
 
 
 def test_exact_slice_has_no_wrong_verdict():
     result = run_campaign(SLICE_SEED, SLICE_CASES)
-    print(summary(result, SLICE_CASES))
+    print(summary(result))
     assert not result["errors"], "\n".join(result["errors"][:10])
     assert not result["wrong"], "\n".join(result["wrong"][:10])
 
@@ -270,6 +334,30 @@ def test_truth_of_the_punctual_reproducers():
                   "ops": [("F", 0, half)]}) == VALID
 
 
+def test_truth_of_joined_chains():
+    # x(t) = t: F[0,1] (x - 0.5 < 0) holds, G[0,1] (x - 0.5 < 0) fails
+    half, one = Fraction(1, 2), Fraction(1)
+    holds = {"negated": False, "a": half, "ops": [("F", 0, one)]}
+    fails = {"negated": False, "a": half, "ops": [("G", 0, one)]}
+    timer = {"model": "linear", "x0": Fraction(0), "y0": Fraction(0),
+             "c_lo": one, "c_hi": one, "chains": [holds, fails]}
+    assert truth({**timer, "join": "|"}) == VALID
+    assert truth({**timer, "join": "&"}) == UNSAT
+    assert formula_text({**timer, "join": "&"}) == (
+        "(F[0,1] (x - 0.5 < 0)) & (G[0,1] (x - 0.5 < 0))")
+    assert shape({**timer, "join": "&"}) == "linear &"
+    assert shape(chain_cases({**timer, "join": "&"})[1]) == "linear 1-op"
+
+
+def test_joined_chains_share_one_polarity_over_an_interval():
+    rng = random.Random(3)
+    for _ in range(300):
+        case = draw_joined(rng)
+        first, second = case["chains"]
+        if case["c_lo"] != case["c_hi"]:
+            assert first["negated"] == second["negated"]
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", default=f"{SLICE_SEED}", help="a seed or a range lo-hi")
@@ -280,7 +368,7 @@ def main() -> None:
     for seed in range(int(lo), int(hi or lo) + 1):
         start = time.perf_counter()
         result = run_campaign(seed, args.cases)
-        print(f"seed {seed}: {summary(result, args.cases)} "
+        print(f"seed {seed}: {summary(result)} "
               f"in {time.perf_counter() - start:.1f} s")
         for line in result["wrong"] + result["errors"]:
             print("  " + line)

@@ -1,4 +1,4 @@
-"""STL parsing, desugaring, necessary length, atom extraction."""
+"""STL parsing, desugaring, necessary length, window ends, atom extraction."""
 
 from fractions import Fraction
 
@@ -15,6 +15,7 @@ from stlmon.stl import (
     atom_depths,
     formula_to_str,
     parse_formula,
+    window_ends,
 )
 from stlmon.system import load_builtin, parse_model
 
@@ -182,3 +183,30 @@ class TestRoundTrip:
         r = load_builtin("timer").resolver()
         phi = parse_formula("F[0,6.284] (cos(x) < 0 & sin(x) < 0)", r)
         assert parse_formula(formula_to_str(phi), r) == phi
+
+
+class TestWindowEnds:
+    """The times at which a window closes on an atom, read from time 0:
+    where the monitor's integration chunks end."""
+
+    def test_sums_of_one_bound_per_until(self):
+        phi = parse("G[0,10] F[0,6.284] !(x2 - 1 < 0)")
+        assert window_ends(phi) == {Fraction(0), Fraction("6.284"), Fraction(10),
+                                    Fraction("16.284")}
+
+    def test_lower_bounds_count_and_true_leaves_do_not(self):
+        phi = parse("F[1,2] (x1 < 0) | G[0,7] true")
+        assert window_ends(phi) == {Fraction(1), Fraction(2)}
+
+    def test_largest_end_is_the_deepest_atom(self):
+        phi = parse(LORENZ_PROPERTY, model="lorenz")
+        assert max(window_ends(phi)) == max(atom_depths(phi).values()) == 21
+
+    def test_deep_nesting_stays_bounded(self):
+        # 2^12 subset sums of distinct bounds; past 64 only upper bounds go on
+        text = "x1 < 0"
+        for i in range(12):
+            text = f"F[{i + 1},{2 ** (i + 4)}] {text}"
+        ends = window_ends(parse(text))
+        assert len(ends) <= 2 * 64 + 2
+        assert max(ends) == max(atom_depths(parse(text)).values())
