@@ -6,10 +6,10 @@ d/dt f(x~(t)), the order-1 Taylor coefficient of f along the flow's tape
 (dt_enclosure); a certified zero search along the signal enclosure
 (search_zero) that sweeps to a bracket, a window over which f is strictly
 monotone and the atom f < 0 has opposite truth at its ends, and contracts
-it with interval Newton steps; per-atom enumeration of truth-change boundaries
-(monitor_ap), structural propagation through the formula via the
-consistent-time-set algebra (propagate), and the decision at time zero
-(consistent_at_init).
+it with interval Newton steps; per-atom enumeration of truth-change
+boundaries, one search after another from time 0 (_AtomSearch),
+structural propagation through the formula via the consistent-time-set
+algebra (propagate), and the decision at time zero (consistent_at_init).
 
 monitor_enclosure wires them together over one signal enclosure, which
 carries the run's boxes and MonitorConfig, and decides on the shortest
@@ -90,10 +90,9 @@ _CAUSES = (
     (AmbiguityError, PROPAGATION_ERROR),
     (IntegrationError, INTEGRATION_ERROR),
     (InitialSignError, INITIAL_SIGN_ERROR),
-    (NUMERIC_FAILURES, NUMERIC_ERROR),
+    *((kind, NUMERIC_ERROR) for kind in NUMERIC_FAILURES),
 )
-_FAILURES = (TangencyError, AmbiguityError, IntegrationError, InitialSignError,
-            *NUMERIC_FAILURES)
+_FAILURES = tuple(kind for kind, _ in _CAUSES)
 
 # the narrowest subwindow the zero search tries before refusing
 _EPSILON = 1e-14
@@ -190,40 +189,6 @@ def _monotone_truth(
     return _holds(_f_at(f, enc, Interval(sub.hi)))
 
 
-def search_zero(
-    f: Expr,
-    enc: SignalEnclosure,
-    t_init: Interval,
-    stats: MonitorStats | None = None,
-) -> IntervalLike:
-    """Certified enclosure of the earliest change of the truth of the
-    strict atom f(x~(t)) < 0 in t_init.
-
-    The atom's truth must be decided at t_init.lo.  Returns a bracket over
-    which d/dt f excludes zero and at whose ends the atom has opposite
-    truth: every admissible signal changes it exactly once in the bracket
-    and never before it in t_init.  Returns the empty interval as a proof
-    that the truth is constant over t_init.  Raises TangencyError when
-    neither can be certified (grazing contact, or precision exhausted).
-
-    An end where the atom fails may sit on f = 0; at one where it holds,
-    f < 0.  The time-set algebra reads each consistent interval as [l, u)
-    with l in a start bracket and u in an end bracket.  That is sound
-    because a start bracket's upper end is a time at which the atom
-    strictly holds, an end bracket's upper end one at which it fails, and
-    no time in a start bracket is read as holding: an atom that turns
-    true just after a lower end with f = 0 holds on an interval left-open
-    there, which the reading never claims.  Only the point [0], emitted
-    when the atom holds at time 0, is read as holding at its lower end.
-    """
-    if stats is not None:
-        stats.search_zero_calls += 1
-    s0 = _holds(_f_at(f, enc, Interval(t_init.lo)))
-    if s0 is None:
-        raise TangencyError("truth of the atom is undecidable at the search start")
-    return _sweep(f, enc, _Sweep(t_init.lo, s0), t_init.hi, stats)
-
-
 @dataclass
 class _Sweep:
     """A zero search in progress: the atom has truth s0 from the search's
@@ -235,22 +200,52 @@ class _Sweep:
     w: float | None = None
     iters: int = 0
 
+    @classmethod
+    def at(cls, f: Expr, enc: SignalEnclosure, t: float) -> _Sweep:
+        """A search that starts at t, where the enclosure must decide the
+        atom's truth; raises TangencyError when it does not."""
+        s0 = _holds(_f_at(f, enc, Interval(t)))
+        if s0 is None:
+            raise TangencyError("truth of the atom is undecidable at the search start")
+        return cls(t, s0)
 
-def _sweep(
+
+def search_zero(
     f: Expr,
     enc: SignalEnclosure,
     sw: _Sweep,
     hi: float,
-    stats: MonitorStats | None,
+    stats: MonitorStats | None = None,
     limit: float = math.inf,
     newton_steps: int = _MAX_CONTRACT,
-) -> IntervalLike | None:
-    """Advance search_zero's sweep sw toward hi through the windows that
-    end below limit: the bracket or EMPTY that search_zero returns, or
-    None when the next window would reach limit.  The windows do not
-    depend on limit, so a sweep resumed after the enclosure has grown
-    reads the windows, and returns the bracket, of one that never stopped.
-    A bracket is contracted by at most newton_steps Newton steps.
+) -> IntervalLike:
+    """Certified enclosure of the earliest change of the truth of the
+    strict atom f(x~(t)) < 0 after the search sw, swept on toward hi
+    through the windows that end below limit.
+
+    Returns a bracket over which d/dt f excludes zero and at whose ends
+    the atom has opposite truth: every admissible signal changes it
+    exactly once in the bracket and never before it since the search's
+    start.  The bracket is contracted by at most newton_steps Newton
+    steps.  Returns the empty interval as a proof that the truth is
+    constant from the start through sw.lo, which is hi once the sweep
+    got there and short of hi when the next window would reach limit.
+    Called again with the same sw, the search resumes there; the windows
+    do not depend on limit, so a search resumed after the enclosure has
+    grown reads the windows, and returns the bracket, of one that never
+    stopped.  Raises TangencyError when neither can be certified (grazing
+    contact, or precision exhausted).  stats counts a search once, at its
+    first window.
+
+    An end where the atom fails may sit on f = 0; at one where it holds,
+    f < 0.  The time-set algebra reads each consistent interval as [l, u)
+    with l in a start bracket and u in an end bracket.  That is sound
+    because a start bracket's upper end is a time at which the atom
+    strictly holds, an end bracket's upper end one at which it fails, and
+    no time in a start bracket is read as holding: an atom that turns
+    true just after a lower end with f = 0 holds on an interval left-open
+    there, which the reading never claims.  Only the point [0], emitted
+    when the atom holds at time 0, is read as holding at its lower end.
     """
     # Sweep with the invariant: the atom has truth s0 over [start, sw.lo].
     # A subwindow is eliminated by a range that decides the atom, or by
@@ -261,13 +256,15 @@ def _sweep(
     w_min = _w_min(hi)
     if sw.w is None:
         if sw.lo >= limit:
-            return None
+            return EMPTY
+        if stats is not None:
+            stats.search_zero_calls += 1
         sw.w = min(hi - sw.lo, max(enc.step_span_at(sw.lo), w_min))
     while sw.iters < _MAX_SWEEP:
         lo, w = sw.lo, sw.w
         sub = Interval(lo, min(lo + w, hi))
         if sub.hi >= limit:
-            return None
+            return EMPTY
         sw.iters += 1
         x = enc.eval(sub)
         if _holds(enc.value(f, x)) is None:
@@ -385,38 +382,34 @@ class _AtomSearch:
         if self.sweep is None:
             if limit <= 0.0:
                 return
-            fv = _f_at(f, enc, Interval(0.0))
-            holds = _holds(fv)
-            if holds is None:
+            try:
+                self.sweep = _Sweep.at(f, enc, 0.0)
+            except TangencyError as exc:
                 raise InitialSignError(
-                    f"truth of the atom is undecidable at time 0: enclosure {fv}"
-                )
-            if holds:
+                    f"truth of the atom is undecidable at time 0: enclosure "
+                    f"{_f_at(f, enc, Interval(0.0))}"
+                ) from exc
+            if self.sweep.s0:
                 self.raw.append(BoundaryEnclosure(Interval(0.0), True))
-            self.sweep = _Sweep(0.0, holds)
             if self.depth == 0.0:
                 # an atom of temporal depth 0 is read at time 0 only, which
                 # the initial box decides; the enclosure may hold no step
                 self.complete = True
                 return
-            if stats is not None:
-                stats.search_zero_calls += 1
         # a sweep that has reached a hi short of its depth stops there; one
-        # that starts on its depth still reads that point, as search_zero does
+        # that starts on its depth still reads that point
         while not self.complete and (self.sweep.lo < hi or hi == self.depth):
             sw = self.sweep
-            tz = _sweep(f, enc, sw, hi, stats, limit, newton_steps)
-            if tz is None:
-                return
+            tz = search_zero(f, enc, sw, hi, stats, limit, newton_steps)
             if tz.is_empty:
-                self.complete = hi == self.depth
+                # a search paused before its first window has not read
+                # sw.lo, which may already be its depth
+                self.complete = sw.w is not None and sw.lo == hi == self.depth
                 return
             self.raw.append(BoundaryEnclosure(tz, not sw.s0))
             # the atom's truth is decided at tz.hi, so the next search
             # starts there with the other truth
             self.sweep = _Sweep(tz.hi, not sw.s0)
-            if stats is not None:
-                stats.search_zero_calls += 1
 
     def probe(self, enc: SignalEnclosure, stats: MonitorStats | None) -> _AtomSearch:
         """A copy swept on to the enclosure's end, its windows clipped
@@ -481,29 +474,6 @@ def _closed(raw: list, t: float, polarity: bool) -> list:
     if raw and raw[-1].s.hi >= t:
         return raw[:-1]
     return raw + [BoundaryEnclosure(Interval(t), polarity)]
-
-
-def monitor_ap(
-    enc: SignalEnclosure,
-    phi: Formula,
-    stats: MonitorStats | None = None,
-) -> dict[Expr, ApproxSet]:
-    """Consistent-time boundary sets for every atom of phi, each on
-    [0, its temporal depth], over enc integrated to the deepest atom: the
-    point [0] starts an interval when the atom holds at time 0, and the
-    brackets of search_zero's sweep from 0 alternate from there.  Raises
-    the first certification failure."""
-    # each atom is searched only up to its own temporal depth: its sign
-    # beyond that cannot reach the verdict at time 0, and late segments
-    # are where the enclosure is widest and certification most fragile
-    depths = _depths(phi)
-    enc.extend(max(depths.values(), default=0.0))
-    sets = {}
-    for f, depth in depths.items():
-        a = _AtomSearch(f, depth)
-        a.advance(enc, depth, math.inf, stats)
-        sets[f] = normalize(a.raw)
-    return sets
 
 
 def _depths(phi: Formula) -> dict[Expr, float]:

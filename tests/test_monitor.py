@@ -22,7 +22,6 @@ from stlmon.monitor import (
     Verdict,
     consistent_at_init,
     dt_enclosure,
-    monitor_ap,
     monitor_enclosure,
     monitor_stl,
     propagate,
@@ -38,6 +37,11 @@ def atom_of(system, text):
     """First atom expression of a formula over the system's variables."""
     phi = parse_formula(text, system.resolver(allow_params=False))
     return next(iter(atom_depths(phi)))
+
+
+def first_change(f, enc, lo, hi, stats=None):
+    """search_zero of a search that starts at lo, swept on to hi."""
+    return search_zero(f, enc, monitor._Sweep.at(f, enc, lo), hi, stats)
 
 
 def timer_enc(horizon=10.0):
@@ -70,14 +74,14 @@ class TestSearchZero:
     def test_first_root_of_cosine(self):
         sys = load_builtin("timer")
         enc = timer_enc()
-        tz = search_zero(atom_of(sys, "cos(x) < 0"), enc, Interval(0.0, 10.0))
+        tz = first_change(atom_of(sys, "cos(x) < 0"), enc, 0.0, 10.0)
         assert math.pi / 2 in tz
         assert tz.lo >= 1.57 and tz.hi <= 1.58
 
     def test_first_root_of_sine_past_zero(self):
         sys = load_builtin("timer")
         enc = timer_enc()
-        tz = search_zero(atom_of(sys, "sin(x) < 0"), enc, Interval(0.5, 7.0))
+        tz = first_change(atom_of(sys, "sin(x) < 0"), enc, 0.5, 7.0)
         assert math.pi in tz
         assert tz.width() < 1e-6
 
@@ -86,23 +90,35 @@ class TestSearchZero:
         sys = load_builtin("timer")
         enc = timer_enc()
         f = atom_of(sys, "x^2 - 7*x + 10 < 0")
-        tz = search_zero(f, enc, Interval(0.0, 10.0))
+        tz = first_change(f, enc, 0.0, 10.0)
         assert 2.0 in tz
         assert 5.0 not in tz
 
     def test_no_root_returns_empty(self):
         sys = load_builtin("timer")
         enc = timer_enc()
-        tz = search_zero(atom_of(sys, "x + 1 < 0"), enc, Interval(0.0, 10.0))
+        tz = first_change(atom_of(sys, "x + 1 < 0"), enc, 0.0, 10.0)
         assert tz.is_empty
 
     def test_stats_are_counted(self):
         sys = load_builtin("timer")
         enc = timer_enc()
         stats = MonitorStats()
-        search_zero(atom_of(sys, "cos(x) < 0"), enc, Interval(0.0, 10.0), stats)
+        first_change(atom_of(sys, "cos(x) < 0"), enc, 0.0, 10.0, stats)
         assert stats.search_zero_calls == 1
         assert stats.newton_iterations >= 1
+
+    def test_paused_search_resumes_where_it_stopped(self):
+        # a search stopped short of limit proves the truth constant up to
+        # sw.lo; the same sweep then goes on to the unpaused bracket
+        sys = load_builtin("timer")
+        enc = timer_enc()
+        f = atom_of(sys, "cos(x) < 0")
+        sw = monitor._Sweep.at(f, enc, 0.0)
+        assert search_zero(f, enc, sw, 10.0, limit=1.0) is EMPTY
+        assert sw.lo < 1.0
+        tz = search_zero(f, enc, sw, 10.0)
+        assert tz == first_change(f, enc, 0.0, 10.0) and math.pi / 2 in tz
 
     def test_tangent_contact_raises(self):
         # at zero drift the rotation signal is (cos t, sin t); x2 - 1
@@ -111,7 +127,7 @@ class TestSearchZero:
         enc = SignalEnclosure(sys, u_box=IntervalBox([Interval(0.0)]))
         enc.extend(4.0)
         with pytest.raises(TangencyError):
-            search_zero(atom_of(sys, "x2 - 1 < 0"), enc, Interval(0.0, 4.0))
+            first_change(atom_of(sys, "x2 - 1 < 0"), enc, 0.0, 4.0)
 
     @pytest.mark.parametrize(
         "text, window",
@@ -128,7 +144,7 @@ class TestSearchZero:
         sys = load_builtin("timer")
         enc = timer_enc()
         f = atom_of(sys, text)
-        tz = search_zero(f, enc, Interval(*window))
+        tz = first_change(f, enc, *window)
         f_lo = enc.value(f, enc.eval(Interval(tz.lo)))
         f_hi = enc.value(f, enc.eval(Interval(tz.hi)))
         assert (f_lo.lo > 0.0 and f_hi.hi < 0.0) or (f_lo.hi < 0.0 and f_hi.lo > 0.0)
@@ -140,7 +156,7 @@ class TestSearchZero:
         sys = load_builtin("timer")
         enc = timer_enc()
         f = atom_of(sys, "x - 0.5 < 0")
-        tz = search_zero(f, enc, Interval(0.0, 0.5))
+        tz = first_change(f, enc, 0.0, 0.5)
         assert tz.hi == 0.5 and tz.lo < 0.5
         assert enc.value(f, enc.eval(Interval(tz.lo))).hi < 0.0
         f_hi = enc.value(f, enc.eval(Interval(tz.hi)))
@@ -150,7 +166,7 @@ class TestSearchZero:
         # x - 1 is 0 at t = 1 and positive after: the atom never holds
         sys = load_builtin("timer")
         enc = timer_enc()
-        assert search_zero(atom_of(sys, "x - 1 < 0"), enc, Interval(1.0, 3.0)) is EMPTY
+        assert first_change(atom_of(sys, "x - 1 < 0"), enc, 1.0, 3.0) is EMPTY
 
     def test_unsigned_start_raises(self):
         # x(0) in [-0.5, 0.5]: the atom holds at time 0 for some signals only
@@ -158,7 +174,7 @@ class TestSearchZero:
         enc = SignalEnclosure(sys)
         enc.extend(3.0)
         with pytest.raises(TangencyError, match="search start"):
-            search_zero(atom_of(sys, "x < 0"), enc, Interval(0.0, 3.0))
+            first_change(atom_of(sys, "x < 0"), enc, 0.0, 3.0)
 
     def test_exhausted_sweep_raises(self, monkeypatch):
         # the unbudgeted sweep needs more moves than this to pin the root
@@ -166,7 +182,7 @@ class TestSearchZero:
         sys = load_builtin("timer")
         enc = timer_enc()
         with pytest.raises(TangencyError, match="budget"):
-            search_zero(atom_of(sys, "cos(x) < 0"), enc, Interval(0.0, 10.0))
+            first_change(atom_of(sys, "cos(x) < 0"), enc, 0.0, 10.0)
 
     def test_rate_enclosure_containing_zero_stops_the_contraction(self, monkeypatch):
         # the first Newton step sees the true rate; every later bracket
@@ -218,14 +234,14 @@ class TestMonitorAp:
             "F[0,6.284]((cos(x) < 0) & (sin(x) < 0))",
             sys.resolver(allow_params=False),
         )
-        sets = monitor_ap(SignalEnclosure(sys), phi)
-        f_cos, f_sin = atom_depths(phi)
-        cos_bounds = [(e.s, e.polarity) for e in sets[f_cos].elems]
+        v = monitor_enclosure(SignalEnclosure(sys), phi, collect_sets=True)
+        assert v.outcome == VALID and v.stats.horizon >= 6.284
+        cos_bounds = [(e.s, e.polarity) for e in v.sets["cos(x) < 0"].elems]
         assert len(cos_bounds) == 2
         assert cos_bounds[0][1] is True and cos_bounds[1][1] is False
         assert 1.57 <= cos_bounds[0][0].lo and cos_bounds[0][0].hi <= 1.58
         assert 4.71 <= cos_bounds[1][0].lo and cos_bounds[1][0].hi <= 4.72
-        sin_bounds = [(e.s, e.polarity) for e in sets[f_sin].elems]
+        sin_bounds = [(e.s, e.polarity) for e in v.sets["sin(x) < 0"].elems]
         assert len(sin_bounds) == 2
         assert 3.14 <= sin_bounds[0][0].lo and sin_bounds[0][0].hi <= 3.15
         assert 6.28 <= sin_bounds[1][0].lo and sin_bounds[1][0].hi <= 6.29
@@ -233,9 +249,9 @@ class TestMonitorAp:
     def test_never_true_atom_is_empty(self):
         sys = load_builtin("timer")
         phi = parse_formula("F[0,3](x + 1 < 0)", sys.resolver(allow_params=False))
-        sets = monitor_ap(SignalEnclosure(sys), phi)
-        (f,) = atom_depths(phi)
-        assert sets[f] is EMPTY_SET
+        v = monitor_enclosure(SignalEnclosure(sys), phi, collect_sets=True)
+        assert v.outcome == UNSAT and v.stats.horizon >= 3.0
+        assert v.sets["x + 1 < 0"] is EMPTY_SET
 
 
 class TestPropagateAndConsistency:
@@ -531,8 +547,9 @@ class TestDeepestAtom:
         sys = load_builtin("timer")
         phi = parse_formula("F[0,2] (x - 5 < 0) | G[0,7] true", sys.resolver())
         enc = SignalEnclosure(sys)
-        monitor_ap(enc, phi)
-        assert enc.horizon_reached == 2.0
+        v = monitor_enclosure(enc, phi)
+        assert v.outcome == VALID
+        assert enc.horizon_reached == v.stats.horizon == 2.0
 
 
 class TestOneConfig:
