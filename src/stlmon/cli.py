@@ -203,10 +203,11 @@ def cmd_trace(args) -> int:
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
+    default = MonitorConfig()
     p.add_argument("--model", required=True, help="model file path or builtin name")
-    p.add_argument("--order", type=int, default=MonitorConfig.order, help="Taylor order")
+    p.add_argument("--order", type=int, default=default.order, help="Taylor order")
     p.add_argument(
-        "--tol", type=float, default=MonitorConfig.tol,
+        "--tol", type=float, default=default.tol,
         help="bound on each integration step's Lagrange remainder term",
     )
 

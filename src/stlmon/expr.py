@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .errors import ModelError
 from .interval import rational_enclosure
+from .node import Node
 
 __all__ = [
     "Expr", "Const", "Param", "Var", "Add", "Sub", "Mul", "Div", "Pow",
@@ -31,19 +31,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Expr:
-    pass
+class Expr(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Const(Expr):
     """A constant.  value is a double, the one eval_point uses; a literal
     that no double equals also keeps its exact value, which bounds
     encloses."""
 
-    value: float
-    exact: Fraction | None = None
+    __slots__ = ("value", "exact")
+
+    def __init__(self, value: float, exact: Fraction | None = None):
+        super().__init__(value, exact)
 
     @property
     def bounds(self) -> tuple:
@@ -68,66 +68,48 @@ def literal(q: Fraction) -> Const:
     return Const(lo) if lo == hi else Const(float(q), q)
 
 
-@dataclass(frozen=True)
 class Param(Expr):
-    index: int
-    name: str
+    __slots__ = ("index", "name")  # int, str
 
 
-@dataclass(frozen=True)
 class Var(Expr):
-    index: int
-    name: str
+    __slots__ = ("index", "name")  # int, str
 
 
-@dataclass(frozen=True)
 class Add(Expr):
-    a: Expr
-    b: Expr
+    __slots__ = ("a", "b")
 
 
-@dataclass(frozen=True)
 class Sub(Expr):
-    a: Expr
-    b: Expr
+    __slots__ = ("a", "b")
 
 
-@dataclass(frozen=True)
 class Mul(Expr):
-    a: Expr
-    b: Expr
+    __slots__ = ("a", "b")
 
 
-@dataclass(frozen=True)
 class Div(Expr):
-    a: Expr
-    b: Expr
+    __slots__ = ("a", "b")
 
 
-@dataclass(frozen=True)
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = ("base", "exponent")  # Expr, int
 
 
-@dataclass(frozen=True)
 class Sin(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class Cos(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class Exp(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
 
-@dataclass(frozen=True)
 class Neg(Expr):
-    arg: Expr
+    __slots__ = ("arg",)
 
 
 # --- evaluation and rewriting -------------------------------------------

@@ -60,13 +60,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from operator import attrgetter
 
 from ._kernels import kadd, kdiv, kmul, ksub
 from .errors import IntegrationError, NumericError
 from .expr import Const, Expr, Param, substitute_params
 from .interval import EMPTY, Interval, IntervalBox, checked, inflate, midpoint
+from .node import Node
 from .system import ContinuousSystem
 from .taylor import (
     JetAlgebra, TaylorProgram, compile_flow, eval_box, interval_const, lie_derivative,
@@ -81,8 +81,7 @@ _T_MIN = 1e-14
 _MAX_STEPS = 10_000
 
 
-@dataclass(frozen=True)
-class MonitorConfig:
+class MonitorConfig(Node):
     """Taylor order and step truncation target of a run's validated
     integration; the zero search has no knobs.
 
@@ -90,14 +89,14 @@ class MonitorConfig:
     max_j |z_j^[order+1](T)| h^(order+1), T the step's trial box.
     """
 
-    order: int = 15
-    tol: float = 1e-15
+    __slots__ = ("order", "tol")
 
-    def __post_init__(self):
-        if not self.order >= 1:
+    def __init__(self, order: int = 15, tol: float = 1e-15):
+        if not order >= 1:
             raise ValueError("order must be at least 1")
-        if not self.tol > 0.0:
+        if not tol > 0.0:
             raise ValueError("tol must be positive")
+        super().__init__(order, tol)
 
 
 def _imat_vec(A, v):
@@ -159,7 +158,6 @@ def _horner(cols, s):
     return acc
 
 
-@dataclass
 class StepModel:
     """Dense output over one accepted step [t0, t1], state rows only.
 
@@ -171,13 +169,18 @@ class StepModel:
     (lo, hi) pair view of them, built once with the step, and returns pairs.
     """
 
-    t0: float
-    t1: float
-    coeffs: list          # [order+1] lists of Interval, length n_vars
-    remainder: list       # list of Interval, length n_vars
-    apriori: list         # list of Interval, length n_vars
+    __slots__ = ("t0", "t1", "coeffs", "remainder", "apriori", "_cols", "_box")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        t0: float,
+        t1: float,
+        coeffs: list,      # [order+1] lists of Interval, length n_vars
+        remainder: list,   # list of Interval, length n_vars
+        apriori: list,     # list of Interval, length n_vars
+    ):
+        self.t0, self.t1 = t0, t1
+        self.coeffs, self.remainder, self.apriori = coeffs, remainder, apriori
         self._cols = [[(v.lo, v.hi) for v in c] for c in self.coeffs + [self.remainder]]
         self._box = [(v.lo, v.hi) for v in self.apriori]
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field, replace
 
 from .errors import (
     AmbiguityError,
@@ -45,6 +44,7 @@ from .errors import (
 from .expr import Expr
 from .integrator import MonitorConfig, SignalEnclosure
 from .interval import EMPTY, Interval, IntervalBox, IntervalLike, newton_step, rational_enclosure
+from .node import Node
 from .stl import (
     Atom,
     Formula,
@@ -107,36 +107,55 @@ gradient = None
 eval_box = None
 
 
-@dataclass
 class MonitorStats:
-    integration_steps: int = 0
-    search_zero_calls: int = 0
-    newton_iterations: int = 0
-    # the time the enclosure reached when the verdict was fixed
-    horizon: float = 0.0
+    """Counters of one run.  search_zero_calls and newton_iterations
+    include the probes' work; roots_certified counts the brackets the
+    committed searches certified, not the probes' copies.  horizon is the
+    time the enclosure reached when the verdict was fixed."""
+
+    __slots__ = ("integration_steps", "search_zero_calls", "newton_iterations",
+                 "roots_certified", "horizon")
+
+    def __init__(self, integration_steps: int = 0, search_zero_calls: int = 0,
+                 newton_iterations: int = 0, roots_certified: int = 0,
+                 horizon: float = 0.0):
+        self.integration_steps = integration_steps
+        self.search_zero_calls = search_zero_calls
+        self.newton_iterations = newton_iterations
+        self.roots_certified = roots_certified
+        self.horizon = horizon
 
     def to_json(self) -> dict:
         return {
             "integration_steps": self.integration_steps,
             "search_zero_calls": self.search_zero_calls,
             "newton_iterations": self.newton_iterations,
+            "roots_certified": self.roots_certified,
             "horizon": self.horizon,
         }
 
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in self.to_json().items())
+        return f"MonitorStats({fields})"
 
-@dataclass(frozen=True)
-class Verdict:
-    outcome: str
-    unknown_cause: str | None = None
-    stats: MonitorStats = field(default_factory=MonitorStats)
-    sets: dict[str, ApproxSet] | None = None
 
-    def __post_init__(self):
-        if (self.outcome == UNKNOWN) != (self.unknown_cause is not None):
+class Verdict(Node):
+    __slots__ = ("outcome", "unknown_cause", "stats", "sets")
+
+    def __init__(
+        self,
+        outcome: str,
+        unknown_cause: str | None = None,
+        stats: MonitorStats | None = None,
+        sets: dict[str, ApproxSet] | None = None,
+    ):
+        if (outcome == UNKNOWN) != (unknown_cause is not None):
             raise ValueError(
-                f"outcome {self.outcome!r} with cause {self.unknown_cause!r}: "
+                f"outcome {outcome!r} with cause {unknown_cause!r}: "
                 "exactly the Unknown outcome carries a cause"
             )
+        super().__init__(outcome, unknown_cause,
+                         MonitorStats() if stats is None else stats, sets)
 
     def to_json(self) -> dict:
         from .timesets import to_json as set_json
@@ -189,16 +208,15 @@ def _monotone_truth(
     return _holds(_f_at(f, enc, Interval(sub.hi)))
 
 
-@dataclass
 class _Sweep:
     """A zero search in progress: the atom has truth s0 from the search's
     start through lo, w is the next window's width (None before the
     first window) and iters counts the moves against _MAX_SWEEP."""
 
-    lo: float
-    s0: bool
-    w: float | None = None
-    iters: int = 0
+    __slots__ = ("lo", "s0", "w", "iters")
+
+    def __init__(self, lo: float, s0: bool, w: float | None = None, iters: int = 0):
+        self.lo, self.s0, self.w, self.iters = lo, s0, w, iters
 
     @classmethod
     def at(cls, f: Expr, enc: SignalEnclosure, t: float) -> _Sweep:
@@ -362,6 +380,7 @@ class _AtomSearch:
     last bracket on.  sweep is None until time 0 is read, and complete is
     set once the sweep has reached depth.  failure is the certification
     failure that stopped the search; the certified prefix stands.
+    committed is False on a probe's copy (probe).
     """
 
     def __init__(self, f: Expr, depth: float):
@@ -370,6 +389,7 @@ class _AtomSearch:
         self.sweep: _Sweep | None = None
         self.complete = False
         self.failure: Exception | None = None
+        self.committed = True
 
     def advance(
         self, enc: SignalEnclosure, hi: float, limit: float, stats: MonitorStats | None,
@@ -407,6 +427,8 @@ class _AtomSearch:
                 self.complete = sw.w is not None and sw.lo == hi == self.depth
                 return
             self.raw.append(BoundaryEnclosure(tz, not sw.s0))
+            if stats is not None and self.committed:
+                stats.roots_certified += 1
             # the atom's truth is decided at tz.hi, so the next search
             # starts there with the other truth
             self.sweep = _Sweep(tz.hi, not sw.s0)
@@ -420,7 +442,9 @@ class _AtomSearch:
         it finds the sets of a search that never stopped."""
         p = copy.copy(self)
         p.raw = list(self.raw)
-        p.sweep = None if self.sweep is None else replace(self.sweep)
+        sw = self.sweep
+        p.sweep = None if sw is None else _Sweep(sw.lo, sw.s0, sw.w, sw.iters)
+        p.committed = False
         try:
             p.advance(enc, min(self.depth, enc.horizon_reached), math.inf, stats,
                       newton_steps=1)

@@ -13,11 +13,11 @@ rationals; users of real arithmetic convert them outward themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ModelError
 from .expr import Const, Expr, ExprParser, Sub, Token, Tokenizer, decimal_text, expr_to_str
+from .node import Node
 
 __all__ = [
     "Formula", "TrueF", "Atom", "Or", "Not", "Until", "TRUE",
@@ -26,45 +26,35 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Formula:
-    pass
+class Formula(Node):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class TrueF(Formula):
-    pass
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    f: Expr  # the proposition is f < 0
+    __slots__ = ("f",)  # the proposition is f < 0
 
 
-@dataclass(frozen=True)
 class Or(Formula):
-    a: Formula
-    b: Formula
+    __slots__ = ("a", "b")
 
 
-@dataclass(frozen=True)
 class Not(Formula):
-    a: Formula
+    __slots__ = ("a",)
 
 
-@dataclass(frozen=True)
 class Until(Formula):
-    lo: Fraction
-    hi: Fraction
-    a: Formula
-    b: Formula
+    __slots__ = ("lo", "hi", "a", "b")  # Fraction, Fraction, Formula, Formula
 
-    def __post_init__(self):
-        if not (0 <= self.lo <= self.hi) or self.hi == 0:
+    def __init__(self, lo: Fraction, hi: Fraction, a: Formula, b: Formula):
+        if not (0 <= lo <= hi) or hi == 0:
             raise ModelError(
-                f"time bound [{self.lo}, {self.hi}] must be a non-empty "
-                "positive interval"
+                f"time bound [{lo}, {hi}] must be a non-empty positive interval"
             )
+        super().__init__(lo, hi, a, b)
 
 
 TRUE = TrueF()

@@ -7,7 +7,6 @@ see the bundled examples under ``stlmon/models``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from importlib import resources
 
@@ -26,21 +25,25 @@ from .expr import (
     number_text,
 )
 from .interval import Interval, IntervalBox
+from .node import Node
 from .taylor import compile_flow, eval_box
 
 __all__ = ["ContinuousSystem", "parse_model", "format_model", "load_builtin", "BUILTIN_MODELS"]
 
 
-@dataclass(frozen=True)
-class ContinuousSystem:
-    param_names: tuple[str, ...]
-    var_names: tuple[str, ...]
-    u_domain: IntervalBox
-    x_domain: IntervalBox
-    x_init: IntervalBox
-    flow: tuple[Expr, ...]
+class ContinuousSystem(Node):
+    __slots__ = ("param_names", "var_names", "u_domain", "x_domain", "x_init", "flow")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        param_names: tuple[str, ...],
+        var_names: tuple[str, ...],
+        u_domain: IntervalBox,
+        x_domain: IntervalBox,
+        x_init: IntervalBox,
+        flow: tuple[Expr, ...],
+    ):
+        super().__init__(param_names, var_names, u_domain, x_domain, x_init, flow)
         if len(self.flow) != len(self.var_names):
             raise ModelError("flow dimension does not match variable count")
         if not self.x_domain.contains_box(self.x_init):

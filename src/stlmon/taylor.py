@@ -42,13 +42,13 @@ is checked once: a NaN bound raises NumericError, as Interval() does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from operator import le
 
 from ._kernels import kadd, kdiv, kmul, ksub
 from .expr import Add, Const, Cos, Div, Exp, Expr, Mul, Neg, Param, Pow, Sin, Sub, Var
 from .interval import Interval, checked
+from .node import Node
 
 __all__ = [
     "TaylorProgram", "compile_flow", "eval_box", "state_series", "lie_derivative",
@@ -206,16 +206,22 @@ class JetAlgebra:
  _CSCALE, _DIVC, _POW) = range(12)
 
 
-@dataclass(frozen=True)
-class TaylorProgram:
-    ops: tuple          # (kind, out_slot, ...) in dependency order
-    n_slots: int
-    n_state: int        # extended-state dimension (vars + params)
-    n_vars: int         # leading components that actually flow
-    out_slots: tuple    # tape slot of F_j for each flowing component,
-                        # then of each extra output
-    varying_ops: tuple  # ops that are not time-constant: all orders >= 1 run
-    const_slots: tuple  # time-constant slots: exact zeros at orders >= 1
+class TaylorProgram(Node):
+    __slots__ = ("ops", "n_slots", "n_state", "n_vars", "out_slots", "varying_ops",
+                 "const_slots")
+
+    def __init__(
+        self,
+        ops: tuple,          # (kind, out_slot, ...) in dependency order
+        n_slots: int,
+        n_state: int,        # extended-state dimension (vars + params)
+        n_vars: int,         # leading components that actually flow
+        out_slots: tuple,    # tape slot of F_j for each flowing component,
+                             # then of each extra output
+        varying_ops: tuple,  # ops that are not time-constant: all orders >= 1 run
+        const_slots: tuple,  # time-constant slots: exact zeros at orders >= 1
+    ):
+        super().__init__(ops, n_slots, n_state, n_vars, out_slots, varying_ops, const_slots)
 
 
 def compile_flow(flow: tuple, n_vars: int, n_params: int) -> TaylorProgram:

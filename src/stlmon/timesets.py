@@ -39,10 +39,10 @@ AmbiguityError and, at the top level, an Unknown verdict.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 from .errors import AmbiguityError
 from .interval import Interval
+from .node import Node
 
 __all__ = [
     "BoundaryEnclosure", "ApproxSet", "UNIVERSE", "EMPTY_SET", "seq",
@@ -51,19 +51,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundaryEnclosure:
-    s: Interval
-    polarity: bool  # True: lower bound of a consistent interval; False: upper
+class BoundaryEnclosure(Node):
+    # s: Interval; polarity: True for the lower bound of a consistent
+    # interval, False for an upper one
+    __slots__ = ("s", "polarity")
 
     def __repr__(self):
         return f"({self.s}, {'T' if self.polarity else 'F'})"
 
 
-@dataclass(frozen=True)
-class ApproxSet:
-    kind: str  # "universe" | "empty" | "seq"
-    elems: tuple = ()
+class ApproxSet(Node):
+    __slots__ = ("kind", "elems")  # "universe" | "empty" | "seq", tuple
+
+    def __init__(self, kind: str, elems: tuple = ()):
+        super().__init__(kind, elems)
 
     @property
     def is_universe(self) -> bool:

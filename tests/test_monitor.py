@@ -330,9 +330,12 @@ class TestMonitorStl:
         doc = monitor_stl(sys, phi).to_json()
         assert doc["outcome"] == VALID and doc["unknown_cause"] is None
         assert set(doc["stats"]) == {
-            "integration_steps", "search_zero_calls", "newton_iterations", "horizon",
+            "integration_steps", "search_zero_calls", "newton_iterations",
+            "roots_certified", "horizon",
         }
         assert doc["stats"]["integration_steps"] > 0
+        # x - 1 < 0 turns false once, at t = 1
+        assert doc["stats"]["roots_certified"] == 1
         # the enclosure reached the formula's depth, 3, when the verdict was fixed
         assert doc["stats"]["horizon"] == 3.0
 
@@ -478,6 +481,31 @@ class TestPrefixDecision:
         staged.advance(staged_enc, 16.284, math.inf, None)
         assert once.complete and staged.complete
         assert len(once.raw) > 4 and staged.raw == once.raw
+
+    def test_probe_leaves_the_committed_search(self):
+        sys = load_builtin("rotation")
+        f = atom_of(sys, "x2 - 1 < 0")
+        enc = SignalEnclosure(sys, u_box=IntervalBox([Interval(0.0511, 0.0531)]))
+        enc.extend(16.284, 10.0)
+        search = monitor._AtomSearch(f, 16.284)
+        search.advance(enc, 16.284, 3.0, None)
+        sw = search.sweep
+        before = (list(search.raw), sw.lo, sw.s0, sw.w, sw.iters)
+        probe = search.probe(enc, None)
+        assert probe.sweep.lo > sw.lo and len(probe.raw) > len(search.raw)
+        assert search.sweep is sw
+        assert (search.raw, sw.lo, sw.s0, sw.w, sw.iters) == before
+
+    def test_roots_certified_leaves_out_the_probes(self):
+        # the Valid drift's probes certify brackets that the committed
+        # search certifies again: each is counted once, as a bracket of
+        # the atom's set (which also holds the point [0])
+        sys = load_builtin("rotation")
+        phi = parse_formula(ROTATION_PROPERTY, sys.resolver(allow_params=False))
+        v = monitor_stl(sys, phi, u_box=IntervalBox([Interval(0.02429)]), collect_sets=True)
+        assert v.outcome == VALID
+        brackets = [b for b in v.sets["x2 - 1 < 0"].elems if not b.s.is_point()]
+        assert v.stats.roots_certified == len(brackets) == 6
 
 
 class TestPropagateBounds:
