@@ -24,12 +24,8 @@ from .errors import IntegrationError, ModelError
 from .integrator import MonitorConfig, SignalEnclosure
 from .interval import Interval, IntervalBox
 from .monitor import (
-    INITIAL_SIGN_ERROR,
-    INTEGRATION_ERROR,
-    NUMERIC_ERROR,
+    _CAUSES,
     NUMERIC_FAILURES,
-    PROPAGATION_ERROR,
-    SEARCH_ZERO_ERROR,
     UNKNOWN,
     UNSAT,
     VALID,
@@ -43,15 +39,6 @@ EXIT_USAGE = 64
 
 # The sampler is pinned by name so published statistics stay reproducible.
 RNG_NAME = "python-random-mt19937"
-
-_CAUSES = (
-    SEARCH_ZERO_ERROR,
-    PROPAGATION_ERROR,
-    INTEGRATION_ERROR,
-    INITIAL_SIGN_ERROR,
-    NUMERIC_ERROR,
-)
-
 
 def _fail(msg: str) -> "int":
     print(f"error: {msg}", file=sys.stderr)
@@ -158,7 +145,7 @@ def cmd_batch(args) -> int:
     boxes = [_sample_u_box(system, rng, args.widen) for _ in range(args.runs)]
 
     n_valid = n_unsat = 0
-    by_cause = {c: 0 for c in _CAUSES}
+    by_cause = {c: 0 for _, c in _CAUSES}
     valid_time = 0.0
     for box in boxes:
         t0 = time.perf_counter()

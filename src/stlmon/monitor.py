@@ -17,12 +17,13 @@ certified prefix.  It integrates in chunks, each ending where a window
 of the formula closes at time 0 (stl.window_ends), every step chosen
 against the deepest atom's depth.  After each chunk every atom's sweep
 goes on as far as the new horizon allows, and the formula is propagated
-over a pair of sets (propagate_bounds): under holds where the formula
-holds for every continuation of the known prefix, over where it may.
-An atom's under set is its certified set cut at the end of its certified
-prefix, and its over set also holds from there on.  The verdict is Valid
-once under holds at time 0 and Unsat once over fails there; at full
-depth each atom's pair is one set, and so is the formula's.  A failure
+over a pair of sets (propagate): under holds where the formula holds for
+every continuation of the known prefix, over where it may.  An atom's
+under set is its certified set cut at the end of its certified prefix,
+and its over set also holds from there on.  One rule reads every verdict
+(_fixes): Valid once under holds at time 0, Unsat once over fails there.
+It is read after each chunk, after a failed step, and at full depth,
+where each atom's pair is one set, and so is the formula's.  A failure
 freezes what it stops: a failed search keeps its atom's certified
 prefix, and a failed step the enclosure's.  Unknown, tagged with the
 cause of the failure that ended the run, is left only when no prefix
@@ -456,8 +457,8 @@ class _AtomSearch:
         """The widest under set and the narrowest over set that sweeping
         on to reach could certify: the atom holding, and failing, from the
         end of the certified prefix up to reach (open from reach on when
-        reach is the depth).  propagate_bounds is monotone, so a verdict
-        these leave open, no probe to reach fixes."""
+        reach is the depth).  propagate is monotone, so a verdict these
+        leave open, no probe to reach fixes."""
         end = 0.0 if self.sweep is None else self.sweep.lo
         was = None if self.sweep is None else self.sweep.s0
 
@@ -506,29 +507,18 @@ def _depths(phi: Formula) -> dict[Expr, float]:
 
 def propagate(
     phi: Formula,
-    atom_sets: dict[Expr, ApproxSet],
-    record: dict[str, ApproxSet] | None = None,
-) -> ApproxSet:
-    """Consistent-time set of phi by structural recursion over the formula."""
-    pairs: dict | None = {} if record is not None else None
-    t, _ = propagate_bounds(phi, {f: (s, s) for f, s in atom_sets.items()}, pairs)
-    if record is not None:
-        record.update((k, u) for k, (u, _) in pairs.items())
-    return t
-
-
-def propagate_bounds(
-    phi: Formula,
     atom_bounds: dict[Expr, tuple[ApproxSet, ApproxSet]],
     record: dict[str, tuple] | None = None,
 ) -> tuple[ApproxSet, ApproxSet]:
-    """(under, over) sets of phi from (under, over) sets of its atoms.
+    """(under, over) sets of phi from (under, over) sets of its atoms, by
+    structural recursion over the formula.
 
     Kleene's three-valued reading over a prefix: under holds where phi
     holds for every continuation, over where it holds for some.  Not
     swaps the pair (and inverts it); Or and Until are monotone in both
     operands, so they map each component.  A node whose operands each
-    have one set (under is over) gets one set, computed once.
+    have one set (under is over) gets one set, computed once: at full
+    depth every atom's pair is one set, and so is every node's.
     """
 
     def each(op, *pairs):
@@ -589,19 +579,19 @@ def _fixes(phi: Formula, bounds: dict, record: dict | None = None) -> str | None
     """Valid when phi's under set holds at time 0, Unsat when its over
     set fails there, None when neither or when a set is ambiguous.  On a
     verdict, record gets the sets that fixed it: under for Valid, over
-    for Unsat."""
+    for Unsat; when phi's pair is one set (full depth), it gets that set
+    of every subformula also when it fixes no verdict."""
     pairs: dict | None = {} if record is not None else None
     try:
-        under, over = propagate_bounds(phi, bounds, pairs)
+        under, over = propagate(phi, bounds, pairs)
     except AmbiguityError:
         return None
+    verdict, side = None, 0
     if consistent_at_init(under) == VALID:
-        verdict, side = VALID, 0
+        verdict = VALID
     elif consistent_at_init(over) == UNSAT:
         verdict, side = UNSAT, 1
-    else:
-        return None
-    if record is not None:
+    if record is not None and (verdict or under is over):
         record.update((k, t[side]) for k, t in pairs.items())
     return verdict
 
@@ -612,14 +602,15 @@ def _prefix_verdict(phi: Formula, searches: list, enc: SignalEnclosure,
     searches probed to the enclosure's end first.  The probes are skipped
     when even the best they could certify fixes no verdict."""
     live = {a.f for a in searches if a.failure is None and not a.complete}
-    reach = enc.horizon_reached
-    try:
-        best = {a.f: a.best_case(min(a.depth, reach)) if a.f in live else a.bounds()
-                for a in searches}
-    except AmbiguityError:
-        best = None  # no best case to rule the probes out
-    if live and best is not None and _fixes(phi, best) is None:
-        return None
+    if live:
+        reach = enc.horizon_reached
+        try:
+            best = {a.f: a.best_case(min(a.depth, reach)) if a.f in live else a.bounds()
+                    for a in searches}
+        except AmbiguityError:
+            best = None  # no best case to rule the probes out
+        if best is not None and _fixes(phi, best) is None:
+            return None
     try:
         bounds = {
             a.f: (a.probe(enc, stats) if a.f in live else a).bounds() for a in searches
@@ -657,19 +648,15 @@ def _decide(enc: SignalEnclosure, phi: Formula, stats: MonitorStats,
         _advance(searches, enc, enc.horizon_reached, stats)
         if (verdict := _prefix_verdict(phi, searches, enc, stats, record)):
             return verdict
+    # at full depth every search is complete or frozen by its failure
     _advance(searches, enc, math.inf, stats)
-    atom_sets: dict[Expr, ApproxSet] = {}
+    if (verdict := _prefix_verdict(phi, searches, enc, stats, record)):
+        return verdict
     for a in searches:
-        if a.failure is None:
-            try:
-                atom_sets[a.f] = normalize(a.raw)
-            except AmbiguityError as exc:
-                a.failure = exc
         if a.failure is not None:
-            if (verdict := _prefix_verdict(phi, searches, enc, stats, record)):
-                return verdict
             raise a.failure
-    return consistent_at_init(propagate(phi, atom_sets, record=record))
+        normalize(a.raw)  # raises when the atom's set is ambiguous
+    return UNKNOWN
 
 
 def monitor_enclosure(

@@ -13,18 +13,19 @@ Canonical form (asserted after every operation):
   - polarities strictly alternate, starting with a lower bound.
 
 The operations realize complement (invert), union (join), intersection
-(De Morgan composition), and the back-shift of the bounded Until: for
-consistent intervals I of phi1 and J of phi2 with I & J = [l, u),
-phi1 U_[a,b] phi2 holds on [l - b, u - a) & I.  An interval still
-holding where an atom's search ends, at its temporal depth, has no upper
-bound: it stays open.  A formula never reads an atom beyond its depth,
-so the open end meets no time that is read, where an end placed at the
-depth would: a punctual bound [a, a] shifts it exactly onto one.
+(intersect, interval by interval), and the back-shift of the bounded
+Until: for consistent intervals I of phi1 and J of phi2 with
+I & J = [l, u), phi1 U_[a,b] phi2 holds on [l - b, u - a) & I.  An
+interval still holding where an atom's search ends, at its temporal
+depth, has no upper bound: it stays open.  A formula never reads an atom
+beyond its depth, so the open end meets no time that is read, where an
+end placed at the depth would: a punctual bound [a, a] shifts it exactly
+onto one.
 
 A verdict fixed on a prefix [0, T] of the signal reads each atom through
-a pair of sets (monitor.propagate_bounds): under is the atom's set cut
-by an exact bound [T] that ends the interval holding at T, and over the
-same set with an exact lower bound [T] when the atom fails at T.  Those
+a pair of sets (monitor.propagate): under is the atom's set cut by an
+exact bound [T] that ends the interval holding at T, and over the same
+set with an exact lower bound [T] when the atom fails at T.  Those
 made-up ends are sound where the one above was not because they are
 read only as bounds: the atom holds on [l, T] and fails at T, so under
 lies inside the truth and over around it whatever the atom does after
@@ -38,6 +39,7 @@ AmbiguityError and, at the top level, an Unknown verdict.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 
 from .errors import AmbiguityError
@@ -221,12 +223,42 @@ def join(t1: ApproxSet, t2: ApproxSet) -> ApproxSet:
     return normalize(t1.elems + t2.elems)
 
 
+_OPEN = Interval(math.inf)  # the upper end of an interval still open
+
+
+def _intervals(t: ApproxSet) -> list:
+    """(lower, upper) enclosures of t's consistent intervals."""
+    e = t.elems
+    return [(e[i].s, e[i + 1].s if i + 1 < len(e) else _OPEN)
+            for i in range(0, len(e), 2)]
+
+
 def intersect(t1: ApproxSet, t2: ApproxSet) -> ApproxSet:
+    """Consistent intervals I of t1 and J of t2 meet on [max of their
+    lower bounds, min of their upper bounds), whose enclosures are the
+    max and min of the bounds' ends.  Both sequences are walked once,
+    advancing the interval whose upper end is lower: the other may still
+    meet the next one, it may not."""
     if t1.is_universe:
         return t2
     if t2.is_universe:
         return t1
-    return invert(join(invert(t1), invert(t2)))
+    a, b = _intervals(t1), _intervals(t2)
+    raw: list[BoundaryEnclosure] = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        (l1, u1), (l2, u2) = a[i], b[j]
+        lower = Interval(max(l1.lo, l2.lo), max(l1.hi, l2.hi))
+        upper = Interval(min(u1.lo, u2.lo), min(u1.hi, u2.hi))
+        if lower.lo < upper.hi:  # else I and J certainly do not meet
+            raw.append(BoundaryEnclosure(lower, True))
+            if upper.lo < math.inf:  # else both are still open
+                raw.append(BoundaryEnclosure(upper, False))
+        if u1.hi <= u2.hi:
+            i += 1
+        else:
+            j += 1
+    return normalize(raw)
 
 
 def _pairs(t: ApproxSet):

@@ -25,7 +25,6 @@ from stlmon.monitor import (
     monitor_enclosure,
     monitor_stl,
     propagate,
-    propagate_bounds,
     search_zero,
 )
 from stlmon.stl import atom_depths, formula_to_str, parse_formula
@@ -265,7 +264,7 @@ class TestPropagateAndConsistency:
                 BoundaryEnclosure(Interval(2.0, 2.0), False),
             ]
         )
-        t_phi = propagate(phi, {f: t_p})
+        t_phi, _ = propagate(phi, {f: (t_p, t_p)})
         first = t_phi.elems[0]
         assert first.polarity is True and 0.0 in first.s
 
@@ -443,6 +442,34 @@ class TestPrefixDecision:
         assert v.stats.integration_steps <= 12
         assert 6.284 < v.stats.horizon < 10.0
 
+    def test_prefix_verdicts_go_through_propagate(self, monkeypatch):
+        # one propagation serves every verdict, so a tracer that wraps
+        # monitor.propagate sees the prefix decisions too
+        calls = []
+        inner = monitor.propagate
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(monitor, "propagate", counting)
+        v = rotation_verdict(Interval(-0.0168))
+        assert v.outcome == UNSAT and v.stats.horizon < 10.0
+        assert len(calls) >= 1
+
+    def test_full_depth_unknown_keeps_its_sets(self):
+        # x = c t crosses 1 at t = 1/c in [0.909, 1.112]: the property
+        # holds for c = 1.1 and fails for c = 0.9, so the run ends Unknown
+        # at full depth and keeps the sets of all 7 subformulas
+        sys = parse_model("[params] c in [0.9, 1.1]\n[vars] x in [-10, 10]\n"
+                          "[init] x = 0\n[flow] x' = c\n")
+        phi = parse_formula("F[0,1] G[0,0.5] !(x - 1 < 0)",
+                            sys.resolver(allow_params=False))
+        v = monitor_stl(sys, phi, collect_sets=True)
+        assert (v.outcome, v.unknown_cause) == (UNKNOWN, "PropagationError")
+        assert v.stats.horizon == 1.5
+        assert len(v.sets) == 7 and formula_to_str(phi) in v.sets
+
     def test_valid_rotation_needs_full_depth(self):
         v = rotation_verdict(Interval(0.0123))
         assert v.outcome == VALID
@@ -516,7 +543,7 @@ class TestPropagateBounds:
         under = seq([BoundaryEnclosure(Interval(0.0), True),
                      BoundaryEnclosure(Interval(1.0), False)])
         over = seq([BoundaryEnclosure(Interval(0.0), True)])
-        assert propagate_bounds(phi, {f: (under, over)}) == (EMPTY_SET, seq(
+        assert propagate(phi, {f: (under, over)}) == (EMPTY_SET, seq(
             [BoundaryEnclosure(Interval(1.0), True)]))
 
     def test_one_set_per_node_at_full_depth(self):
@@ -525,9 +552,20 @@ class TestPropagateBounds:
         (f,) = atom_depths(phi)
         t_p = seq([BoundaryEnclosure(Interval(0.0), True),
                    BoundaryEnclosure(Interval(2.0, 2.0), False)])
-        under, over = propagate_bounds(phi, {f: (t_p, t_p)})
+        record = {}
+        under, over = propagate(phi, {f: (t_p, t_p)}, record)
         assert under is over
-        assert under == propagate(phi, {f: t_p})
+        assert len(record) == 7 and all(u is o for u, o in record.values())
+
+
+class TestUntil:
+    def test_lower_bound_that_may_start_at_0(self):
+        # x = t: the left operand holds on [0, 5) and the right from t = 2,
+        # so the Until holds from 0; its shift puts a lower bound that may
+        # start at 0, which the intersection with the left operand's
+        # interval once refused (Unknown, PropagationError)
+        v = timer_verdict("F[0,3] ((x - 5 < 0) U[0.5,2] !(x - 2 < 0))")
+        assert (v.outcome, v.unknown_cause) == (VALID, None)
 
 
 class TestPunctualBounds:

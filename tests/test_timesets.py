@@ -164,17 +164,31 @@ class TestIntersect:
         assert intersect(UNIVERSE, t) is t
         assert intersect(t, UNIVERSE) is t
 
-
-    @pytest.mark.xfail(raises=AmbiguityError, strict=True,
-                       reason="intersect goes through invert, which refuses an "
-                              "upper bound enclosure containing 0")
     def test_lower_bound_that_may_start_at_0(self):
-        # the intersection is the second set's interval, but inverting the
-        # first puts the upper bound [0, 0.5] first, which normalize refuses;
-        # shift_all builds such sets whenever a lower bound shifts onto 0
+        # the intersection is the second set's interval; shift_all builds
+        # such a first set whenever a lower bound shifts onto 0, and
+        # inverting it would put the upper bound [0, 0.5] first
         t1 = S((0, 0.5, True), (3, 3.5, False))
         t2 = S((1, 1.5, True), (3, 3.5, False))
         assert_same(intersect(t1, t2), t2)
+
+    def test_bounds_meet_at_the_max_and_min_of_their_ends(self):
+        # [1, u1) with u1 in [5, 6] meets [0.5, 2) and [3, u2), u2 in
+        # [5.5, 7]: the second meeting ends at min(u1, u2), in [5, 6]
+        t1 = S((1, 1, True), (5, 6, False))
+        t2 = S((0.5, 0.5, True), (2, 2, False), (3, 3, True), (5.5, 7, False))
+        want = S((1, 1, True), (2, 2, False), (3, 3, True), (5, 6, False))
+        assert_same(intersect(t1, t2), want)
+        assert_same(intersect(t2, t1), want)
+        # lower bounds [0, 0.5] and [0.2, 0.7] start at their max, [0.2, 0.7]
+        assert_same(intersect(S((0, 0.5, True)), S((0.2, 0.7, True))),
+                    S((0.2, 0.7, True)))
+
+    def test_open_intervals_and_meetings_that_are_certainly_empty(self):
+        t1 = S((1, 1, True), (2, 2, False), (4, 4, True))
+        t2 = S((2, 2, True), (3, 3, False), (5, 5, True))
+        assert_same(intersect(t1, t2), S((5, 5, True)))
+        assert intersect(S((1, 1, True), (2, 2, False)), t2) is EMPTY_SET
 
 class TestShiftAll:
     def test_worked_example(self):
@@ -394,10 +408,8 @@ class TestComplexityGuard:
         start = time.monotonic()
         shift_all(lo, hi, UNIVERSE, big)
         assert time.monotonic() - start < 5.0
-        # offset so that no lower bound shifts back onto time 0, where the
-        # intersection with its own interval is ambiguous (an upper bound
-        # enclosure containing 0 after inversion)
-        small = self._big_set(60, offset=0.7)
-        start = time.monotonic()
-        shift_all(lo, hi, small, small)
-        assert time.monotonic() - start < 30.0
+        for offset in (0.0, 0.7):
+            small = self._big_set(60, offset)
+            start = time.monotonic()
+            shift_all(lo, hi, small, small)
+            assert time.monotonic() - start < 30.0
