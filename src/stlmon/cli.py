@@ -102,6 +102,17 @@ def _sample_u_box(system: ContinuousSystem, rng: random.Random, widen: float) ->
     return IntervalBox(tuple(ivs))
 
 
+def _distribution(runs: list) -> dict:
+    """Seconds at the 50th and 90th percentiles (nearest rank) and at
+    most, and the mean integration steps, of (seconds, steps) pairs."""
+    if not runs:
+        return {"p50_s": None, "p90_s": None, "max_s": None, "mean_steps": None}
+    seconds = sorted(s for s, _ in runs)
+    p50, p90 = (seconds[math.ceil(q * len(seconds)) - 1] for q in (0.5, 0.9))
+    return {"p50_s": p50, "p90_s": p90, "max_s": seconds[-1],
+            "mean_steps": sum(n for _, n in runs) / len(runs)}
+
+
 def _print_json(obj) -> None:
     """The one output path of verify and batch: obj as JSON on stdout."""
     try:
@@ -144,20 +155,17 @@ def cmd_batch(args) -> int:
     # counters do not depend on the execution order of the runs
     boxes = [_sample_u_box(system, rng, args.widen) for _ in range(args.runs)]
 
-    n_valid = n_unsat = 0
     by_cause = {c: 0 for _, c in _CAUSES}
-    valid_time = 0.0
+    runs: dict[str, list] = {VALID: [], UNSAT: [], UNKNOWN: []}
     for box in boxes:
         t0 = time.perf_counter()
         verdict = monitor_stl(system, phi, cfg, u_box=box)
         elapsed = time.perf_counter() - t0
-        if verdict.outcome == VALID:
-            n_valid += 1
-            valid_time += elapsed
-        elif verdict.outcome == UNSAT:
-            n_unsat += 1
-        else:
+        runs[verdict.outcome].append((elapsed, verdict.stats.integration_steps))
+        if verdict.outcome == UNKNOWN:
             by_cause[verdict.unknown_cause] += 1
+    n_valid, n_unsat = len(runs[VALID]), len(runs[UNSAT])
+    valid_time = sum(s for s, _ in runs[VALID])
     out = {
         "rng": RNG_NAME,
         "seed": args.seed,
@@ -168,6 +176,7 @@ def cmd_batch(args) -> int:
         "n_unknown": sum(by_cause.values()),
         "n_unknown_by_cause": by_cause,
         "mean_valid_time": valid_time / n_valid if n_valid else None,
+        "by_outcome": {k: _distribution(v) for k, v in runs.items()},
     }
     _print_json(out)
     return 0

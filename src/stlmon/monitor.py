@@ -13,26 +13,30 @@ algebra (propagate), and the decision at time zero (consistent_at_init).
 
 monitor_enclosure wires them together over one signal enclosure, which
 carries the run's boxes and MonitorConfig, and decides on the shortest
-certified prefix.  It integrates in chunks, each ending where a window
-of the formula closes at time 0 (stl.window_ends), every step chosen
-against the deepest atom's depth.  After each chunk every atom's sweep
-goes on as far as the new horizon allows, and the formula is propagated
-over a pair of sets (propagate): under holds where the formula holds for
-every continuation of the known prefix, over where it may.  An atom's
-under set is its certified set cut at the end of its certified prefix,
-and its over set also holds from there on.  One rule reads every verdict
+certified prefix.  It integrates one step at a time, every step chosen
+against the deepest atom's depth, and after each step every live atom
+search sweeps on up to the new horizon.  The searches read the steps
+already in the enclosure first, one step end at a time, so their windows
+follow the step grid, not how far the enclosure was integrated before
+the run (save at step ends; see search_zero).  The formula is
+propagated over a pair of sets (propagate): under holds where the
+formula holds for every continuation of the known prefix, over where it
+may.  An atom's under set is its certified set cut at the end of its
+certified prefix, and its over set also holds from there on.  One rule reads every verdict
 (_fixes): Valid once under holds at time 0, Unsat once over fails there.
-It is read after each chunk, after a failed step, and at full depth,
-where each atom's pair is one set, and so is the formula's.  A failure
-freezes what it stops: a failed search keeps its atom's certified
-prefix, and a failed step the enclosure's.  Unknown, tagged with the
-cause of the failure that ended the run, is left only when no prefix
-decides.  monitor_stl builds the enclosure from a system.
+It is read when a search certifies a bracket, completes or fails, when
+the horizon passes one of the formula's window ends (stl.window_ends),
+and after a failed step; at full depth each atom's pair is one set, and
+so is the formula's.  A failure freezes what it stops: a failed search
+keeps its atom's certified prefix, and a failed step the enclosure's.
+Integration stops once no search is live, as no further step can move
+a frozen search.  Unknown, tagged with the cause of the failure that
+ended the run, is left only when no prefix decides.  monitor_stl builds
+the enclosure from a system.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 
 from .errors import (
@@ -109,10 +113,10 @@ eval_box = None
 
 
 class MonitorStats:
-    """Counters of one run.  search_zero_calls and newton_iterations
-    include the probes' work; roots_certified counts the brackets the
-    committed searches certified, not the probes' copies.  horizon is the
-    time the enclosure reached when the verdict was fixed."""
+    """Counters of one run: the atom searches, each counted once at its
+    first window (search_zero_calls), their Newton steps and the brackets
+    they certified.  horizon is the time the enclosure reached when the
+    verdict was fixed."""
 
     __slots__ = ("integration_steps", "search_zero_calls", "newton_iterations",
                  "roots_certified", "horizon")
@@ -236,25 +240,27 @@ def search_zero(
     hi: float,
     stats: MonitorStats | None = None,
     limit: float = math.inf,
-    newton_steps: int = _MAX_CONTRACT,
 ) -> IntervalLike:
     """Certified enclosure of the earliest change of the truth of the
     strict atom f(x~(t)) < 0 after the search sw, swept on toward hi
-    through the windows that end below limit.
+    over the enclosure up to limit, its horizon.
 
     Returns a bracket over which d/dt f excludes zero and at whose ends
     the atom has opposite truth: every admissible signal changes it
     exactly once in the bracket and never before it since the search's
-    start.  The bracket is contracted by at most newton_steps Newton
-    steps.  Returns the empty interval as a proof that the truth is
+    start.  Returns the empty interval as a proof that the truth is
     constant from the start through sw.lo, which is hi once the sweep
-    got there and short of hi when the next window would reach limit.
-    Called again with the same sw, the search resumes there; the windows
-    do not depend on limit, so a search resumed after the enclosure has
-    grown reads the windows, and returns the bracket, of one that never
-    stopped.  Raises TangencyError when neither can be certified (grazing
-    contact, or precision exhausted).  stats counts a search once, at its
-    first window.
+    got there and short of hi when it waits for the enclosure to grow.
+    A window that reaches past limit is read up to limit; when that
+    clipped window decides nothing, the search waits instead of halving
+    it, and a wait does not count against the sweep's budget.  Called
+    again with the same sw, the search resumes there, so its windows
+    depend on the limits it was read to.  Read one step end at a time,
+    they depend on the step grid only, save that a read ending on a step
+    end also sees the next step's start box once that step exists.
+    Raises TangencyError when neither can be certified (grazing contact,
+    or precision exhausted).  stats counts a search once, at its first
+    window.
 
     An end where the atom fails may sit on f = 0; at one where it holds,
     f < 0.  The time-set algebra reads each consistent interval as [l, u)
@@ -281,26 +287,32 @@ def search_zero(
         sw.w = min(hi - sw.lo, max(enc.step_span_at(sw.lo), w_min))
     while sw.iters < _MAX_SWEEP:
         lo, w = sw.lo, sw.w
-        sub = Interval(lo, min(lo + w, hi))
-        if sub.hi >= limit:
-            return EMPTY
-        sw.iters += 1
+        end = min(lo + w, hi)
+        clipped = end > limit
+        if clipped:
+            if lo >= limit:
+                return EMPTY
+            end = limit
+        sub = Interval(lo, end)
         x = enc.eval(sub)
-        if _holds(enc.value(f, x)) is None:
-            s = _monotone_truth(f, enc, sub, x)
-            if s is None:
-                if w <= w_min:
-                    raise TangencyError(
-                        f"no monotone subwindow at t={lo!r}; tangency suspected"
-                    )
-                sw.w = 0.5 * w
-                continue
-            if s != sw.s0:
-                return _contract(f, enc, sub, sw.s0, stats, newton_steps)
-        if sub.hi == hi:
+        s = sw.s0 if _holds(enc.value(f, x)) is not None else _monotone_truth(f, enc, sub, x)
+        if s is None and clipped:
+            return EMPTY  # wait: the next step may decide the window
+        sw.iters += 1
+        if s is None:
+            if w <= w_min:
+                raise TangencyError(
+                    f"no monotone subwindow at t={lo!r}; tangency suspected"
+                )
+            sw.w = 0.5 * w
+        elif s != sw.s0:
+            return _contract(f, enc, sub, sw.s0, stats)
+        elif end == hi:
             sw.lo = hi
             return EMPTY
-        sw.lo, sw.w = sub.hi, min(2.0 * w, hi - sub.hi)
+        else:
+            # a clipped window read less than w, so w does not grow
+            sw.lo, sw.w = end, min(w if clipped else 2.0 * w, hi - end)
     raise TangencyError("zero search sweep exhausted its iteration budget")
 
 
@@ -325,7 +337,6 @@ def _contract(
     t: Interval,
     s0: bool,
     stats: MonitorStats | None,
-    newton_steps: int = _MAX_CONTRACT,
 ) -> Interval:
     """Shrink a bracket t: d/dt f excludes zero over t, and the atom has
     truth s0 at t.lo and the other truth at t.hi.
@@ -338,7 +349,7 @@ def _contract(
     enclosure over the current bracket contains zero.
     """
     a, b = t.lo, t.hi
-    for _ in range(newton_steps):
+    for _ in range(_MAX_CONTRACT):
         if stats is not None:
             stats.newton_iterations += 1
         t = Interval(a, b)
@@ -380,8 +391,8 @@ class _AtomSearch:
     atom's truth is certified over [0, sweep.lo]: it is sweep.s0 from the
     last bracket on.  sweep is None until time 0 is read, and complete is
     set once the sweep has reached depth.  failure is the certification
-    failure that stopped the search; the certified prefix stands.
-    committed is False on a probe's copy (probe).
+    failure that stopped the search; the certified prefix stands.  A
+    search is live until it completes or fails.
     """
 
     def __init__(self, f: Expr, depth: float):
@@ -390,19 +401,19 @@ class _AtomSearch:
         self.sweep: _Sweep | None = None
         self.complete = False
         self.failure: Exception | None = None
-        self.committed = True
+
+    @property
+    def live(self) -> bool:
+        return not self.complete and self.failure is None
 
     def advance(
-        self, enc: SignalEnclosure, hi: float, limit: float, stats: MonitorStats | None,
-        newton_steps: int = _MAX_CONTRACT,
+        self, enc: SignalEnclosure, hi: float, limit: float, stats: MonitorStats | None
     ) -> None:
-        """Sweep on toward hi <= depth through the windows that end below
-        limit, contracting each bracket by at most newton_steps Newton
-        steps.  Raises the sweep's failures, leaving a certified prefix."""
+        """Sweep on toward hi <= depth over the enclosure up to limit
+        (search_zero).  Raises the sweep's failures, leaving a certified
+        prefix."""
         f = self.f
         if self.sweep is None:
-            if limit <= 0.0:
-                return
             try:
                 self.sweep = _Sweep.at(f, enc, 0.0)
             except TangencyError as exc:
@@ -421,54 +432,18 @@ class _AtomSearch:
         # that starts on its depth still reads that point
         while not self.complete and (self.sweep.lo < hi or hi == self.depth):
             sw = self.sweep
-            tz = search_zero(f, enc, sw, hi, stats, limit, newton_steps)
+            tz = search_zero(f, enc, sw, hi, stats, limit)
             if tz.is_empty:
                 # a search paused before its first window has not read
                 # sw.lo, which may already be its depth
                 self.complete = sw.w is not None and sw.lo == hi == self.depth
                 return
             self.raw.append(BoundaryEnclosure(tz, not sw.s0))
-            if stats is not None and self.committed:
+            if stats is not None:
                 stats.roots_certified += 1
             # the atom's truth is decided at tz.hi, so the next search
             # starts there with the other truth
             self.sweep = _Sweep(tz.hi, not sw.s0)
-
-    def probe(self, enc: SignalEnclosure, stats: MonitorStats | None) -> _AtomSearch:
-        """A copy swept on to the enclosure's end, its windows clipped
-        there and each bracket shrunk by one Newton step only: that is
-        tight enough to fix a verdict, and the copy is dropped after.  It
-        widens the certified prefix that a verdict may be fixed on; the
-        search itself resumes with its own windows, so that at full depth
-        it finds the sets of a search that never stopped."""
-        p = copy.copy(self)
-        p.raw = list(self.raw)
-        sw = self.sweep
-        p.sweep = None if sw is None else _Sweep(sw.lo, sw.s0, sw.w, sw.iters)
-        p.committed = False
-        try:
-            p.advance(enc, min(self.depth, enc.horizon_reached), math.inf, stats,
-                      newton_steps=1)
-        except _FAILURES:
-            pass
-        return p
-
-    def best_case(self, reach: float) -> tuple[ApproxSet, ApproxSet]:
-        """The widest under set and the narrowest over set that sweeping
-        on to reach could certify: the atom holding, and failing, from the
-        end of the certified prefix up to reach (open from reach on when
-        reach is the depth).  propagate is monotone, so a verdict these
-        leave open, no probe to reach fixes."""
-        end = 0.0 if self.sweep is None else self.sweep.lo
-        was = None if self.sweep is None else self.sweep.s0
-
-        def held(holds: bool) -> ApproxSet:
-            raw = self.raw if was == holds else _closed(self.raw, end, holds)
-            if reach < self.depth:
-                raw = _closed(raw, reach, not holds)
-            return normalize(raw)
-
-        return held(True), held(False)
 
     def bounds(self) -> tuple[ApproxSet, ApproxSet]:
         """(under, over): the atom's certified set cut at the end of its
@@ -565,17 +540,26 @@ def consistent_at_init(t: ApproxSet) -> str:
 
 
 def _advance(searches: list, enc: SignalEnclosure, limit: float,
-             stats: MonitorStats) -> None:
-    """Every live search swept on through the windows below limit."""
+             stats: MonitorStats) -> bool:
+    """Every live search swept on toward its depth over the enclosure up
+    to limit, or, when limit lies past the horizon, on to the horizon
+    with no wait; True when one of them certified a bracket, completed or
+    failed."""
+    moved = False
     for a in searches:
-        if a.failure is None and not a.complete:
-            try:
-                a.advance(enc, a.depth, limit, stats)
-            except _FAILURES as exc:
-                a.failure = exc
+        if not a.live:
+            continue
+        found = len(a.raw)
+        hi = a.depth if limit <= enc.horizon_reached else min(a.depth, enc.horizon_reached)
+        try:
+            a.advance(enc, hi, limit, stats)
+        except _FAILURES as exc:
+            a.failure = exc
+        moved |= len(a.raw) > found or not a.live
+    return moved
 
 
-def _fixes(phi: Formula, bounds: dict, record: dict | None = None) -> str | None:
+def _fixes(phi: Formula, searches: list, record: dict | None = None) -> str | None:
     """Valid when phi's under set holds at time 0, Unsat when its over
     set fails there, None when neither or when a set is ambiguous.  On a
     verdict, record gets the sets that fixed it: under for Valid, over
@@ -583,7 +567,7 @@ def _fixes(phi: Formula, bounds: dict, record: dict | None = None) -> str | None
     of every subformula also when it fixes no verdict."""
     pairs: dict | None = {} if record is not None else None
     try:
-        under, over = propagate(phi, bounds, pairs)
+        under, over = propagate(phi, {a.f: a.bounds() for a in searches}, pairs)
     except AmbiguityError:
         return None
     verdict, side = None, 0
@@ -596,62 +580,39 @@ def _fixes(phi: Formula, bounds: dict, record: dict | None = None) -> str | None
     return verdict
 
 
-def _prefix_verdict(phi: Formula, searches: list, enc: SignalEnclosure,
-                    stats: MonitorStats, record: dict | None) -> str | None:
-    """The verdict the certified prefix fixes (_fixes), with the live
-    searches probed to the enclosure's end first.  The probes are skipped
-    when even the best they could certify fixes no verdict."""
-    live = {a.f for a in searches if a.failure is None and not a.complete}
-    if live:
-        reach = enc.horizon_reached
-        try:
-            best = {a.f: a.best_case(min(a.depth, reach)) if a.f in live else a.bounds()
-                    for a in searches}
-        except AmbiguityError:
-            best = None  # no best case to rule the probes out
-        if best is not None and _fixes(phi, best) is None:
-            return None
-    try:
-        bounds = {
-            a.f: (a.probe(enc, stats) if a.f in live else a).bounds() for a in searches
-        }
-    except AmbiguityError:
-        return None
-    return _fixes(phi, bounds, record)
-
-
 def _decide(enc: SignalEnclosure, phi: Formula, stats: MonitorStats,
             record: dict | None) -> str:
     """The verdict on the shortest certified prefix (module docstring).
     Raises the failure that ended the run when no prefix fixes one: a
-    failed step first, then the first atom, in atom_depths order, whose
-    search or set failed, as a run that searches each atom to its depth
-    in turn would."""
+    step that failed while a search was live first, then the first atom,
+    in atom_depths order, whose search or set failed."""
     depths = _depths(phi)
     target = max(depths.values(), default=0.0)
     searches = [_AtomSearch(f, d) for f, d in depths.items()]
-    stops = sorted({rational_enclosure(q).hi for q in window_ends(phi) if q > 0}
-                   | {target})
-    for stop in stops:
-        if enc.horizon_reached >= stop:
-            continue  # an earlier chunk's last step passed it
-        try:
-            enc.extend(target, stop)
-        except (IntegrationError, *NUMERIC_FAILURES):
-            if (verdict := _prefix_verdict(phi, searches, enc, stats, record)):
-                return verdict
-            raise
-        if enc.horizon_reached >= target:
-            break
-        # a window that ends on the horizon waits for the next step: the
-        # search reads the step that starts there once it exists
-        _advance(searches, enc, enc.horizon_reached, stats)
-        if (verdict := _prefix_verdict(phi, searches, enc, stats, record)):
+    ends = sorted({rational_enclosure(q).hi for q in window_ends(phi) if q > 0},
+                  reverse=True)
+    read = 0  # the steps the searches have read
+    while True:
+        if read == len(enc.steps) and enc.horizon_reached < target:
+            try:
+                enc.extend(target, math.nextafter(enc.horizon_reached, math.inf))
+            except (IntegrationError, *NUMERIC_FAILURES):
+                # no step comes, so the searches read on to the horizon
+                _advance(searches, enc, math.inf, stats)
+                if (verdict := _fixes(phi, searches, record)):
+                    return verdict
+                raise
+        # one step end at a time; past the last step, on to the depths
+        limit = enc.steps[read].t1 if read < len(enc.steps) else math.inf
+        read += 1
+        moved = _advance(searches, enc, limit, stats)
+        while ends and ends[-1] <= limit:
+            moved = True
+            ends.pop()
+        if (moved or limit == math.inf) and (verdict := _fixes(phi, searches, record)):
             return verdict
-    # at full depth every search is complete or frozen by its failure
-    _advance(searches, enc, math.inf, stats)
-    if (verdict := _prefix_verdict(phi, searches, enc, stats, record)):
-        return verdict
+        if not any(a.live for a in searches):
+            break
     for a in searches:
         if a.failure is not None:
             raise a.failure

@@ -266,8 +266,11 @@ class TestBatch:
         _, out1, _ = run_cli(capsys, *BATCH_ARGS)
         _, out2, _ = run_cli(capsys, *BATCH_ARGS)
         doc1, doc2 = json.loads(out1), json.loads(out2)
-        doc1.pop("mean_valid_time")
-        doc2.pop("mean_valid_time")
+        for doc in (doc1, doc2):
+            doc.pop("mean_valid_time")
+            for dist in doc["by_outcome"].values():
+                for key in ("p50_s", "p90_s", "max_s"):
+                    dist.pop(key)
         assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
 
     def test_counts_add_up(self, capsys):
@@ -276,6 +279,27 @@ class TestBatch:
         doc = json.loads(out)
         assert doc["n_valid"] + doc["n_unsat"] + doc["n_unknown"] == doc["runs"]
         assert sum(doc["n_unknown_by_cause"].values()) == doc["n_unknown"]
+
+    def test_distributions_per_outcome(self, capsys):
+        code, out, _ = run_cli(capsys, *BATCH_ARGS)
+        assert code == 0
+        doc = json.loads(out)
+        dists = doc["by_outcome"]
+        assert list(dists) == ["Valid", "Unsat", "Unknown"]
+        counts = {"Valid": doc["n_valid"], "Unsat": doc["n_unsat"],
+                  "Unknown": doc["n_unknown"]}
+        for outcome, dist in dists.items():
+            if counts[outcome] == 0:
+                assert set(dist.values()) == {None}
+                continue
+            assert 0.0 < dist["p50_s"] <= dist["p90_s"] <= dist["max_s"]
+            assert dist["mean_steps"] >= 1.0
+        # a single run's distribution is its own time and step count
+        _, out, _ = run_cli(capsys, *BATCH_ARGS[:-4], "--runs", "1", "--seed", "5")
+        doc = json.loads(out)
+        (dist,) = [d for d in doc["by_outcome"].values() if d["max_s"] is not None]
+        assert dist["p50_s"] == dist["p90_s"] == dist["max_s"]
+        assert dist["mean_steps"] == int(dist["mean_steps"])
 
     def test_single_run_matches_verify(self, capsys):
         # with one sample the aggregate is just the verdict of that sample
@@ -373,18 +397,20 @@ class TestTrace:
         monkeypatch.setattr(monitor, "SignalEnclosure", Counted)
         formula = "G[0,2] F[0,6.284] !(x2 - 1 < 0)"
         out_path = tmp_path / "verify.csv"
-        code, _, _ = run_cli(
+        code, out, _ = run_cli(
             capsys,
             "verify", "--model", "rotation", "--formula", formula,
             "--trace", str(out_path),
         )
         assert code == 2
         assert len(built) == 1
-        # a separate integration up to the formula's deepest atom gives
+        # the Unknown run stops at its failed search, short of the deepest
+        # atom; a separate integration up to the verdict's horizon gives
         # the same rows
         system = load_builtin("rotation")
         depths = atom_depths(parse_formula(formula, system.resolver(allow_params=False)))
-        horizon = rational_enclosure(max(depths.values())).hi
+        horizon = json.loads(out)["stats"]["horizon"]
+        assert 0.0 < horizon < rational_enclosure(max(depths.values())).hi
         ref_path = tmp_path / "ref.csv"
         code, _, _ = run_cli(
             capsys,

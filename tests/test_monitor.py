@@ -108,16 +108,29 @@ class TestSearchZero:
         assert stats.newton_iterations >= 1
 
     def test_paused_search_resumes_where_it_stopped(self):
-        # a search stopped short of limit proves the truth constant up to
-        # sw.lo; the same sweep then goes on to the unpaused bracket
+        # timer takes one step over [0, 10]; the first window, that step,
+        # reaches past limit and is read up to it: cos x > 0 on [0, 1], so
+        # the search pauses at 1 and goes on from there
         sys = load_builtin("timer")
         enc = timer_enc()
         f = atom_of(sys, "cos(x) < 0")
         sw = monitor._Sweep.at(f, enc, 0.0)
         assert search_zero(f, enc, sw, 10.0, limit=1.0) is EMPTY
-        assert sw.lo < 1.0
+        assert sw.lo == 1.0
         tz = search_zero(f, enc, sw, 10.0)
-        assert tz == first_change(f, enc, 0.0, 10.0) and math.pi / 2 in tz
+        assert math.pi / 2 in tz and tz.lo >= 1.57 and tz.hi <= 1.58
+
+    def test_clipped_window_that_decides_nothing_waits(self):
+        # read up to 2, the first window is not monotone (d/dt cos x = 0
+        # at 0); it waits, neither halved nor counted, and the sweep later
+        # goes on as one that never stopped
+        sys = load_builtin("timer")
+        enc = timer_enc()
+        f = atom_of(sys, "cos(x) < 0")
+        sw = monitor._Sweep.at(f, enc, 0.0)
+        assert search_zero(f, enc, sw, 10.0, limit=2.0) is EMPTY
+        assert (sw.lo, sw.w, sw.iters) == (0.0, 10.0, 0)
+        assert search_zero(f, enc, sw, 10.0) == first_change(f, enc, 0.0, 10.0)
 
     def test_tangent_contact_raises(self):
         # at zero drift the rotation signal is (cos t, sin t); x2 - 1
@@ -470,10 +483,22 @@ class TestPrefixDecision:
         assert v.stats.horizon == 1.5
         assert len(v.sets) == 7 and formula_to_str(phi) in v.sets
 
-    def test_valid_rotation_needs_full_depth(self):
+    def test_valid_rotation_stops_short_of_full_depth(self):
+        # the fifth bracket, near t = 13.9, fixes the verdict: fewer steps
+        # than the 29 of an enclosure integrated to the depth 16.284
         v = rotation_verdict(Interval(0.0123))
+        full = SignalEnclosure(load_builtin("rotation"), u_box=IntervalBox([Interval(0.0123)]))
+        full.extend(16.284)
         assert v.outcome == VALID
-        assert v.stats.horizon >= 16.284
+        assert v.stats.horizon < 16.284
+        assert v.stats.integration_steps < len(full.steps)
+
+    def test_straddling_box_stops_at_its_failed_search(self):
+        # the only search fails near t = 1.5, where the roots of the box
+        # straddle; no later step can move it, so integration stops there
+        v = rotation_verdict(Interval(-1e-3, 1e-3))
+        assert (v.outcome, v.unknown_cause) == (UNKNOWN, "SearchZeroError")
+        assert v.stats.integration_steps <= 6
 
     def test_early_verdict_records_its_deciding_sets(self):
         # an Unsat fixed on a prefix records the over sets: the atom holds
@@ -488,51 +513,51 @@ class TestPrefixDecision:
         assert negated.s == Interval(v.stats.horizon) and negated.polarity
         assert consistent_at_init(v.sets[formula_to_str(phi)]) == UNSAT
 
-    def test_resumed_search_finds_the_uninterrupted_sets(self):
-        # an atom's sweep paused at a horizon and resumed later reads the
-        # windows, and finds the brackets, of a sweep that never paused
+    def test_enclosure_extended_before_the_run_gives_the_fresh_verdict(self):
+        # the searches read the steps already integrated one step end at a
+        # time, as they would while integrating.  A read that ends on a
+        # step end sees the next step's start box too once that step
+        # exists, so this equality can fail where such a read decides a
+        # window; on this drift none does
         sys = load_builtin("rotation")
-        f = atom_of(sys, "x2 - 1 < 0")
-        u = IntervalBox([Interval(0.0511, 0.0531)])
-        whole = SignalEnclosure(sys, u_box=u)
-        whole.extend(16.284)
-        once = monitor._AtomSearch(f, 16.284)
-        once.advance(whole, 16.284, math.inf, None)
-        staged_enc = SignalEnclosure(sys, u_box=u)
-        staged = monitor._AtomSearch(f, 16.284)
-        for stop in (3.0, 6.284, 10.0):
-            staged_enc.extend(16.284, stop)
-            staged.advance(staged_enc, 16.284, staged_enc.horizon_reached, None)
-            assert not staged.complete and staged.sweep.lo < staged_enc.horizon_reached
-        staged_enc.extend(16.284)
-        staged.advance(staged_enc, 16.284, math.inf, None)
-        assert once.complete and staged.complete
-        assert len(once.raw) > 4 and staged.raw == once.raw
+        phi = parse_formula(ROTATION_PROPERTY, sys.resolver(allow_params=False))
+        u = IntervalBox([Interval(0.0123)])
+        fresh = monitor_enclosure(SignalEnclosure(sys, u_box=u), phi, collect_sets=True)
+        assert fresh.outcome == VALID
+        for stop in (3.0, 10.0, 16.284):
+            enc = SignalEnclosure(sys, u_box=u)
+            enc.extend(16.284, stop)
+            early = monitor_enclosure(enc, phi, collect_sets=True)
+            assert (early.outcome, early.sets) == (fresh.outcome, fresh.sets)
+            assert early.stats.roots_certified == fresh.stats.roots_certified
 
-    def test_probe_leaves_the_committed_search(self):
+    def test_search_reads_up_to_the_horizon(self):
+        # after each step a search has certified its atom up to the
+        # horizon, or waits on a window that reaches past it; on this box
+        # it gets to the horizon after most steps
         sys = load_builtin("rotation")
         f = atom_of(sys, "x2 - 1 < 0")
         enc = SignalEnclosure(sys, u_box=IntervalBox([Interval(0.0511, 0.0531)]))
-        enc.extend(16.284, 10.0)
         search = monitor._AtomSearch(f, 16.284)
-        search.advance(enc, 16.284, 3.0, None)
-        sw = search.sweep
-        before = (list(search.raw), sw.lo, sw.s0, sw.w, sw.iters)
-        probe = search.probe(enc, None)
-        assert probe.sweep.lo > sw.lo and len(probe.raw) > len(search.raw)
-        assert search.sweep is sw
-        assert (search.raw, sw.lo, sw.s0, sw.w, sw.iters) == before
+        reached = 0
+        while enc.horizon_reached < 10.0:
+            enc.extend(16.284, math.nextafter(enc.horizon_reached, math.inf))
+            search.advance(enc, 16.284, enc.horizon_reached, None)
+            sw = search.sweep
+            assert sw.lo == enc.horizon_reached or sw.lo + sw.w > enc.horizon_reached
+            reached += sw.lo == enc.horizon_reached
+        assert reached >= 10 and len(search.raw) == 5 and not search.complete
 
-    def test_roots_certified_leaves_out_the_probes(self):
-        # the Valid drift's probes certify brackets that the committed
-        # search certifies again: each is counted once, as a bracket of
-        # the atom's set (which also holds the point [0])
+    def test_roots_certified_counts_the_brackets_of_the_set(self):
+        # each certified bracket is counted once, as a bracket of the
+        # atom's set (which also holds the point [0]); the fifth fixes
+        # the verdict
         sys = load_builtin("rotation")
         phi = parse_formula(ROTATION_PROPERTY, sys.resolver(allow_params=False))
         v = monitor_stl(sys, phi, u_box=IntervalBox([Interval(0.02429)]), collect_sets=True)
         assert v.outcome == VALID
         brackets = [b for b in v.sets["x2 - 1 < 0"].elems if not b.s.is_point()]
-        assert v.stats.roots_certified == len(brackets) == 6
+        assert v.stats.roots_certified == len(brackets) == 5
 
 
 class TestPropagateBounds:

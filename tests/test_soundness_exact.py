@@ -25,7 +25,10 @@ A decided verdict that contradicts the truth fails, and so does any
 exception or Unknown cause outside the documented ones.  Unknown passes;
 its rate per cause is printed, and so is the count per cause of the
 Unknowns whose truth is decidable (not mixed), and the cases and the
-decided verdicts per shape (model, and operators or join).  The test
+decided verdicts per shape (model, and operators or join).  So is the
+free-root count: of the decidable cases none of whose chains has its
+root placed on a summed bound (placed), how many end Unknown; a root
+placed there turns on f = 0 exactly, a free one does not.  The test
 runs a fixed seeded slice; for longer campaigns over a range of seeds run
 
     PYTHONPATH=src python tests/test_soundness_exact.py --seeds 1-20 --cases 3000
@@ -34,6 +37,7 @@ runs a fixed seeded slice; for longer campaigns over a range of seeds run
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import random
 import time
@@ -245,6 +249,18 @@ def punctual(case) -> bool:
     return any(lo == hi for chain in chain_cases(case) for _, lo, hi in chain["ops"])
 
 
+def placed(case) -> bool:
+    """Whether a chain of case has its root placed on a summed bound:
+    a = x(t) for an end of c, at a t that sums the lower or the upper
+    bound of each of the chain's operators."""
+    for chain in chain_cases(case):
+        for bounds in itertools.product(*((lo, hi) for _, lo, hi in chain["ops"])):
+            t = sum(bounds)
+            if any(chain["a"] == _x_at(chain, c, t) for c in (case["c_lo"], case["c_hi"])):
+                return True
+    return False
+
+
 def shape(case) -> str:
     """The model and the operators of a single chain, or the join:
     linear 2-op, quadratic |."""
@@ -267,9 +283,11 @@ def run_campaign(seed: int, n: int) -> dict:
     """Monitor the seed's cases (draw_cases); return the wrong verdicts,
     the exceptions and undocumented causes, the counts of outcomes and
     causes, the causes of the Unknowns whose truth is decidable (not
-    mixed), and the cases and decided verdicts per shape."""
+    mixed), the decidable cases whose root is not placed (placed) and
+    how many of them end Unknown, and the cases and decided verdicts per
+    shape."""
     wrong, errors = [], []
-    outcomes, causes, missed = Counter(), Counter(), Counter()
+    outcomes, causes, missed, free = Counter(), Counter(), Counter(), Counter()
     shapes, decided = Counter(), Counter()
     for case in draw_cases(seed, n):
         model, formula = model_text(case), formula_text(case)
@@ -283,6 +301,9 @@ def run_campaign(seed: int, n: int) -> dict:
             errors.append(f"{label}: {type(exc).__name__}: {exc}")
             continue
         outcomes[v.outcome] += 1
+        if want != MIXED and not placed(case):
+            free["decidable"] += 1
+            free["unknown"] += v.outcome == UNKNOWN
         shapes[shape(case)] += 1
         decided[shape(case)] += v.outcome != UNKNOWN
         if v.outcome == UNKNOWN:
@@ -295,7 +316,7 @@ def run_campaign(seed: int, n: int) -> dict:
             wrong.append(f"{label}: {v.outcome}, truth {want}"
                          f"{' (punctual)' if punctual(case) else ''}")
     return {"wrong": wrong, "errors": errors, "outcomes": outcomes, "causes": causes,
-            "missed": missed, "shapes": shapes, "decided": decided}
+            "missed": missed, "free": free, "shapes": shapes, "decided": decided}
 
 
 def summary(result: dict) -> str:
@@ -306,7 +327,8 @@ def summary(result: dict) -> str:
                        for k, v in sorted(result["shapes"].items()))
     return (f"{n} cases: {dict(result['outcomes'])}; Unknown by cause: {rates or 'none'}; "
             f"Unknown with a decidable truth: {sum(result['missed'].values())} "
-            f"({missed or 'none'}); per shape: {shapes}; "
+            f"({missed or 'none'}); free-root Unknowns: {result['free']['unknown']} "
+            f"of {result['free']['decidable']} decidable; per shape: {shapes}; "
             f"{len(result['wrong'])} wrong, {len(result['errors'])} errors")
 
 
@@ -347,6 +369,22 @@ def test_truth_of_joined_chains():
         "(F[0,1] (x - 0.5 < 0)) & (G[0,1] (x - 0.5 < 0))")
     assert shape({**timer, "join": "&"}) == "linear &"
     assert shape(chain_cases({**timer, "join": "&"})[1]) == "linear 1-op"
+
+
+def test_placed_roots_sit_on_a_summed_bound():
+    # x(t) = t: x - 1 < 0 under F[0,1] has its root on the upper bound,
+    # x - 0.5 < 0 on no sum of bounds; nested, 0.7 + 1.5 = 2.2 is a sum
+    half, one = Fraction(1, 2), Fraction(1)
+    timer = {"model": "linear", "x0": Fraction(0), "y0": Fraction(0),
+             "c_lo": one, "c_hi": one, "negated": False}
+    on_bound = {"a": one, "ops": [("F", 0, one)]}
+    free = {"a": half, "ops": [("F", 0, one)]}
+    assert placed({**timer, **on_bound})
+    assert not placed({**timer, **free})
+    assert placed({**timer, "a": Fraction(22, 10),
+                   "ops": [("G", 0, Fraction(7, 10)), ("F", Fraction(3, 2), 2)]})
+    assert placed({**timer, "chains": [free, on_bound], "join": "|"})
+    assert not placed({**timer, "chains": [free, free], "join": "&"})
 
 
 def test_joined_chains_share_one_polarity_over_an_interval():

@@ -187,7 +187,7 @@ class TestRoundTrip:
 
 class TestWindowEnds:
     """The times at which a window closes on an atom, read from time 0:
-    where the monitor's integration chunks end."""
+    the monitor reads the verdict when the horizon passes one."""
 
     def test_sums_of_one_bound_per_until(self):
         phi = parse("G[0,10] F[0,6.284] !(x2 - 1 < 0)")
