@@ -3,8 +3,11 @@
  * Each product or quotient bound comes from the one corner that the operand
  * signs select, rounded one way by the sign of its exact error term.  A
  * function-for-function mirror of _pure.py, which documents the method;
- * keep the two in sync.  Plain CPython C API, built by setup.py as an
- * optional extension (or by hand: gcc -O3 -shared -fPIC -I<python include>).
+ * keep the two in sync, refusals included: the KERNEL wrapper raises
+ * ZeroDivisionError for a kdiv divisor containing 0 and NumericError for
+ * a result that is not an ordered pair.  Plain CPython C API, built by
+ * setup.py as an optional extension (or by hand: gcc -O3 -shared -fPIC
+ * -I<python include>).
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -119,7 +122,7 @@ static double quot_up(double a, double b)
 
 static void kdiv(double al, double ah, double bl, double bh, double *lo, double *hi)
 {
-    /* caller guarantees 0 not in [bl, bh] */
+    /* py_kdiv refuses a divisor containing 0 before it gets here */
     if (bl == 1.0 && bh == 1.0) { *lo = al; *hi = ah; }
     else if (bl > 0.0) {
         if (al >= 0.0) { *lo = quot_down(al, bh); *hi = quot_up(ah, bl); }
@@ -150,7 +153,9 @@ static PyObject *pair(double lo, double hi)
     return t;
 }
 
-#define KERNEL(name)                                                                   \
+static PyObject *NumericError; /* stlmon.errors.NumericError */
+
+#define KERNEL(name, divides)                                                          \
     static PyObject *py_##name(PyObject *mod, PyObject *const *args, Py_ssize_t nargs) \
     {                                                                                  \
         double v[4], lo, hi;                                                           \
@@ -159,14 +164,22 @@ static PyObject *pair(double lo, double hi)
                                 #name "() takes 4 arguments (%zd given)", nargs);      \
         for (int i = 0; i < 4; i++)                                                    \
             if ((v[i] = as_double(args[i])) == -1.0 && PyErr_Occurred()) return NULL;  \
+        if (divides && v[2] <= 0.0 && 0.0 <= v[3])                                     \
+            return PyErr_Format(PyExc_ZeroDivisionError,                               \
+                "division by zero-containing interval [%R, %R]", args[2], args[3]);    \
         name(v[0], v[1], v[2], v[3], &lo, &hi);                                        \
-        return pair(lo, hi);                                                           \
+        PyObject *t = pair(lo, hi);                                                    \
+        if (t != NULL && !(lo <= hi)) {                                                \
+            PyErr_Format(NumericError, "kernel result %R is not an ordered pair", t);  \
+            Py_CLEAR(t);                                                               \
+        }                                                                              \
+        return t;                                                                      \
     }
 
-KERNEL(kadd)
-KERNEL(ksub)
-KERNEL(kmul)
-KERNEL(kdiv)
+KERNEL(kadd, 0)
+KERNEL(ksub, 0)
+KERNEL(kmul, 0)
+KERNEL(kdiv, 1)
 
 #define FASTCALL(name) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
 
@@ -184,7 +197,11 @@ static struct PyModuleDef module = {
 
 PyMODINIT_FUNC PyInit__fast(void)
 {
-    PyObject *m = PyModule_Create(&module);
+    PyObject *errors = PyImport_ImportModule("stlmon.errors"), *m = NULL;
+    if (errors == NULL) return NULL;
+    Py_XSETREF(NumericError, PyObject_GetAttrString(errors, "NumericError"));
+    Py_DECREF(errors);
+    if (NumericError != NULL) m = PyModule_Create(&module);
     if (m != NULL && PyModule_AddStringConstant(m, "BACKEND", "c") < 0) Py_CLEAR(m);
     return m;
 }

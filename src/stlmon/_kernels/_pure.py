@@ -16,13 +16,18 @@ elsewhere a bound moved one ulp outward is a plain math.nextafter.
   underflow (an operand above ~1.3e300, a result outside [1e-290, 1e290],
   a numerator below 1e-290) is moved one ulp outward instead.
 
-Containment is axiomatic for all callers.
+Containment is axiomatic for all callers, and no caller checks a result:
+each kernel raises NumericError for a result that is not an ordered pair
+(a NaN bound, as in 0 * inf or inf - inf), and kdiv ZeroDivisionError for
+a divisor [bl, bh] with bl <= 0 <= bh.
 
 The hand-written C lane in ``_fast.c`` mirrors this module function for
 function; keep the two in sync.
 """
 
 from math import inf as _INF, nan as _NAN, nextafter
+
+from ..errors import NumericError
 
 _NINF = -_INF
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp split constant
@@ -32,6 +37,10 @@ _TINY = 1e-290
 BACKEND = "pure"
 
 
+def _refuse(lo: float, hi: float):
+    raise NumericError(f"kernel result {(lo, hi)!r} is not an ordered pair")
+
+
 def kadd(al: float, ah: float, bl: float, bh: float):
     lo = al + bl
     if lo - al != bl or lo - bl != al:
@@ -39,7 +48,7 @@ def kadd(al: float, ah: float, bl: float, bh: float):
     hi = ah + bh
     if hi - ah != bh or hi - bh != ah:
         hi = nextafter(hi, _INF)
-    return lo, hi
+    return (lo, hi) if lo <= hi else _refuse(lo, hi)
 
 
 def ksub(al: float, ah: float, bl: float, bh: float):
@@ -49,7 +58,7 @@ def ksub(al: float, ah: float, bl: float, bh: float):
     hi = ah - bl
     if hi + bl != ah or ah - hi != bl:
         hi = nextafter(hi, _INF)
-    return lo, hi
+    return (lo, hi) if lo <= hi else _refuse(lo, hi)
 
 
 def _prod_down(x: float, y: float) -> float:
@@ -92,29 +101,33 @@ def _prod_up(x: float, y: float) -> float:
 
 def kmul(al: float, ah: float, bl: float, bh: float):
     if (al == 0.0 and ah == 0.0) or (bl == 0.0 and bh == 0.0):
-        return 0.0, 0.0
-    if al == 1.0 and ah == 1.0:
-        return bl, bh
-    if bl == 1.0 and bh == 1.0:
-        return al, ah
-    if al >= 0.0:
+        lo = hi = 0.0
+    elif al == 1.0 and ah == 1.0:
+        lo, hi = bl, bh
+    elif bl == 1.0 and bh == 1.0:
+        lo, hi = al, ah
+    elif al >= 0.0:
         if bl >= 0.0:
-            return _prod_down(al, bl), _prod_up(ah, bh)
-        if bh <= 0.0:
-            return _prod_down(ah, bl), _prod_up(al, bh)
-        return _prod_down(ah, bl), _prod_up(ah, bh)
-    if ah <= 0.0:
+            lo, hi = _prod_down(al, bl), _prod_up(ah, bh)
+        elif bh <= 0.0:
+            lo, hi = _prod_down(ah, bl), _prod_up(al, bh)
+        else:
+            lo, hi = _prod_down(ah, bl), _prod_up(ah, bh)
+    elif ah <= 0.0:
         if bl >= 0.0:
-            return _prod_down(al, bh), _prod_up(ah, bl)
-        if bh <= 0.0:
-            return _prod_down(ah, bh), _prod_up(al, bl)
-        return _prod_down(al, bh), _prod_up(al, bl)
-    if bl >= 0.0:
-        return _prod_down(al, bh), _prod_up(ah, bh)
-    if bh <= 0.0:
-        return _prod_down(ah, bl), _prod_up(al, bl)
-    return (min(_prod_down(al, bh), _prod_down(ah, bl)),
-            max(_prod_up(al, bl), _prod_up(ah, bh)))
+            lo, hi = _prod_down(al, bh), _prod_up(ah, bl)
+        elif bh <= 0.0:
+            lo, hi = _prod_down(ah, bh), _prod_up(al, bl)
+        else:
+            lo, hi = _prod_down(al, bh), _prod_up(al, bl)
+    elif bl >= 0.0:
+        lo, hi = _prod_down(al, bh), _prod_up(ah, bh)
+    elif bh <= 0.0:
+        lo, hi = _prod_down(ah, bl), _prod_up(al, bl)
+    else:
+        lo = min(_prod_down(al, bh), _prod_down(ah, bl))
+        hi = max(_prod_up(al, bl), _prod_up(ah, bh))
+    return (lo, hi) if lo <= hi else _refuse(lo, hi)
 
 
 def _quot_rem(a: float, b: float, q: float) -> float:
@@ -157,17 +170,21 @@ def _quot_up(a: float, b: float) -> float:
 
 
 def kdiv(al: float, ah: float, bl: float, bh: float):
-    # caller guarantees 0 not in [bl, bh]
+    if bl <= 0.0 <= bh:
+        raise ZeroDivisionError(f"division by zero-containing interval [{bl!r}, {bh!r}]")
     if bl == 1.0 and bh == 1.0:
-        return al, ah
-    if bl > 0.0:
+        lo, hi = al, ah
+    elif bl > 0.0:
         if al >= 0.0:
-            return _quot_down(al, bh), _quot_up(ah, bl)
-        if ah <= 0.0:
-            return _quot_down(al, bl), _quot_up(ah, bh)
-        return _quot_down(al, bl), _quot_up(ah, bl)
-    if al >= 0.0:
-        return _quot_down(ah, bh), _quot_up(al, bl)
-    if ah <= 0.0:
-        return _quot_down(ah, bl), _quot_up(al, bh)
-    return _quot_down(ah, bh), _quot_up(al, bh)
+            lo, hi = _quot_down(al, bh), _quot_up(ah, bl)
+        elif ah <= 0.0:
+            lo, hi = _quot_down(al, bl), _quot_up(ah, bh)
+        else:
+            lo, hi = _quot_down(al, bl), _quot_up(ah, bl)
+    elif al >= 0.0:
+        lo, hi = _quot_down(ah, bh), _quot_up(al, bl)
+    elif ah <= 0.0:
+        lo, hi = _quot_down(ah, bl), _quot_up(al, bh)
+    else:
+        lo, hi = _quot_down(ah, bh), _quot_up(al, bh)
+    return (lo, hi) if lo <= hi else _refuse(lo, hi)

@@ -13,10 +13,6 @@ class StlmonError(Exception):
 class IntegrationError(StlmonError):
     """Validated integration could not certify a step (blow-up or step size underflow)."""
 
-    def __init__(self, message: str, horizon_reached: float = 0.0):
-        super().__init__(message)
-        self.horizon_reached = horizon_reached
-
 
 class TangencyError(StlmonError):
     """Root certification failed: derivative straddles zero or contraction stalled."""

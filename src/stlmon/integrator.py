@@ -41,9 +41,9 @@ The frame Q is formed in floats by two-pass Gram-Schmidt and is only
 nearly orthonormal; the method stays rigorous because r is mapped
 through an interval enclosure of Q^-1, bounded by a Neumann series on
 I - Q^T Q.  The frame products, the Horner sums and the dense output
-run the kernels on (lo, hi) float pairs, each result checked for a NaN
-bound; Intervals hold the step models and the boxes handed to the
-Taylor tape.
+run the kernels on (lo, hi) float pairs, which the kernels refuse to
+leave with a NaN bound; Intervals hold the step models and the boxes
+handed to the Taylor tape.
 
 Parameters whose run box is a point are folded into the flow as
 constants (a point interval is one float, so this is exact).  The
@@ -65,7 +65,7 @@ from operator import attrgetter
 from ._kernels import kadd, kdiv, kmul, ksub
 from .errors import IntegrationError, NumericError
 from .expr import Const, Expr, Param, substitute_params
-from .interval import EMPTY, Interval, IntervalBox, checked, inflate, midpoint
+from .interval import EMPTY, Interval, IntervalBox, inflate, midpoint
 from .node import Node
 from .system import ContinuousSystem
 from .taylor import (
@@ -113,10 +113,10 @@ def _imat_mat(A, B):
 
 
 def _dot(row, col):
-    lo, hi = checked(kmul(*row[0], *col[0]))
+    lo, hi = kmul(*row[0], *col[0])
     for (al, ah), (bl, bh) in zip(row[1:], col[1:]):
-        pl, ph = checked(kmul(al, ah, bl, bh))
-        lo, hi = checked(kadd(lo, hi, pl, ph))
+        pl, ph = kmul(al, ah, bl, bh)
+        lo, hi = kadd(lo, hi, pl, ph)
     return lo, hi
 
 
@@ -153,8 +153,8 @@ def _horner(cols, s):
     for c in reversed(cols[:-1]):
         prev, acc = acc, []
         for (al, ah), (xl, xh) in zip(prev, c):
-            pl, ph = checked(kmul(al, ah, sl, sh))
-            acc.append(checked(kadd(pl, ph, xl, xh)))
+            pl, ph = kmul(al, ah, sl, sh)
+            acc.append(kadd(pl, ph, xl, xh))
     return acc
 
 
@@ -192,8 +192,7 @@ class StepModel:
             # intersection means an enclosure is unsound
             if lo > hi:
                 raise IntegrationError(
-                    f"dense output and apriori box disagree on the step at t={self.t0:.6g}",
-                    horizon_reached=self.t0,
+                    f"dense output and apriori box disagree on the step at t={self.t0:.6g}"
                 )
             out.append((lo, hi))
         return out
@@ -250,7 +249,7 @@ class SignalEnclosure:
         self._B = [[float(r == c) for c in range(self.d)] for r in range(self.d)]
         try:
             self._zhat = [Interval(v.mid()) for v in z0]
-            self._r = [checked(ksub(v.lo, v.hi, z.lo, z.hi)) for v, z in zip(z0, self._zhat)]
+            self._r = [ksub(v.lo, v.hi, z.lo, z.hi) for v, z in zip(z0, self._zhat)]
         except (ArithmeticError, NumericError) as exc:
             # an unbounded initial box has no frame; extend() reports it
             self.failure = exc
@@ -292,9 +291,7 @@ class SignalEnclosure:
         dev = _imat_vec(_lift(self._B), self._r)
         zbox = self._current_box(dev)
         if not self._in_domain(zbox):
-            raise IntegrationError(
-                f"enclosure left the state domain at t={t0:.6g}", horizon_reached=t0
-            )
+            raise IntegrationError(f"enclosure left the state domain at t={t0:.6g}")
 
         point = state_series(self._prog, list(self._zhat), k, interval_const)
         h = self._choose_h(point, t0, target_time)
@@ -313,9 +310,7 @@ class SignalEnclosure:
                 break
             h *= 0.5
             if h < _T_MIN:
-                raise IntegrationError(
-                    f"step size underflow at t={t0:.6g}: {found}", horizon_reached=t0
-                )
+                raise IntegrationError(f"step size underflow at t={t0:.6g}: {found}")
 
         coeffs = []
         for i in range(m + 1):
@@ -381,8 +376,7 @@ class SignalEnclosure:
         # arithmetic reports that as a NumericError
         if 0.0 < h < _T_MIN:
             raise IntegrationError(
-                f"step size underflow at t={t0:.6g}: accuracy estimate {h:.3g}",
-                horizon_reached=t0,
+                f"step size underflow at t={t0:.6g}: accuracy estimate {h:.3g}"
             )
         remaining = target_time - t0
         # the budget reads the accuracy estimate, not the growth cap that
@@ -391,7 +385,7 @@ class SignalEnclosure:
         if estimate > 0.0 and (left <= 0 or remaining > left * estimate):
             raise IntegrationError(
                 f"step budget of {_MAX_STEPS} exceeded at t={t0:.6g}: steps of "
-                f"{estimate:.3g} to reach t={target_time:.6g}", horizon_reached=t0,
+                f"{estimate:.3g} to reach t={target_time:.6g}"
             )
         if not math.isfinite(h):
             h = remaining
@@ -419,7 +413,7 @@ class SignalEnclosure:
         remainder = [tail[j][k + 1] for j in range(n)]
         if max(abs(x) for r in remainder for x in r) * sk1.hi > self.cfg.tol:
             return "Lagrange remainder above tol"
-        box = [Interval(*kadd(*p, *checked(kmul(*r, sk1.lo, sk1.hi))))
+        box = [Interval(*kadd(*p, *kmul(*r, sk1.lo, sk1.hi)))
                for p, r in zip(poly, remainder)]
         if not all(trial[j].contains_interval(box[j]) for j in range(n)):
             return "trial box does not contain its enclosure"
@@ -438,7 +432,7 @@ class SignalEnclosure:
                         + [[jets[j][i][0] for j in range(d)] for i in range(m + 1, k + 1)],
                         span)
         # parameter rows have no remainder: their series is the constant
-        p_end = [checked(kadd(*p, *checked(kmul(*r, sk1.lo, sk1.hi))))
+        p_end = [kadd(*p, *kmul(*r, sk1.lo, sk1.hi))
                  for p, r in zip(p_end, remainder)] + p_end[self.n:]
 
         # the d x d rows flattened into one vector per order
@@ -450,7 +444,7 @@ class SignalEnclosure:
 
         A = _imat_mat(S, _lift(self._B))
         zhat_new = [Interval(midpoint(*p)) for p in p_end]
-        delta = [checked(ksub(*p, z.lo, z.hi)) for p, z in zip(p_end, zhat_new)]
+        delta = [ksub(*p, z.lo, z.hi) for p, z in zip(p_end, zhat_new)]
 
         Q = _gram_schmidt([[midpoint(*a) for a in row] for row in A])
         Qinv = self._rigorous_inverse(Q)
@@ -458,7 +452,7 @@ class SignalEnclosure:
             Q = [[float(r == c) for c in range(d)] for r in range(d)]
             Qinv = _lift(Q)
         self._r = [
-            checked(kadd(*a, *b))
+            kadd(*a, *b)
             for a, b in zip(
                 _imat_vec(_imat_mat(Qinv, A), self._r), _imat_vec(Qinv, delta)
             )
@@ -480,7 +474,7 @@ class SignalEnclosure:
         Qt = [[Qi[c][r] for c in range(d)] for r in range(d)]
         eye = _lift([[float(r == c) for c in range(d)] for r in range(d)])
         E = [
-            [checked(ksub(*i, *e)) for i, e in zip(*rows)]
+            [ksub(*i, *e) for i, e in zip(*rows)]
             for rows in zip(eye, _imat_mat(Qt, Qi))
         ]
         eps = 0.0
@@ -488,14 +482,14 @@ class SignalEnclosure:
             lo = hi = 0.0
             for e in row:
                 m = max(map(abs, e))
-                lo, hi = checked(kadd(lo, hi, m, m))
+                lo, hi = kadd(lo, hi, m, m)
             eps = max(eps, hi)
         if eps >= 0.5:
             return None
-        sq, gap = checked(kmul(eps, eps, eps, eps)), checked(ksub(1.0, 1.0, eps, eps))
-        g = checked(kdiv(*sq, *gap))[1]
+        sq, gap = kmul(eps, eps, eps, eps), ksub(1.0, 1.0, eps, eps)
+        g = kdiv(*sq, *gap)[1]
         M = [
-            [checked(kadd(*checked(kadd(*i, *e)), -g, g)) for i, e in zip(*rows)]
+            [kadd(*kadd(*i, *e), -g, g) for i, e in zip(*rows)]
             for rows in zip(eye, E)
         ]
         return _imat_mat(M, Qt)
@@ -535,10 +529,7 @@ class SignalEnclosure:
                     Interval(0.0, (Interval(step.t1) - Interval(step.t0)).hi)
                 )
                 if s is EMPTY:
-                    raise IntegrationError(
-                        f"query {t} misses the step [{step.t0}, {step.t1}]",
-                        horizon_reached=self.horizon_reached,
-                    )
+                    raise IntegrationError(f"query {t} misses the step [{step.t0}, {step.t1}]")
                 vals = step.eval_local(s)
             acc = vals if acc is None else [(min(a[0], v[0]), max(a[1], v[1]))
                                             for a, v in zip(acc, vals)]

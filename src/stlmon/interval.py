@@ -3,7 +3,8 @@
 Bounds are binary64 floats with lo <= hi.  The empty interval is the
 dedicated sentinel ``EMPTY`` (never encoded as lo > hi or NaN).  All
 arithmetic goes through the selected kernel backend, so containment holds
-for every operation: for x in a and y in b, x op y lies in a op b.
+for every operation: for x in a and y in b, x op y lies in a op b.  A NaN
+bound raises NumericError, a divisor containing zero ZeroDivisionError.
 """
 
 from __future__ import annotations
@@ -119,8 +120,6 @@ class Interval:
         return Interval(*kmul(self.lo, self.hi, other.lo, other.hi))
 
     def __truediv__(self, other: "Interval") -> "Interval":
-        if other.lo <= 0.0 <= other.hi:
-            raise ZeroDivisionError(f"division by zero-containing interval {other}")
         return Interval(*kdiv(self.lo, self.hi, other.lo, other.hi))
 
     def powi(self, n: int) -> "Interval":
@@ -274,13 +273,6 @@ def rational_enclosure(q: Fraction) -> Interval:
     if d > 0:
         return Interval(math.nextafter(x, -math.inf), x)
     return Interval(x, math.nextafter(x, math.inf))
-
-
-def checked(p: tuple) -> tuple:
-    """A kernel's (lo, hi) result; as in Interval(), a NaN bound fails."""
-    if p[0] <= p[1]:
-        return p
-    raise NumericError(f"NaN interval bound [{p[0]}, {p[1]}]")
 
 
 def newton_step(

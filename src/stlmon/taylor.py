@@ -36,37 +36,24 @@ coefficient Jacobian); a jet power is its factors' product at order 0
 too.  A jet run may drop the gradient above an order its algebra's
 settled rule accepts and go on with pairs, which keeps every value.
 Intervals are the boxes the runners take and what eval_box and
-lie_derivative return; state_series returns the elements.  Each op output
-is checked once: a NaN bound raises NumericError, as Interval() does.
+lie_derivative return; state_series returns the elements.  No op checks
+its output: the kernels refuse a NaN bound (NumericError) and a divisor
+containing zero (ZeroDivisionError) themselves.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from operator import le
 
 from ._kernels import kadd, kdiv, kmul, ksub
 from .expr import Add, Const, Cos, Div, Exp, Expr, Mul, Neg, Param, Pow, Sin, Sub, Var
-from .interval import Interval, checked
+from .interval import Interval
 from .node import Node
 
 __all__ = [
     "TaylorProgram", "compile_flow", "eval_box", "state_series", "lie_derivative",
     "interval_const", "JetAlgebra",
 ]
-
-
-def _checked_lists(lo: list, hi: list) -> tuple:
-    if not all(map(le, lo, hi)):
-        for p in zip(lo, hi):
-            checked(p)
-    return lo, hi
-
-
-def _divisor(y: tuple) -> tuple:
-    if y[0] <= 0.0 <= y[1]:
-        raise ZeroDivisionError(f"division by zero-containing interval {Interval(*y)}")
-    return y
 
 
 class _Pairs:
@@ -80,16 +67,16 @@ class _Pairs:
 
     def apply(self, kern, x, y):
         """The sum or difference kernel kern over x and y."""
-        return checked(kern(*x, *y))
+        return kern(*x, *y)
 
     def neg(self, x):
         return -x[1], -x[0]
 
     def mul(self, x, y):
-        return checked(kmul(*x, *y))
+        return kmul(*x, *y)
 
     def div(self, x, y):
-        return checked(kdiv(*x, *_divisor(y)))
+        return kdiv(*x, *y)
 
     def conv(self, a: list, b: list, i: int):
         """a[0]*b[i] + a[1]*b[i-1] + ... + a[i]*b[0], left to right."""
@@ -97,7 +84,7 @@ class _Pairs:
         for (al, ah), (bl, bh) in zip(a[1:i + 1], b[i - 1::-1]):
             pl, ph = kmul(al, ah, bl, bh)
             lo, hi = kadd(lo, hi, pl, ph)
-        return checked((lo, hi))
+        return lo, hi
 
     def power(self, base: list, n: int, a: list, b: list, i: int):
         return self.conv(a, b, i) if i else self.chain(base[0], lambda u: u.powi(n))
@@ -136,12 +123,12 @@ class JetAlgebra:
     def apply(self, kern, x, y):
         """The sum or difference kernel kern over x and y, componentwise."""
         p = list(map(kern, *x, *y))
-        return _checked_lists([q[0] for q in p], [q[1] for q in p])
+        return [q[0] for q in p], [q[1] for q in p]
 
     def neg(self, x):
         return [-h for h in x[1]], [-lo for lo in x[0]]
 
-    def _product(self, x, y) -> tuple:
+    def mul(self, x, y):
         (xl, xh), (yl, yh) = x, y
         vl, vh, wl, wh = xl[0], xh[0], yl[0], yh[0]
         lo, hi = kmul(vl, vh, wl, wh)
@@ -154,12 +141,9 @@ class JetAlgebra:
             hi.append(gh)
         return lo, hi
 
-    def mul(self, x, y):
-        return _checked_lists(*self._product(x, y))
-
     def conv(self, a: list, b: list, i: int):
         """a[0]*b[i] + ... + a[i]*b[0], each product summed in place."""
-        lo, hi = self._product(a[0], b[i])
+        lo, hi = self.mul(a[0], b[i])
         for (xl, xh), (yl, yh) in zip(a[1:i + 1], b[i - 1::-1]):
             vl, vh, wl, wh = xl[0], xh[0], yl[0], yh[0]
             pl, ph = kmul(vl, vh, wl, wh)
@@ -169,15 +153,15 @@ class JetAlgebra:
                 tl, th = kmul(wl, wh, xl[k], xh[k])
                 gl, gh = kadd(ul, uh, tl, th)
                 lo[k], hi[k] = kadd(lo[k], hi[k], gl, gh)
-        return _checked_lists(lo, hi)
+        return lo, hi
 
     def div(self, x, y):
         (xl, xh), (yl, yh) = x, y
-        b = _divisor((yl[0], yh[0]))
+        b = yl[0], yh[0]
         w = kdiv(xl[0], xh[0], *b)
         p = [w] + [kdiv(*ksub(xl[k], xh[k], *kmul(*w, yl[k], yh[k])), *b)
                    for k in self.grad]
-        return _checked_lists([q[0] for q in p], [q[1] for q in p])
+        return [q[0] for q in p], [q[1] for q in p]
 
     def power(self, base: list, n: int, a: list, b: list, i: int):
         # every order convolves x^n's two factors, order 0 included
@@ -191,7 +175,7 @@ class JetAlgebra:
         p = [kmul(dv.lo, dv.hi, x[0][k], x[1][k]) for k in self.grad]
         if negate:
             p = [(-h, -lo) for lo, h in p]
-        return _checked_lists([v.lo] + [q[0] for q in p], [v.hi] + [q[1] for q in p])
+        return [v.lo] + [q[0] for q in p], [v.hi] + [q[1] for q in p]
 
 
 # tape op kinds; each op writes coefficient i of its output slot(s)

@@ -42,12 +42,18 @@ class TestArith:
     def test_division_by_zero_interval_rejected(self):
         with pytest.raises(ZeroDivisionError):
             Interval(1, 2) / Interval(-1, 1)
+        # a signed zero bound counts as zero: kdiv itself refuses it
+        with pytest.raises(ZeroDivisionError):
+            Interval(1) / Interval(-0.0, 1.0)
 
     def test_nan_bound_is_a_numeric_error(self):
         with pytest.raises(NumericError):
             Interval(math.nan, 1.0)
         with pytest.raises(NumericError):
             Interval(math.inf) - Interval(math.inf)
+        # 0 * inf: kmul refuses the NaN corner before any Interval is built
+        with pytest.raises(NumericError):
+            Interval(0, 1) * Interval(math.inf)
         # out-of-order bounds stay a plain ValueError
         with pytest.raises(ValueError) as exc:
             Interval(2.0, 1.0)
@@ -431,46 +437,80 @@ class TestKernelLanes:
                 got = getattr(lane, name)(x, x, y, y)
                 assert got == _directed(exact(Fraction(x), Fraction(y))), (name, x, y)
 
+    @pytest.mark.parametrize("name, a, b, exc", [
+        ("kadd", (math.inf, math.inf), (-math.inf, -math.inf), NumericError),
+        ("ksub", (math.inf, math.inf), (math.inf, math.inf), NumericError),
+        ("kmul", (0.0, 1.0), (math.inf, math.inf), NumericError),
+        ("kdiv", (math.inf, math.inf), (math.inf, math.inf), NumericError),
+        ("kdiv", (1.0, 1.0), (-0.0, 1.0), ZeroDivisionError),
+        ("kdiv", (1.0, 1.0), (0.0, 1.0), ZeroDivisionError),
+        ("kdiv", (1.0, 1.0), (-1.0, 0.0), ZeroDivisionError),
+    ])
+    def test_kernels_refuse_what_they_cannot_bound(self, lane, name, a, b, exc):
+        # a NaN bound and a divisor containing 0 are refused by the kernel
+        # itself, so no caller has to check its result
+        with pytest.raises(exc):
+            getattr(lane, name)(*a, *b)
+
     def test_sum_and_product_commute_bit_for_bit(self, lane):
         # the tape computes x*c as c*x, so swapping the operands of kadd
-        # or kmul must not change a bit, signed zeros included
+        # or kmul must not change a bit, signed zeros included, nor
+        # whether the kernel refuses
         special = [(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (1.0, 1.0), (-1.0, -1.0),
                    (5e-324, 5e-324), (-5e-324, 2e-308), (-math.inf, math.inf),
                    (math.inf, math.inf), (-math.inf, -1.5), (2.5, math.inf)]
         rng = random.Random(20261019)
-
-        def bits(pair):
-            return tuple("nan" if v != v else struct.pack("<d", v) for v in pair)
 
         def operand():
             if rng.random() < 0.2:
                 return rng.choice(special)
             return _operand(rng, rng.choice("+-0"))
 
-        bad = []
+        bad, calls, refused = [], 0, 0
         for _ in range(10_000):
             a, b = operand(), operand()
             for name in ("kadd", "kmul"):
                 kern = getattr(lane, name)
-                if bits(kern(*a, *b)) != bits(kern(*b, *a)):
+                got = _outcome(kern, *a, *b)
+                calls += 1
+                refused += isinstance(got, type)
+                if got != _outcome(kern, *b, *a):
                     bad.append((name, a, b))
-        assert not bad, f"{len(bad)} pairs differ, e.g. {bad[:3]}"
+        assert not bad, f"{len(bad)} of {calls} pairs differ, e.g. {bad[:3]}"
+        # both outcomes occur: 0 * inf and inf - inf among the specials
+        assert 0 < refused < calls, (refused, calls)
 
     def test_c_lane_matches_pure_bit_for_bit(self, c_lane, c_lane_native):
         special = [0.0, -0.0, 1.0, -1.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf]
         rng = random.Random(11)
 
-        def bits(pair):
-            return tuple("nan" if v != v else struct.pack("<d", v) for v in pair)
-
         for build in (c_lane, c_lane_native):
             assert build.BACKEND == "c"
+        bad, calls, refused = [], 0, 0
         for _ in range(20_000):
             quad = [rng.choice(special) if rng.random() < 0.2 else _random_double(rng)
                     for _ in range(4)]
-            for build in (c_lane, c_lane_native):
-                for name in _EXACT:
-                    if name == "kdiv" and 0.0 in quad[2:]:
-                        continue  # pure Python raises; callers never divide by zero
-                    assert bits(getattr(build, name)(*quad)) == bits(getattr(_pure, name)(*quad)), \
-                        (name, quad)
+            for name in _EXACT:
+                if name == "kdiv" and 0.0 in quad[2:] and not quad[2] <= quad[3]:
+                    # Python's float division raises on a zero bound of an
+                    # unordered divisor, which no caller passes
+                    continue
+                want = _outcome(getattr(_pure, name), *quad)
+                calls += 1
+                refused += isinstance(want, type)
+                for build in (c_lane, c_lane_native):
+                    if _outcome(getattr(build, name), *quad) != want:
+                        bad.append((name, quad))
+        assert not bad, f"{len(bad)} of {calls} calls differ, e.g. {bad[:3]}"
+        # the random quadruples are unordered half the time, so many
+        # results are refused alike
+        assert 0 < refused < calls, (refused, calls)
+
+
+def _outcome(kern, *args):
+    """The bits of the pair kern returns, or the type of the exception it
+    raises: the lanes must agree on both."""
+    try:
+        return tuple(struct.pack("<d", v) for v in kern(*args))
+    except (NumericError, ZeroDivisionError) as exc:
+        return type(exc)

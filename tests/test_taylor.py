@@ -10,9 +10,13 @@ import random
 
 import pytest
 
+from stlmon.errors import NumericError
+from stlmon.expr import Add, Const, Cos, Div, Exp, Mul, Neg, Pow, Sin, Sub, Var, expr_to_str
 from stlmon.interval import Interval
 from stlmon.system import parse_model
-from stlmon.taylor import JetAlgebra, compile_flow, interval_const, state_series
+from stlmon.taylor import (
+    JetAlgebra, compile_flow, eval_box, interval_const, lie_derivative, state_series,
+)
 
 
 class Jet:
@@ -542,3 +546,48 @@ class TestTimeConstantOps:
         for g_row, w_row in zip(got, want):
             for g, w in zip(g_row, w_row):
                 assert same_bits(g, w), (g, w)
+
+
+def _bound_pairs(out):
+    """Every (lo, hi) pair in a runner's output: Intervals, pairs and
+    nested lists of either."""
+    if isinstance(out, Interval):
+        yield out.lo, out.hi
+    elif isinstance(out, tuple) and isinstance(out[0], float):
+        yield out
+    else:
+        for o in out:
+            yield from _bound_pairs(o)
+
+
+class TestTapeRefusals:
+    """The kernels check every result, so no op kind can hand a NaN bound
+    to a runner: over a box with an infinite bound each runner returns
+    ordered bounds or refuses with an arithmetic error."""
+
+    X, Y = Var(0, "x"), Var(1, "y")
+    OPS = [Add(X, Y), Sub(X, Y), Mul(X, Y), Div(X, Y), Neg(X), Mul(Const(3.0), X),
+           Mul(Const(0.0), X), Div(X, Const(3.0)), Div(Const(1.0), X), Pow(X, 2),
+           Pow(X, 3), Exp(X), Sin(X), Cos(X)]
+    BOUNDS = [(math.inf, math.inf), (-math.inf, -math.inf), (1.0, math.inf),
+              (-math.inf, 0.0), (-math.inf, math.inf)]
+
+    @pytest.mark.parametrize("e", OPS, ids=expr_to_str)
+    def test_ordered_bounds_or_a_refusal(self, e):
+        prog = compile_flow((e, e), 2, 0)
+        rate = compile_flow((e, e, e), 2, 0)  # e's rate along x' = y' = e
+        runs = {
+            "eval_box": lambda box: eval_box(prog, box),
+            "pairs": lambda box: state_series(prog, box, 4, interval_const),
+            "jets": lambda box: state_series(prog, box, 4, JetAlgebra(2)),
+            "lie_derivative": lambda box: lie_derivative(rate, box),
+        }
+        for x in self.BOUNDS:
+            for y in [(0.0, 1.0), (0.5, 2.0)] + self.BOUNDS:
+                box = [Interval(*x), Interval(*y)]
+                for name, run in runs.items():
+                    try:
+                        out = run(box)
+                    except (NumericError, ZeroDivisionError, OverflowError):
+                        continue
+                    assert all(lo <= hi for lo, hi in _bound_pairs(out)), (name, x, y)
