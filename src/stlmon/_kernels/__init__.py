@@ -3,8 +3,8 @@
 The compiled extension (``_fast.c``) is preferred when it built
 successfully; the pure-Python lane (``_pure``) has the same semantics, bit
 for bit, and is selected at import time when the extension is absent.
-Both raise NumericError for a result that is not an ordered pair, and
-ZeroDivisionError for a kdiv divisor containing 0.
+Both raise NumericError for a result or a kdiv divisor that is not an
+ordered pair, and ZeroDivisionError for a kdiv divisor containing 0.
 """
 
 try:

@@ -4,8 +4,8 @@
  * signs select, rounded one way by the sign of its exact error term.  A
  * function-for-function mirror of _pure.py, which documents the method;
  * keep the two in sync, refusals included: the KERNEL wrapper raises
- * ZeroDivisionError for a kdiv divisor containing 0 and NumericError for
- * a result that is not an ordered pair.  Plain CPython C API, built by
+ * ZeroDivisionError for a kdiv divisor containing 0, and NumericError for
+ * an unordered divisor or result.  Plain CPython C API, built by
  * setup.py as an optional extension (or by hand: gcc -O3 -shared -fPIC
  * -I<python include>).
  */
@@ -122,7 +122,7 @@ static double quot_up(double a, double b)
 
 static void kdiv(double al, double ah, double bl, double bh, double *lo, double *hi)
 {
-    /* py_kdiv refuses a divisor containing 0 before it gets here */
+    /* py_kdiv has refused a divisor that contains 0 or is unordered */
     if (bl == 1.0 && bh == 1.0) { *lo = al; *hi = ah; }
     else if (bl > 0.0) {
         if (al >= 0.0) { *lo = quot_down(al, bh); *hi = quot_up(ah, bl); }
@@ -167,6 +167,9 @@ static PyObject *NumericError; /* stlmon.errors.NumericError */
         if (divides && v[2] <= 0.0 && 0.0 <= v[3])                                     \
             return PyErr_Format(PyExc_ZeroDivisionError,                               \
                 "division by zero-containing interval [%R, %R]", args[2], args[3]);    \
+        if (divides && !(v[2] <= v[3]))                                                \
+            return PyErr_Format(NumericError,                                          \
+                "divisor (%R, %R) is not an ordered pair", args[2], args[3]);          \
         name(v[0], v[1], v[2], v[3], &lo, &hi);                                        \
         PyObject *t = pair(lo, hi);                                                    \
         if (t != NULL && !(lo <= hi)) {                                                \

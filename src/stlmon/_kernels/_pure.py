@@ -19,7 +19,8 @@ elsewhere a bound moved one ulp outward is a plain math.nextafter.
 Containment is axiomatic for all callers, and no caller checks a result:
 each kernel raises NumericError for a result that is not an ordered pair
 (a NaN bound, as in 0 * inf or inf - inf), and kdiv ZeroDivisionError for
-a divisor [bl, bh] with bl <= 0 <= bh.
+a divisor [bl, bh] with bl <= 0 <= bh, then NumericError for a divisor
+that is not an ordered pair.
 
 The hand-written C lane in ``_fast.c`` mirrors this module function for
 function; keep the two in sync.
@@ -172,6 +173,8 @@ def _quot_up(a: float, b: float) -> float:
 def kdiv(al: float, ah: float, bl: float, bh: float):
     if bl <= 0.0 <= bh:
         raise ZeroDivisionError(f"division by zero-containing interval [{bl!r}, {bh!r}]")
+    if not bl <= bh:
+        raise NumericError(f"divisor {(bl, bh)!r} is not an ordered pair")
     if bl == 1.0 and bh == 1.0:
         lo, hi = al, ah
     elif bl > 0.0:

@@ -69,7 +69,7 @@ from .interval import EMPTY, Interval, IntervalBox, inflate, midpoint
 from .node import Node
 from .system import ContinuousSystem
 from .taylor import (
-    JetAlgebra, TaylorProgram, compile_flow, eval_box, interval_const, lie_derivative,
+    JetAlgebra, TaylorProgram, compile_flow, dot, eval_box, interval_const, lie_derivative,
     state_series,
 )
 
@@ -101,23 +101,15 @@ class MonitorConfig(Node):
 
 def _imat_vec(A, v):
     """Interval matrix times interval vector, entries (lo, hi) pairs."""
-    return [_dot(row, v) for row in A]
+    return [dot(row, v) for row in A]
 
 
 def _imat_mat(A, B):
     cols = list(zip(*B))
     return [
-        [_dot(row, col) for col in cols]
+        [dot(row, col) for col in cols]
         for row in A
     ]
-
-
-def _dot(row, col):
-    lo, hi = kmul(*row[0], *col[0])
-    for (al, ah), (bl, bh) in zip(row[1:], col[1:]):
-        pl, ph = kmul(al, ah, bl, bh)
-        lo, hi = kadd(lo, hi, pl, ph)
-    return lo, hi
 
 
 def _lift(M):
@@ -237,10 +229,9 @@ class SignalEnclosure:
         self._flow = tuple(substitute_params(f, self._bound) for f in system.flow)
         self.d = self.n + len(self._u_free)
         self._prog = compile_flow(self._flow, self.n, len(self._u_free))
-        # per expression: its own tape (values), and this run's flow tape
-        # with it as an extra output (rates)
-        self._value_progs: dict[Expr, TaylorProgram] = {}
-        self._rate_progs: dict[Expr, TaylorProgram] = {}
+        # per atom: this run's flow tape with it as the last output, whose
+        # order 0 gives its values and order 1 its rates
+        self._atom_progs: dict[Expr, TaylorProgram] = {}
 
         # the error that stopped integration; a failed step may leave
         # the frame half updated, so extend() never resumes after one
@@ -342,8 +333,8 @@ class SignalEnclosure:
             nonlocal prev, h_pow
             h_pow *= h
             t = h_pow * max(
-                sum(max(-gl, gh) * r for gl, gh, r in zip(lo[1:], hi[1:], rad))
-                for lo, hi in column[:n]
+                sum(max(-gl, gh) * r for (gl, gh), r in zip(c[1:], rad))
+                for c in column[:n]
             )
             q, prev = t / prev if prev > 0.0 else math.inf, t
             return t == 0.0 or (q < 1.0 and t / (1.0 - q) <= budget)
@@ -535,22 +526,20 @@ class SignalEnclosure:
                                             for a, v in zip(acc, vals)]
         return IntervalBox(Interval(*p) for p in acc)
 
+    def _atom_prog(self, f: Expr) -> TaylorProgram:
+        prog = self._atom_progs.get(f)
+        if prog is None:
+            bound_f = substitute_params(f, self._bound)
+            prog = compile_flow(self._flow + (bound_f,), self.n, len(self._u_free))
+            self._atom_progs[f] = prog
+        return prog
+
     def value(self, f: Expr, x: IntervalBox) -> Interval:
         """Enclosure of f over the state box x, for every parameter in
         this run's box."""
-        prog = self._value_progs.get(f)
-        if prog is None:
-            bound_f = substitute_params(f, self._bound)
-            prog = compile_flow((bound_f,), self.n, len(self._u_free))
-            self._value_progs[f] = prog
-        return eval_box(prog, list(x.ivs) + self._u_free)[0]
+        return eval_box(self._atom_prog(f), list(x.ivs) + self._u_free)[-1]
 
     def rate(self, f: Expr, x: IntervalBox) -> Interval:
         """Enclosure of d/dt f along the flow over the state box x, for
         every parameter in this run's box."""
-        prog = self._rate_progs.get(f)
-        if prog is None:
-            bound_f = substitute_params(f, self._bound)
-            prog = compile_flow(self._flow + (bound_f,), self.n, len(self._u_free))
-            self._rate_progs[f] = prog
-        return lie_derivative(prog, list(x.ivs) + self._u_free)
+        return lie_derivative(self._atom_prog(f), list(x.ivs) + self._u_free)

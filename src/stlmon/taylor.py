@@ -30,15 +30,16 @@ Elements are plain floats handed to the outward-rounded kernels, so the
 coefficient boxes contain the true Taylor coefficients for every point
 of the input box.  With interval_const an element is one (lo, hi) pair
 (point expansions, remainder bounds).  With JetAlgebra(d) it is a list
-of lower and a list of upper bounds, index 0 the value and 1..d the
-gradient (first-order forward AD seeded with the identity, for the
-coefficient Jacobian); a jet power is its factors' product at order 0
-too.  A jet run may drop the gradient above an order its algebra's
-settled rule accepts and go on with pairs, which keeps every value.
-Intervals are the boxes the runners take and what eval_box and
-lie_derivative return; state_series returns the elements.  No op checks
-its output: the kernels refuse a NaN bound (NumericError) and a divisor
-containing zero (ZeroDivisionError) themselves.
+of d + 1 (lo, hi) pairs, value first, then the gradient (first-order
+forward AD seeded with the identity, for the coefficient Jacobian); a
+jet power is its factors' product at order 0 too.  A jet run may drop
+the gradient above an order its algebra's settled rule accepts and go
+on with the value pairs, which keeps every value.  Intervals are the
+boxes the runners take and what eval_box and lie_derivative return;
+state_series returns the elements.  dot is the one sum of pair
+products, for the convolutions here and the integrator's frame.  No op
+checks its output: the kernels refuse a NaN bound (NumericError) and a
+divisor containing zero (ZeroDivisionError) themselves.
 """
 
 from __future__ import annotations
@@ -52,8 +53,18 @@ from .node import Node
 
 __all__ = [
     "TaylorProgram", "compile_flow", "eval_box", "state_series", "lie_derivative",
-    "interval_const", "JetAlgebra",
+    "interval_const", "JetAlgebra", "dot",
 ]
+
+
+def dot(row: list, col: list) -> tuple:
+    """row[0]*col[0] + row[1]*col[1] + ... on (lo, hi) pairs, summed left
+    to right: the one pair dot product of the tape and the integrator."""
+    lo, hi = kmul(*row[0], *col[0])
+    for (al, ah), (bl, bh) in zip(row[1:], col[1:]):
+        pl, ph = kmul(al, ah, bl, bh)
+        lo, hi = kadd(lo, hi, pl, ph)
+    return lo, hi
 
 
 class _Pairs:
@@ -80,11 +91,7 @@ class _Pairs:
 
     def conv(self, a: list, b: list, i: int):
         """a[0]*b[i] + a[1]*b[i-1] + ... + a[i]*b[0], left to right."""
-        lo, hi = kmul(*a[0], *b[i])
-        for (al, ah), (bl, bh) in zip(a[1:i + 1], b[i - 1::-1]):
-            pl, ph = kmul(al, ah, bl, bh)
-            lo, hi = kadd(lo, hi, pl, ph)
-        return lo, hi
+        return dot(a[:i + 1], b[i::-1])
 
     def power(self, base: list, n: int, a: list, b: list, i: int):
         return self.conv(a, b, i) if i else self.chain(base[0], lambda u: u.powi(n))
@@ -101,10 +108,10 @@ interval_const = _Pairs()
 
 
 class JetAlgebra:
-    """Jet elements over d input components: a list of lower and a list
-    of upper bounds, d + 1 long.  Each operation keeps the order of
-    object-level forward AD: a product's gradient is x.val*gy + y.val*gx,
-    a quotient's (gx - w*gy) / y.val for its value w."""
+    """Jet elements over d input components: a list of d + 1 (lo, hi)
+    pairs, the value first and then the gradient.  Each operation keeps
+    the order of object-level forward AD: a product's gradient is
+    x.val*gy + y.val*gx, a quotient's (gx - w*gy) / y.val for its value w."""
 
     def __init__(self, d: int, settled=None):
         self.grad = range(1, d + 1)
@@ -112,56 +119,51 @@ class JetAlgebra:
         # whether the orders above i may run on their values alone
         self.settled = settled
 
-    def const(self, c: tuple) -> tuple:
-        zeros = [0.0] * len(self.grad)
-        return [c[0]] + zeros, [c[1]] + zeros
+    def const(self, c: tuple) -> list:
+        return [c] + [(0.0, 0.0)] * len(self.grad)
 
     def seed(self, box: list) -> list:
-        units = [[float(k == j) for k in self.grad] for j in self.grad]
-        return [([v.lo] + e, [v.hi] + e) for v, e in zip(box, units)]
+        return [[(v.lo, v.hi)] + [(float(k == j),) * 2 for k in self.grad]
+                for j, v in zip(self.grad, box)]
 
     def apply(self, kern, x, y):
         """The sum or difference kernel kern over x and y, componentwise."""
-        p = list(map(kern, *x, *y))
-        return [q[0] for q in p], [q[1] for q in p]
+        return [kern(xl, xh, yl, yh) for (xl, xh), (yl, yh) in zip(x, y)]
 
     def neg(self, x):
-        return [-h for h in x[1]], [-lo for lo in x[0]]
+        return [(-hi, -lo) for lo, hi in x]
 
     def mul(self, x, y):
-        (xl, xh), (yl, yh) = x, y
-        vl, vh, wl, wh = xl[0], xh[0], yl[0], yh[0]
-        lo, hi = kmul(vl, vh, wl, wh)
-        lo, hi = [lo], [hi]
+        (vl, vh), (wl, wh) = x[0], y[0]
+        out = [kmul(vl, vh, wl, wh)]
         for k in self.grad:
-            ul, uh = kmul(vl, vh, yl[k], yh[k])
-            tl, th = kmul(wl, wh, xl[k], xh[k])
-            gl, gh = kadd(ul, uh, tl, th)
-            lo.append(gl)
-            hi.append(gh)
-        return lo, hi
+            (xl, xh), (yl, yh) = x[k], y[k]
+            ul, uh = kmul(vl, vh, yl, yh)
+            tl, th = kmul(wl, wh, xl, xh)
+            out.append(kadd(ul, uh, tl, th))
+        return out
 
     def conv(self, a: list, b: list, i: int):
         """a[0]*b[i] + ... + a[i]*b[0], each product summed in place."""
-        lo, hi = self.mul(a[0], b[i])
-        for (xl, xh), (yl, yh) in zip(a[1:i + 1], b[i - 1::-1]):
-            vl, vh, wl, wh = xl[0], xh[0], yl[0], yh[0]
+        out = self.mul(a[0], b[i])
+        for x, y in zip(a[1:i + 1], b[i - 1::-1]):
+            (vl, vh), (wl, wh) = x[0], y[0]
             pl, ph = kmul(vl, vh, wl, wh)
-            lo[0], hi[0] = kadd(lo[0], hi[0], pl, ph)
+            sl, sh = out[0]
+            out[0] = kadd(sl, sh, pl, ph)
             for k in self.grad:
-                ul, uh = kmul(vl, vh, yl[k], yh[k])
-                tl, th = kmul(wl, wh, xl[k], xh[k])
+                (xl, xh), (yl, yh) = x[k], y[k]
+                ul, uh = kmul(vl, vh, yl, yh)
+                tl, th = kmul(wl, wh, xl, xh)
                 gl, gh = kadd(ul, uh, tl, th)
-                lo[k], hi[k] = kadd(lo[k], hi[k], gl, gh)
-        return lo, hi
+                sl, sh = out[k]
+                out[k] = kadd(sl, sh, gl, gh)
+        return out
 
     def div(self, x, y):
-        (xl, xh), (yl, yh) = x, y
-        b = yl[0], yh[0]
-        w = kdiv(xl[0], xh[0], *b)
-        p = [w] + [kdiv(*ksub(xl[k], xh[k], *kmul(*w, yl[k], yh[k])), *b)
-                   for k in self.grad]
-        return [q[0] for q in p], [q[1] for q in p]
+        b = y[0]
+        w = kdiv(*x[0], *b)
+        return [w] + [kdiv(*ksub(*g, *kmul(*w, *yg)), *b) for g, yg in zip(x[1:], y[1:])]
 
     def power(self, base: list, n: int, a: list, b: list, i: int):
         # every order convolves x^n's two factors, order 0 included
@@ -170,12 +172,12 @@ class JetAlgebra:
     def chain(self, x, f, df, negate: bool = False):
         """f at x's value, with gradient df(value) * (x's gradient), or
         its negation."""
-        u = Interval(x[0][0], x[1][0])
+        u = Interval(*x[0])
         v, dv = f(u), df(u)
-        p = [kmul(dv.lo, dv.hi, x[0][k], x[1][k]) for k in self.grad]
+        p = [kmul(dv.lo, dv.hi, gl, gh) for gl, gh in x[1:]]
         if negate:
-            p = [(-h, -lo) for lo, h in p]
-        return [v.lo] + [q[0] for q in p], [v.hi] + [q[1] for q in p]
+            p = [(-hi, -lo) for lo, hi in p]
+        return [(v.lo, v.hi)] + p
 
 
 # tape op kinds; each op writes coefficient i of its output slot(s)
@@ -314,14 +316,13 @@ def state_series(program: TaylorProgram, z0: list, order: int, const) -> list:
     """Taylor coefficients [z^[0], ..., z^[order]] for each state component.
 
     z0 is the extended initial box, one Interval per component; const is
-    the element algebra, interval_const or a JetAlgebra.  Returns n_state
-    coefficient lists, each coefficient the runner's element: a (lo, hi)
-    pair (interval_const) or the jet's d + 1 pairs, value first
-    (JetAlgebra); above the order a JetAlgebra's settled rule accepts,
-    the value pair alone.
+    the element algebra, interval_const or a JetAlgebra.  Returns the
+    run's n_state coefficient lists as they are, each coefficient the
+    algebra's element: a (lo, hi) pair (interval_const) or a list of
+    d + 1 pairs, value first (JetAlgebra); above the order a
+    JetAlgebra's settled rule accepts, a list of the value pair alone.
     """
-    state, _ = _run(program, const.seed(z0), order, const)
-    return state if const is interval_const else [[list(zip(*c)) for c in row] for row in state]
+    return _run(program, const.seed(z0), order, const)[0]
 
 
 def lie_derivative(program: TaylorProgram, z: list) -> Interval:
@@ -350,11 +351,11 @@ def _run(program: TaylorProgram, z0: list, order: int, alg) -> tuple:
 
     A jet run whose algebra's settled() accepts the state's order-m jets
     (m >= 1) goes on from there on values: every slot and state element
-    is projected to its value pair and the higher orders run on
+    is projected to its value pair v[0] and the higher orders run on
     interval_const.  Orders >= 1 of every op give the same value pair in
     both algebras, so the values stay those of the full jet run, bit for
     bit; the state keeps its jets through order m, and each higher order
-    is a jet with no gradient.
+    v is re-wrapped as [v], a jet with no gradient.
     """
     n, settled = program.n_vars, getattr(alg, "settled", None)
     zero = alg.const((0.0, 0.0))
@@ -373,12 +374,11 @@ def _run(program: TaylorProgram, z0: list, order: int, alg) -> tuple:
             row.append(zero)
         if settled and i + 1 < order and settled(i + 1, [row[i + 1] for row in state]):
             jets, settled, alg, zero = state, None, interval_const, (0.0, 0.0)
-            state = [[(v[0][0], v[1][0]) for v in row] for row in state]
-            slots = [[(v[0][0], v[1][0]) for v in row] for row in slots]
+            state = [[v[0] for v in row] for row in state]
+            slots = [[v[0] for v in row] for row in slots]
     if jets is not None:
         kept = len(jets[0])
-        state = [row + [([lo], [hi]) for lo, hi in values[kept:]]
-                 for row, values in zip(jets, state)]
+        state = [row + [[v] for v in values[kept:]] for row, values in zip(jets, state)]
     return state, slots
 
 

@@ -12,11 +12,13 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import stlmon
-from stlmon import integrator
+from stlmon import integrator, taylor
 from stlmon.errors import IntegrationError, NumericError
-from stlmon.expr import eval_point
+from stlmon.expr import eval_point, substitute_params
 from stlmon.integrator import MonitorConfig, SignalEnclosure, StepModel, _gram_schmidt
 from stlmon.interval import Interval, IntervalBox
+from stlmon.monitor import monitor_enclosure
+from stlmon.stl import parse_formula
 from stlmon.system import load_builtin, parse_model
 
 
@@ -531,20 +533,54 @@ class TestFrameFactor:
 
 
 class TestPairChecks:
-    """The frame products and Horner sums run the kernels on (lo, hi)
-    pairs, and the kernels refuse a NaN bound: a sum of opposite
+    """The frame products (taylor.dot) and Horner sums run the kernels on
+    (lo, hi) pairs, and the kernels refuse a NaN bound: a sum of opposite
     infinities is a NumericError where it arises, not a NaN bound that a
     later product with an exact zero would hide."""
 
     def test_dot_refuses_a_nan_bound(self):
         with pytest.raises(NumericError):
-            integrator._dot([(math.inf, math.inf), (1.0, 1.0)],
-                            [(1.0, 1.0), (-math.inf, -math.inf)])
+            taylor.dot([(math.inf, math.inf), (1.0, 1.0)],
+                       [(1.0, 1.0), (-math.inf, -math.inf)])
 
     def test_horner_refuses_a_nan_bound(self):
         # inf * s + (-inf) at the first Horner step
         with pytest.raises(NumericError):
             integrator._horner([[(-math.inf, -math.inf)], [(math.inf, math.inf)]], (1.0, 1.0))
+
+
+class TestAtomTape:
+    """value() reads order 0 of the tape that rate() runs, the flow with
+    the atom as its last output; the ops the atom shares with the flow
+    are the atom's own, so its bits are those of a one-output tape."""
+
+    @pytest.mark.parametrize("model, formula, order, u", [
+        # a widened drift of the rotation_boxes workload, and lorenz_short
+        ("rotation", "G[0,10] F[0,6.284] !(x2 - 1 < 0)", 15, [(0.0511, 0.0531)]),
+        ("lorenz", "G[0,0.3] (!(x3 - 30 < 0) -> F[0,0.3] !((x1 - 10)^2 + (x2 - 10)^2 - 150 < 0))",
+         20, [(10.0, 10.0), (28.0, 28.0), (2.5, 2.5)]),
+    ])
+    def test_value_is_the_atoms_own_tape_bit_for_bit(self, monkeypatch, model, formula,
+                                                      order, u):
+        system = load_builtin(model)
+        phi = parse_formula(formula, system.resolver(allow_params=False))
+        enc = SignalEnclosure(system, u_box=IntervalBox([Interval(*p) for p in u]),
+                              cfg=MonitorConfig(order=order))
+        queries, value = [], SignalEnclosure.value
+
+        def recording(self, f, x):
+            out = value(self, f, x)
+            queries.append((f, x, out))
+            return out
+
+        monkeypatch.setattr(SignalEnclosure, "value", recording)
+        monitor_enclosure(enc, phi)
+        assert len({f for f, _, _ in queries}) == (1 if model == "rotation" else 2)
+        for f, x, got in queries:
+            own = taylor.compile_flow((substitute_params(f, enc._bound),), enc.n,
+                                      len(enc._u_free))
+            (want,) = taylor.eval_box(own, list(x.ivs) + enc._u_free)
+            assert (got.lo.hex(), got.hi.hex()) == (want.lo.hex(), want.hi.hex()), x
 
 
 class TestPointParameterFolding:

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stlmon import taylor
 from stlmon._kernels import _pure
 from stlmon.errors import NumericError
 from stlmon.interval import (
@@ -445,10 +446,13 @@ class TestKernelLanes:
         ("kdiv", (1.0, 1.0), (-0.0, 1.0), ZeroDivisionError),
         ("kdiv", (1.0, 1.0), (0.0, 1.0), ZeroDivisionError),
         ("kdiv", (1.0, 1.0), (-1.0, 0.0), ZeroDivisionError),
+        ("kdiv", (1.0, 1.0), (2.0, 1.0), NumericError),
+        ("kdiv", (1.0, 1.0), (0.0, -5.0), NumericError),
+        ("kdiv", (1.0, 1.0), (5.0, 0.0), NumericError),
     ])
     def test_kernels_refuse_what_they_cannot_bound(self, lane, name, a, b, exc):
-        # a NaN bound and a divisor containing 0 are refused by the kernel
-        # itself, so no caller has to check its result
+        # a NaN bound, a divisor containing 0 and an unordered divisor are
+        # refused by the kernel itself, so no caller has to check its result
         with pytest.raises(exc):
             getattr(lane, name)(*a, *b)
 
@@ -480,6 +484,40 @@ class TestKernelLanes:
         # both outcomes occur: 0 * inf and inf - inf among the specials
         assert 0 < refused < calls, (refused, calls)
 
+    def test_dot_encloses_the_exact_dot_product(self, lane, monkeypatch):
+        # taylor.dot on the lane's kernels: each bound encloses the sum of
+        # the exact rational corner extremes, or the sum is refused where
+        # a partial sum overflows to inf - inf
+        monkeypatch.setattr(taylor, "kmul", lane.kmul)
+        monkeypatch.setattr(taylor, "kadd", lane.kadd)
+        big = 1.7976931348623157e308
+        special = [(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (1.0, 1.0), (-1.0, -1.0),
+                   (5e-324, 5e-324), (-5e-324, 2e-308), (-big, big), (big, big)]
+        rng = random.Random(20261021)
+
+        def operand():
+            if rng.random() < 0.2:
+                return rng.choice(special)
+            return _operand(rng, rng.choice("+-0"))
+
+        bad, refused = [], 0
+        for _ in range(1_500):
+            n = rng.randint(1, 8)
+            row, col = [operand() for _ in range(n)], [operand() for _ in range(n)]
+            try:
+                lo, hi = taylor.dot(row, col)
+            except NumericError:
+                refused += 1
+                continue
+            corners = [[Fraction(x) * Fraction(y) for x in a for y in b]
+                       for a, b in zip(row, col)]
+            want_lo, want_hi = sum(map(min, corners)), sum(map(max, corners))
+            if not ((lo == -math.inf or Fraction(lo) <= want_lo)
+                    and (hi == math.inf or want_hi <= Fraction(hi))):
+                bad.append((row, col, lo, hi))
+        assert not bad, f"{len(bad)} unsound, e.g. {bad[:3]}"
+        assert refused < 150, refused
+
     def test_c_lane_matches_pure_bit_for_bit(self, c_lane, c_lane_native):
         special = [0.0, -0.0, 1.0, -1.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf]
         rng = random.Random(11)
@@ -491,10 +529,6 @@ class TestKernelLanes:
             quad = [rng.choice(special) if rng.random() < 0.2 else _random_double(rng)
                     for _ in range(4)]
             for name in _EXACT:
-                if name == "kdiv" and 0.0 in quad[2:] and not quad[2] <= quad[3]:
-                    # Python's float division raises on a zero bound of an
-                    # unordered divisor, which no caller passes
-                    continue
                 want = _outcome(getattr(_pure, name), *quad)
                 calls += 1
                 refused += isinstance(want, type)

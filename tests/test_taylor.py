@@ -328,7 +328,7 @@ class TestSettledJets:
 
             def settled(i, column):
                 asked.append(i)
-                assert len(column) == d and all(len(lo) == d + 1 for lo, _ in column)
+                assert len(column) == d and all(len(c) == d + 1 for c in column)
                 return i == m
 
             got = bits(state_series(prog, z0, order, JetAlgebra(d, settled)))
