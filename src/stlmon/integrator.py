@@ -248,6 +248,9 @@ class SignalEnclosure:
         self.steps: list[StepModel] = []
         self.horizon_reached = 0.0
         self._last_h: float | None = None
+        # the last step's Lagrange coefficient, max |z^[k+1](T)| over its
+        # trial box T; 0.0 before the first step
+        self._last_rk = 0.0
 
     # -- integration -------------------------------------------------
 
@@ -297,7 +300,7 @@ class SignalEnclosure:
             span = Interval(t1) - Interval(t0)  # encloses the exact real step
             found = self._enclose(zbox, jets, Interval(0.0, span.hi))
             if isinstance(found, tuple):
-                apriori, remainder = found
+                apriori, remainder, rk = found
                 break
             h *= 0.5
             if h < _T_MIN:
@@ -313,7 +316,7 @@ class SignalEnclosure:
                                     remainder=[Interval(*r) for r in remainder]))
         self._propagate_frame(point, jets, m, remainder, span)
         self.horizon_reached = t1
-        self._last_h = h
+        self._last_h, self._last_rk = h, rk
 
     def _settled(self, dev: list, h: float):
         """The rule that ends the jets' gradients (see the module
@@ -321,7 +324,7 @@ class SignalEnclosure:
         continued as a geometric tail, fits in the Lagrange term of the
         last step's remainder at this step's h."""
         k, n = self.cfg.order, self.n
-        rk = max(r.mag() for r in self.steps[-1].remainder) if self.steps else 0.0
+        rk = self._last_rk
         # _choose_h keeps this near tol; the guard spares 0 * inf
         budget = rk * h ** (k + 1) if rk > 0.0 else 0.0
         rad = [0.5 * (hi - lo) for lo, hi in dev]
@@ -354,12 +357,11 @@ class SignalEnclosure:
             ck = max(map(abs, point[j][k]))
             if ck > 0.0:
                 h = min(h, (tol / ck) ** (1.0 / k))
-        if self.steps:
-            # the term the last step passed its Lagrange test on, over its
-            # trial box: the point coefficient can sit far below it
-            rk = max(r.mag() for r in self.steps[-1].remainder)
-            if rk > 0.0:
-                h = min(h, (tol / rk) ** (1.0 / (k + 1)))
+        # the term the last step passed its Lagrange test on, over its
+        # trial box: the point coefficient can sit far below it
+        rk = self._last_rk
+        if rk > 0.0:
+            h = min(h, (tol / rk) ** (1.0 / (k + 1)))
         h = estimate = 0.9 * h
         if self._last_h is not None:
             h = min(h, 5.0 * self._last_h)
@@ -383,11 +385,11 @@ class SignalEnclosure:
         return max(min(h, remaining), _T_MIN)
 
     def _enclose(self, zbox: list, jets, s: Interval) -> tuple | str:
-        """(E, z^[k+1](T)) on the state rows for the step s = [0, h] (see
-        the module docstring): T is the trial box, the polynomial part
-        inflated once; E must lie inside T and in the state domain, and
-        the Lagrange term must meet tol.  Otherwise the reason why the
-        step size h must shrink.
+        """(E, z^[k+1](T), max |z^[k+1](T)|) on the state rows for the
+        step s = [0, h] (see the module docstring): T is the trial box, the
+        polynomial part inflated once; E must lie inside T and in the state
+        domain, and the Lagrange term must meet tol.  Otherwise the reason
+        why the step size h must shrink.
         """
         k, n = self.cfg.order, self.n
         # the polynomial part in Horner's form, which over s = [0, h] lies
@@ -402,7 +404,8 @@ class SignalEnclosure:
         # parameter rows of the series are constant: the remainder keeps
         # the state rows only
         remainder = [tail[j][k + 1] for j in range(n)]
-        if max(abs(x) for r in remainder for x in r) * sk1.hi > self.cfg.tol:
+        rk = max(abs(x) for r in remainder for x in r)
+        if rk * sk1.hi > self.cfg.tol:
             return "Lagrange remainder above tol"
         box = [Interval(*kadd(*p, *kmul(*r, sk1.lo, sk1.hi)))
                for p, r in zip(poly, remainder)]
@@ -410,7 +413,7 @@ class SignalEnclosure:
             return "trial box does not contain its enclosure"
         if not self._in_domain(box):
             return "enclosure left the state domain"
-        return box, remainder
+        return box, remainder, rk
 
     def _propagate_frame(self, point, jets, m: int, remainder, span: Interval) -> None:
         k = self.cfg.order

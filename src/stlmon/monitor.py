@@ -13,26 +13,29 @@ algebra (propagate), and the decision at time zero (consistent_at_init).
 
 monitor_enclosure wires them together over one signal enclosure, which
 carries the run's boxes and MonitorConfig, and decides on the shortest
-certified prefix.  It integrates one step at a time, every step chosen
-against the deepest atom's depth, and after each step every live atom
-search sweeps on up to the new horizon.  The searches read the steps
-already in the enclosure first, one step end at a time, so their windows
-follow the step grid, not how far the enclosure was integrated before
-the run (save at step ends; see search_zero).  The formula is
-propagated over a pair of sets (propagate): under holds where the
-formula holds for every continuation of the known prefix, over where it
-may.  An atom's under set is its certified set cut at the end of its
-certified prefix, and its over set also holds from there on.  One rule reads every verdict
-(_fixes): Valid once under holds at time 0, Unsat once over fails there.
-It is read when a search certifies a bracket, completes or fails, when
-the horizon passes one of the formula's window ends (stl.window_ends),
+certified prefix.  One walk over the formula's until bounds
+(stl.window_ends) plans the run: it gives each atom the times at which a
+window read from time 0 closes on it, and the latest of them is the
+depth the atom is searched to.  The run integrates one step at a time,
+every step chosen against the deepest atom's depth, and after each step
+every live atom search sweeps on up to the new horizon.  The searches
+read the steps already in the enclosure first, one step end at a time,
+so their windows follow the step grid, not how far the enclosure was
+integrated before the run (save at step ends; see search_zero).  The
+formula is propagated over a pair of sets (propagate): under holds where
+the formula holds for every continuation of the known prefix, over where
+it may.  An atom's under set is its certified set cut at the end of its
+certified prefix, and its over set also holds from there on.  One rule
+reads every verdict (_fixes): Valid once under holds at time 0, Unsat
+once over fails there.  It is read when a search certifies a bracket,
+completes or fails, when the horizon passes a window end of any atom,
 and after a failed step; at full depth each atom's pair is one set, and
 so is the formula's.  A failure freezes what it stops: a failed search
 keeps its atom's certified prefix, and a failed step the enclosure's.
-Integration stops once no search is live, as no further step can move
-a frozen search.  Unknown, tagged with the cause of the failure that
-ended the run, is left only when no prefix decides.  monitor_stl builds
-the enclosure from a system.
+Integration stops once no search is live, as no further step can move a
+frozen search.  Unknown, tagged with the cause of the failure that ended
+the run, is left only when no prefix decides.  monitor_stl builds the
+enclosure from a system.
 """
 
 from __future__ import annotations
@@ -57,7 +60,6 @@ from .stl import (
     Or,
     TrueF,
     Until,
-    atom_depths,
     formula_to_str,
     window_ends,
 )
@@ -238,7 +240,7 @@ def search_zero(
     enc: SignalEnclosure,
     sw: _Sweep,
     hi: float,
-    stats: MonitorStats | None = None,
+    stats: MonitorStats,
     limit: float = math.inf,
 ) -> IntervalLike:
     """Certified enclosure of the earliest change of the truth of the
@@ -282,8 +284,7 @@ def search_zero(
     if sw.w is None:
         if sw.lo >= limit:
             return EMPTY
-        if stats is not None:
-            stats.search_zero_calls += 1
+        stats.search_zero_calls += 1
         sw.w = min(hi - sw.lo, max(enc.step_span_at(sw.lo), w_min))
     while sw.iters < _MAX_SWEEP:
         lo, w = sw.lo, sw.w
@@ -336,7 +337,7 @@ def _contract(
     enc: SignalEnclosure,
     t: Interval,
     s0: bool,
-    stats: MonitorStats | None,
+    stats: MonitorStats,
 ) -> Interval:
     """Shrink a bracket t: d/dt f excludes zero over t, and the atom has
     truth s0 at t.lo and the other truth at t.hi.
@@ -350,8 +351,7 @@ def _contract(
     """
     a, b = t.lo, t.hi
     for _ in range(_MAX_CONTRACT):
-        if stats is not None:
-            stats.newton_iterations += 1
+        stats.newton_iterations += 1
         t = Interval(a, b)
         df = dt_enclosure(f, enc, t)
         if 0.0 in df:
@@ -406,9 +406,8 @@ class _AtomSearch:
     def live(self) -> bool:
         return not self.complete and self.failure is None
 
-    def advance(
-        self, enc: SignalEnclosure, hi: float, limit: float, stats: MonitorStats | None
-    ) -> None:
+    def advance(self, enc: SignalEnclosure, hi: float, limit: float,
+                stats: MonitorStats) -> None:
         """Sweep on toward hi <= depth over the enclosure up to limit
         (search_zero).  Raises the sweep's failures, leaving a certified
         prefix."""
@@ -439,8 +438,7 @@ class _AtomSearch:
                 self.complete = sw.w is not None and sw.lo == hi == self.depth
                 return
             self.raw.append(BoundaryEnclosure(tz, not sw.s0))
-            if stats is not None:
-                stats.roots_certified += 1
+            stats.roots_certified += 1
             # the atom's truth is decided at tz.hi, so the next search
             # starts there with the other truth
             self.sweep = _Sweep(tz.hi, not sw.s0)
@@ -474,10 +472,6 @@ def _closed(raw: list, t: float, polarity: bool) -> list:
     if raw and raw[-1].s.hi >= t:
         return raw[:-1]
     return raw + [BoundaryEnclosure(Interval(t), polarity)]
-
-
-def _depths(phi: Formula) -> dict[Expr, float]:
-    return {f: rational_enclosure(d).hi for f, d in atom_depths(phi).items()}
 
 
 def propagate(
@@ -585,12 +579,14 @@ def _decide(enc: SignalEnclosure, phi: Formula, stats: MonitorStats,
     """The verdict on the shortest certified prefix (module docstring).
     Raises the failure that ended the run when no prefix fixes one: a
     step that failed while a search was live first, then the first atom,
-    in atom_depths order, whose search or set failed."""
-    depths = _depths(phi)
-    target = max(depths.values(), default=0.0)
-    searches = [_AtomSearch(f, d) for f, d in depths.items()]
-    ends = sorted({rational_enclosure(q).hi for q in window_ends(phi) if q > 0},
-                  reverse=True)
+    in first-occurrence order, whose search or set failed.  Each atom is
+    searched up to its latest window end, its depth."""
+    atom_ends = window_ends(phi)
+    searches = [_AtomSearch(f, rational_enclosure(max(qs)).hi)
+                for f, qs in atom_ends.items()]
+    target = max((a.depth for a in searches), default=0.0)
+    ends = sorted({rational_enclosure(q).hi for qs in atom_ends.values()
+                   for q in qs if q > 0}, reverse=True)
     read = 0  # the steps the searches have read
     while True:
         if read == len(enc.steps) and enc.horizon_reached < target:

@@ -1,4 +1,4 @@
-"""Bounded STL: syntax, parser, desugaring, and atom depths.
+"""Bounded STL: syntax, parser, desugaring, and window ends.
 
 After parsing, a formula uses only the core grammar
 
@@ -9,6 +9,11 @@ conjunction via De Morgan, F_t phi = true U_t phi, G_t phi = !F_t !phi,
 implication a -> b = !a | b, and comparisons e1 < e2 as the atom
 e1 - e2 < 0 (resp. e2 - e1 for >).  Time bounds are kept as exact
 rationals; users of real arithmetic convert them outward themselves.
+
+One walk over the until bounds (window_ends) gives each atom the times
+at which a window of the formula, read from time 0, closes on it.  The
+latest of them is the atom's temporal depth (atom_depths): the atom is
+never read past it.
 """
 
 from __future__ import annotations
@@ -79,56 +84,26 @@ def globally(lo: Fraction, hi: Fraction, a: Formula) -> Formula:
     return Not(Until(lo, hi, TRUE, Not(a)))
 
 
-def atom_depths(phi: Formula) -> dict[Expr, Fraction]:
-    """Maximum temporal depth at which each atom expression occurs.
-
-    The depth of an occurrence is the sum of the upper time bounds of
-    the until operators on its path from the root; the truth of the
-    atom beyond its depth cannot influence the formula's value at time
-    0, so monitoring may stop searching for sign changes there.  The
-    deepest atom's depth is the signal length needed to decide the
-    formula: a `true` leaf reads no signal.
-    """
-    depths: dict[Expr, Fraction] = {}
-
-    def walk(p: Formula, acc: Fraction) -> None:
-        t = type(p)
-        if t is Atom:
-            prev = depths.get(p.f)
-            if prev is None or acc > prev:
-                depths[p.f] = acc
-        elif t is Not:
-            walk(p.a, acc)
-        elif t is Or:
-            walk(p.a, acc)
-            walk(p.b, acc)
-        elif t is Until:
-            walk(p.a, acc + p.hi)
-            walk(p.b, acc + p.hi)
-
-    walk(phi, Fraction(0))
-    return depths
-
-
 # the most sums window_ends carries along one path; past it, only the
 # sums of upper bounds go on, so a deep formula cannot blow the set up
 _MAX_WINDOW_ENDS = 64
 
 
-def window_ends(phi: Formula) -> set[Fraction]:
-    """Times at which a window of phi, read from time 0, closes on an atom.
+def window_ends(phi: Formula) -> dict[Expr, set[Fraction]]:
+    """Times at which a window of phi, read from time 0, closes on each
+    atom expression, the atoms in first-occurrence order.
 
-    For each atom occurrence these are the sums of one bound, lower or
-    upper, of every until operator on its path from the root: for
-    G[0,10] F[0,6.284] p, the times 0, 6.284, 10 and 16.284.  The
-    largest is the deepest atom's depth (see atom_depths).
+    For each occurrence these are the sums of one bound, lower or upper,
+    of every until operator on its path from the root: for
+    G[0,10] F[0,6.284] p, the times 0, 6.284, 10 and 16.284.  A `true`
+    leaf reads no signal and closes no window.
     """
-    ends: set[Fraction] = set()
+    ends: dict[Expr, set[Fraction]] = {}
 
     def walk(p: Formula, acc: frozenset) -> None:
         t = type(p)
         if t is Atom:
-            ends.update(acc)
+            ends.setdefault(p.f, set()).update(acc)
         elif t is Not:
             walk(p.a, acc)
         elif t is Or:
@@ -142,6 +117,17 @@ def window_ends(phi: Formula) -> set[Fraction]:
 
     walk(phi, frozenset({Fraction(0)}))
     return ends
+
+
+def atom_depths(phi: Formula) -> dict[Expr, Fraction]:
+    """Temporal depth of each atom expression: its latest window end, the
+    largest sum of the upper time bounds of the until operators on a path
+    to it, which window_ends keeps past its cap too.  The truth of the
+    atom beyond its depth cannot influence the formula's value at time
+    0, so monitoring may stop searching for sign changes there, and the
+    deepest atom's depth is the signal length needed to decide the
+    formula."""
+    return {f: max(qs) for f, qs in window_ends(phi).items()}
 
 
 # --- concrete syntax -------------------------------------------------------

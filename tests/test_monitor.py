@@ -38,9 +38,9 @@ def atom_of(system, text):
     return next(iter(atom_depths(phi)))
 
 
-def first_change(f, enc, lo, hi, stats=None):
+def first_change(f, enc, lo, hi):
     """search_zero of a search that starts at lo, swept on to hi."""
-    return search_zero(f, enc, monitor._Sweep.at(f, enc, lo), hi, stats)
+    return search_zero(f, enc, monitor._Sweep.at(f, enc, lo), hi, MonitorStats())
 
 
 def timer_enc(horizon=10.0):
@@ -102,8 +102,9 @@ class TestSearchZero:
     def test_stats_are_counted(self):
         sys = load_builtin("timer")
         enc = timer_enc()
+        f = atom_of(sys, "cos(x) < 0")
         stats = MonitorStats()
-        first_change(atom_of(sys, "cos(x) < 0"), enc, 0.0, 10.0, stats)
+        search_zero(f, enc, monitor._Sweep.at(f, enc, 0.0), 10.0, stats)
         assert stats.search_zero_calls == 1
         assert stats.newton_iterations >= 1
 
@@ -115,9 +116,9 @@ class TestSearchZero:
         enc = timer_enc()
         f = atom_of(sys, "cos(x) < 0")
         sw = monitor._Sweep.at(f, enc, 0.0)
-        assert search_zero(f, enc, sw, 10.0, limit=1.0) is EMPTY
+        assert search_zero(f, enc, sw, 10.0, MonitorStats(), limit=1.0) is EMPTY
         assert sw.lo == 1.0
-        tz = search_zero(f, enc, sw, 10.0)
+        tz = search_zero(f, enc, sw, 10.0, MonitorStats())
         assert math.pi / 2 in tz and tz.lo >= 1.57 and tz.hi <= 1.58
 
     def test_clipped_window_that_decides_nothing_waits(self):
@@ -128,9 +129,9 @@ class TestSearchZero:
         enc = timer_enc()
         f = atom_of(sys, "cos(x) < 0")
         sw = monitor._Sweep.at(f, enc, 0.0)
-        assert search_zero(f, enc, sw, 10.0, limit=2.0) is EMPTY
+        assert search_zero(f, enc, sw, 10.0, MonitorStats(), limit=2.0) is EMPTY
         assert (sw.lo, sw.w, sw.iters) == (0.0, 10.0, 0)
-        assert search_zero(f, enc, sw, 10.0) == first_change(f, enc, 0.0, 10.0)
+        assert search_zero(f, enc, sw, 10.0, MonitorStats()) == first_change(f, enc, 0.0, 10.0)
 
     def test_tangent_contact_raises(self):
         # at zero drift the rotation signal is (cos t, sin t); x2 - 1
@@ -211,7 +212,7 @@ class TestSearchZero:
 
         monkeypatch.setattr(monitor, "dt_enclosure", widened)
         # cos > 0 at 1.5: the atom fails at the bracket's lower end
-        tz = monitor._contract(f, enc, Interval(1.5, 1.6), False, None)
+        tz = monitor._contract(f, enc, Interval(1.5, 1.6), False, MonitorStats())
         assert len(calls) == 2
         assert 1.5 < tz.lo < tz.hi < 1.6 and math.pi / 2 in tz
         f_lo = enc.value(f, enc.eval(Interval(tz.lo)))
@@ -542,7 +543,7 @@ class TestPrefixDecision:
         reached = 0
         while enc.horizon_reached < 10.0:
             enc.extend(16.284, math.nextafter(enc.horizon_reached, math.inf))
-            search.advance(enc, 16.284, enc.horizon_reached, None)
+            search.advance(enc, 16.284, enc.horizon_reached, MonitorStats())
             sw = search.sweep
             assert sw.lo == enc.horizon_reached or sw.lo + sw.w > enc.horizon_reached
             reached += sw.lo == enc.horizon_reached

@@ -10,26 +10,34 @@ that the atom's root sits exactly on the summed lower or upper bound.
 A tenth as many cases again join two such chains, each with its own
 atom and operators, by a top-level | or &; they come from a random
 stream of their own, so a seed's single-chain cases stay as they were.
+Another tenth, from a third stream and reported on their own, are
+p U[a,b] q or its negation over the linear model, with p and q atoms
+x - a_i < 0 or their negations: the only shape whose Until has a left
+operand other than true, and so the only one that reaches the walk of
+the direct intersection (timesets.intersect).
 
 The truth is exact, in Fraction arithmetic.  Over the linear model the
 atom holds on a half-line of time, open or closed at its end, and F and G
 move that end; over the quadratic model the extremes of x - a on a window
-lie at its ends or at the parabola's vertex.  x(t) grows with c for
-t >= 0, so every chain is monotone in c, falling if its atom is plain
-and rising if negated; when c is an interval both chains of a join take
-one polarity, so the join is monotone too.  The truth at c's two ends
-then decides the whole box: true at both is Valid, false at both is
-Unsat, and otherwise no decided verdict is right.
+lie at its ends or at the parabola's vertex.  p U[a,b] q holds at 0
+iff some t' in [a, b] has q(t') and p holds on all of [0, t'].  x(t)
+grows with c for t >= 0, so every chain is monotone in c, falling if its
+atom is plain and rising if negated; when c is an interval both chains
+of a join, and both atoms of an Until, take one polarity, so the join
+and the Until are monotone too.  The truth at c's two ends then decides
+the whole box: true at both is Valid, false at both is Unsat, and
+otherwise no decided verdict is right.
 
 A decided verdict that contradicts the truth fails, and so does any
 exception or Unknown cause outside the documented ones.  Unknown passes;
 its rate per cause is printed, and so is the count per cause of the
 Unknowns whose truth is decidable (not mixed), and the cases and the
-decided verdicts per shape (model, and operators or join).  So is the
-free-root count: of the decidable cases none of whose chains has its
-root placed on a summed bound (placed), how many end Unknown; a root
-placed there turns on f = 0 exactly, a free one does not.  The test
-runs a fixed seeded slice; for longer campaigns over a range of seeds run
+decided verdicts per shape (model, and operators, join or Until).  So
+is the free-root count: of the decidable cases none of whose chains has
+its root placed on a summed bound (placed), how many end Unknown; a
+root placed there turns on f = 0 exactly, a free one does not.  The
+test runs a fixed seeded slice; for longer campaigns over a range of
+seeds run
 
     PYTHONPATH=src python tests/test_soundness_exact.py --seeds 1-20 --cases 3000
 """
@@ -44,6 +52,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
+from stlmon import timesets
 from stlmon.expr import decimal_text
 from stlmon.monitor import (
     INITIAL_SIGN_ERROR,
@@ -109,13 +118,41 @@ def _at_zero(s) -> bool:
     return 0 >= r if closed else 0 > r
 
 
+def _atom_set(x0, c, atom):
+    """Times at which atom, x - a < 0 or its negation, holds."""
+    s = _linear_atom(x0, c, atom["a"])
+    return _negate(s) if atom["negated"] else s
+
+
 def _linear_truth(case, c) -> bool:
-    s = _linear_atom(case["x0"], c, case["a"])
-    if case["negated"]:
-        s = _negate(s)
+    s = _atom_set(case["x0"], c, case)
     for op, lo, hi in reversed(case["ops"]):
         s = _temporal(op, lo, hi, s)
     return _at_zero(s)
+
+
+def _ends(s):
+    """A half-line as an interval (lo, lo closed, hi, hi closed)."""
+    kind, r, closed = s
+    return (-math.inf, False, r, closed) if kind == "down" else (r, closed, math.inf, False)
+
+
+def _meet(intervals) -> bool:
+    """Whether intervals (lo, lo closed, hi, hi closed) share a point; at
+    a tie the open end binds."""
+    lo, lo_open = max((iv[0], not iv[1]) for iv in intervals)
+    hi, hi_closed = min((iv[2], iv[3]) for iv in intervals)
+    return lo < hi or (lo == hi and not lo_open and hi_closed)
+
+
+def _until_truth(case, c) -> bool:
+    """p U[lo,hi] q at time 0 holds iff some t' in [lo, hi] has q(t') and
+    p on all of [0, t']: p holds at 0, and as p's times are an interval,
+    p, q and [lo, hi] share a point.  The case may negate it."""
+    ((_, lo, hi),) = case["ops"]
+    p, q = (_atom_set(case["x0"], c, atom) for atom in (case["left"], case["right"]))
+    holds = _at_zero(p) and _meet([_ends(p), _ends(q), (lo, True, hi, True)])
+    return holds != case["negated"]
 
 
 def _quadratic_truth(case, c) -> bool:
@@ -139,6 +176,8 @@ def chain_cases(case) -> list:
 
 
 def _truth_at(case, c) -> bool:
+    if "left" in case:
+        return _until_truth(case, c)
     decide = _linear_truth if case["model"] == "linear" else _quadratic_truth
     values = [decide(chain, c) for chain in chain_cases(case)]
     return any(values) if case.get("join") == "|" else all(values)
@@ -162,8 +201,10 @@ def _x_at(case, c, t):
     return case["x0"] + c * t
 
 
-def _draw_model(rng: random.Random) -> dict:
-    model = "linear" if rng.random() < 0.7 else "quadratic"
+def _draw_model(rng: random.Random, model: str | None = None) -> dict:
+    """A model, linear or quadratic unless given, and its constants."""
+    if model is None:
+        model = "linear" if rng.random() < 0.7 else "quadratic"
     c_lo = _decimal(rng, -2, 2)
     c_hi = c_lo
     if rng.random() < 0.3:
@@ -175,6 +216,20 @@ def _draw_model(rng: random.Random) -> dict:
     }
 
 
+def _draw_bounds(rng: random.Random) -> tuple:
+    """A time bound [lo, hi]: punctual, [a, a] with a > 0, 30% of the time."""
+    if rng.random() < 0.3:
+        lo = hi = Fraction(0)
+        while lo == 0:
+            lo = hi = _decimal(rng, 0, 2)
+    else:
+        lo, hi = _decimal(rng, 0, 2), Fraction(0)
+        while hi <= 0:
+            hi = _decimal(rng, 0, 2)
+        hi += lo
+    return lo, hi
+
+
 def _draw_chain(rng: random.Random, case: dict, negated: bool | None = None) -> dict:
     """One F/G chain over case's model: its polarity (drawn unless
     given), operators and atom constant."""
@@ -183,15 +238,7 @@ def _draw_chain(rng: random.Random, case: dict, negated: bool | None = None) -> 
     model, c_lo, c_hi = case["model"], case["c_lo"], case["c_hi"]
     ops = []
     for _ in range(rng.randint(1, 2) if model == "linear" else 1):
-        if rng.random() < 0.3:
-            lo = hi = Fraction(0)
-            while lo == 0:
-                lo = hi = _decimal(rng, 0, 2)
-        else:
-            lo, hi = _decimal(rng, 0, 2), Fraction(0)
-            while hi <= 0:
-                hi = _decimal(rng, 0, 2)
-            hi += lo
+        lo, hi = _draw_bounds(rng)
         ops.append((rng.choice("FG"), lo, hi))
     if rng.random() < 0.5:
         # the root on the summed lower or upper bound, for one end of c
@@ -217,6 +264,26 @@ def draw_joined(rng: random.Random) -> dict:
     return {**case, "chains": [first, second], "join": rng.choice("|&")}
 
 
+def draw_until(rng: random.Random) -> dict:
+    """p U[lo,hi] q, or its negation, over the linear model; p and q are
+    atoms x - a < 0 or their negations, each with its root on lo or hi
+    for an end of c half the time.  With an interval c both take one
+    polarity."""
+    case = _draw_model(rng, "linear")
+    lo, hi = _draw_bounds(rng)
+    interval = case["c_lo"] != case["c_hi"]
+    atoms = []
+    for _ in range(2):
+        negated = atoms[0]["negated"] if atoms and interval else rng.random() < 0.5
+        if rng.random() < 0.5:
+            a = _x_at(case, rng.choice((case["c_lo"], case["c_hi"])), rng.choice((lo, hi)))
+        else:
+            a = _decimal(rng, -4, 4)
+        atoms.append({"negated": negated, "a": a})
+    return {**case, "ops": [("U", lo, hi)], "left": atoms[0], "right": atoms[1],
+            "negated": rng.random() < 0.5}
+
+
 def model_text(case) -> str:
     if case["c_lo"] == case["c_hi"]:
         params, c = "", decimal_text(case["c_lo"])
@@ -233,13 +300,22 @@ def model_text(case) -> str:
     )
 
 
+def _atom_text(atom) -> str:
+    a = atom["a"]
+    text = f"(x - {decimal_text(a)} < 0)" if a >= 0 else f"(x + {decimal_text(-a)} < 0)"
+    return f"!{text}" if atom["negated"] else text
+
+
 def formula_text(case) -> str:
     if "chains" in case:
         first, second = map(formula_text, chain_cases(case))
         return f"({first}) {case['join']} ({second})"
-    a = case["a"]
-    atom = f"(x - {decimal_text(a)} < 0)" if a >= 0 else f"(x + {decimal_text(-a)} < 0)"
-    text = f"!{atom}" if case["negated"] else atom
+    if "left" in case:
+        ((_, lo, hi),) = case["ops"]
+        text = (f"{_atom_text(case['left'])} U[{decimal_text(lo)},{decimal_text(hi)}] "
+                f"{_atom_text(case['right'])}")
+        return f"!({text})" if case["negated"] else text
+    text = _atom_text(case)
     for op, lo, hi in reversed(case["ops"]):
         text = f"{op}[{decimal_text(lo)},{decimal_text(hi)}] {text}"
     return text
@@ -251,21 +327,25 @@ def punctual(case) -> bool:
 
 def placed(case) -> bool:
     """Whether a chain of case has its root placed on a summed bound:
-    a = x(t) for an end of c, at a t that sums the lower or the upper
-    bound of each of the chain's operators."""
+    a = x(t) for an atom constant a, an end of c, and a t that sums the
+    lower or the upper bound of each of the chain's operators."""
     for chain in chain_cases(case):
+        atoms = [chain["left"], chain["right"]] if "left" in chain else [chain]
         for bounds in itertools.product(*((lo, hi) for _, lo, hi in chain["ops"])):
             t = sum(bounds)
-            if any(chain["a"] == _x_at(chain, c, t) for c in (case["c_lo"], case["c_hi"])):
+            if any(atom["a"] == _x_at(chain, c, t)
+                   for atom in atoms for c in (case["c_lo"], case["c_hi"])):
                 return True
     return False
 
 
 def shape(case) -> str:
-    """The model and the operators of a single chain, or the join:
-    linear 2-op, quadratic |."""
+    """The model and the operators of a single chain, the join, or the
+    Until: linear 2-op, quadratic |, linear !U."""
     if "join" in case:
         return f"{case['model']} {case['join']}"
+    if "left" in case:
+        return f"{case['model']} {'!' if case['negated'] else ''}U"
     return f"{case['model']} {len(case['ops'])}-op"
 
 
@@ -279,17 +359,22 @@ def draw_cases(seed: int, n: int) -> list:
             + [draw_joined(joined) for _ in range(n // 10)])
 
 
-def run_campaign(seed: int, n: int) -> dict:
-    """Monitor the seed's cases (draw_cases); return the wrong verdicts,
-    the exceptions and undocumented causes, the counts of outcomes and
-    causes, the causes of the Unknowns whose truth is decidable (not
-    mixed), the decidable cases whose root is not placed (placed) and
-    how many of them end Unknown, and the cases and decided verdicts per
-    shape."""
+def draw_until_cases(seed: int, n: int) -> list:
+    """n // 10 Until cases, from a stream of their own."""
+    rng = random.Random(f"until-{seed}")
+    return [draw_until(rng) for _ in range(n // 10)]
+
+
+def run_campaign(cases: list) -> dict:
+    """Monitor the cases; return the wrong verdicts, the exceptions and
+    undocumented causes, the counts of outcomes and causes, the causes of
+    the Unknowns whose truth is decidable (not mixed), the decidable
+    cases whose root is not placed (placed) and how many of them end
+    Unknown, and the cases and decided verdicts per shape."""
     wrong, errors = [], []
     outcomes, causes, missed, free = Counter(), Counter(), Counter(), Counter()
     shapes, decided = Counter(), Counter()
-    for case in draw_cases(seed, n):
+    for case in cases:
         model, formula = model_text(case), formula_text(case)
         label = f"model {model!r} formula {formula!r}"
         system = parse_model(model)
@@ -333,10 +418,11 @@ def summary(result: dict) -> str:
 
 
 def test_exact_slice_has_no_wrong_verdict():
-    result = run_campaign(SLICE_SEED, SLICE_CASES)
-    print(summary(result))
-    assert not result["errors"], "\n".join(result["errors"][:10])
-    assert not result["wrong"], "\n".join(result["wrong"][:10])
+    for draw in (draw_cases, draw_until_cases):
+        result = run_campaign(draw(SLICE_SEED, SLICE_CASES))
+        print(summary(result))
+        assert not result["errors"], "\n".join(result["errors"][:10])
+        assert not result["wrong"], "\n".join(result["wrong"][:10])
 
 
 def test_truth_of_the_punctual_reproducers():
@@ -396,6 +482,44 @@ def test_joined_chains_share_one_polarity_over_an_interval():
             assert first["negated"] == second["negated"]
 
 
+def test_truth_of_until_cases():
+    # x(t) = t: x - 5 < 0 holds on [0, 5), !(x - 2 < 0) from t = 2 on
+    timer = {"model": "linear", "x0": Fraction(0), "y0": Fraction(0),
+             "c_lo": Fraction(1), "c_hi": Fraction(1), "negated": False}
+    half, two = Fraction(1, 2), Fraction(2)
+    q = {"negated": True, "a": two}
+    until = {**timer, "ops": [("U", half, two)], "right": q}
+    assert truth({**until, "left": {"negated": False, "a": Fraction(5)}}) == VALID
+    assert truth({**until, "left": {"negated": False, "a": Fraction(5)},
+                  "negated": True}) == UNSAT
+    # p must hold where q starts: x - 2 < 0 fails at t = 2
+    assert truth({**until, "left": {"negated": False, "a": two}}) == UNSAT
+    # a left operand that fails at time 0
+    assert truth({**until, "left": {"negated": True, "a": Fraction(5)}}) == UNSAT
+    case = {**until, "left": {"negated": False, "a": Fraction(5)}}
+    assert formula_text(case) == "(x - 5 < 0) U[0.5,2] !(x - 2 < 0)"
+    assert formula_text({**case, "negated": True}) == "!((x - 5 < 0) U[0.5,2] !(x - 2 < 0))"
+    assert shape({**case, "negated": True}) == "linear !U"
+    assert placed(case) and not placed({**case, "right": {"negated": True, "a": 3}})
+
+
+def test_until_atoms_share_one_polarity_over_an_interval():
+    rng = random.Random(3)
+    for _ in range(300):
+        case = draw_until(rng)
+        if case["c_lo"] != case["c_hi"]:
+            assert case["left"]["negated"] == case["right"]["negated"]
+
+
+def test_until_cases_reach_the_direct_intersection(monkeypatch):
+    # F, G, | and & shift only with a true left operand, for which
+    # intersect returns before its walk; the Until cases reach the walk
+    walked, walk = [], timesets._intervals
+    monkeypatch.setattr(timesets, "_intervals", lambda t: walked.append(t) or walk(t))
+    run_campaign(draw_until_cases(SLICE_SEED, 300))
+    assert walked
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seeds", default=f"{SLICE_SEED}", help="a seed or a range lo-hi")
@@ -404,13 +528,14 @@ def main() -> None:
     lo, _, hi = args.seeds.partition("-")
     failed = False
     for seed in range(int(lo), int(hi or lo) + 1):
-        start = time.perf_counter()
-        result = run_campaign(seed, args.cases)
-        print(f"seed {seed}: {summary(result)} "
-              f"in {time.perf_counter() - start:.1f} s")
-        for line in result["wrong"] + result["errors"]:
-            print("  " + line)
-        failed |= bool(result["wrong"] or result["errors"])
+        for label, draw in (("", draw_cases), (" Until", draw_until_cases)):
+            start = time.perf_counter()
+            result = run_campaign(draw(seed, args.cases))
+            print(f"seed {seed}{label}: {summary(result)} "
+                  f"in {time.perf_counter() - start:.1f} s")
+            for line in result["wrong"] + result["errors"]:
+                print("  " + line)
+            failed |= bool(result["wrong"] or result["errors"])
     raise SystemExit(1 if failed else 0)
 
 

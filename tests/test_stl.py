@@ -186,27 +186,35 @@ class TestRoundTrip:
 
 
 class TestWindowEnds:
-    """The times at which a window closes on an atom, read from time 0:
-    the monitor reads the verdict when the horizon passes one."""
+    """The times at which a window closes on each atom, read from time 0:
+    the monitor reads the verdict when the horizon passes one, and the
+    latest is the atom's depth."""
 
     def test_sums_of_one_bound_per_until(self):
         phi = parse("G[0,10] F[0,6.284] !(x2 - 1 < 0)")
-        assert window_ends(phi) == {Fraction(0), Fraction("6.284"), Fraction(10),
-                                    Fraction("16.284")}
+        assert list(window_ends(phi).values()) == [
+            {Fraction(0), Fraction("6.284"), Fraction(10), Fraction("16.284")}]
 
     def test_lower_bounds_count_and_true_leaves_do_not(self):
         phi = parse("F[1,2] (x1 < 0) | G[0,7] true")
-        assert window_ends(phi) == {Fraction(1), Fraction(2)}
+        assert list(window_ends(phi).values()) == [{Fraction(1), Fraction(2)}]
 
     def test_largest_end_is_the_deepest_atom(self):
+        # the antecedent sits under G[0,15] only; the consequent under
+        # G[0,15] F[0.5,5] G[0,1], in first-occurrence order
         phi = parse(LORENZ_PROPERTY, model="lorenz")
-        assert max(window_ends(phi)) == max(atom_depths(phi).values()) == 21
+        antecedent, consequent = window_ends(phi).values()
+        assert antecedent == {Fraction(0), Fraction(15)}
+        assert consequent == {s + f + g for s in (0, 15) for f in (Fraction("0.5"), 5)
+                              for g in (0, 1)}
+        assert list(atom_depths(phi).values()) == [15, 21]
 
     def test_deep_nesting_stays_bounded(self):
-        # 2^12 subset sums of distinct bounds; past 64 only upper bounds go on
+        # 2^12 subset sums of distinct bounds; past 64 only upper bounds go
+        # on, and their sum, the depth, is kept
         text = "x1 < 0"
         for i in range(12):
             text = f"F[{i + 1},{2 ** (i + 4)}] {text}"
-        ends = window_ends(parse(text))
+        (ends,) = window_ends(parse(text)).values()
         assert len(ends) <= 2 * 64 + 2
-        assert max(ends) == max(atom_depths(parse(text)).values())
+        assert max(ends) == sum(2 ** (i + 4) for i in range(12))
