@@ -74,6 +74,7 @@ from .timesets import (
     join,
     normalize,
     shift_all,
+    to_json as set_json,
 )
 
 VALID = "Valid"
@@ -165,8 +166,6 @@ class Verdict(Node):
                          MonitorStats() if stats is None else stats, sets)
 
     def to_json(self) -> dict:
-        from .timesets import to_json as set_json
-
         out = {
             "outcome": self.outcome,
             "unknown_cause": self.unknown_cause,
@@ -206,7 +205,7 @@ def _w_min(hi: float) -> float:
 
 
 def _monotone_truth(
-    f: Expr, enc: SignalEnclosure, sub: Interval, x: IntervalBox | None = None
+    f: Expr, enc: SignalEnclosure, sub: Interval, x: IntervalBox
 ) -> bool | None:
     """Truth of the atom at sub.hi when d/dt f excludes zero over sub, so
     that f of every signal is strictly monotone there; None otherwise."""
@@ -317,21 +316,6 @@ def search_zero(
     raise TangencyError("zero search sweep exhausted its iteration budget")
 
 
-def _rungs(x: float, r: float, out: float):
-    """Where a bracket end may move, nearest the root first: onto x, an
-    end of a Newton image of width r, then out from it in direction out
-    on a geometric ladder x + out max(r/2, ulp(x)) 2^j, j < 60.  Near a
-    root the enclosure of f can be wider than the image, and a point
-    image sits on an exact root, where the strict atom fails; the ladder
-    walks out to where f is strictly signed.  The caller drops the rungs
-    past the bracket's other end."""
-    yield x
-    step = max(0.5 * r, math.ulp(x))
-    for _ in range(60):
-        yield x + out * step
-        step *= 2.0
-
-
 def _contract(
     f: Expr,
     enc: SignalEnclosure,
@@ -342,12 +326,16 @@ def _contract(
     """Shrink a bracket t: d/dt f excludes zero over t, and the atom has
     truth s0 at t.lo and the other truth at t.hi.
 
-    Each end moves onto an endpoint of the interval Newton image, or out
-    from it (_rungs), only where the atom has that end's truth
-    and f is strictly signed, so the bracket property holds after every
-    move and an end reached on f = 0 stays where the sweep put it.  The
-    loop ends at the first step that moves neither end, or whose d/dt f
-    enclosure over the current bracket contains zero.
+    Every root of every signal in the bracket lies in the interval Newton
+    image, and f is strictly monotone there, so from either end of the
+    bracket to the image the atom keeps that end's truth.  The end where
+    the atom fails moves onto the image's end, where f >= 0; the end where
+    it holds moves one ulp outward from the image, where f < 0.  An end
+    moves only to a point strictly inside the bracket, and f is evaluated
+    only at each step's midpoint.  The loop ends at the first step that
+    moves neither end, once the bracket is no wider than the narrowest
+    window the sweep reads (_w_min), or at a step whose d/dt f enclosure
+    over the current bracket contains zero.
     """
     a, b = t.lo, t.hi
     for _ in range(_MAX_CONTRACT):
@@ -364,20 +352,16 @@ def _contract(
         if image.is_empty:
             # a bracket holds a root of every signal: the enclosures disagree
             raise TangencyError("empty Newton image over a certified bracket")
-        r = image.width()
-        a = next(
-            (c for c in _rungs(image.lo, r, -1.0)
-             if a < c < b and 0.0 not in (v := _f_at(f, enc, Interval(c)))
-             and _holds(v) == s0),
-            a,
-        )
-        b = next(
-            (c for c in _rungs(image.hi, r, 1.0)
-             if a < c < b and 0.0 not in (v := _f_at(f, enc, Interval(c)))
-             and _holds(v) != s0),
-            b,
-        )
-        if (a, b) == (t.lo, t.hi):
+        lo, hi = image.lo, image.hi
+        if s0:
+            lo = math.nextafter(lo, -math.inf)
+        else:
+            hi = math.nextafter(hi, math.inf)
+        if a < lo < b:
+            a = lo
+        if a < hi < b:
+            b = hi
+        if (a, b) == (t.lo, t.hi) or b - a <= _w_min(b):
             break
     return Interval(a, b)
 

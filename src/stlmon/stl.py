@@ -12,8 +12,9 @@ rationals; users of real arithmetic convert them outward themselves.
 
 One walk over the until bounds (window_ends) gives each atom the times
 at which a window of the formula, read from time 0, closes on it.  The
-latest of them is the atom's temporal depth (atom_depths): the atom is
-never read past it.
+latest of them is the atom's temporal depth: the atom is never read past
+it, and the deepest atom's depth is the signal length needed to decide
+the formula.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .node import Node
 
 __all__ = [
     "Formula", "TrueF", "Atom", "Or", "Not", "Until", "TRUE",
-    "parse_formula", "formula_to_str", "atom_depths", "window_ends",
+    "parse_formula", "formula_to_str", "window_ends",
     "conj", "implies", "finally_", "globally",
 ]
 
@@ -95,8 +96,9 @@ def window_ends(phi: Formula) -> dict[Expr, set[Fraction]]:
 
     For each occurrence these are the sums of one bound, lower or upper,
     of every until operator on its path from the root: for
-    G[0,10] F[0,6.284] p, the times 0, 6.284, 10 and 16.284.  A `true`
-    leaf reads no signal and closes no window.
+    G[0,10] F[0,6.284] p, the times 0, 6.284, 10 and 16.284.  The latest
+    of an atom's ends, the largest sum of upper bounds, is its depth, and
+    the cap keeps it.  A `true` leaf reads no signal and closes no window.
     """
     ends: dict[Expr, set[Fraction]] = {}
 
@@ -117,17 +119,6 @@ def window_ends(phi: Formula) -> dict[Expr, set[Fraction]]:
 
     walk(phi, frozenset({Fraction(0)}))
     return ends
-
-
-def atom_depths(phi: Formula) -> dict[Expr, Fraction]:
-    """Temporal depth of each atom expression: its latest window end, the
-    largest sum of the upper time bounds of the until operators on a path
-    to it, which window_ends keeps past its cap too.  The truth of the
-    atom beyond its depth cannot influence the formula's value at time
-    0, so monitoring may stop searching for sign changes there, and the
-    deepest atom's depth is the signal length needed to decide the
-    formula."""
-    return {f: max(qs) for f, qs in window_ends(phi).items()}
 
 
 # --- concrete syntax -------------------------------------------------------

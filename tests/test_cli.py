@@ -15,7 +15,7 @@ from stlmon import cli, monitor
 from stlmon.cli import EXIT_USAGE, main
 from stlmon.integrator import SignalEnclosure
 from stlmon.interval import rational_enclosure
-from stlmon.stl import atom_depths, parse_formula
+from stlmon.stl import parse_formula, window_ends
 from stlmon.system import load_builtin
 
 
@@ -408,9 +408,9 @@ class TestTrace:
         # atom; a separate integration up to the verdict's horizon gives
         # the same rows
         system = load_builtin("rotation")
-        depths = atom_depths(parse_formula(formula, system.resolver(allow_params=False)))
+        ends = window_ends(parse_formula(formula, system.resolver(allow_params=False)))
         horizon = json.loads(out)["stats"]["horizon"]
-        assert 0.0 < horizon < rational_enclosure(max(depths.values())).hi
+        assert 0.0 < horizon < rational_enclosure(max(map(max, ends.values()))).hi
         ref_path = tmp_path / "ref.csv"
         code, _, _ = run_cli(
             capsys,

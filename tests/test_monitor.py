@@ -27,7 +27,7 @@ from stlmon.monitor import (
     propagate,
     search_zero,
 )
-from stlmon.stl import atom_depths, formula_to_str, parse_formula
+from stlmon.stl import formula_to_str, parse_formula, window_ends
 from stlmon.system import load_builtin, parse_model
 from stlmon.timesets import EMPTY_SET, UNIVERSE, BoundaryEnclosure, seq
 
@@ -35,12 +35,19 @@ from stlmon.timesets import EMPTY_SET, UNIVERSE, BoundaryEnclosure, seq
 def atom_of(system, text):
     """First atom expression of a formula over the system's variables."""
     phi = parse_formula(text, system.resolver(allow_params=False))
-    return next(iter(atom_depths(phi)))
+    return next(iter(window_ends(phi)))
 
 
 def first_change(f, enc, lo, hi):
     """search_zero of a search that starts at lo, swept on to hi."""
     return search_zero(f, enc, monitor._Sweep.at(f, enc, lo), hi, MonitorStats())
+
+
+def mp_value(name, t):
+    """The mpmath function called name at the double t, to 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        return getattr(mpmath, name)(mpmath.mpf(t))
 
 
 def timer_enc(horizon=10.0):
@@ -142,6 +149,14 @@ class TestSearchZero:
         with pytest.raises(TangencyError):
             first_change(atom_of(sys, "x2 - 1 < 0"), enc, 0.0, 4.0)
 
+    # f of the exact signal x(t) = t, per atom
+    EXACT = {
+        "cos(x) < 0": lambda t: mp_value("cos", t),
+        "sin(x) < 0": lambda t: mp_value("sin", t),
+        "x^2 - 7*x + 10 < 0": lambda t: Fraction(t) ** 2 - 7 * Fraction(t) + 10,
+        "x - 1 < 0": lambda t: Fraction(t) - 1,
+    }
+
     @pytest.mark.parametrize(
         "text, window",
         [
@@ -152,15 +167,17 @@ class TestSearchZero:
         ],
     )
     def test_enclosure_is_a_signed_monotone_bracket(self, text, window):
-        # strictly opposite signs at the ends and a derivative enclosure
-        # excluding zero: exactly one root of every signal inside
+        # on the exact signal the atom has the search's start truth at
+        # tz.lo and the other at tz.hi (holds where f < 0, fails where
+        # f >= 0), and the derivative enclosure excludes zero, so every
+        # signal changes the truth exactly once inside
         sys = load_builtin("timer")
         enc = timer_enc()
         f = atom_of(sys, text)
         tz = first_change(f, enc, *window)
-        f_lo = enc.value(f, enc.eval(Interval(tz.lo)))
-        f_hi = enc.value(f, enc.eval(Interval(tz.hi)))
-        assert (f_lo.lo > 0.0 and f_hi.hi < 0.0) or (f_lo.hi < 0.0 and f_hi.lo > 0.0)
+        exact = self.EXACT[text]
+        s0 = exact(window[0]) < 0
+        assert (exact(tz.lo) < 0, exact(tz.hi) < 0) == (s0, not s0)
         assert 0.0 not in dt_enclosure(f, enc, tz)
 
     def test_root_on_closed_end_is_not_eliminated(self):
@@ -227,8 +244,7 @@ class TestAtomDepths:
             "G[0,15] (!(-x1 - 15 < 0) -> F[0.5,5] G[0,1] (x1 - 10 < 0))",
             sys.resolver(allow_params=False),
         )
-        depths = atom_depths(phi)
-        by_depth = sorted(depths.values())
+        by_depth = sorted(max(qs) for qs in window_ends(phi).values())
         assert by_depth == [Fraction(15), Fraction(21)]
 
     def test_max_over_occurrences(self):
@@ -236,8 +252,8 @@ class TestAtomDepths:
         phi = parse_formula(
             "(x - 1 < 0) | F[0,3] (x - 1 < 0)", sys.resolver(allow_params=False)
         )
-        (d,) = atom_depths(phi).values()
-        assert d == Fraction(3)
+        (qs,) = window_ends(phi).values()
+        assert max(qs) == Fraction(3)
 
 
 class TestMonitorAp:
@@ -271,7 +287,7 @@ class TestPropagateAndConsistency:
     def test_shift_of_a_known_set(self):
         sys = load_builtin("timer")
         phi = parse_formula("F[0,1](x - 2 < 0)", sys.resolver(allow_params=False))
-        (f,) = atom_depths(phi)
+        (f,) = window_ends(phi)
         t_p = seq(
             [
                 BoundaryEnclosure(Interval(0.0), True),
@@ -406,27 +422,52 @@ class TestDegenerateRoots:
 
 
 class TestNewtonLadder:
-    """Where the enclosure of f near a root is wider than the Newton
-    image, or the image is a point on an exact root, the bracket ends walk
-    out on a geometric ladder to where f is strictly signed."""
+    """Every root of every signal in a bracket lies in the Newton image,
+    so each end moves there with no evaluation of f: the end where the
+    atom fails onto the image's end, and the end where it holds one ulp
+    outward from it.  Over a parameter box the roots spread, and the
+    image still cuts off the part of the bracket that holds none."""
+
+    LINEAR = "[vars] x in [-1000, 1000]\n[init] x = {}\n[flow] x' = {}\n"
+    BOX = "[params] c in [{}, {}]\n" + LINEAR.format("{}", "c")
 
     @pytest.mark.parametrize(
         "model, text, truth",
         [
             # x = -1 - 2t reaches -4 at t = 1.5 exactly: a point image
-            ("[vars] x in [-1000, 1000]\n[init] x = -1\n[flow] x' = -2\n",
-             "G[1.06,3.06] G[0.67,0.67] (x + 4 < 0)", VALID),
+            (LINEAR.format(-1, -2), "G[1.06,3.06] G[0.67,0.67] (x + 4 < 0)", VALID),
             # x = -2.8 + 2t reaches -2.75 at t = 0.025, where f's enclosure
             # is wider than the image
-            ("[vars] x in [-1000, 1000]\n[init] x = -2.8\n[flow] x' = 2\n",
-             "F[0.904,2.054] (x + 2.75 < 0)", UNSAT),
+            (LINEAR.format(-2.8, 2), "F[0.904,2.054] (x + 2.75 < 0)", UNSAT),
+            (BOX.format(-1, -0.34, -2.17), "F[1.98,2.29] F[1.4,2] (x + 3.5232 < 0)", VALID),
+            (BOX.format(-0.7, -0.3, -1.3), "F[1.166,1.171] (x + 1.6498 < 0)", VALID),
+            (BOX.format(0.7, 1.7, -1.53), "F[1.9,3.9] F[0,0.505] !(x - 1 < 0)", VALID),
+            (BOX.format(-2, -1.4, -1.7), "F[1,1.515] G[0.186,0.786] (x + 4 < 0)", VALID),
+            # the roots of x = 1.863 + ct spread over [0.98, 2.546]: the
+            # bracket [0, 3.15] contracts to [0.488, 2.546], and x(3.15)
+            # exceeds 3.136 for every c
+            (BOX.format(0.5, 1.301, 1.863), "G[2,3.15] (x - 3.136 < 0)", UNSAT),
         ],
-        ids=["point-image", "wide-enclosure"],
+        ids=["point-image", "wide-enclosure", "box-nested-finally", "box-finally",
+             "box-negated", "box-finally-globally", "box-globally"],
     )
     def test_bracket_is_certified(self, model, text, truth):
         sys = parse_model(model)
         v = monitor_stl(sys, parse_formula(text, sys.resolver(allow_params=False)))
         assert (v.outcome, v.unknown_cause) == (truth, None)
+
+    def test_root_at_time_0_stops_on_the_narrowest_window(self):
+        # x + 3 = -0.9t is 0 at t = 0, where the atom fails: the lower end
+        # stays on 0, and the contraction stops once the bracket is
+        # narrower than the narrowest window the sweep reads
+        sys = parse_model(self.LINEAR.format(-3, -0.9))
+        enc = SignalEnclosure(sys)
+        enc.extend(2.212)
+        f = atom_of(sys, "x + 3 < 0")
+        stats = MonitorStats()
+        tz = search_zero(f, enc, monitor._Sweep.at(f, enc, 0.0), 2.212, stats)
+        assert stats.newton_iterations <= 3
+        assert tz.lo == 0.0 and tz.width() < monitor._w_min(tz.hi)
 
 
 class TestPrefixDecision:
@@ -565,7 +606,7 @@ class TestPropagateBounds:
     def test_not_swaps_the_pair(self):
         sys = load_builtin("timer")
         phi = parse_formula("!(x - 2 < 0)", sys.resolver(allow_params=False))
-        (f,) = atom_depths(phi)
+        (f,) = window_ends(phi)
         under = seq([BoundaryEnclosure(Interval(0.0), True),
                      BoundaryEnclosure(Interval(1.0), False)])
         over = seq([BoundaryEnclosure(Interval(0.0), True)])
@@ -575,7 +616,7 @@ class TestPropagateBounds:
     def test_one_set_per_node_at_full_depth(self):
         sys = load_builtin("timer")
         phi = parse_formula("G[0,1] F[0,2] !(x - 2 < 0)", sys.resolver(allow_params=False))
-        (f,) = atom_depths(phi)
+        (f,) = window_ends(phi)
         t_p = seq([BoundaryEnclosure(Interval(0.0), True),
                    BoundaryEnclosure(Interval(2.0, 2.0), False)])
         record = {}

@@ -12,7 +12,6 @@ from stlmon.stl import (
     Not,
     Or,
     Until,
-    atom_depths,
     formula_to_str,
     parse_formula,
     window_ends,
@@ -108,7 +107,7 @@ class TestNecessaryLength:
 
     @staticmethod
     def length(phi):
-        return max(atom_depths(phi).values())
+        return max(map(max, window_ends(phi).values()))
 
     def test_atom_is_zero(self):
         assert self.length(parse("x1 < 0")) == 0
@@ -138,13 +137,13 @@ class TestAtoms:
             "F[0,3] !((x - 1 < 0) | (1 - x < 0)) & F[0,3] (x - 1 < 0)", timer
         )
         # x-1 and 1-x, each once, in first-appearance order
-        assert [expr_to_str(f) for f in atom_depths(phi)] == ["x - 1", "1 - x"]
+        assert [expr_to_str(f) for f in window_ends(phi)] == ["x - 1", "1 - x"]
 
     def test_single_atom_formula(self):
-        assert len(atom_depths(parse("G[0,10] F[0,6.284] !(x2 - 1 < 0)"))) == 1
+        assert len(window_ends(parse("G[0,10] F[0,6.284] !(x2 - 1 < 0)"))) == 1
 
     def test_true_has_no_atoms(self):
-        assert list(atom_depths(TRUE)) == []
+        assert list(window_ends(TRUE)) == []
 
 
 class TestRoundTrip:
@@ -207,7 +206,7 @@ class TestWindowEnds:
         assert antecedent == {Fraction(0), Fraction(15)}
         assert consequent == {s + f + g for s in (0, 15) for f in (Fraction("0.5"), 5)
                               for g in (0, 1)}
-        assert list(atom_depths(phi).values()) == [15, 21]
+        assert [max(qs) for qs in window_ends(phi).values()] == [15, 21]
 
     def test_deep_nesting_stays_bounded(self):
         # 2^12 subset sums of distinct bounds; past 64 only upper bounds go
