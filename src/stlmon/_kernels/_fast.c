@@ -2,11 +2,15 @@
  *
  * Each product or quotient bound comes from the one corner that the operand
  * signs select, rounded one way by the sign of its exact error term.  A
- * function-for-function mirror of _pure.py, which documents the method;
- * keep the two in sync, refusals included: the KERNEL wrapper raises
+ * kernel-for-kernel mirror of _pure.py, which documents the method; keep
+ * the two in sync, refusals included: the KERNEL wrapper raises
  * ZeroDivisionError for a kdiv divisor containing 0, and NumericError for
- * an unordered divisor or result.  Plain CPython C API, built by
- * setup.py as an optional extension (or by hand: gcc -O3 -shared -fPIC
+ * an unordered divisor or result.  The fused kernels kdot (a sum of pair
+ * products) and khorner (a Horner evaluation of pair vectors) take
+ * sequences of (lo, hi) pairs and run the kmul and kadd below term by
+ * term, with the same refusals, at the first product or partial sum that
+ * is not an ordered pair.  Plain CPython C API, built by setup.py as an
+ * optional extension (or by hand: gcc -O3 -shared -fPIC
  * -I<python include>).
  */
 #define PY_SSIZE_T_CLEAN
@@ -184,6 +188,126 @@ KERNEL(ksub, 0)
 KERNEL(kmul, 0)
 KERNEL(kdiv, 1)
 
+/* NumericError for a kernel result that is not an ordered pair */
+static int refused(double lo, double hi)
+{
+    PyObject *t;
+    if (lo <= hi) return 0;
+    if ((t = pair(lo, hi)) != NULL) {
+        PyErr_Format(NumericError, "kernel result %R is not an ordered pair", t);
+        Py_DECREF(t);
+    }
+    return -1;
+}
+
+/* The bounds of a (lo, hi) pair: a sequence of two numbers */
+static int as_pair(PyObject *o, double *lo, double *hi)
+{
+    PyObject *seq = PySequence_Fast(o, "a kernel operand must be a (lo, hi) pair"), **v;
+    int ok;
+    if (seq == NULL) return -1;
+    if (PySequence_Fast_GET_SIZE(seq) != 2) {
+        PyErr_Format(PyExc_ValueError, "a kernel operand must be a (lo, hi) pair, not %zd values",
+                     PySequence_Fast_GET_SIZE(seq));
+        Py_DECREF(seq);
+        return -1;
+    }
+    v = PySequence_Fast_ITEMS(seq);
+    ok = !((*lo = as_double(v[0])) == -1.0 && PyErr_Occurred())
+         && !((*hi = as_double(v[1])) == -1.0 && PyErr_Occurred());
+    Py_DECREF(seq);
+    return ok ? 0 : -1;
+}
+
+/* kdot(row, col): row[0]*col[0] + row[1]*col[1] + ..., summed left to
+ * right; (0.0, 0.0) for no terms */
+static PyObject *py_kdot(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *row = NULL, *col = NULL, *out = NULL;
+    double lo = 0.0, hi = 0.0, al, ah, bl, bh, pl, ph;
+    Py_ssize_t n, i;
+    if (nargs != 2)
+        return PyErr_Format(PyExc_TypeError, "kdot() takes 2 arguments (%zd given)", nargs);
+    if ((row = PySequence_Fast(args[0], "kdot() takes sequences of pairs")) == NULL
+        || (col = PySequence_Fast(args[1], "kdot() takes sequences of pairs")) == NULL)
+        goto done;
+    n = PySequence_Fast_GET_SIZE(row);
+    if (n != PySequence_Fast_GET_SIZE(col)) {
+        PyErr_Format(PyExc_ValueError, "kdot of %zd by %zd terms", n, PySequence_Fast_GET_SIZE(col));
+        goto done;
+    }
+    for (i = 0; i < n; i++) {
+        if (as_pair(PySequence_Fast_GET_ITEM(row, i), &al, &ah) < 0
+            || as_pair(PySequence_Fast_GET_ITEM(col, i), &bl, &bh) < 0)
+            goto done;
+        kmul(al, ah, bl, bh, &pl, &ph);
+        if (refused(pl, ph)) goto done;
+        if (i == 0) { lo = pl; hi = ph; continue; }
+        kadd(lo, hi, pl, ph, &lo, &hi);
+        if (refused(lo, hi)) goto done;
+    }
+    out = pair(lo, hi);
+done:
+    Py_XDECREF(row);
+    Py_XDECREF(col);
+    return out;
+}
+
+/* khorner(cols, s): sum_i cols[i] s^i in Horner's form, componentwise,
+ * one component at a time: from the highest order down, each step is the
+ * kmul by s and then the kadd of the next lower order's term */
+static PyObject *py_khorner(PyObject *mod, PyObject *const *args, Py_ssize_t nargs)
+{
+    PyObject *cols = NULL, **seqs = NULL, *out = NULL, *t;
+    double sl, sh, lo, hi, cl, ch, pl, ph;
+    Py_ssize_t m = 0, n, i, j;
+    if (nargs != 2)
+        return PyErr_Format(PyExc_TypeError, "khorner() takes 2 arguments (%zd given)", nargs);
+    if ((cols = PySequence_Fast(args[0], "khorner() takes a sequence of columns")) == NULL)
+        return NULL;
+    if ((m = PySequence_Fast_GET_SIZE(cols)) == 0) {
+        PyErr_SetString(PyExc_ValueError, "khorner of no columns");
+        goto done;
+    }
+    if (as_pair(args[1], &sl, &sh) < 0 || (seqs = PyMem_New(PyObject *, m)) == NULL) {
+        if (seqs == NULL && !PyErr_Occurred()) PyErr_NoMemory();
+        m = 0;
+        goto done;
+    }
+    for (i = 0; i < m; i++) seqs[i] = NULL;
+    for (i = 0; i < m; i++)
+        if ((seqs[i] = PySequence_Fast(PySequence_Fast_GET_ITEM(cols, i),
+                                       "khorner() takes columns of pairs")) == NULL)
+            goto done;
+    n = PySequence_Fast_GET_SIZE(seqs[0]);
+    for (i = 1; i < m; i++)
+        if (PySequence_Fast_GET_SIZE(seqs[i]) != n) {
+            PyErr_SetString(PyExc_ValueError, "khorner columns of unequal lengths");
+            goto done;
+        }
+    if ((out = PyList_New(n)) == NULL) goto done;
+    for (j = 0; j < n; j++) {
+        if (as_pair(PySequence_Fast_GET_ITEM(seqs[m - 1], j), &lo, &hi) < 0) goto fail;
+        for (i = m - 2; i >= 0; i--) {
+            if (as_pair(PySequence_Fast_GET_ITEM(seqs[i], j), &cl, &ch) < 0) goto fail;
+            kmul(lo, hi, sl, sh, &pl, &ph);
+            if (refused(pl, ph)) goto fail;
+            kadd(pl, ph, cl, ch, &lo, &hi);
+            if (refused(lo, hi)) goto fail;
+        }
+        if ((t = pair(lo, hi)) == NULL) goto fail;
+        PyList_SET_ITEM(out, j, t);
+    }
+    goto done;
+fail:
+    Py_CLEAR(out);
+done:
+    for (i = 0; seqs != NULL && i < m; i++) Py_XDECREF(seqs[i]);
+    PyMem_Free(seqs);
+    Py_DECREF(cols);
+    return out;
+}
+
 #define FASTCALL(name) {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, NULL}
 
 static PyMethodDef methods[] = {
@@ -191,6 +315,8 @@ static PyMethodDef methods[] = {
     FASTCALL(ksub),
     FASTCALL(kmul),
     FASTCALL(kdiv),
+    FASTCALL(kdot),
+    FASTCALL(khorner),
     {NULL, NULL, 0, NULL},
 };
 

@@ -2,7 +2,12 @@
 
 The four kernels kadd, ksub, kmul and kdiv take two intervals as four
 floats (alo, ahi, blo, bhi) and return the (lo, hi) pair of the result.
-They are the only arithmetic whose rounding direction the package handles;
+The two fused kernels take sequences of (lo, hi) pairs: kdot(row, col)
+sums the products row[i]*col[i] left to right, and khorner(cols, s)
+evaluates sum_i cols[i] s^i componentwise in Horner's form.  Each gives
+the bits of its chain of kmul and kadd calls, in one call: the products
+and sums run inline in one loop (_fold), which kmul shares.  These are
+the only arithmetic whose rounding direction the package handles;
 elsewhere a bound moved one ulp outward is a plain math.nextafter.
 
 - add/sub: the two-sum exactness test; an inexact bound is moved one ulp
@@ -18,12 +23,15 @@ elsewhere a bound moved one ulp outward is a plain math.nextafter.
 
 Containment is axiomatic for all callers, and no caller checks a result:
 each kernel raises NumericError for a result that is not an ordered pair
-(a NaN bound, as in 0 * inf or inf - inf), and kdiv ZeroDivisionError for
-a divisor [bl, bh] with bl <= 0 <= bh, then NumericError for a divisor
-that is not an ordered pair.
+(a NaN bound, as in 0 * inf or inf - inf; the fused kernels at the first
+such product or partial sum), and kdiv ZeroDivisionError for a divisor
+[bl, bh] with bl <= 0 <= bh, then NumericError for a divisor that is not
+an ordered pair.  The fused kernels raise ValueError for operands of
+unequal lengths and khorner for no columns; kdot of no terms is
+(0.0, 0.0).
 
-The hand-written C lane in ``_fast.c`` mirrors this module function for
-function; keep the two in sync.
+The hand-written C lane in ``_fast.c`` mirrors this module kernel for
+kernel; keep the two in sync.
 """
 
 from math import inf as _INF, nan as _NAN, nextafter
@@ -34,6 +42,7 @@ _NINF = -_INF
 _SPLIT = 134217729.0  # 2**27 + 1, Veltkamp split constant
 _BIG = 1e290
 _TINY = 1e-290
+_NBIG, _NTINY = -_BIG, -_TINY
 
 BACKEND = "pure"
 
@@ -62,73 +71,150 @@ def ksub(al: float, ah: float, bl: float, bh: float):
     return (lo, hi) if lo <= hi else _refuse(lo, hi)
 
 
-def _prod_down(x: float, y: float) -> float:
-    """Largest float <= x*y."""
-    p = x * y
-    ap = abs(p)
-    if ap > _BIG or (ap < _TINY and x != 0.0 and y != 0.0):
-        # split/error term may overflow or denormalize, or the product
-        # underflowed to zero
-        return nextafter(p, _NINF)
-    xh = x * _SPLIT
-    xh = xh - (xh - x)
-    xl = x - xh
-    yh = y * _SPLIT
-    yh = yh - (yh - y)
-    yl = y - yh
-    # x*y - p; NaN when the split of an operand above ~1.3e300 overflowed
-    if ((xh * yh - p) + xh * yl + xl * yh) + xl * yl >= 0.0:
-        return p
-    return nextafter(p, _NINF)
+def _fold(terms, s, al=0.0, ah=0.0, bl=0.0, bh=0.0):
+    """The one loop of the product kernels on (lo, hi) pairs: each term
+    takes one product as kmul rounds it and adds it to the running sum
+    as kadd does, with no call per term.
+
+    - s None, terms pairs of factors (a, b): the running sum accumulates
+      each a*b (kdot).  A term None is the product of the pairs
+      (al, ah) and (bl, bh) given as floats (kmul).
+    - s a pair, terms coefficients: the first one starts the running
+      sum r, and each further one c makes it r*s + c (khorner).
+    """
+    lo = hi = None
+    for t in terms:
+        if s is not None:
+            wl, wh = t
+            if lo is None:
+                lo, hi = wl, wh
+                continue
+            al, ah, (bl, bh) = lo, hi, s
+        elif t is not None:
+            (al, ah), (bl, bh) = t
+            wl, wh = lo, hi
+        else:
+            wl = None
+        # the product (pl, ph): each bound from the corner that the
+        # operand signs select, the sign-case table
+        if (al == 0.0 and ah == 0.0) or (bl == 0.0 and bh == 0.0):
+            pl = ph = 0.0
+        elif al == 1.0 and ah == 1.0:
+            pl, ph = bl, bh
+        elif bl == 1.0 and bh == 1.0:
+            pl, ph = al, ah
+        elif (al < 0.0 < ah and bl < 0.0 < bh
+              and (al * bh == ah * bl or al * bl == ah * bh)):
+            # both straddle 0, and a bound's two corners round to the
+            # same product: the hull of a*[0, bh] and a*[bl, 0]
+            pl, ph = kmul(al, ah, 0.0, bh)
+            ql, qh = kmul(al, ah, bl, 0.0)
+            pl, ph = min(pl, ql), max(qh, ph)
+        else:
+            if al >= 0.0:
+                if bl >= 0.0:
+                    xd, yd, xu, yu = al, bl, ah, bh
+                elif bh <= 0.0:
+                    xd, yd, xu, yu = ah, bl, al, bh
+                else:
+                    xd, yd, xu, yu = ah, bl, ah, bh
+            elif ah <= 0.0:
+                if bl >= 0.0:
+                    xd, yd, xu, yu = al, bh, ah, bl
+                elif bh <= 0.0:
+                    xd, yd, xu, yu = ah, bh, al, bl
+                else:
+                    xd, yd, xu, yu = al, bh, al, bl
+            elif bl >= 0.0:
+                xd, yd, xu, yu = al, bh, ah, bh
+            elif bh <= 0.0:
+                xd, yd, xu, yu = ah, bl, al, bl
+            else:
+                # both straddle 0: per bound the corner whose rounded
+                # product lies farther out (the rounding is monotone);
+                # with a NaN bound, the first corner, as min() and max()
+                # keep it
+                xd, yd = (ah, bl) if ah * bl < al * bh else (al, bh)
+                xu, yu = (ah, bh) if ah * bh > al * bl else (al, bl)
+            # pl: the largest float <= xd*yd, by the sign of Dekker's
+            # error term xd*yd - p (NaN when the split of an operand above
+            # ~1.3e300 overflowed); a product outside [1e-290, 1e290],
+            # where the split or the error term may overflow or
+            # denormalize, moves one ulp down instead, as does one that
+            # underflowed to zero
+            p = xd * yd
+            if not _NBIG <= p <= _BIG or (_NTINY < p < _TINY and xd != 0.0 and yd != 0.0):
+                pl = nextafter(p, _NINF)
+            else:
+                xh = xd * _SPLIT
+                xh = xh - (xh - xd)
+                xt = xd - xh
+                yh = yd * _SPLIT
+                yh = yh - (yh - yd)
+                yt = yd - yh
+                if ((xh * yh - p) + xh * yt + xt * yh) + xt * yt >= 0.0:
+                    pl = p
+                else:
+                    pl = nextafter(p, _NINF)
+            # ph: the mirror, the smallest float >= xu*yu
+            p = xu * yu
+            if not _NBIG <= p <= _BIG or (_NTINY < p < _TINY and xu != 0.0 and yu != 0.0):
+                ph = nextafter(p, _INF)
+            else:
+                xh = xu * _SPLIT
+                xh = xh - (xh - xu)
+                xt = xu - xh
+                yh = yu * _SPLIT
+                yh = yh - (yh - yu)
+                yt = yu - yh
+                if ((xh * yh - p) + xh * yt + xt * yh) + xt * yt <= 0.0:
+                    ph = p
+                else:
+                    ph = nextafter(p, _INF)
+        if not pl <= ph:
+            _refuse(pl, ph)
+        if wl is None:
+            lo, hi = pl, ph
+            continue
+        # the sum, as kadd(pl, ph, wl, wh)
+        lo = pl + wl
+        if lo - pl != wl or lo - wl != pl:
+            lo = nextafter(lo, _NINF)
+        hi = ph + wh
+        if hi - ph != wh or hi - wh != ph:
+            hi = nextafter(hi, _INF)
+        if not lo <= hi:
+            _refuse(lo, hi)
+    return lo, hi
 
 
-def _prod_up(x: float, y: float) -> float:
-    """Smallest float >= x*y; the mirror of _prod_down (the split is
-    repeated, not shared, to save a call per bound)."""
-    p = x * y
-    ap = abs(p)
-    if ap > _BIG or (ap < _TINY and x != 0.0 and y != 0.0):
-        return nextafter(p, _INF)
-    xh = x * _SPLIT
-    xh = xh - (xh - x)
-    xl = x - xh
-    yh = y * _SPLIT
-    yh = yh - (yh - y)
-    yl = y - yh
-    if ((xh * yh - p) + xh * yl + xl * yh) + xl * yl <= 0.0:
-        return p
-    return nextafter(p, _INF)
+_ONE_PRODUCT = (None,)
 
 
 def kmul(al: float, ah: float, bl: float, bh: float):
-    if (al == 0.0 and ah == 0.0) or (bl == 0.0 and bh == 0.0):
-        lo = hi = 0.0
-    elif al == 1.0 and ah == 1.0:
-        lo, hi = bl, bh
-    elif bl == 1.0 and bh == 1.0:
-        lo, hi = al, ah
-    elif al >= 0.0:
-        if bl >= 0.0:
-            lo, hi = _prod_down(al, bl), _prod_up(ah, bh)
-        elif bh <= 0.0:
-            lo, hi = _prod_down(ah, bl), _prod_up(al, bh)
-        else:
-            lo, hi = _prod_down(ah, bl), _prod_up(ah, bh)
-    elif ah <= 0.0:
-        if bl >= 0.0:
-            lo, hi = _prod_down(al, bh), _prod_up(ah, bl)
-        elif bh <= 0.0:
-            lo, hi = _prod_down(ah, bh), _prod_up(al, bl)
-        else:
-            lo, hi = _prod_down(al, bh), _prod_up(al, bl)
-    elif bl >= 0.0:
-        lo, hi = _prod_down(al, bh), _prod_up(ah, bh)
-    elif bh <= 0.0:
-        lo, hi = _prod_down(ah, bl), _prod_up(al, bl)
-    else:
-        lo = min(_prod_down(al, bh), _prod_down(ah, bl))
-        hi = max(_prod_up(al, bl), _prod_up(ah, bh))
-    return (lo, hi) if lo <= hi else _refuse(lo, hi)
+    return _fold(_ONE_PRODUCT, None, al, ah, bl, bh)
+
+
+def kdot(row, col):
+    """row[0]*col[0] + row[1]*col[1] + ... on (lo, hi) pairs, summed left
+    to right: kmul's products and kadd's partial sums, bit for bit.  The
+    empty sum is (0.0, 0.0)."""
+    if len(row) != len(col):
+        raise ValueError(f"kdot of {len(row)} by {len(col)} terms")
+    return _fold(zip(row, col), None) if row else (0.0, 0.0)
+
+
+def khorner(cols, s):
+    """sum_i cols[i] s^i in Horner's form, componentwise, on (lo, hi)
+    pairs: cols[i] is the vector of the order-i terms, and each step is
+    kmul by s, then kadd of the next lower order's term, bit for bit."""
+    if not cols:
+        raise ValueError("khorner of no columns")
+    n = len(cols[0])
+    if any(len(c) != n for c in cols):
+        raise ValueError("khorner columns of unequal lengths")
+    sl, sh = s
+    return [_fold(comp[::-1], (sl, sh)) for comp in zip(*cols)]
 
 
 def _quot_rem(a: float, b: float, q: float) -> float:

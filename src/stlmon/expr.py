@@ -1,11 +1,10 @@
 """Expression trees over system parameters and variables.
 
 The operation set is closed: {+, -, *, /, integer power, sin, cos, exp}.
-This module builds, parses, prints and rewrites trees, and evaluates
-them at float points (eval_point).  A decimal literal is exact as
-written: one that no double equals keeps its rational value, and the
-tape computes with the smallest double interval around it (IEEE Std
-1788-2015's textToInterval).  Interval values, Taylor coefficients
+This module builds, parses, prints and rewrites trees.  A decimal
+literal is exact as written: one that no double equals keeps its
+rational value, and the tape computes with the smallest double interval
+around it (IEEE Std 1788-2015's textToInterval).  Interval values, Taylor coefficients
 and time derivatives along a flow all come from compiling trees to a
 tape (see taylor.py), whose order 0 is the natural interval extension
 and therefore contains all pointwise values.
@@ -24,7 +23,7 @@ from .node import Node
 
 __all__ = [
     "Expr", "Const", "Param", "Var", "Add", "Sub", "Mul", "Div", "Pow",
-    "Sin", "Cos", "Exp", "Neg", "literal", "literal_bounds", "eval_point",
+    "Sin", "Cos", "Exp", "Neg", "literal", "literal_bounds",
     "substitute_params", "free_divisions", "expr_to_str", "decimal_text",
     "number_text",
     "Tokenizer", "ExprParser",
@@ -36,9 +35,9 @@ class Expr(Node):
 
 
 class Const(Expr):
-    """A constant.  value is a double, the one eval_point uses; a literal
-    that no double equals also keeps its exact value, which bounds
-    encloses."""
+    """A constant.  value is a double, the nearest to the literal; a
+    literal that no double equals also keeps its exact value, which
+    bounds encloses."""
 
     __slots__ = ("value", "exact")
 
@@ -113,37 +112,6 @@ class Neg(Expr):
 
 
 # --- evaluation and rewriting -------------------------------------------
-
-
-def eval_point(e: Expr, u, x) -> float:
-    """Float value at parameter values u and state x: the plain float
-    evaluation that point simulations compare interval results against."""
-    t = type(e)
-    if t is Const:
-        return e.value
-    if t is Param:
-        return u[e.index]
-    if t is Var:
-        return x[e.index]
-    if t is Add:
-        return eval_point(e.a, u, x) + eval_point(e.b, u, x)
-    if t is Sub:
-        return eval_point(e.a, u, x) - eval_point(e.b, u, x)
-    if t is Mul:
-        return eval_point(e.a, u, x) * eval_point(e.b, u, x)
-    if t is Div:
-        return eval_point(e.a, u, x) / eval_point(e.b, u, x)
-    if t is Pow:
-        return eval_point(e.base, u, x) ** e.exponent
-    if t is Sin:
-        return math.sin(eval_point(e.arg, u, x))
-    if t is Cos:
-        return math.cos(eval_point(e.arg, u, x))
-    if t is Exp:
-        return math.exp(eval_point(e.arg, u, x))
-    if t is Neg:
-        return -eval_point(e.arg, u, x)
-    raise TypeError(f"unknown expression node {e!r}")
 
 
 def substitute_params(e: Expr, params) -> Expr:

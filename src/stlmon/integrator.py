@@ -41,9 +41,10 @@ The frame Q is formed in floats by two-pass Gram-Schmidt and is only
 nearly orthonormal; the method stays rigorous because r is mapped
 through an interval enclosure of Q^-1, bounded by a Neumann series on
 I - Q^T Q.  The frame products, the Horner sums and the dense output
-run the kernels on (lo, hi) float pairs, which the kernels refuse to
-leave with a NaN bound; Intervals hold the step models and the boxes
-handed to the Taylor tape.
+run on (lo, hi) float pairs, one fused kernel call each: kdot per
+matrix entry, khorner per polynomial evaluation; the kernels refuse to
+leave a NaN bound.  Intervals hold the step models and the boxes handed
+to the Taylor tape.
 
 Parameters whose run box is a point are folded into the flow as
 constants (a point interval is one float, so this is exact).  The
@@ -62,14 +63,14 @@ import math
 from bisect import bisect_right
 from operator import attrgetter
 
-from ._kernels import kadd, kdiv, kmul, ksub
+from ._kernels import kadd, kdiv, kdot, khorner, kmul, ksub
 from .errors import IntegrationError, NumericError
 from .expr import Const, Expr, Param, substitute_params
 from .interval import EMPTY, Interval, IntervalBox, inflate, midpoint
 from .node import Node
 from .system import ContinuousSystem
 from .taylor import (
-    JetAlgebra, TaylorProgram, compile_flow, dot, eval_box, interval_const, lie_derivative,
+    JetAlgebra, TaylorProgram, compile_flow, eval_box, interval_const, lie_derivative,
     state_series,
 )
 
@@ -101,13 +102,13 @@ class MonitorConfig(Node):
 
 def _imat_vec(A, v):
     """Interval matrix times interval vector, entries (lo, hi) pairs."""
-    return [dot(row, v) for row in A]
+    return [kdot(row, v) for row in A]
 
 
 def _imat_mat(A, B):
     cols = list(zip(*B))
     return [
-        [dot(row, col) for col in cols]
+        [kdot(row, col) for col in cols]
         for row in A
     ]
 
@@ -135,19 +136,6 @@ def _gram_schmidt(A):
         # a vanishing column stays zero; _rigorous_inverse then refuses Q
         cols.append([x / norm for x in v] if norm > 0.0 else v)
     return [list(row) for row in zip(*cols)]
-
-
-def _horner(cols, s):
-    """sum_i cols[i] s^i in Horner's form, componentwise, on (lo, hi)
-    pairs: cols[i] is the vector of order-i terms."""
-    sl, sh = s
-    acc = cols[-1]
-    for c in reversed(cols[:-1]):
-        prev, acc = acc, []
-        for (al, ah), (xl, xh) in zip(prev, c):
-            pl, ph = kmul(al, ah, sl, sh)
-            acc.append(kadd(pl, ph, xl, xh))
-    return acc
 
 
 class StepModel:
@@ -178,7 +166,7 @@ class StepModel:
 
     def eval_local(self, s: Interval) -> list:
         out = []
-        for (lo, hi), (al, ah) in zip(_horner(self._cols, (s.lo, s.hi)), self._box):
+        for (lo, hi), (al, ah) in zip(khorner(self._cols, (s.lo, s.hi)), self._box):
             lo, hi = max(lo, al), min(hi, ah)
             # both operands enclose the same solution set, so an empty
             # intersection means an enclosure is unsound
@@ -394,7 +382,7 @@ class SignalEnclosure:
         k, n = self.cfg.order, self.n
         # the polynomial part in Horner's form, which over s = [0, h] lies
         # inside the sum of the terms z^[i](zbox) [0,h]^i (subdistributivity)
-        poly = _horner([[jets[j][i][0] for j in range(n)] for i in range(k + 1)], (s.lo, s.hi))
+        poly = khorner([[jets[j][i][0] for j in range(n)] for i in range(k + 1)], (s.lo, s.hi))
         sk1 = s.powi(k + 1)
         trial = [inflate(Interval(*p), 1.1) for p in poly] + list(zbox[n:])
         try:
@@ -422,7 +410,7 @@ class SignalEnclosure:
         # expansion through order m, whose start-box dependence the
         # Jacobian carries, and the coefficient enclosures above it
         sk1, span = span.powi(k + 1), (span.lo, span.hi)
-        p_end = _horner([[point[j][i] for j in range(d)] for i in range(m + 1)]
+        p_end = khorner([[point[j][i] for j in range(d)] for i in range(m + 1)]
                         + [[jets[j][i][0] for j in range(d)] for i in range(m + 1, k + 1)],
                         span)
         # parameter rows have no remainder: their series is the constant
@@ -430,7 +418,7 @@ class SignalEnclosure:
                  for p, r in zip(p_end, remainder)] + p_end[self.n:]
 
         # the d x d rows flattened into one vector per order
-        S = _horner(
+        S = khorner(
             [[g for rj in range(d) for g in jets[rj][i][1:]] for i in range(m + 1)],
             span,
         )

@@ -36,35 +36,26 @@ jet power is its factors' product at order 0 too.  A jet run may drop
 the gradient above an order its algebra's settled rule accepts and go
 on with the value pairs, which keeps every value.  Intervals are the
 boxes the runners take and what eval_box and lie_derivative return;
-state_series returns the elements.  dot is the one sum of pair
-products, for the convolutions here and the integrator's frame.  No op
-checks its output: the kernels refuse a NaN bound (NumericError) and a
-divisor containing zero (ZeroDivisionError) themselves.
+state_series returns the elements.  The fused kernel kdot is the one
+sum of pair products, one call per convolution (and per jet gradient
+entry), here and in the integrator's frame.  No op checks its output:
+the kernels refuse a NaN bound (NumericError) and a divisor containing
+zero (ZeroDivisionError) themselves.
 """
 
 from __future__ import annotations
 
 from functools import cache
 
-from ._kernels import kadd, kdiv, kmul, ksub
+from ._kernels import kadd, kdiv, kdot, kmul, ksub
 from .expr import Add, Const, Cos, Div, Exp, Expr, Mul, Neg, Param, Pow, Sin, Sub, Var
 from .interval import Interval
 from .node import Node
 
 __all__ = [
     "TaylorProgram", "compile_flow", "eval_box", "state_series", "lie_derivative",
-    "interval_const", "JetAlgebra", "dot",
+    "interval_const", "JetAlgebra",
 ]
-
-
-def dot(row: list, col: list) -> tuple:
-    """row[0]*col[0] + row[1]*col[1] + ... on (lo, hi) pairs, summed left
-    to right: the one pair dot product of the tape and the integrator."""
-    lo, hi = kmul(*row[0], *col[0])
-    for (al, ah), (bl, bh) in zip(row[1:], col[1:]):
-        pl, ph = kmul(al, ah, bl, bh)
-        lo, hi = kadd(lo, hi, pl, ph)
-    return lo, hi
 
 
 class _Pairs:
@@ -91,7 +82,7 @@ class _Pairs:
 
     def conv(self, a: list, b: list, i: int):
         """a[0]*b[i] + a[1]*b[i-1] + ... + a[i]*b[0], left to right."""
-        return dot(a[:i + 1], b[i::-1])
+        return kdot(a[:i + 1], b[i::-1])
 
     def power(self, base: list, n: int, a: list, b: list, i: int):
         return self.conv(a, b, i) if i else self.chain(base[0], lambda u: u.powi(n))
@@ -134,30 +125,20 @@ class JetAlgebra:
         return [(-hi, -lo) for lo, hi in x]
 
     def mul(self, x, y):
-        (vl, vh), (wl, wh) = x[0], y[0]
-        out = [kmul(vl, vh, wl, wh)]
-        for k in self.grad:
-            (xl, xh), (yl, yh) = x[k], y[k]
-            ul, uh = kmul(vl, vh, yl, yh)
-            tl, th = kmul(wl, wh, xl, xh)
-            out.append(kadd(ul, uh, tl, th))
-        return out
+        vw = x[0], y[0]
+        return [kmul(*x[0], *y[0])] + [kdot(vw, (y[k], x[k])) for k in self.grad]
 
     def conv(self, a: list, b: list, i: int):
-        """a[0]*b[i] + ... + a[i]*b[0], each product summed in place."""
-        out = self.mul(a[0], b[i])
-        for x, y in zip(a[1:i + 1], b[i - 1::-1]):
-            (vl, vh), (wl, wh) = x[0], y[0]
-            pl, ph = kmul(vl, vh, wl, wh)
-            sl, sh = out[0]
-            out[0] = kadd(sl, sh, pl, ph)
-            for k in self.grad:
-                (xl, xh), (yl, yh) = x[k], y[k]
-                ul, uh = kmul(vl, vh, yl, yh)
-                tl, th = kmul(wl, wh, xl, xh)
-                gl, gh = kadd(ul, uh, tl, th)
-                sl, sh = out[k]
-                out[k] = kadd(sl, sh, gl, gh)
+        """a[0]*b[i] + ... + a[i]*b[0], left to right: one kdot of the
+        values, and gradient entry k the sum of the products' entries
+        k, each the kdot of (v, w) and (y[k], x[k])."""
+        xs, ys = a[:i + 1], b[i::-1]
+        out = [kdot([x[0] for x in xs], [y[0] for y in ys])]
+        for k in self.grad:
+            lo, hi = kdot((xs[0][0], ys[0][0]), (ys[0][k], xs[0][k]))
+            for x, y in zip(xs[1:], ys[1:]):
+                lo, hi = kadd(lo, hi, *kdot((x[0], y[0]), (y[k], x[k])))
+            out.append((lo, hi))
         return out
 
     def div(self, x, y):

@@ -11,7 +11,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from stlmon.errors import AmbiguityError
-from stlmon.expr import eval_point
 from stlmon.interval import Interval, IntervalBox
 from stlmon.monitor import UNKNOWN, UNSAT, VALID, MonitorConfig, monitor_stl
 from stlmon.stl import formula_to_str, parse_formula
@@ -20,6 +19,7 @@ from stlmon.system import load_builtin
 import test_integrator
 import test_interval
 import test_timesets
+from point_eval import eval_point
 
 
 def report(name, ok):

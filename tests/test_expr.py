@@ -23,7 +23,6 @@ from stlmon.expr import (
     Tokenizer,
     Var,
     decimal_text,
-    eval_point,
     expr_to_str,
     free_divisions,
     literal,
@@ -31,6 +30,8 @@ from stlmon.expr import (
 )
 from stlmon.interval import Interval
 from stlmon.taylor import compile_flow, eval_box, lie_derivative
+
+from point_eval import eval_point
 
 
 def parse(text, params=(), variables=("x", "y", "z")):

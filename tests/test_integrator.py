@@ -13,13 +13,16 @@ from scipy.integrate import solve_ivp
 
 import stlmon
 from stlmon import integrator, taylor
+from stlmon._kernels import kdot, khorner
 from stlmon.errors import IntegrationError, NumericError
-from stlmon.expr import eval_point, substitute_params
+from stlmon.expr import substitute_params
 from stlmon.integrator import MonitorConfig, SignalEnclosure, StepModel, _gram_schmidt
 from stlmon.interval import Interval, IntervalBox
 from stlmon.monitor import monitor_enclosure
 from stlmon.stl import parse_formula
 from stlmon.system import load_builtin, parse_model
+
+from point_eval import eval_point
 
 
 def point_box(*vals):
@@ -533,20 +536,19 @@ class TestFrameFactor:
 
 
 class TestPairChecks:
-    """The frame products (taylor.dot) and Horner sums run the kernels on
-    (lo, hi) pairs, and the kernels refuse a NaN bound: a sum of opposite
+    """The frame products (kdot) and Horner sums (khorner) run on (lo, hi)
+    pairs, and the kernels refuse a NaN bound: a sum of opposite
     infinities is a NumericError where it arises, not a NaN bound that a
     later product with an exact zero would hide."""
 
     def test_dot_refuses_a_nan_bound(self):
         with pytest.raises(NumericError):
-            taylor.dot([(math.inf, math.inf), (1.0, 1.0)],
-                       [(1.0, 1.0), (-math.inf, -math.inf)])
+            kdot([(math.inf, math.inf), (1.0, 1.0)], [(1.0, 1.0), (-math.inf, -math.inf)])
 
     def test_horner_refuses_a_nan_bound(self):
         # inf * s + (-inf) at the first Horner step
         with pytest.raises(NumericError):
-            integrator._horner([[(-math.inf, -math.inf)], [(math.inf, math.inf)]], (1.0, 1.0))
+            khorner([[(-math.inf, -math.inf)], [(math.inf, math.inf)]], (1.0, 1.0))
 
 
 class TestAtomTape:

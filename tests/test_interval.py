@@ -11,7 +11,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stlmon import taylor
 from stlmon._kernels import _pure
 from stlmon.errors import NumericError
 from stlmon.interval import (
@@ -484,28 +483,18 @@ class TestKernelLanes:
         # both outcomes occur: 0 * inf and inf - inf among the specials
         assert 0 < refused < calls, (refused, calls)
 
-    def test_dot_encloses_the_exact_dot_product(self, lane, monkeypatch):
-        # taylor.dot on the lane's kernels: each bound encloses the sum of
-        # the exact rational corner extremes, or the sum is refused where
-        # a partial sum overflows to inf - inf
-        monkeypatch.setattr(taylor, "kmul", lane.kmul)
-        monkeypatch.setattr(taylor, "kadd", lane.kadd)
-        big = 1.7976931348623157e308
-        special = [(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (1.0, 1.0), (-1.0, -1.0),
-                   (5e-324, 5e-324), (-5e-324, 2e-308), (-big, big), (big, big)]
+    def test_dot_encloses_the_exact_dot_product(self, lane):
+        # the lane's kdot: each bound encloses the sum of the exact
+        # rational corner extremes, or the sum is refused where a partial
+        # sum overflows to inf - inf
         rng = random.Random(20261021)
-
-        def operand():
-            if rng.random() < 0.2:
-                return rng.choice(special)
-            return _operand(rng, rng.choice("+-0"))
-
         bad, refused = [], 0
         for _ in range(1_500):
             n = rng.randint(1, 8)
-            row, col = [operand() for _ in range(n)], [operand() for _ in range(n)]
+            row = [_fused_operand(rng) for _ in range(n)]
+            col = [_fused_operand(rng) for _ in range(n)]
             try:
-                lo, hi = taylor.dot(row, col)
+                lo, hi = lane.kdot(row, col)
             except NumericError:
                 refused += 1
                 continue
@@ -518,33 +507,96 @@ class TestKernelLanes:
         assert not bad, f"{len(bad)} unsound, e.g. {bad[:3]}"
         assert refused < 150, refused
 
+    def test_horner_encloses_the_exact_horner_form(self, lane):
+        # the lane's khorner: each component encloses Horner's form in
+        # exact rational interval arithmetic, r = r*s + c from the highest
+        # order down, or is refused where a bound overflows to inf - inf
+        rng = random.Random(20261022)
+
+        def exact_step(r, s, c):
+            corners = [x * y for x in r for y in s]
+            return min(corners) + c[0], max(corners) + c[1]
+
+        bad, refused = [], 0
+        for _ in range(1_000):
+            n, m = rng.randint(1, 3), rng.randint(1, 6)
+            cols = [[_fused_operand(rng) for _ in range(n)] for _ in range(m)]
+            s = _fused_operand(rng)
+            try:
+                got = lane.khorner(cols, s)
+            except NumericError:
+                refused += 1
+                continue
+            sq = tuple(map(Fraction, s))
+            for j, (lo, hi) in enumerate(got):
+                r = tuple(map(Fraction, cols[-1][j]))
+                for c in reversed(cols[:-1]):
+                    r = exact_step(r, sq, tuple(map(Fraction, c[j])))
+                if not ((lo == -math.inf or Fraction(lo) <= r[0])
+                        and (hi == math.inf or r[1] <= Fraction(hi))):
+                    bad.append((cols, s, j, lo, hi))
+        assert not bad, f"{len(bad)} unsound, e.g. {bad[:3]}"
+        assert refused < 100, refused
+
     def test_c_lane_matches_pure_bit_for_bit(self, c_lane, c_lane_native):
         special = [0.0, -0.0, 1.0, -1.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf]
         rng = random.Random(11)
 
+        def bound():
+            return rng.choice(special) if rng.random() < 0.2 else _random_double(rng)
+
+        def pairs(n):
+            return [(bound(), bound()) for _ in range(n)]
+
         for build in (c_lane, c_lane_native):
             assert build.BACKEND == "c"
         bad, calls, refused = [], 0, 0
+
+        def compare(name, *args):
+            nonlocal calls, refused
+            want = _outcome(getattr(_pure, name), *args)
+            calls += 1
+            refused += isinstance(want, type)
+            for build in (c_lane, c_lane_native):
+                if _outcome(getattr(build, name), *args) != want:
+                    bad.append((name, args))
+
         for _ in range(20_000):
-            quad = [rng.choice(special) if rng.random() < 0.2 else _random_double(rng)
-                    for _ in range(4)]
+            quad = [bound() for _ in range(4)]
             for name in _EXACT:
-                want = _outcome(getattr(_pure, name), *quad)
-                calls += 1
-                refused += isinstance(want, type)
-                for build in (c_lane, c_lane_native):
-                    if _outcome(getattr(build, name), *quad) != want:
-                        bad.append((name, quad))
+                compare(name, *quad)
+        # the fused kernels, on as many pairs as the four-argument
+        # kernels' quadruples, and on empty and unequal-length operands
+        for _ in range(4_000):
+            n = rng.randint(0, 4)
+            compare("kdot", pairs(n), pairs(n if rng.random() < 0.9 else rng.randint(0, 4)))
+            m, n = rng.randint(0, 4), rng.randint(0, 3)
+            cols = [pairs(n if rng.random() < 0.9 else rng.randint(0, 3)) for _ in range(m)]
+            compare("khorner", cols, (bound(), bound()))
         assert not bad, f"{len(bad)} of {calls} calls differ, e.g. {bad[:3]}"
         # the random quadruples are unordered half the time, so many
         # results are refused alike
         assert 0 < refused < calls, (refused, calls)
 
 
+def _fused_operand(rng):
+    """An operand of kdot and khorner: a special pair one time in five,
+    or finite sorted bounds of a random sign pattern."""
+    big = 1.7976931348623157e308
+    if rng.random() < 0.2:
+        return rng.choice([(0.0, 0.0), (-0.0, -0.0), (-0.0, 0.0), (1.0, 1.0), (-1.0, -1.0),
+                           (5e-324, 5e-324), (-5e-324, 2e-308), (-big, big), (big, big)])
+    return _operand(rng, rng.choice("+-0"))
+
+
 def _outcome(kern, *args):
-    """The bits of the pair kern returns, or the type of the exception it
-    raises: the lanes must agree on both."""
+    """The bits of the pair kern returns (of each pair, for a list of
+    them), or the type of the exception it raises: the lanes must agree
+    on both."""
     try:
-        return tuple(struct.pack("<d", v) for v in kern(*args))
-    except (NumericError, ZeroDivisionError) as exc:
+        got = kern(*args)
+    except (NumericError, ZeroDivisionError, ValueError) as exc:
         return type(exc)
+    if isinstance(got, list):
+        return [tuple(struct.pack("<d", v) for v in p) for p in got]
+    return tuple(struct.pack("<d", v) for v in got)

@@ -5,13 +5,14 @@ from fractions import Fraction
 import pytest
 
 from stlmon.errors import ModelError
-from stlmon.expr import eval_point
 from stlmon.system import (
     BUILTIN_MODELS,
     format_model,
     load_builtin,
     parse_model,
 )
+
+from point_eval import eval_point
 
 ROTATION = """\
 [params] u1 in [-0.1, 0.1]
