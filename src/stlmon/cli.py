@@ -222,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pv)
     _add_formula(pv)
     pv.add_argument("--trace", help="write the enclosure trace CSV here")
-    pv.add_argument("--dump-sets", action="store_true", help="include per-subformula sets")
+    pv.add_argument("--dump-sets", action="store_true",
+                    help="include each subformula's under and over time sets")
     pv.set_defaults(func=cmd_verify)
 
     pb = sub.add_parser("batch", help="seeded batch of verifications")

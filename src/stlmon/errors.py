@@ -2,7 +2,10 @@
 
 Every certification failure below maps to an Unknown verdict at the top
 level, and its class determines the reported cause.  ModelError is not
-one: bad model or formula text is a usage error (exit code 64).
+one: bad model or formula text is a usage error (exit code 64).  The
+time-set propagation raises nothing: an Unknown with the cause
+PropagationError has no exception class, and means that every search
+completed and still no certified prefix decides.
 """
 
 
@@ -20,10 +23,6 @@ class TangencyError(StlmonError):
 
 class InitialSignError(StlmonError):
     """An atom's truth at t = 0 is undecidable over the initial box."""
-
-
-class AmbiguityError(StlmonError):
-    """Overlapping boundary enclosures made an approximated set non-canonical."""
 
 
 class NumericError(StlmonError, ValueError):

@@ -8,8 +8,8 @@ d/dt f(x~(t)), the order-1 Taylor coefficient of f along the flow's tape
 monotone and the atom f < 0 has opposite truth at its ends, and contracts
 it with interval Newton steps; per-atom enumeration of truth-change
 boundaries, one search after another from time 0 (_AtomSearch),
-structural propagation through the formula via the consistent-time-set
-algebra (propagate), and the decision at time zero (consistent_at_init).
+structural propagation through the formula over three-valued time sets
+(propagate), and the decision at time zero (consistent_at_init).
 
 monitor_enclosure wires them together over one signal enclosure, which
 carries the run's boxes and MonitorConfig, and decides on the shortest
@@ -22,20 +22,21 @@ every live atom search sweeps on up to the new horizon.  The searches
 read the steps already in the enclosure first, one step end at a time,
 so their windows follow the step grid, not how far the enclosure was
 integrated before the run (save at step ends; see search_zero).  The
-formula is propagated over a pair of sets (propagate): under holds where
-the formula holds for every continuation of the known prefix, over where
-it may.  An atom's under set is its certified set cut at the end of its
-certified prefix, and its over set also holds from there on.  One rule
+formula is propagated over a pair of unions of intervals (propagate):
+under holds where the formula holds for every signal and every
+continuation of the known prefix, over where it may.  An atom's pair
+comes from its brackets, and its under set is cut at the end of its
+certified prefix while its over set holds from there on.  One rule
 reads every verdict (_fixes): Valid once under holds at time 0, Unsat
 once over fails there.  It is read when a search certifies a bracket,
 completes or fails, when the horizon passes a window end of any atom,
-and after a failed step; at full depth each atom's pair is one set, and
-so is the formula's.  A failure freezes what it stops: a failed search
-keeps its atom's certified prefix, and a failed step the enclosure's.
-Integration stops once no search is live, as no further step can move a
-frozen search.  Unknown, tagged with the cause of the failure that ended
-the run, is left only when no prefix decides.  monitor_stl builds the
-enclosure from a system.
+and after a failed step.  A failure freezes what it stops: a failed
+search keeps its atom's certified prefix, and a failed step the
+enclosure's.  Integration stops once no search is live, as no further
+step can move a frozen search.  Unknown, tagged with the cause of the
+failure that ended the run, is left only when no certified prefix
+decides, and PropagationError when the searches all completed.
+monitor_stl builds the enclosure from a system.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from __future__ import annotations
 import math
 
 from .errors import (
-    AmbiguityError,
     InitialSignError,
     IntegrationError,
     NumericError,
@@ -65,11 +65,9 @@ from .stl import (
 )
 from .system import ContinuousSystem
 from .timesets import (
-    ApproxSet,
-    BoundaryEnclosure,
     EMPTY_SET,
     UNIVERSE,
-    first_element,
+    holds_at_zero,
     invert,
     join,
     normalize,
@@ -95,7 +93,6 @@ NUMERIC_FAILURES = (OverflowError, ZeroDivisionError, NumericError)
 # every certification failure, with the cause it reports
 _CAUSES = (
     (TangencyError, SEARCH_ZERO_ERROR),
-    (AmbiguityError, PROPAGATION_ERROR),
     (IntegrationError, INTEGRATION_ERROR),
     (InitialSignError, INITIAL_SIGN_ERROR),
     *((kind, NUMERIC_ERROR) for kind in NUMERIC_FAILURES),
@@ -155,7 +152,7 @@ class Verdict(Node):
         outcome: str,
         unknown_cause: str | None = None,
         stats: MonitorStats | None = None,
-        sets: dict[str, ApproxSet] | None = None,
+        sets: dict[str, tuple] | None = None,
     ):
         if (outcome == UNKNOWN) != (unknown_cause is not None):
             raise ValueError(
@@ -172,7 +169,8 @@ class Verdict(Node):
             "stats": self.stats.to_json(),
         }
         if self.sets is not None:
-            out["sets"] = {k: set_json(v) for k, v in self.sets.items()}
+            out["sets"] = {k: {"under": set_json(u), "over": set_json(o)}
+                           for k, (u, o) in self.sets.items()}
         return out
 
 
@@ -264,14 +262,11 @@ def search_zero(
     window.
 
     An end where the atom fails may sit on f = 0; at one where it holds,
-    f < 0.  The time-set algebra reads each consistent interval as [l, u)
-    with l in a start bracket and u in an end bracket.  That is sound
-    because a start bracket's upper end is a time at which the atom
-    strictly holds, an end bracket's upper end one at which it fails, and
-    no time in a start bracket is read as holding: an atom that turns
-    true just after a lower end with f = 0 holds on an interval left-open
-    there, which the reading never claims.  Only the point [0], emitted
-    when the atom holds at time 0, is read as holding at its lower end.
+    f < 0.  So between a bracket L where the atom turns true and the next,
+    U, where it turns false, the atom holds on the closed [L.hi, U.lo]
+    for every signal, and may hold only on the open (L.lo, U.hi): an atom
+    that turns true just after an end with f = 0 holds on an interval
+    left-open there, which neither side claims (_AtomSearch.bounds).
     """
     # Sweep with the invariant: the atom has truth s0 over [start, sw.lo].
     # A subwindow is eliminated by a range that decides the atom, or by
@@ -370,18 +365,19 @@ class _AtomSearch:
     """The zero search of one atom f < 0 over [0, depth], resumable as
     the enclosure grows.
 
-    raw holds the boundary enclosures found so far, from the point [0]
-    when the atom holds at time 0 through search_zero's brackets.  The
-    atom's truth is certified over [0, sweep.lo]: it is sweep.s0 from the
-    last bracket on.  sweep is None until time 0 is read, and complete is
-    set once the sweep has reached depth.  failure is the certification
+    held is the atom's truth at time 0, and brackets holds search_zero's
+    brackets found so far, each where the truth changes.  The atom's
+    truth is certified over [0, sweep.lo]: it is sweep.s0 from the last
+    bracket on.  sweep is None until time 0 is read, and complete is set
+    once the sweep has reached depth.  failure is the certification
     failure that stopped the search; the certified prefix stands.  A
     search is live until it completes or fails.
     """
 
     def __init__(self, f: Expr, depth: float):
         self.f, self.depth = f, depth
-        self.raw: list[BoundaryEnclosure] = []
+        self.held = False
+        self.brackets: list[Interval] = []
         self.sweep: _Sweep | None = None
         self.complete = False
         self.failure: Exception | None = None
@@ -404,8 +400,7 @@ class _AtomSearch:
                     f"truth of the atom is undecidable at time 0: enclosure "
                     f"{_f_at(f, enc, Interval(0.0))}"
                 ) from exc
-            if self.sweep.s0:
-                self.raw.append(BoundaryEnclosure(Interval(0.0), True))
+            self.held = self.sweep.s0
             if self.depth == 0.0:
                 # an atom of temporal depth 0 is read at time 0 only, which
                 # the initial box decides; the enclosure may hold no step
@@ -421,79 +416,77 @@ class _AtomSearch:
                 # sw.lo, which may already be its depth
                 self.complete = sw.w is not None and sw.lo == hi == self.depth
                 return
-            self.raw.append(BoundaryEnclosure(tz, not sw.s0))
+            self.brackets.append(tz)
             stats.roots_certified += 1
             # the atom's truth is decided at tz.hi, so the next search
             # starts there with the other truth
             self.sweep = _Sweep(tz.hi, not sw.s0)
 
-    def bounds(self) -> tuple[ApproxSet, ApproxSet]:
-        """(under, over): the atom's certified set cut at the end of its
-        certified prefix, and the same set holding from there on.
+    def bounds(self) -> tuple[tuple, tuple]:
+        """(under, over): where the atom holds for every signal, and
+        where it may hold, over [0, inf).
 
-        The cut is an exact end [end]: under reads the interval that
-        holds there as [l, end), and over a failing atom as holding on
-        [end, inf).  Both are sound only as bounds: the atom holds on
-        [l, end] and fails at end, so under lies inside the truth and over
-        around it, whatever the atom does after end.  Neither is read as
-        the truth; a searched-through atom has one set, open at its depth.
+        The atom holds on [L.hi, U.lo] between a bracket L where it turns
+        true and the next, U, where it turns false, and may hold on
+        (L.lo, U.hi): it holds strictly at L.hi and U.lo and fails at
+        L.lo and U.hi (search_zero).  A held time 0 starts a stretch on
+        the point [0].  A complete search reads its last truth on from
+        its depth, which no window reads.  Short of that, the truth is
+        known up to the end T of the certified prefix: under is cut at T,
+        and over holds from T on, whatever the atom does after T.
         """
-        if self.complete:
-            s = normalize(self.raw)
-            return s, s
         if self.sweep is None:
             return EMPTY_SET, UNIVERSE
-        holds = self.sweep.s0
-        s = normalize(self.raw)
-        cut = normalize(_closed(self.raw, self.sweep.lo, not holds))
-        return (cut, s) if holds else (s, cut)
+        t = math.inf if self.complete else self.sweep.lo
+        ends = ([_HELD] if self.held else []) + self.brackets
+        over = []
+        if len(ends) % 2:
+            # the atom holds at t: its last stretch ends there, and may go on
+            ends.append(Interval(t, math.inf))
+        elif t < math.inf:
+            # the atom fails at t, and may hold from there on
+            over.append((t, True, math.inf, False))
+        stretches = list(zip(ends[::2], ends[1::2]))
+        under = [(s.hi, True, e.lo, e.lo < math.inf) for s, e in stretches]
+        over += [(s.lo, s is _HELD, e.hi, False) for s, e in stretches]
+        return normalize(under), normalize(over)
 
 
-def _closed(raw: list, t: float, polarity: bool) -> list:
-    """raw with the exact bound [t] of the given polarity appended.  A
-    last bracket that reaches t is dropped instead: the truth it changed
-    to may begin only at t, so the truth before it goes on to t."""
-    if raw and raw[-1].s.hi >= t:
-        return raw[:-1]
-    return raw + [BoundaryEnclosure(Interval(t), polarity)]
+# the stretch of an atom that holds at time 0 starts on this point
+_HELD = Interval(0.0)
 
 
 def propagate(
     phi: Formula,
-    atom_bounds: dict[Expr, tuple[ApproxSet, ApproxSet]],
+    atom_bounds: dict[Expr, tuple[tuple, tuple]],
     record: dict[str, tuple] | None = None,
-) -> tuple[ApproxSet, ApproxSet]:
+) -> tuple[tuple, tuple]:
     """(under, over) sets of phi from (under, over) sets of its atoms, by
     structural recursion over the formula.
 
     Kleene's three-valued reading over a prefix: under holds where phi
     holds for every continuation, over where it holds for some.  Not
     swaps the pair (and inverts it); Or and Until are monotone in both
-    operands, so they map each component.  A node whose operands each
-    have one set (under is over) gets one set, computed once: at full
-    depth every atom's pair is one set, and so is every node's.
+    operands, so they map each side, the Until rounding its shifts
+    inward for under and outward for over.  record gets the pair of
+    every subformula.
     """
 
-    def each(op, *pairs):
-        under = op(*(p[0] for p in pairs))
-        if all(p[0] is p[1] for p in pairs):
-            return under, under
-        return under, op(*(p[1] for p in pairs))
-
-    def rec(node: Formula) -> tuple[ApproxSet, ApproxSet]:
+    def rec(node: Formula) -> tuple[tuple, tuple]:
         if isinstance(node, TrueF):
             t = UNIVERSE, UNIVERSE
         elif isinstance(node, Atom):
             t = atom_bounds[node.f]
         elif isinstance(node, Not):
             under, over = rec(node.a)
-            t = each(invert, (over, under))
+            t = invert(over), invert(under)
         elif isinstance(node, Or):
-            t = each(join, rec(node.a), rec(node.b))
+            (u1, o1), (u2, o2) = rec(node.a), rec(node.b)
+            t = join(u1, u2), join(o1, o2)
         elif isinstance(node, Until):
             t_lo, t_hi = rational_enclosure(node.lo), rational_enclosure(node.hi)
-            t = each(lambda t1, t2: shift_all(t_lo, t_hi, t1, t2),
-                     rec(node.a), rec(node.b))
+            (u1, o1), (u2, o2) = rec(node.a), rec(node.b)
+            t = shift_all(t_lo, t_hi, u1, u2), shift_all(t_lo, t_hi, o1, o2, outward=True)
         else:  # pragma: no cover - exhaustive over the core grammar
             raise TypeError(f"unknown formula node {node!r}")
         if record is not None:
@@ -503,16 +496,12 @@ def propagate(
     return rec(phi)
 
 
-def consistent_at_init(t: ApproxSet) -> str:
-    """Decision at time zero from the first boundary enclosure."""
-    if t.is_universe:
+def consistent_at_init(under: tuple, over: tuple) -> str:
+    """Decision at time zero: Valid when under holds there, Unsat when
+    over fails there."""
+    if holds_at_zero(under):
         return VALID
-    if t.is_empty:
-        return UNSAT
-    s = first_element(t).s
-    if s.hi <= 0.0:
-        return VALID
-    if s.lo > 0.0:
+    if not holds_at_zero(over):
         return UNSAT
     return UNKNOWN
 
@@ -527,35 +516,24 @@ def _advance(searches: list, enc: SignalEnclosure, limit: float,
     for a in searches:
         if not a.live:
             continue
-        found = len(a.raw)
+        found = len(a.brackets)
         hi = a.depth if limit <= enc.horizon_reached else min(a.depth, enc.horizon_reached)
         try:
             a.advance(enc, hi, limit, stats)
         except _FAILURES as exc:
             a.failure = exc
-        moved |= len(a.raw) > found or not a.live
+        moved |= len(a.brackets) > found or not a.live
     return moved
 
 
 def _fixes(phi: Formula, searches: list, record: dict | None = None) -> str | None:
     """Valid when phi's under set holds at time 0, Unsat when its over
-    set fails there, None when neither or when a set is ambiguous.  On a
-    verdict, record gets the sets that fixed it: under for Valid, over
-    for Unsat; when phi's pair is one set (full depth), it gets that set
-    of every subformula also when it fixes no verdict."""
-    pairs: dict | None = {} if record is not None else None
-    try:
-        under, over = propagate(phi, {a.f: a.bounds() for a in searches}, pairs)
-    except AmbiguityError:
-        return None
-    verdict, side = None, 0
-    if consistent_at_init(under) == VALID:
-        verdict = VALID
-    elif consistent_at_init(over) == UNSAT:
-        verdict, side = UNSAT, 1
-    if record is not None and (verdict or under is over):
-        record.update((k, t[side]) for k, t in pairs.items())
-    return verdict
+    set fails there, None when neither.  record gets the (under, over)
+    pair of every subformula, so after the last call it holds the pairs
+    that fixed the verdict or, for Unknown, those of the final prefix."""
+    under, over = propagate(phi, {a.f: a.bounds() for a in searches}, record)
+    verdict = consistent_at_init(under, over)
+    return None if verdict == UNKNOWN else verdict
 
 
 def _decide(enc: SignalEnclosure, phi: Formula, stats: MonitorStats,
@@ -563,7 +541,7 @@ def _decide(enc: SignalEnclosure, phi: Formula, stats: MonitorStats,
     """The verdict on the shortest certified prefix (module docstring).
     Raises the failure that ended the run when no prefix fixes one: a
     step that failed while a search was live first, then the first atom,
-    in first-occurrence order, whose search or set failed.  Each atom is
+    in first-occurrence order, whose search failed.  Each atom is
     searched up to its latest window end, its depth."""
     atom_ends = window_ends(phi)
     searches = [_AtomSearch(f, rational_enclosure(max(qs)).hi)
@@ -596,7 +574,6 @@ def _decide(enc: SignalEnclosure, phi: Formula, stats: MonitorStats,
     for a in searches:
         if a.failure is not None:
             raise a.failure
-        normalize(a.raw)  # raises when the atom's set is ambiguous
     return UNKNOWN
 
 
@@ -612,12 +589,12 @@ def monitor_enclosure(
     stage as its cause.  Arithmetic that overflows, divides by zero or
     yields a NaN bound is reported as Unknown with NumericError.  enc is
     integrated in place, so the caller can read its steps afterwards.
-    With collect_sets, the verdict carries the set of every subformula;
-    for a verdict fixed on a prefix, its under sets (Valid) or over sets
-    (Unsat).
+    With collect_sets, the verdict carries the (under, over) sets of
+    every subformula from the propagation that fixed the verdict, or for
+    Unknown from the last one.
     """
     stats = MonitorStats()
-    sets: dict[str, ApproxSet] | None = {} if collect_sets else None
+    sets: dict[str, tuple] | None = {} if collect_sets else None
     cause: str | None = None
     try:
         outcome = _decide(enc, phi, stats, sets)

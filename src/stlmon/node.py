@@ -1,5 +1,5 @@
-"""Immutable value nodes: expression and formula trees, time-set
-elements and the run's frozen records.
+"""Immutable value nodes: expression and formula trees and the run's
+frozen records.
 
 A Node subclass names its fields in ``__slots__``, in constructor
 order.  Nodes compare equal when they have the same class and equal

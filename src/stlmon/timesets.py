@@ -1,322 +1,169 @@
-"""Canonical approximated sets of consistent time intervals.
+"""Three-valued time sets: unions of intervals of [0, inf).
 
-A consistent time interval of a proposition is a maximal interval on
-which it holds.  The monitor represents the set of all of them by a
-sorted sequence of boundary enclosures (s, polarity): an interval s
-certain to contain one boundary, flagged as a lower (True) or upper
-(False) bound.  Universe abbreviates {([0], True)} ("holds from 0 on");
-Empty is the set of no consistent intervals.
+A set is a sorted tuple of disjoint spans (lo, lo_closed, hi, hi_closed)
+with float ends: the times t with lo < t < hi, and lo and hi themselves
+when their flags are set.  hi may be inf, and then it is open.  Spans
+that overlap or touch are merged (normalize), so every span is a
+maximal interval of the set, a component.  EMPTY_SET is the empty tuple
+and UNIVERSE the one span [0, inf).
 
-Canonical form (asserted after every operation):
-  - sorted and disjoint: upper endpoint of s_i < lower endpoint of s_{i+1};
-  - every s_i has a positive upper endpoint except possibly [0];
-  - polarities strictly alternate, starting with a lower bound.
+The monitor reads a formula through a pair of sets (monitor.propagate),
+in Kleene's three-valued reading: under, the times at which it holds for
+every admissible signal, and over, those at which it holds for some.
+The pair stays sound, under inside the truth and over around it,
+because every operation here is monotone but for invert, which the pair
+handles by swapping:
 
-The operations realize complement (invert), union (join), intersection
-(intersect, interval by interval), and the back-shift of the bounded
-Until: for consistent intervals I of phi1 and J of phi2 with
-I & J = [l, u), phi1 U_[a,b] phi2 holds on [l - b, u - a) & I.  An
-interval still holding where an atom's search ends, at its temporal
-depth, has no upper bound: it stays open.  A formula never reads an atom
-beyond its depth, so the open end meets no time that is read, where an
-end placed at the depth would: a punctual bound [a, a] shifts it exactly
-onto one.
+  - invert (complement in [0, inf)) and join (union) are exact on float
+    ends, so Not maps (under, over) to (invert over, invert under), and
+    Or joins side by side.
+  - shift_all, the bounded Until (Maler & Nickovic, FORMATS 2004): for
+    components I of phi1 and J of phi2 and their meet K = I & J,
+    phi1 U_[a,b] phi2 holds on [K.lo - b, K.hi - a] & I, each shifted
+    end included when K's is, and nowhere else.  That is exact only over
+    components, which normalize guarantees.  The Until is monotone in
+    both operands, so over the under sides it gives a subset of the
+    truth and over the over sides a superset, once the shifted ends
+    round inward for under and outward for over.  A rounded end that
+    moved lies strictly inside (under) or outside (over) the exact span,
+    so it may keep K's flag.
 
-A verdict fixed on a prefix [0, T] of the signal reads each atom through
-a pair of sets (monitor.propagate): under is the atom's set cut by an
-exact bound [T] that ends the interval holding at T, and over the same
-set with an exact lower bound [T] when the atom fails at T.  Those
-made-up ends are sound where the one above was not because they are
-read only as bounds: the atom holds on [l, T] and fails at T, so under
-lies inside the truth and over around it whatever the atom does after
-T, and every operation here is monotone but for invert, which the pair
-handles by swapping.  Neither set is read as the truth, so a punctual
-bound that shifts [T] onto a read time can only leave the verdict open.
-Normalization can fail when enclosures of opposite polarity overlap —
-the true boundary order is then unknown — which surfaces as
-AmbiguityError and, at the top level, an Unknown verdict.
+A formula holds at time 0 for every signal when 0 is in under (Valid),
+and for none when 0 is not in over (Unsat).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 
-from .errors import AmbiguityError
+from ._kernels import ksub
 from .interval import Interval
-from .node import Node
 
 __all__ = [
-    "BoundaryEnclosure", "ApproxSet", "UNIVERSE", "EMPTY_SET", "seq",
-    "normalize", "invert", "join", "intersect", "shift_all",
-    "first_element", "to_json",
+    "UNIVERSE", "EMPTY_SET", "normalize", "invert", "join", "intersect",
+    "shift_all", "holds_at_zero", "to_json",
 ]
 
-
-class BoundaryEnclosure(Node):
-    # s: Interval; polarity: True for the lower bound of a consistent
-    # interval, False for an upper one
-    __slots__ = ("s", "polarity")
-
-    def __repr__(self):
-        return f"({self.s}, {'T' if self.polarity else 'F'})"
+INF = math.inf
+EMPTY_SET: tuple = ()
+UNIVERSE = ((0.0, True, INF, False),)
 
 
-class ApproxSet(Node):
-    __slots__ = ("kind", "elems")  # "universe" | "empty" | "seq", tuple
-
-    def __init__(self, kind: str, elems: tuple = ()):
-        super().__init__(kind, elems)
-
-    @property
-    def is_universe(self) -> bool:
-        return self.kind == "universe"
-
-    @property
-    def is_empty(self) -> bool:
-        return self.kind == "empty"
-
-    def __repr__(self):
-        if self.kind == "seq":
-            return "{" + ", ".join(map(repr, self.elems)) + "}"
-        return self.kind
+def _span(lo: float, lo_closed: bool, hi: float, hi_closed: bool) -> tuple | None:
+    """The span with these ends, or None when it holds no time."""
+    if lo < hi or (lo == hi and lo_closed and hi_closed):
+        return lo, lo_closed, hi, hi_closed
+    return None
 
 
-UNIVERSE = ApproxSet("universe")
-EMPTY_SET = ApproxSet("empty")
+def _start(s: tuple):
+    # a closed start sorts before an open one at the same time
+    return s[0], not s[1]
 
 
-def seq(elems) -> ApproxSet:
-    elems = tuple(elems)
-    return ApproxSet("seq", elems) if elems else EMPTY_SET
+def normalize(spans) -> tuple:
+    """The canonical set of a union of spans: sorted, cut to [0, inf),
+    and with spans that overlap or touch merged into one."""
+    out: list[tuple] = []
+    for lo, lc, hi, hc in sorted(spans, key=_start):
+        if lo < 0.0:
+            if hi < 0.0 or (hi == 0.0 and not hc):
+                continue
+            lo, lc = 0.0, True
+        if out:
+            _, _, end, ec = out[-1]
+            if lo < end or (lo == end and (lc or ec)):
+                if hi > end or (hi == end and hc):
+                    out[-1] = out[-1][:2] + (hi, hc)
+                continue
+        out.append((lo, lc, hi, hc))
+    return tuple(out)
 
 
-_POINT_ZERO = Interval(0.0)
+def invert(t: tuple) -> tuple:
+    """The complement of t in [0, inf): the gaps between its spans."""
+    out: list[tuple] = []
+    lo, lc = 0.0, True
+    for a, ac, b, bc in t:
+        if lo < a or (lc and not ac):  # else the gap before a is empty
+            out.append((lo, lc, a, not ac))
+        lo, lc = b, not bc
+    if lo < INF:
+        out.append((lo, lc, INF, False))
+    return tuple(out)
 
 
-def _sort_key(e: BoundaryEnclosure):
-    return (e.s.lo, e.s.hi, not e.polarity)
+def join(t1: tuple, t2: tuple) -> tuple:
+    """The union of t1 and t2."""
+    return normalize(t1 + t2)
 
 
-def _check_canonical(t: ApproxSet) -> None:
-    """Canonicity closure check.  The normalization rules leave alternation
-    intact for inputs in generic position; a degenerate coincidence they
-    do not resolve is refused as ambiguous rather than let a non-canonical
-    set escape."""
-    if t.kind != "seq":
-        return
-    elems = t.elems
-    ok = bool(elems) and elems[0].polarity and all(e.s.hi >= 0.0 for e in elems)
-    if ok:
-        for a, b in zip(elems, elems[1:]):
-            if a.s.hi >= b.s.lo or a.polarity == b.polarity:
-                ok = False
-                break
-    if not ok:
-        raise AmbiguityError(f"normalization produced a non-canonical set: {t}")
+def _meet(i: tuple, j: tuple) -> tuple | None:
+    """Where spans i and j meet: from the later start to the earlier end."""
+    lo, lc, hi, hc = i
+    if j[0] > lo or (j[0] == lo and not j[1]):
+        lo, lc = j[0], j[1]
+    if j[2] < hi or (j[2] == hi and not j[3]):
+        hi, hc = j[2], j[3]
+    return _span(lo, lc, hi, hc)
 
 
-def normalize(raw) -> ApproxSet:
-    """Canonicalize a raw collection of boundary enclosures.
-
-    Raises AmbiguityError when an upper-bound enclosure other than [0]
-    contains 0, or when enclosures of opposite polarity overlap.
-    """
-    elems = sorted(raw, key=_sort_key)
-    for e in elems:
-        if not e.polarity and 0.0 in e.s and not (e.s.lo == e.s.hi == 0.0):
-            raise AmbiguityError(
-                f"upper-bound enclosure {e.s} contains the initial time"
-            )
-    for i, a in enumerate(elems):
-        for b in elems[i + 1:]:
-            if b.s.lo > a.s.hi:
-                break
-            if b.polarity != a.polarity:
-                raise AmbiguityError(
-                    f"overlapping boundary enclosures of opposite polarity: "
-                    f"{a} and {b}"
-                )
-
-    elems = _n1(elems)
-    collapsed = _n2(elems)
-    if collapsed is UNIVERSE:
-        return UNIVERSE
-    elems = _n3(collapsed)
-    elems = _n4(elems)
-    out = seq(elems)
-    _check_canonical(out)
-    return out
-
-
-def _n1(elems):
-    """Drop embedded bounds by the counting rule: keep a lower bound when
-    (#lowers strictly before it) - (#uppers strictly before it) < 1, an
-    upper bound when (#lowers strictly before it) - (#other uppers that
-    may lie before it) < 2.  A bound is dropped only when every order its
-    enclosures allow embeds it: of two overlapping upper bounds either may
-    close the outer interval, so both stay and _n3 merges them.  (Lowers
-    and uppers never overlap here, so for them strictly before and may
-    lie before agree.)"""
-    lowers = sorted(e.s.hi for e in elems if e.polarity)
-    uppers = sorted(e.s.hi for e in elems if not e.polarity)
-    upper_starts = sorted(e.s.lo for e in elems if not e.polarity)
-    out = []
-    for e in elems:
-        if e.polarity:
-            keep = bisect_left(lowers, e.s.lo) - bisect_left(uppers, e.s.lo) < 1
-        else:
-            # the uppers starting at or before e's end, e itself excluded
-            before = bisect_right(upper_starts, e.s.hi) - 1
-            keep = bisect_left(lowers, e.s.lo) - before < 2
-        if keep:
-            out.append(e)
-    return out
-
-
-def _n2(elems):
-    """Drop bounds entirely in the past; collapse to Universe when the
-    maximal element is a lower bound at or before 0."""
-    if elems:
-        top = elems[-1]
-        if top.polarity and top.s.hi <= 0.0:
-            return UNIVERSE
-    return [e for e in elems if e.s.hi > 0.0]
-
-
-def _n3(elems):
-    """Hull-merge overlapping enclosures of equal polarity."""
-    out: list[BoundaryEnclosure] = []
-    for e in elems:
-        if out and out[-1].polarity == e.polarity and e.s.lo <= out[-1].s.hi:
-            out[-1] = BoundaryEnclosure(out[-1].s.hull(e.s), e.polarity)
-        else:
-            out.append(e)
-    return out
-
-
-def _n4(elems):
-    """A set whose first bound is an upper bound holds from time 0."""
-    if elems and not elems[0].polarity:
-        return [BoundaryEnclosure(_POINT_ZERO, True)] + elems
-    return elems
-
-
-# --- set operations --------------------------------------------------------
-
-
-def invert(t: ApproxSet) -> ApproxSet:
-    if t.is_universe:
-        return EMPTY_SET
-    if t.is_empty:
-        return UNIVERSE
-    return normalize(BoundaryEnclosure(e.s, not e.polarity) for e in t.elems)
-
-
-def join(t1: ApproxSet, t2: ApproxSet) -> ApproxSet:
-    if t1.is_universe or t2.is_universe:
-        return UNIVERSE
-    if t1.is_empty:
-        return t2
-    if t2.is_empty:
-        return t1
-    return normalize(t1.elems + t2.elems)
-
-
-_OPEN = Interval(math.inf)  # the upper end of an interval still open
-
-
-def _intervals(t: ApproxSet) -> list:
-    """(lower, upper) enclosures of t's consistent intervals."""
-    e = t.elems
-    return [(e[i].s, e[i + 1].s if i + 1 < len(e) else _OPEN)
-            for i in range(0, len(e), 2)]
-
-
-def intersect(t1: ApproxSet, t2: ApproxSet) -> ApproxSet:
-    """Consistent intervals I of t1 and J of t2 meet on [max of their
-    lower bounds, min of their upper bounds), whose enclosures are the
-    max and min of the bounds' ends.  Both sequences are walked once,
-    advancing the interval whose upper end is lower: the other may still
-    meet the next one, it may not."""
-    if t1.is_universe:
-        return t2
-    if t2.is_universe:
-        return t1
-    a, b = _intervals(t1), _intervals(t2)
-    raw: list[BoundaryEnclosure] = []
+def intersect(t1: tuple, t2: tuple) -> tuple:
+    """The meets of the spans of t1 and t2.  Both are walked once,
+    advancing the span that ends first: the other may still meet the
+    next one, it may not."""
+    out: list[tuple] = []
     i = j = 0
-    while i < len(a) and j < len(b):
-        (l1, u1), (l2, u2) = a[i], b[j]
-        lower = Interval(max(l1.lo, l2.lo), max(l1.hi, l2.hi))
-        upper = Interval(min(u1.lo, u2.lo), min(u1.hi, u2.hi))
-        if lower.lo < upper.hi:  # else I and J certainly do not meet
-            raw.append(BoundaryEnclosure(lower, True))
-            if upper.lo < math.inf:  # else both are still open
-                raw.append(BoundaryEnclosure(upper, False))
-        if u1.hi <= u2.hi:
+    while i < len(t1) and j < len(t2):
+        a, b = t1[i], t2[j]
+        k = _meet(a, b)
+        if k is not None:
+            out.append(k)
+        if a[2] < b[2] or (a[2] == b[2] and not a[3]):
             i += 1
         else:
             j += 1
-    return normalize(raw)
+    return tuple(out)
 
 
-def _pairs(t: ApproxSet):
-    """The consistent intervals of t, one set each: consecutive (lower,
-    upper) enclosure pairs.  A trailing lower bound stays alone, an
-    interval still open at the end of the searched time."""
-    if t.is_universe:
-        return [t]
-    return [seq(t.elems[i : i + 2]) for i in range(0, len(t.elems), 2)]
-
-
-def _shift_elem(t: ApproxSet, t_lo: Interval, t_hi: Interval) -> ApproxSet:
-    """Back-shift one approximated interval: the Until with bound [a, b]
-    makes the target hold from (lower - b) until (upper - a)."""
-    if t.is_universe or t.is_empty:
-        return t
-    return normalize(
-        BoundaryEnclosure(
-            e.s - (t_hi if e.polarity else t_lo), e.polarity
-        )
-        for e in t.elems
-    )
+def _shift(k: tuple, t_lo: Interval, t_hi: Interval, outward: bool) -> tuple | None:
+    """[k.lo - b, k.hi - a] for the Until's bounds a in t_lo and b in
+    t_hi, rounded outward or inward; None when rounding inward empties it."""
+    lo, lc, hi, hc = k
+    lo = ksub(lo, lo, t_hi.lo, t_hi.hi)[0 if outward else 1]
+    if hi < INF:  # inf - a is inf, which ksub would round down to a float
+        hi = ksub(hi, hi, t_lo.lo, t_lo.hi)[1 if outward else 0]
+    return _span(lo, lc, hi, hc)
 
 
 def shift_all(
-    t_lo: Interval, t_hi: Interval, t1: ApproxSet, t2: ApproxSet
-) -> ApproxSet:
-    """Consistent times of phi1 U_[a,b] phi2 from those of the operands.
+    t_lo: Interval, t_hi: Interval, t1: tuple, t2: tuple, outward: bool = False
+) -> tuple:
+    """phi1 U_[a,b] phi2 from the sets of its operands (module docstring):
+    rounded inward for an under side, outward with outward set.
 
     t_lo/t_hi are 1-ulp interval enclosures of the exact rational bounds
-    a and b (see interval.rational_enclosure), so the shifts stay outward-rounded.
+    a and b (see interval.rational_enclosure).  A true left operand
+    (F, and G through negation) shifts every span of t2 whole, with no
+    meet: its one component I is [0, inf), which normalize cuts to.
     """
-    if t1.is_empty or t2.is_empty:
-        return EMPTY_SET
-    raw: list[BoundaryEnclosure] = []
-    for p1 in _pairs(t1):
-        for p2 in _pairs(t2):
-            p = intersect(_shift_elem(intersect(p1, p2), t_lo, t_hi), p1)
-            if p.is_universe:
-                raw.append(BoundaryEnclosure(_POINT_ZERO, True))
-            elif not p.is_empty:
-                raw.extend(p.elems)
-    return normalize(raw)
+    if t1 == UNIVERSE:
+        return normalize(s for k in t2 if (s := _shift(k, t_lo, t_hi, outward)))
+    out: list[tuple] = []
+    for i in t1:
+        for k in intersect((i,), t2):
+            s = _shift(k, t_lo, t_hi, outward)
+            if s is not None and (s := _meet(s, i)) is not None:
+                out.append(s)
+    return normalize(out)
 
 
-def first_element(t: ApproxSet) -> BoundaryEnclosure:
-    if t.kind != "seq":
-        raise ValueError("first_element requires a non-empty boundary sequence")
-    return t.elems[0]
+def holds_at_zero(t: tuple) -> bool:
+    """Whether t holds at time 0: its first span starts there, closed."""
+    return bool(t) and t[0][0] == 0.0 and t[0][1]
 
 
-def to_json(t: ApproxSet):
-    if t.kind != "seq":
-        return {"kind": t.kind}
-    return {
-        "kind": "seq",
-        "elems": [
-            {"lo": e.s.lo, "hi": e.s.hi, "polarity": e.polarity}
-            for e in t.elems
-        ],
-    }
+def to_json(t: tuple) -> list:
+    """Each span as text, "[lo, hi)" with a bracket for a closed end."""
+    return [f"{'[' if lc else '('}{lo!r}, {hi!r}{']' if hc else ')'}"
+            for lo, lc, hi, hc in t]

@@ -2,16 +2,20 @@
 
 Each case hashes every accepted step model (t0, t1, coefficients,
 remainder, apriori box) bit for bit, and the verdict's outcome, cause
-and time sets, the latter in the order propagate records them.  A change that is meant to leave the arithmetic alone
-(a faster tape runner, a new element layout) must leave these digests
-unchanged, in the pure-Python and the C kernel lane alike; a change that
-moves any bound must update them on purpose.
+and time sets, the latter in the order propagate records them.  A change
+that is meant to leave the arithmetic alone (a faster tape runner, a new
+element layout) must leave these digests unchanged, in the pure-Python
+and the C kernel lane alike; a change that moves any bound must update
+them on purpose.  A second hash per case leaves the sets out and takes
+the step count and the certified brackets instead, so a change to the
+set algebra alone must leave it unchanged.
 """
 
 import hashlib
 
 import pytest
 
+from stlmon import monitor
 from stlmon.integrator import MonitorConfig, SignalEnclosure
 from stlmon.interval import Interval, IntervalBox
 from stlmon.monitor import monitor_enclosure
@@ -62,24 +66,52 @@ CASES = {
 # to be taken from the Newton image alone, with no point evaluations of
 # f: their step models, outcomes, step counts and certified roots are
 # unchanged bit for bit, and only the contracted brackets in their sets
-# moved.  The other four cases certify no bracket and keep their digests
+# moved.  The other four cases certify no bracket and keep their digests.
+# All 8 were re-recorded once more, in both lanes, when each side of the
+# (under, over) pair came to be a union of intervals instead of a
+# sequence of boundary enclosures, and every subformula came to record
+# its pair: the sets changed form, and nothing else did, as RUN_DIGESTS
+# checks
 DIGESTS = {
     "lorenz_short":
-        "9f3eb581be750c011ea3e56a78860f5dec9f58760896dc3b9c103c29ea477169",
+        "21e8466fad738f69e134dbcd1c3bef79630c709601e69738b03bd38e6bcde06a",
     "rotation_box_neg":
-        "49cc4188d5d2ce0534b352b0c83fe2d4f1b0f07947da1c0386aaa9c3d9a873aa",
+        "7608f118c2b4b4aed9f3e471ba9f5a2569c4ccb727c172fe74b0b653a32f2021",
     "rotation_box_pos":
-        "805b9ea145c4208001a6b9cbb138f06e054aef9003e0d16f0c0bd48f9eadfda0",
+        "5c2a3e876c64277096009d2998f4d828abd342cfd5b464e86480af4f6f024fdb",
     "rotation_box_straddle":
-        "a92cbd58818fb8e4b94cb8395c5956eb02bf0bf8766abcd9f2467675fac0ea8e",
+        "4a8b4f6631531a9404cd56383fc907fc49fc35145fd8e629c4e7bc56578348af",
     "rotation_point_neg_large":
-        "06715bda07d3cf75dc2e19c6059bed8f7adfa9abf65f05105651ec96f1fbb303",
+        "d62bd63d5e1e850fddb92cd66c1d28ab9cc94d1881c8cf6fcfaf4465faa77d25",
     "rotation_point_neg_small":
-        "e8d041c1d9f65eb633c2b26566ff2b9136e192f999902bedfd5d58f79008a6c5",
+        "151d0ea5a70756072555c26bae74a41d18cd82a39a498cf822ccff84159cf641",
     "rotation_point_pos_large":
-        "95f164a44e44a0b7c1771e4b97c48aeb93ead77e659fdb02d3288c5fe8e525ef",
+        "1ab6af605635d5d104b299dde383ed4ad123b96c06a4a29f35f2f042dc0dcc2d",
     "rotation_point_pos_small":
-        "f6419cfbc34e27b7ce6e66982df8e4f45f5fce8917754a4a2ba6c26ec021e799",
+        "9e6fe9aa4fe3e6d4e31c5cf98f68bba19f0986e12232d07ef41bfafc52a807d4",
+}
+
+
+# the same runs without their sets, recorded with the boundary-enclosure
+# set algebra that the interval unions replaced; identical in the pure
+# and the C lane
+RUN_DIGESTS = {
+    "lorenz_short":
+        "905f4f8fb8fee3fd22f77aab1aab84c5521086f343e28997275f0f3930d187a3",
+    "rotation_box_neg":
+        "7105e75ed11e931eb2593c4393a0f815803b67a20b22043dd9dc1ddcb8dcc5c1",
+    "rotation_box_pos":
+        "2269c3332da7c57c7f3c0f4496476adbdda53e024fb5c7524b92b4532ec58a30",
+    "rotation_box_straddle":
+        "f8a4e7650aa1e077bf2c850bd32d76a703142e309fd7f060424200dce0e00c5b",
+    "rotation_point_neg_large":
+        "3b6671fbd3dbeb5896e45ba3c6742ecd3e2215308409c42c6d057f7fc14f15e0",
+    "rotation_point_neg_small":
+        "bc0f07b67908dc454356ced7bbdd2677a9bfc9606a64defa8e890c82457e478f",
+    "rotation_point_pos_large":
+        "066b13052914ec4ce325e7b25e9f9f1728a0b790776de93c694f6c3d4f1dddd9",
+    "rotation_point_pos_small":
+        "53eb8ac057fe054d191ab83ccbe3ab41bb124bf98752f09a993df08cfc79b1c1",
 }
 
 
@@ -96,23 +128,51 @@ def _canon(x):
     return repr(x)
 
 
-def digest(model: str, formula: str, order: int, u: list) -> str:
+def _run(model: str, formula: str, order: int, u: list, collect_sets: bool):
+    """The case's verdict, and a hash fed with its step models."""
     system = load_builtin(model)
     phi = parse_formula(formula, system.resolver(allow_params=False))
     u_box = IntervalBox([Interval(lo, hi) for lo, hi in u])
     enc = SignalEnclosure(system, u_box=u_box, cfg=MonitorConfig(order=order))
-    verdict = monitor_enclosure(enc, phi, collect_sets=True).to_json()
+    verdict = monitor_enclosure(enc, phi, collect_sets=collect_sets)
     h = hashlib.sha256()
     for step in enc.steps:
         h.update(_canon((step.t0, step.t1, step.coeffs, step.remainder,
                          step.apriori)).encode())
+    return verdict, h
+
+
+def digest(model: str, formula: str, order: int, u: list) -> str:
+    verdict, h = _run(model, formula, order, u, collect_sets=True)
+    doc = verdict.to_json()
     # the sets in propagate's recording order, without the display text
     # that keys them, so that a printing change moves no digest
-    h.update(_canon((verdict["outcome"], verdict["unknown_cause"],
-                     list(verdict["sets"].values()))).encode())
+    h.update(_canon((doc["outcome"], doc["unknown_cause"],
+                     list(doc["sets"].values()))).encode())
     return h.hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_step_models_and_verdict_are_bit_identical(name):
     assert digest(*CASES[name]) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_run_is_bit_identical_whatever_the_set_algebra(name, monkeypatch):
+    # the step models, the outcome and cause, the step count and every
+    # certified bracket in the order found: all that the time sets do
+    # not hold, so a change to the set algebra alone moves none of it
+    roots = []
+    search = monitor.search_zero
+
+    def recording(*args, **kwargs):
+        tz = search(*args, **kwargs)
+        if not tz.is_empty:
+            roots.append(tz)
+        return tz
+
+    monkeypatch.setattr(monitor, "search_zero", recording)
+    verdict, h = _run(*CASES[name], collect_sets=False)
+    h.update(_canon((verdict.outcome, verdict.unknown_cause,
+                     verdict.stats.integration_steps, roots)).encode())
+    assert h.hexdigest() == RUN_DIGESTS[name]

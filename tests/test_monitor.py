@@ -29,7 +29,7 @@ from stlmon.monitor import (
 )
 from stlmon.stl import formula_to_str, parse_formula, window_ends
 from stlmon.system import load_builtin, parse_model
-from stlmon.timesets import EMPTY_SET, UNIVERSE, BoundaryEnclosure, seq
+from stlmon.timesets import EMPTY_SET, UNIVERSE
 
 
 def atom_of(system, text):
@@ -265,22 +265,21 @@ class TestMonitorAp:
         )
         v = monitor_enclosure(SignalEnclosure(sys), phi, collect_sets=True)
         assert v.outcome == VALID and v.stats.horizon >= 6.284
-        cos_bounds = [(e.s, e.polarity) for e in v.sets["cos(x) < 0"].elems]
-        assert len(cos_bounds) == 2
-        assert cos_bounds[0][1] is True and cos_bounds[1][1] is False
-        assert 1.57 <= cos_bounds[0][0].lo and cos_bounds[0][0].hi <= 1.58
-        assert 4.71 <= cos_bounds[1][0].lo and cos_bounds[1][0].hi <= 4.72
-        sin_bounds = [(e.s, e.polarity) for e in v.sets["sin(x) < 0"].elems]
-        assert len(sin_bounds) == 2
-        assert 3.14 <= sin_bounds[0][0].lo and sin_bounds[0][0].hi <= 3.15
-        assert 6.28 <= sin_bounds[1][0].lo and sin_bounds[1][0].hi <= 6.29
+        # each atom holds between its two brackets: closed in under, from
+        # the inner ends of the brackets, and open in over, from the outer
+        for atom, (start, end) in (("cos(x) < 0", (1.57, 4.71)),
+                                   ("sin(x) < 0", (3.14, 6.28))):
+            ((u_lo, u_lc, u_hi, u_hc),), ((o_lo, o_lc, o_hi, o_hc),) = v.sets[atom]
+            assert start <= o_lo < u_lo <= start + 0.01
+            assert end <= u_hi < o_hi <= end + 0.01
+            assert (u_lc, u_hc, o_lc, o_hc) == (True, True, False, False)
 
     def test_never_true_atom_is_empty(self):
         sys = load_builtin("timer")
         phi = parse_formula("F[0,3](x + 1 < 0)", sys.resolver(allow_params=False))
         v = monitor_enclosure(SignalEnclosure(sys), phi, collect_sets=True)
         assert v.outcome == UNSAT and v.stats.horizon >= 3.0
-        assert v.sets["x + 1 < 0"] is EMPTY_SET
+        assert v.sets["x + 1 < 0"] == (EMPTY_SET, EMPTY_SET)
 
 
 class TestPropagateAndConsistency:
@@ -288,25 +287,19 @@ class TestPropagateAndConsistency:
         sys = load_builtin("timer")
         phi = parse_formula("F[0,1](x - 2 < 0)", sys.resolver(allow_params=False))
         (f,) = window_ends(phi)
-        t_p = seq(
-            [
-                BoundaryEnclosure(Interval(0.0), True),
-                BoundaryEnclosure(Interval(2.0, 2.0), False),
-            ]
-        )
-        t_phi, _ = propagate(phi, {f: (t_p, t_p)})
-        first = t_phi.elems[0]
-        assert first.polarity is True and 0.0 in first.s
+        t_p = ((0.0, True, 2.0, False),)
+        assert propagate(phi, {f: (t_p, t_p)}) == (((0.0, True, 2.0, False),),) * 2
 
     def test_consistency_branches(self):
-        assert consistent_at_init(UNIVERSE) == VALID
-        assert consistent_at_init(EMPTY_SET) == UNSAT
-        starts_true = seq([BoundaryEnclosure(Interval(0.0), True)])
-        assert consistent_at_init(starts_true) == VALID
-        starts_later = seq([BoundaryEnclosure(Interval(1.0, 1.1), True)])
-        assert consistent_at_init(starts_later) == UNSAT
-        straddling = seq([BoundaryEnclosure(Interval(-0.1, 0.1), True)])
-        assert consistent_at_init(straddling) == UNKNOWN
+        assert consistent_at_init(UNIVERSE, UNIVERSE) == VALID
+        assert consistent_at_init(EMPTY_SET, EMPTY_SET) == UNSAT
+        starts_true = ((0.0, True, 0.0, True),)
+        assert consistent_at_init(starts_true, UNIVERSE) == VALID
+        starts_later = ((1.0, True, 1.1, False),)
+        assert consistent_at_init(EMPTY_SET, starts_later) == UNSAT
+        # over holds at 0, under does not: either truth is possible
+        assert consistent_at_init(starts_later, ((0.0, True, 1.1, False),)) == UNKNOWN
+        assert consistent_at_init(EMPTY_SET, ((0.0, False, 1.1, False),)) == UNSAT
 
 
 ROTATION_PROPERTY = "G[0,10] F[0,6.284] !(x2 - 1 < 0)"
@@ -385,6 +378,9 @@ class TestDegenerateRoots:
             ("G[0,0.5] (x - 0.5 < 0)", UNSAT),
             ("F[0,0.5] !(x - 0.5 < 0)", VALID),
             ("G[0,1] (x - 1 < 0)", UNSAT),
+            # the atom and its mirror both fail at t = 1, where x = 1: the
+            # over sets leave that point open on both sides
+            ("F[0,3] !((x - 1 < 0) | (1 - x < 0))", VALID),
         ],
     )
     def test_root_on_the_closed_bound(self, text, truth):
@@ -447,9 +443,22 @@ class TestNewtonLadder:
             # bracket [0, 3.15] contracts to [0.488, 2.546], and x(3.15)
             # exceeds 3.136 for every c
             (BOX.format(0.5, 1.301, 1.863), "G[2,3.15] (x - 3.136 < 0)", UNSAT),
+            # x = 3 - 1.453t: the atom fails at t = 0, where f = 0, and holds
+            # after, so its first bracket starts on 0
+            (LINEAR.format(3, -1.453), "G[0.7,1] (x - 3 < 0)", VALID),
+            (LINEAR.format(3, -1.453), "F[0.7,1] !(x - 3 < 0)", UNSAT),
+            # the roots of x = 1 + ct spread over [0.5, 1.58]: the bracket's
+            # lower end stalls while x(1.85) < 0.4 for every c
+            (BOX.format(-1.2, -0.38, 1), "G[1.85,1.85] (x - 0.4 < 0)", VALID),
+            # the left atom's one bracket is [0, 2.48], and the right atom
+            # never holds, so the Until fails whatever the left one does
+            (BOX.format(-1, -0.253, -0.54), "!(x + 1.1 < 0) U[1.88,2.48] !(x - 2 < 0)",
+             UNSAT),
         ],
         ids=["point-image", "wide-enclosure", "box-nested-finally", "box-finally",
-             "box-negated", "box-finally-globally", "box-globally"],
+             "box-negated", "box-finally-globally", "box-globally",
+             "root-at-0-globally", "root-at-0-negated", "box-stalled-lower-end",
+             "box-until-bracket-from-0"],
     )
     def test_bracket_is_certified(self, model, text, truth):
         sys = parse_model(model)
@@ -550,10 +559,10 @@ class TestPrefixDecision:
         phi = parse_formula(ROTATION_PROPERTY, sys.resolver(allow_params=False))
         v = monitor_stl(sys, phi, u_box=IntervalBox([Interval(-0.05)]), collect_sets=True)
         assert v.outcome == UNSAT and v.stats.horizon < 10.0
-        assert v.sets["x2 - 1 < 0"] is UNIVERSE
-        (negated,) = v.sets["!(x2 - 1 < 0)"].elems
-        assert negated.s == Interval(v.stats.horizon) and negated.polarity
-        assert consistent_at_init(v.sets[formula_to_str(phi)]) == UNSAT
+        t = v.stats.horizon
+        assert v.sets["x2 - 1 < 0"] == (((0.0, True, t, True),), UNIVERSE)
+        assert v.sets["!(x2 - 1 < 0)"] == (EMPTY_SET, ((t, False, math.inf, False),))
+        assert consistent_at_init(*v.sets[formula_to_str(phi)]) == UNSAT
 
     def test_enclosure_extended_before_the_run_gives_the_fresh_verdict(self):
         # the searches read the steps already integrated one step end at a
@@ -588,17 +597,20 @@ class TestPrefixDecision:
             sw = search.sweep
             assert sw.lo == enc.horizon_reached or sw.lo + sw.w > enc.horizon_reached
             reached += sw.lo == enc.horizon_reached
-        assert reached >= 10 and len(search.raw) == 5 and not search.complete
+        assert reached >= 10 and search.held and len(search.brackets) == 4
+        assert not search.complete
 
     def test_roots_certified_counts_the_brackets_of_the_set(self):
-        # each certified bracket is counted once, as a bracket of the
-        # atom's set (which also holds the point [0]); the fifth fixes
-        # the verdict
+        # each certified bracket is counted once, as an open end of the
+        # atom's over set (which holds from the point [0], and from the
+        # end of the certified prefix on); the fifth fixes the verdict
         sys = load_builtin("rotation")
         phi = parse_formula(ROTATION_PROPERTY, sys.resolver(allow_params=False))
         v = monitor_stl(sys, phi, u_box=IntervalBox([Interval(0.02429)]), collect_sets=True)
         assert v.outcome == VALID
-        brackets = [b for b in v.sets["x2 - 1 < 0"].elems if not b.s.is_point()]
+        _, over = v.sets["x2 - 1 < 0"]
+        brackets = [e for lo, lc, hi, hc in over
+                    for e, closed in ((lo, lc), (hi, hc)) if not closed and e < math.inf]
         assert v.stats.roots_certified == len(brackets) == 5
 
 
@@ -607,22 +619,21 @@ class TestPropagateBounds:
         sys = load_builtin("timer")
         phi = parse_formula("!(x - 2 < 0)", sys.resolver(allow_params=False))
         (f,) = window_ends(phi)
-        under = seq([BoundaryEnclosure(Interval(0.0), True),
-                     BoundaryEnclosure(Interval(1.0), False)])
-        over = seq([BoundaryEnclosure(Interval(0.0), True)])
-        assert propagate(phi, {f: (under, over)}) == (EMPTY_SET, seq(
-            [BoundaryEnclosure(Interval(1.0), True)]))
+        under, over = ((0.0, True, 1.0, True),), UNIVERSE
+        assert propagate(phi, {f: (under, over)}) == (
+            EMPTY_SET, ((1.0, False, math.inf, False),))
 
     def test_one_set_per_node_at_full_depth(self):
+        # an atom known exactly (under equal to over) gives one set at
+        # every node, as Not and Or are exact and these shifts are too
         sys = load_builtin("timer")
         phi = parse_formula("G[0,1] F[0,2] !(x - 2 < 0)", sys.resolver(allow_params=False))
         (f,) = window_ends(phi)
-        t_p = seq([BoundaryEnclosure(Interval(0.0), True),
-                   BoundaryEnclosure(Interval(2.0, 2.0), False)])
+        t_p = ((0.0, True, 2.0, False),)
         record = {}
         under, over = propagate(phi, {f: (t_p, t_p)}, record)
-        assert under is over
-        assert len(record) == 7 and all(u is o for u, o in record.values())
+        assert under == over
+        assert len(record) == 7 and all(u == o for u, o in record.values())
 
 
 class TestUntil:

@@ -14,10 +14,9 @@ import pytest
 import stlmon
 from stlmon.expr import Add, Const, Sub, Var
 from stlmon.integrator import MonitorConfig
-from stlmon.interval import Interval
+from stlmon.monitor import Verdict
 from stlmon.stl import Atom, Until, TRUE
 from stlmon.taylor import compile_flow
-from stlmon.timesets import BoundaryEnclosure, seq
 
 X, Y = Var(0, "x"), Var(1, "y")
 
@@ -46,8 +45,6 @@ def test_equal_nodes_hash_equal():
     a, b = Add(X, Const(0.1, Fraction(1, 10))), Add(X, Const(0.1, Fraction(1, 10)))
     assert a is not b and a == b and hash(a) == hash(b)
     assert len({a: 1, b: 2}) == 1
-    assert hash(BoundaryEnclosure(Interval(1.0, 2.0), True)) == hash(
-        BoundaryEnclosure(Interval(1.0, 2.0), True))
 
 
 def test_compile_flow_shares_the_slot_of_equal_nodes():
@@ -60,7 +57,7 @@ def test_compile_flow_shares_the_slot_of_equal_nodes():
     (Add(X, Y), "a"),
     (Const(1.0), "value"),
     (Until(Fraction(0), Fraction(1), TRUE, Atom(X)), "hi"),
-    (seq([BoundaryEnclosure(Interval(0.0), True)]), "elems"),
+    (Verdict("Valid", sets={}), "sets"),
     (MonitorConfig(), "order"),
 ])
 def test_fields_cannot_be_assigned(node, field):

@@ -13,8 +13,8 @@ stream of their own, so a seed's single-chain cases stay as they were.
 Another tenth, from a third stream and reported on their own, are
 p U[a,b] q or its negation over the linear model, with p and q atoms
 x - a_i < 0 or their negations: the only shape whose Until has a left
-operand other than true, and so the only one that reaches the walk of
-the direct intersection (timesets.intersect).
+operand other than true, and so the only one whose Until meets its
+operands (timesets.intersect).
 
 The truth is exact, in Fraction arithmetic.  Over the linear model the
 atom holds on a half-line of time, open or closed at its end, and F and G
@@ -512,12 +512,14 @@ def test_until_atoms_share_one_polarity_over_an_interval():
 
 
 def test_until_cases_reach_the_direct_intersection(monkeypatch):
-    # F, G, | and & shift only with a true left operand, for which
-    # intersect returns before its walk; the Until cases reach the walk
-    walked, walk = [], timesets._intervals
-    monkeypatch.setattr(timesets, "_intervals", lambda t: walked.append(t) or walk(t))
+    # F, G, | and & shift only with a true left operand, whose spans the
+    # Until shifts with no meet; the Until cases meet their operands
+    met, meet = [], timesets.intersect
+    monkeypatch.setattr(timesets, "intersect", lambda *ts: met.append(ts) or meet(*ts))
+    run_campaign(draw_cases(SLICE_SEED, 30))
+    assert not met
     run_campaign(draw_until_cases(SLICE_SEED, 300))
-    assert walked
+    assert met
 
 
 def main() -> None:

@@ -1,229 +1,227 @@
-"""Canonical time-set algebra: worked examples, grid oracle, complexity."""
+"""Three-valued time sets: worked examples, grid oracle, complexity."""
 
+import math
 import random
 import time
 from fractions import Fraction
 
-import pytest
-
-from stlmon.errors import AmbiguityError
-from stlmon.interval import Interval, rational_enclosure
+from stlmon.interval import rational_enclosure
 from stlmon.timesets import (
     EMPTY_SET,
     UNIVERSE,
-    ApproxSet,
-    BoundaryEnclosure,
-    first_element,
+    holds_at_zero,
     intersect,
     invert,
     join,
     normalize,
-    seq,
     shift_all,
     to_json,
 )
 
-
-def B(lo, hi, pol):
-    return BoundaryEnclosure(Interval(lo, hi), pol)
+INF = math.inf
 
 
-def S(*triples):
-    return seq(B(*t) for t in triples)
+def S(*spans):
+    """A set from spans written as text, "[1, 2)", "(0, inf)"."""
+    out = []
+    for text in spans:
+        lo, hi = text[1:-1].split(",")
+        out.append((float(lo), text[0] == "[", float(hi), text[-1] == "]"))
+    return tuple(out)
 
 
-def assert_same(got: ApproxSet, want: ApproxSet):
-    assert got.kind == want.kind
-    if got.kind == "seq":
-        assert len(got.elems) == len(want.elems)
-        for g, w in zip(got.elems, want.elems):
-            assert g.polarity == w.polarity
-            assert g.s.lo == pytest.approx(w.s.lo, abs=1e-12)
-            assert g.s.hi == pytest.approx(w.s.hi, abs=1e-12)
-
-
-ZERO = Interval(0.0)
+def bounds(a, b):
+    return rational_enclosure(Fraction(a)), rational_enclosure(Fraction(b))
 
 
 class TestNormalize:
     def test_n4_prepends_origin(self):
-        got = normalize([B(1.57, 1.58, False), B(4.71, 4.72, True)])
-        assert_same(got, S((0, 0, True), (1.57, 1.58, False), (4.71, 4.72, True)))
+        # a union that holds before 0 holds from the origin on, closed
+        got = normalize(S("[-1, 1.57)", "(4.71, inf)"))
+        assert got == S("[0, 1.57)", "(4.71, inf)")
 
     def test_n2_drops_past_lower(self):
-        got = normalize([B(-3.15, -3.13, True), B(4.71, 4.72, False)])
-        assert_same(got, S((0, 0, True), (4.71, 4.72, False)))
+        # what lies before 0 is dropped: a span ending open at 0 entirely,
+        # one ending closed there down to the point [0]
+        assert normalize(S("[-3.15, -3.13]", "[-1, 0)", "[4.71, 5)")) == S("[4.71, 5)")
+        assert normalize(S("[-1, 0]")) == S("[0, 0]")
 
     def test_overlap_of_opposite_polarity_is_ambiguous(self):
-        with pytest.raises(AmbiguityError):
-            normalize([B(0, 0, True), B(0.95, 1.1, False), B(0.9, 1.05, True)])
+        # an end bracket [0.95, 1.1] overlapping a start bracket [0.9, 1.05]
+        # leaves the truth open between them: the pair keeps that stretch
+        # in over and out of under
+        under = normalize(S("[0, 0.95]", "[1.05, inf)"))
+        over = normalize(S("[0, 1.1)", "(0.9, inf)"))
+        assert under == S("[0, 0.95]", "[1.05, inf)")
+        assert over == UNIVERSE
+        assert invert(under) == S("(0.95, 1.05)")
 
     def test_upper_bound_containing_zero_is_ambiguous(self):
-        with pytest.raises(AmbiguityError):
-            normalize([B(-0.1, 0.1, False)])
+        # an end bracket that contains time 0: the atom may hold there,
+        # and need not, so 0 is in over and not in under
+        under, over = EMPTY_SET, normalize(S("[-0.1, 0.1)"))
+        assert over == S("[0, 0.1)")
+        assert holds_at_zero(over) and not holds_at_zero(under)
 
     def test_point_zero_upper_bound_is_allowed(self):
-        got = normalize([B(0, 0, False), B(1, 1, True)])
-        assert_same(got, S((1, 1, True)))
+        # the point [0], an atom held at time 0 only, is a span of its own
+        got = normalize(S("[1, inf)", "[0, 0]"))
+        assert got == S("[0, 0]", "[1, inf)")
+        assert invert(got) == S("(0, 1)")
 
     def test_universe_collapse(self):
-        assert normalize([B(-2, -1, True)]) is UNIVERSE
-        assert normalize([B(0, 0, True)]) is UNIVERSE
+        assert normalize(S("[-2, inf)")) == UNIVERSE
+        assert normalize(S("[0, 1)", "[1, inf)")) == UNIVERSE
 
     def test_empty_input(self):
-        assert normalize([]) is EMPTY_SET
+        assert normalize([]) == EMPTY_SET
 
     def test_n3_merges_same_polarity(self):
-        # Joining two enclosures of nearly the same interval: the counting
-        # rule drops one boundary of each overlapping pair as nested, and
-        # the hull-merge fuses the overlapping survivors.
-        got = normalize(
-            [B(1, 2, True), B(1.5, 2.5, True), B(4, 5, False), B(5.5, 6, False)]
-        )
-        assert_same(got, S((1, 2.5, True), (5.5, 6, False)))
+        # spans that overlap or touch merge into one component; spans
+        # that only meet at a point neither holds stay apart
+        assert normalize(S("[1, 2.5)", "[1.5, 5.5]")) == S("[1, 5.5]")
+        assert normalize(S("[1, 2)", "[2, 3)")) == S("[1, 3)")
+        assert normalize(S("[1, 2]", "(2, 3)")) == S("[1, 3)")
+        assert normalize(S("[1, 2)", "(2, 3)")) == S("[1, 2)", "(2, 3)")
 
     def test_overlapping_uppers_keep_the_later_end(self):
-        # Of two overlapping upper bounds either may close the union, so
-        # both stay and merge; dropping both would make the union hold on
-        # forever, past an end that every realization has.
-        got = normalize(
-            [B(1, 2, True), B(1.5, 2.5, True), B(4, 5, False), B(4.5, 5.5, False)]
-        )
-        assert_same(got, S((1, 2.5, True), (4, 5.5, False)))
+        # the merged span ends at the later end, closed if a span closed
+        # it there; a closed start at a tie comes first and stays
+        assert normalize(S("[1, 5)", "(1.5, 5.5)")) == S("[1, 5.5)")
+        assert normalize(S("(1, 5)", "[2, 5]")) == S("(1, 5]")
+        assert normalize(S("(1, 3)", "[1, 1]")) == S("[1, 3)")
 
 
 class TestInvert:
     def test_universe_and_empty(self):
-        assert invert(UNIVERSE) is EMPTY_SET
-        assert invert(EMPTY_SET) is UNIVERSE
+        assert invert(UNIVERSE) == EMPTY_SET
+        assert invert(EMPTY_SET) == UNIVERSE
 
     def test_worked_example(self):
-        t = S((1.57, 1.58, True), (4.71, 4.72, False))
-        assert_same(
-            invert(t),
-            S((0, 0, True), (1.57, 1.58, False), (4.71, 4.72, True)),
-        )
+        # cos(x) < 0 holds on [1.57, 4.71] (rounded): its complement
+        # flips each flag
+        assert invert(S("[1.57, 4.71]")) == S("[0, 1.57)", "(4.71, inf)")
+        assert invert(S("(0, 1)", "(1, 2]")) == S("[0, 0]", "[1, 1]", "(2, inf)")
 
     def test_involution_away_from_zero(self):
         rng = random.Random(11)
         for _ in range(100):
-            t = _random_canonical(rng)
-            assert_same(invert(invert(t)), t)
+            t = _random_set(rng)
+            assert invert(invert(t)) == t
 
 
 class TestJoin:
     def test_identity(self):
-        t = S((1, 1.1, True))
-        assert join(t, EMPTY_SET) is t
-        assert join(t, UNIVERSE) is UNIVERSE
+        t = S("[1, 1.1)")
+        assert join(t, EMPTY_SET) == t
+        assert join(t, UNIVERSE) == UNIVERSE
 
     def test_embedded_interval_absorbed(self):
-        # [2,3]-ish interval nested inside [1,4]-ish: only the outer
-        # boundaries survive the depth counting.
-        got = join(
-            S((1, 1.1, True), (4, 4.1, False)),
-            S((2, 2.1, True), (3, 3.1, False)),
-        )
-        assert_same(got, S((1, 1.1, True), (4, 4.1, False)))
+        assert join(S("[1, 4)"), S("[2, 3]")) == S("[1, 4)")
 
     def test_open_ended_interval_absorbs_upper(self):
-        # The first set records a start but no end, so the union's end is
-        # unknown too: the inner interval's boundaries both disappear.
-        got = join(S((1, 1.1, True)), S((2, 2.1, True), (3, 3.1, False)))
-        assert_same(got, S((1, 1.1, True)))
+        assert join(S("[1, inf)"), S("[0.5, 1)", "[2, 3)")) == S("[0.5, inf)")
 
     def test_overlapping_opposite_bounds_are_ambiguous(self):
-        with pytest.raises(AmbiguityError):
-            join(S((0, 0, True), (0.95, 1.1, False)), S((0.9, 1.05, True)))
+        # the atom that may end in [0.95, 1.1] joined with one that may
+        # start in [0.9, 1.05]: over holds throughout, and under leaves
+        # the overlap unknown
+        under = join(S("[0, 0.95]"), S("[1.05, inf)"))
+        over = join(S("[0, 1.1)"), S("(0.9, inf)"))
+        assert (under, over) == (S("[0, 0.95]", "[1.05, inf)"), UNIVERSE)
 
     def test_join_with_itself_is_itself(self):
-        # the two copies of each upper bound overlap; the union still ends
-        t = S((0, 0, True), (1, 2, False), (3, 3.5, True), (4, 4, False))
-        assert_same(join(t, t), t)
-        assert_same(intersect(t, t), t)
+        t = S("[0, 1)", "(1, 2]", "[3, 3.5)", "[4, inf)")
+        assert join(t, t) == t
+        assert intersect(t, t) == t
 
 
 class TestIntersect:
     def test_worked_example(self):
-        t_cos = S((1.57, 1.58, True), (4.71, 4.72, False))
-        t_sin = S((3.14, 3.15, True), (6.28, 6.29, False))
-        assert_same(
-            intersect(t_cos, t_sin), S((3.14, 3.15, True), (4.71, 4.72, False))
-        )
+        t_cos, t_sin = S("[1.57, 4.71]"), S("(3.14, 6.28)")
+        assert intersect(t_cos, t_sin) == S("(3.14, 4.71]")
 
     def test_units(self):
-        t = S((1, 1.1, True))
-        assert_same(intersect(t, UNIVERSE), t)
-        assert intersect(t, EMPTY_SET) is EMPTY_SET
+        t = S("[1, 1.1)")
+        assert intersect(t, UNIVERSE) == t
+        assert intersect(t, EMPTY_SET) == EMPTY_SET
 
     def test_universe_is_the_unit_without_inversion(self):
-        # inverting t would put an upper bound straddling 0 first
-        t = S((-0.1, 0.1, True), (1, 1.1, False))
-        with pytest.raises(AmbiguityError):
-            invert(t)
-        assert intersect(UNIVERSE, t) is t
-        assert intersect(t, UNIVERSE) is t
+        # a set open at 0 meets the universe on itself
+        t = S("(0, 1]", "(2, inf)")
+        assert intersect(UNIVERSE, t) == t
+        assert intersect(t, UNIVERSE) == t
 
     def test_lower_bound_that_may_start_at_0(self):
-        # the intersection is the second set's interval; shift_all builds
-        # such a first set whenever a lower bound shifts onto 0, and
-        # inverting it would put the upper bound [0, 0.5] first
-        t1 = S((0, 0.5, True), (3, 3.5, False))
-        t2 = S((1, 1.5, True), (3, 3.5, False))
-        assert_same(intersect(t1, t2), t2)
+        t1, t2 = S("[0, 3.5)"), S("(1, 3.5)")
+        assert intersect(t1, t2) == t2
 
     def test_bounds_meet_at_the_max_and_min_of_their_ends(self):
-        # [1, u1) with u1 in [5, 6] meets [0.5, 2) and [3, u2), u2 in
-        # [5.5, 7]: the second meeting ends at min(u1, u2), in [5, 6]
-        t1 = S((1, 1, True), (5, 6, False))
-        t2 = S((0.5, 0.5, True), (2, 2, False), (3, 3, True), (5.5, 7, False))
-        want = S((1, 1, True), (2, 2, False), (3, 3, True), (5, 6, False))
-        assert_same(intersect(t1, t2), want)
-        assert_same(intersect(t2, t1), want)
-        # lower bounds [0, 0.5] and [0.2, 0.7] start at their max, [0.2, 0.7]
-        assert_same(intersect(S((0, 0.5, True)), S((0.2, 0.7, True))),
-                    S((0.2, 0.7, True)))
+        # at a tie of ends the open one binds
+        assert intersect(S("[1, 5]"), S("(1, 5)")) == S("(1, 5)")
+        t1 = S("[1, 5)")
+        t2 = S("[0.5, 2)", "[3, 5.5]")
+        want = S("[1, 2)", "[3, 5)")
+        assert intersect(t1, t2) == want
+        assert intersect(t2, t1) == want
 
     def test_open_intervals_and_meetings_that_are_certainly_empty(self):
-        t1 = S((1, 1, True), (2, 2, False), (4, 4, True))
-        t2 = S((2, 2, True), (3, 3, False), (5, 5, True))
-        assert_same(intersect(t1, t2), S((5, 5, True)))
-        assert intersect(S((1, 1, True), (2, 2, False)), t2) is EMPTY_SET
+        assert intersect(S("[1, 2)"), S("[2, 3)")) == EMPTY_SET
+        assert intersect(S("[1, 2]"), S("[2, 3)")) == S("[2, 2]")
+        t1 = S("[1, 2)", "[4, inf)")
+        t2 = S("[2, 3)", "[5, inf)")
+        assert intersect(t1, t2) == S("[5, inf)")
+
 
 class TestShiftAll:
     def test_worked_example(self):
-        lo, hi = rational_enclosure(Fraction(0)), rational_enclosure(Fraction("6.284"))
-        t2 = S((3.14, 3.15, True), (4.71, 4.72, False))
-        got = shift_all(lo, hi, UNIVERSE, t2)
-        assert_same(got, S((0, 0, True), (4.71, 4.72, False)))
+        # F[0,6.284] of sin(x) < 0 on (3.14, 4.71] (rounded): holds on [0, 4.71]
+        lo, hi = bounds(0, "6.284")
+        t2 = S("(3.14, 4.71]")
+        assert shift_all(lo, hi, UNIVERSE, t2) == S("[0, 4.71]")
+        assert shift_all(lo, hi, UNIVERSE, t2, outward=True) == S("[0, 4.71]")
 
     def test_empty_operands(self):
-        lo, hi = rational_enclosure(Fraction(0)), rational_enclosure(Fraction(1))
-        assert shift_all(lo, hi, EMPTY_SET, S((1, 1, True))) is EMPTY_SET
-        assert shift_all(lo, hi, UNIVERSE, EMPTY_SET) is EMPTY_SET
+        lo, hi = bounds(0, 1)
+        assert shift_all(lo, hi, EMPTY_SET, S("[1, inf)")) == EMPTY_SET
+        assert shift_all(lo, hi, UNIVERSE, EMPTY_SET) == EMPTY_SET
 
     def test_point_shift(self):
-        # F_[2,3] of the interval [5, 6): holds on [2, 4)
-        lo, hi = rational_enclosure(Fraction(2)), rational_enclosure(Fraction(3))
-        got = shift_all(lo, hi, UNIVERSE, S((5, 5, True), (6, 6, False)))
-        assert_same(got, S((2, 2, True), (4, 4, False)))
+        # F_[2,3] of [5, 6): holds on [2, 4)
+        lo, hi = bounds(2, 3)
+        assert shift_all(lo, hi, UNIVERSE, S("[5, 6)")) == S("[2, 4)")
+        # a left operand: [0, 5) U[0.5,2] [2, inf) meets on [2, 5)
+        lo, hi = bounds("0.5", 2)
+        assert shift_all(lo, hi, S("[0, 5)"), S("[2, inf)")) == S("[0, 4.5)")
 
     def test_universe_stays_universe_at_a_punctual_bound(self):
-        one = rational_enclosure(Fraction(1))
-        assert shift_all(one, one, UNIVERSE, UNIVERSE) is UNIVERSE
+        lo, hi = bounds(1, 1)
+        assert shift_all(lo, hi, UNIVERSE, UNIVERSE) == UNIVERSE
+        assert shift_all(lo, hi, UNIVERSE, UNIVERSE, outward=True) == UNIVERSE
 
     def test_open_interval_stays_open(self):
-        # F_[2,3] of [5, ...) still holding at the end of the search
-        lo, hi = rational_enclosure(Fraction(2)), rational_enclosure(Fraction(3))
-        got = shift_all(lo, hi, UNIVERSE, S((5, 5, True)))
-        assert_same(got, S((2, 2, True)))
+        # F_[2,3] of (5, inf): holds on (2, inf)
+        lo, hi = bounds(2, 3)
+        assert shift_all(lo, hi, UNIVERSE, S("(5, inf)")) == S("(2, inf)")
 
     def test_first_element(self):
-        t = S((0, 0, True), (4.71, 4.72, False))
-        e = first_element(t)
-        assert e.polarity and e.s.hi == 0.0
-        with pytest.raises(ValueError):
-            first_element(UNIVERSE)
+        # the first span alone decides time 0
+        assert holds_at_zero(S("[0, 0]", "[1, 2)"))
+        assert not holds_at_zero(S("(0, 1)"))
+        assert not holds_at_zero(EMPTY_SET)
+        assert holds_at_zero(UNIVERSE)
+
+    def test_inexact_bounds_round_inward_for_under_and_outward_for_over(self):
+        lo, hi = bounds("0.1", "0.3")
+        t2 = S("[1, 2]")
+        (u,), (o,) = shift_all(lo, hi, UNIVERSE, t2), shift_all(lo, hi, UNIVERSE, t2, True)
+        assert Fraction(u[0]) > Fraction(7, 10) > Fraction(o[0])
+        assert Fraction(u[2]) < Fraction(19, 10) < Fraction(o[2])
+        # a point read at an inexact punctual bound empties under
+        lo, hi = bounds("0.1", "0.1")
+        assert shift_all(lo, hi, UNIVERSE, S("[1, 1]")) == EMPTY_SET
+        (o,) = shift_all(lo, hi, UNIVERSE, S("[1, 1]"), outward=True)
+        assert Fraction(o[0]) < Fraction(9, 10) < Fraction(o[2])
 
 
 class TestRationalEnclosure:
@@ -234,164 +232,114 @@ class TestRationalEnclosure:
         assert float(Fraction(1, 10) - Fraction(iv.lo)) >= 0.0
 
     def test_json_dump(self):
-        assert to_json(UNIVERSE) == {"kind": "universe"}
-        d = to_json(S((1, 2, True)))
-        assert d["elems"][0] == {"lo": 1.0, "hi": 2.0, "polarity": True}
+        assert to_json(UNIVERSE) == ["[0.0, inf)"]
+        assert to_json(S("(1, 2]", "[3, 3]")) == ["(1.0, 2.0]", "[3.0, 3.0]"]
 
 
 # --- randomized grid oracle -------------------------------------------------
+#
+# Sets draw their ends on a grid of 1/8 in [0, 8], with random flags, and
+# the oracles decide membership of exact rationals by brute force.  The
+# grid of checked times holds every end and a time strictly between each
+# two, so every flag is checked.
 
-GRID = 1e-3
-HORIZON = 10.0
-
-
-def _random_boolean_signal(rng, horizon=HORIZON):
-    """Random step function as a sorted list of breakpoints and the value
-    on [0, first breakpoint)."""
-    n = rng.randint(1, 6)
-    pts = sorted(rng.uniform(0.3, horizon - 0.3) for _ in range(n))
-    # enforce separation so half-open edge effects stay grid-resolvable
-    ok = [pts[0]]
-    for p in pts[1:]:
-        if p - ok[-1] > 0.05:
-            ok.append(p)
-    return ok, rng.random() < 0.5
+GRID = Fraction(1, 16)
+HORIZON = 10
 
 
-def _truth(pts, v0, t):
-    v = v0
-    for p in pts:
-        if t < p:
-            break
-        v = not v
-    return v
+def _random_set(rng):
+    # ends may repeat: points, and spans that touch and must merge
+    ends = sorted(rng.choices(range(0, 65), k=2 * rng.randint(0, 4)))
+    spans = [(e / 8, rng.random() < 0.5, f / 8, rng.random() < 0.5)
+             for e, f in zip(ends[::2], ends[1::2])]
+    spans = [s for s in spans if s[0] < s[2] or s[1] and s[3]]
+    if rng.random() < 0.3:
+        spans.append((8.5, rng.random() < 0.5, INF, False))
+    if rng.random() < 0.2:
+        spans.append((0.0, True, 0.0, True))
+    return normalize(spans)
 
 
-def _exact_set(pts, v0):
-    elems = []
-    if v0:
-        elems.append(B(0, 0, True))
-    pol = not v0
-    for p in pts:
-        elems.append(B(p, p, pol))
-        pol = not pol
-    return normalize(elems)
+def _member(t, x) -> bool:
+    return any(lo < x < hi or (x == lo and lc) or (x == hi and hc)
+               for lo, lc, hi, hc in t)
 
 
-def _claims(t: ApproxSet, x: float, horizon=HORIZON):
-    """Definite claim of an approximated set at time x: True (inside a
-    consistent interval), False (outside), or None (within an enclosure
-    or past the last certain bound)."""
-    if t.is_universe:
-        return True
-    if t.is_empty:
-        return False
-    state = False
-    for e in t.elems:
-        if x < e.s.lo:
-            return state
-        if x <= e.s.hi:
-            return None
-        state = e.polarity
-    # after the last enclosure: state persists only up to the horizon
-    return state if x < horizon else None
+def _until_truth(t1, t2, a: Fraction, b: Fraction, x: Fraction) -> bool:
+    """x |= phi1 U_[a,b] phi2: some t' in [x + a, x + b] has phi2, and
+    phi1 holds on all of [x, t'].  Both truths change only at the sets'
+    ends, so t' runs over those ends, the window's, and a time between
+    each two; phi1 over [x, t'] is checked at the same times."""
+    ends = sorted({Fraction(e) for t in (t1, t2) for s in t for e in (s[0], s[2])
+                   if e < INF})
+    cuts = sorted({x, x + a, x + b} | {e for e in ends if x <= e <= x + b})
+    times = cuts + [(p + q) / 2 for p, q in zip(cuts, cuts[1:])]
+    held = sorted(t for t in times if x <= t)
+    for tp in sorted(t for t in times if x + a <= t <= x + b):
+        if _member(t2, tp) and all(_member(t1, s) for s in held if s <= tp):
+            return True
+    return False
 
 
-def _random_canonical(rng) -> ApproxSet:
-    pts, v0 = _random_boolean_signal(rng)
-    t = _exact_set(pts, v0)
-    if t.kind != "seq" or t.elems[0].s.hi == 0.0:
-        return S((1, 1.25, True), (2, 2.5, False))
-    return t
+def _canonical(t) -> bool:
+    """Sorted spans of [0, inf), each holding a time, no two touching."""
+    ok = all(0.0 <= lo and (lo < hi or lo == hi and lc and hc) for lo, lc, hi, hc in t)
+    return ok and all(s[2] < u[0] or (s[2] == u[0] and not s[3] and not u[1])
+                      for s, u in zip(t, t[1:]))
+
+
+def _grid():
+    return [i * GRID for i in range(int(HORIZON / GRID) + 1)]
 
 
 class TestGridOracle:
-    """200 randomized step-function instances: every definite claim of the
-    computed sets must match brute-force evaluation on a 1e-3 grid."""
-
-    def _check(self, got, oracle, pts_all, horizon=HORIZON):
-        n = int(horizon / GRID)
-        for i in range(0, n, 7):
-            x = i * GRID
-            if any(abs(x - p) <= 2 * GRID for p in pts_all):
-                continue
-            claim = _claims(got, x, horizon)
-            if claim is not None:
-                assert claim == oracle(x), f"mismatch at t={x}"
+    """Randomized sets with flags against brute-force membership."""
 
     def test_invert_join_intersect(self):
         rng = random.Random(20240818)
         for _ in range(100):
-            p1, v1 = _random_boolean_signal(rng)
-            p2, v2 = _random_boolean_signal(rng)
-            t1, t2 = _exact_set(p1, v1), _exact_set(p2, v2)
-            f1 = lambda x: _truth(p1, v1, x)
-            f2 = lambda x: _truth(p2, v2, x)
-            self._check(invert(t1), lambda x: not f1(x), p1)
-            try:
-                self._check(join(t1, t2), lambda x: f1(x) or f2(x), p1 + p2)
-                self._check(intersect(t1, t2), lambda x: f1(x) and f2(x), p1 + p2)
-            except AmbiguityError:
-                pass  # sound refusal on coincident bounds
+            t1, t2 = _random_set(rng), _random_set(rng)
+            inv, un, meet = invert(t1), join(t1, t2), intersect(t1, t2)
+            for x in _grid():
+                m1, m2 = _member(t1, x), _member(t2, x)
+                assert _member(inv, x) == (not m1), (t1, x)
+                assert _member(un, x) == (m1 or m2), (t1, t2, x)
+                assert _member(meet, x) == (m1 and m2), (t1, t2, x)
+            assert all(map(_canonical, (t1, t2, inv, un, meet)))
 
     def test_until_shift(self):
+        # bounds on the grid shift exactly, so both roundings give the
+        # truth; off the grid under lies inside it and over around it
         rng = random.Random(20240819)
-        count = 0
-        while count < 100:
-            p1, v1 = _random_boolean_signal(rng)
-            p2, v2 = _random_boolean_signal(rng)
-            a = rng.choice([0.0, 0.25, 0.5])
-            # a punctual bound [a, a] needs a > 0: U[0,0] is not a formula
-            b = a + rng.choice([0.0, 0.5, 1.0, 2.0] if a > 0 else [0.5, 1.0, 2.0])
-            t1, t2 = _exact_set(p1, v1), _exact_set(p2, v2)
-            lo = rational_enclosure(Fraction(a))
-            hi = rational_enclosure(Fraction(b))
-            try:
-                got = shift_all(lo, hi, t1, t2)
-            except AmbiguityError:
-                continue
-            count += 1
-
-            def oracle(x):
-                # x |= f1 U_[a,b] f2 under dense-grid semantics
-                r = x
-                while r + GRID <= HORIZON and _truth(p1, v1, r + GRID):
-                    r += GRID
-                hi_t = min(x + b, r, HORIZON)
-                t = x + a
-                while t <= hi_t + 1e-12:
-                    if _truth(p2, v2, t) and _truth(p1, v1, min(t, r)):
-                        return True
-                    t += GRID
-                return False
-
-            # shifted claims change at breakpoints displaced by -a and -b
-            pts_all = (
-                p1
-                + p2
-                + [p - a for p in p1 + p2]
-                + [p - b for p in p1 + p2]
-            )
-            n = int((HORIZON - b) / GRID)
-            for i in range(0, n, 29):
-                x = i * GRID
-                if any(abs(x - p) <= 2 * GRID for p in pts_all):
-                    continue
-                claim = _claims(got, x, HORIZON)
-                if claim is not None:
-                    assert claim == oracle(x), (
-                        f"mismatch at t={x}: claim={claim} "
-                        f"p1={p1},{v1} p2={p2},{v2} a={a} b={b}"
-                    )
+        for n in range(100):
+            t1 = UNIVERSE if rng.random() < 0.3 else _random_set(rng)
+            t2 = _random_set(rng)
+            if n % 2:
+                a = Fraction(rng.randint(0, 8), 8)
+                b = a + Fraction(rng.randint(0 if a else 1, 8), 8)
+            else:
+                a = Fraction(rng.randint(0, 20), 10)
+                b = a + Fraction(rng.randint(0 if a else 1, 20), 10)
+            lo, hi = rational_enclosure(a), rational_enclosure(b)
+            under = shift_all(lo, hi, t1, t2)
+            over = shift_all(lo, hi, t1, t2, outward=True)
+            assert _canonical(under) and _canonical(over)
+            ends = [Fraction(e) for t in (under, over) for s in t
+                    for e in (s[0], s[2]) if e < INF]
+            for x in _grid() + ends:
+                truth = _until_truth(t1, t2, a, b, x)
+                label = (t1, t2, a, b, x)
+                if n % 2:
+                    assert _member(under, x) == truth == _member(over, x), label
+                else:
+                    assert not _member(under, x) or truth, label
+                    assert not truth or _member(over, x), label
 
 
 class TestComplexityGuard:
     def _big_set(self, n, offset=0.0):
-        elems = []
-        for i in range(n):
-            lo = 1 + 2 * i + offset
-            elems.append(B(lo, lo + 0.5, bool(i % 2 == 0)))
-        return seq(elems)
+        return tuple((2.0 * i + offset, True, 2.0 * i + offset + 1.0, False)
+                     for i in range(n))
 
     def test_normalize_and_boolean_ops_scale(self):
         t1 = self._big_set(1000)
@@ -400,10 +348,11 @@ class TestComplexityGuard:
         invert(t1)
         join(t1, t2)
         intersect(t1, t2)
+        normalize(t1 + t2)
         assert time.monotonic() - start < 5.0
 
     def test_shift_all_quadratic_pair_loop(self):
-        lo, hi = rational_enclosure(Fraction(0)), rational_enclosure(Fraction(1))
+        lo, hi = bounds(0, 1)
         big = self._big_set(1000)
         start = time.monotonic()
         shift_all(lo, hi, UNIVERSE, big)
